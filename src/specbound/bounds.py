@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import estimators
 from .constants import (
@@ -525,6 +524,76 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _bounded_minimum(func, low: float, high: float, xatol: float) -> float:
+    """Brent's bounded scalar minimizer (golden section with parabolic steps).
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
+    in the arrangement of scipy's ``minimize_scalar(method="bounded")``, so
+    it visits the same points and returns the same abscissa bit for bit.
+    Stops after 500 objective calls at the latest.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = low, high
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    calls = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return xf
+
+
 def optimize_bartlett_m(
     num_samples: int, delta: float, ctx: BoundContext, divisors_only: bool = True
 ) -> BartlettSelection:
@@ -558,7 +627,6 @@ def optimize_bartlett_m(
     low, high = max(1.0, coarse / 2.0), min(float(n), coarse * 2.0)
     candidates = [1.0, coarse]
     if high > low:
-        result = minimize_scalar(total, bounds=(low, high), method="bounded", options={"xatol": 1e-6})
-        candidates.append(float(result.x))
+        candidates.append(_bounded_minimum(total, low, high, xatol=1e-6))
     best = min(candidates, key=total)
     return BartlettSelection(best, total(best), False)

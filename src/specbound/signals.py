@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .quadform import DataMatrix, hermitian_spectral_norms
 from .streams import rng_stream
@@ -291,8 +290,13 @@ class StateSpace:
         return h @ h.conj().T
 
     def psd_grid(self, frequencies) -> np.ndarray:
+        """``psd`` at every frequency, with one batched solve over the grid."""
         s = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        return np.stack([self.psd(freq) for freq in s])
+        z = np.exp(2j * np.pi * s)
+        shifted = z[:, None, None] * np.eye(self.state_dim) - self.a
+        forcing = np.broadcast_to(self.b.astype(complex), (s.size,) + self.b.shape)
+        h = self.d + self.c @ np.linalg.solve(shifted, forcing)
+        return h @ h.conj().swapaxes(-1, -2)
 
     @cached_property
     def _phi_inf(self) -> float:
@@ -404,20 +408,31 @@ def sample_geometric_paths(
     if num_samples < 1 or trials < 1:
         raise ValueError("num_samples and trials must be positive")
     gain = math.sqrt(1.0 - rho * rho)
-    out = np.empty((trials, num_samples))
-    if noise == "gaussian":
-        for t in range(trials):
-            rng = rng_stream(seed, first_trial + t)
-            start = rng.standard_normal()
-            shocks = rng.standard_normal(num_samples)
-            out[t] = lfilter([gain], [1.0, -rho], shocks, zi=np.array([rho * start]))[0]
-    else:
-        burn = 0 if rho == 0.0 else int(math.ceil(math.log(1e-12) / math.log(rho)))
-        for t in range(trials):
-            rng = rng_stream(seed, first_trial + t)
-            shocks = _draw_noise(rng, noise, burn + num_samples)
-            out[t] = lfilter([gain], [1.0, -rho], shocks)[burn:]
-    return out
+    burn = 0
+    if noise == "uniform" and rho != 0.0:
+        burn = int(math.ceil(math.log(1e-12) / math.log(rho)))
+    # column 0 holds y[-1]: the stationary start (gaussian) or zero (uniform)
+    drawn = np.zeros((trials, burn + num_samples + 1))
+    for t in range(trials):
+        rng = rng_stream(seed, first_trial + t)
+        if noise == "gaussian":
+            drawn[t, 0] = rng.standard_normal()
+        drawn[t, 1:] = _draw_noise(rng, noise, burn + num_samples)
+    drawn[:, 1:] *= gain
+    # y[k] = gain x[k] + rho y[k-1] are the IEEE operations of an order-one
+    # direct-form IIR filter, so the paths equal such a filter's bit for bit
+    if trials == 1:
+        values = drawn[0].tolist()
+        prev = values[0]
+        for k in range(1, len(values)):
+            prev = values[k] + rho * prev
+            values[k] = prev
+        return np.array([values[burn + 1 :]])
+    steps = drawn.T.copy()
+    rows = list(steps)
+    for prev, row in zip(rows, rows[1:]):
+        row += rho * prev
+    return steps[burn + 1 :].T.copy()
 
 
 def sample_geometric(

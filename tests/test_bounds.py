@@ -354,6 +354,37 @@ def test_worst_total_condition_validated_by_simulation():
     assert exceedances / trials <= delta + 3.0 * _math.sqrt(delta * (1.0 - delta) / trials)
 
 
+@pytest.mark.parametrize(
+    "func, low, high",
+    [
+        (lambda x: (x - 2.3) ** 2 + 1.0, 0.0, 10.0),
+        (lambda x: math.exp(x) - x / 3.0, 1.0, 4.0),  # minimum at the lower bound
+        (lambda x: -math.log(x), 0.5, 7.0),  # minimum at the upper bound
+    ],
+)
+def test_bounded_minimum_equals_scipy_bounded_brent(func, low, high):
+    optimize = pytest.importorskip("scipy.optimize")
+    for xatol in (1e-5, 1e-6):
+        reference = optimize.minimize_scalar(func, bounds=(low, high), method="bounded", options={"xatol": xatol})
+        assert bd._bounded_minimum(func, low, high, xatol) == float(reference.x)
+
+
+def test_bounded_minimum_equals_scipy_on_bartlett_objective():
+    optimize = pytest.importorskip("scipy.optimize")
+    for rho in (0.3, 0.7, 0.99):
+        phi = (1.0 + rho) / (1.0 - rho)
+        ctx = ctx_gauss(phi=phi, r1=phi, decay=(1.0, rho))
+        for n in (64, 1000, 2064, 65536):
+
+            def total(m):
+                conc = bd.worst_case_error_bound(m / n, m, 0.05, ctx).value
+                return conc + bd.bartlett_bias_closed_form(1.0, rho, m)
+
+            low, high = 1.0, float(n)
+            reference = optimize.minimize_scalar(total, bounds=(low, high), method="bounded", options={"xatol": 1e-6})
+            assert bd._bounded_minimum(total, low, high, 1e-6) == float(reference.x)
+
+
 def test_optimizer_needs_decay():
     with pytest.raises(ValueError):
         bd.optimize_bartlett_m(256, 0.05, ctx_gauss())

@@ -28,6 +28,13 @@ def run_cli(*args, cwd=None):
     )
 
 
+def test_import_loads_no_scipy():
+    probe = "import sys, specbound, specbound.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.fixture()
 def welch_config(tmp_path):
     config = {

@@ -1,12 +1,14 @@
 """Tests for the analytic models, decay certificates, and samplers."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy import linalg
 
 from specbound import quadform as qf
 from specbound import signals as sig
 from specbound.experiments import example_state_space
+from specbound.streams import rng_stream
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,7 @@ def test_chain_system_has_three_channels(chain):
 
 
 def test_lyapunov_doubling_matches_direct_solver(chain):
+    linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(5)
     for _ in range(5):
         raw = rng.standard_normal((3, 3))
@@ -93,6 +96,18 @@ def test_state_space_autocov_closed_form(chain):
     stack = chain.autocov_stack(5)
     for k in range(6):
         np.testing.assert_allclose(stack[k], chain.autocov(k), atol=1e-12)
+
+
+@pytest.mark.parametrize("model", ["chain", "resonant"])
+def test_psd_grid_equals_stacked_psd(model, chain):
+    if model == "chain":
+        model = chain
+    else:
+        # lightly damped: the spectrum peaks at 40000 near s = +-1/4
+        model = sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+    freqs = np.linspace(-0.5, 0.5, 4096)
+    stacked = np.stack([model.psd(s) for s in freqs])
+    assert model.psd_grid(freqs).tobytes() == stacked.tobytes()
 
 
 def test_state_space_spectrum_is_positive_semidefinite(chain):
@@ -206,6 +221,35 @@ def test_state_space_sampler_matches_lag_zero(chain):
     exact = chain.autocov(0)
     spread = np.abs(exact).max() / np.sqrt(300)
     assert np.abs(covariance - exact).max() <= 3.0 * spread
+
+
+def _lfilter_geometric_paths(rho, num_samples, trials, noise, seed, first_trial):
+    """The sampler written with scipy's direct-form IIR filter."""
+    signal = pytest.importorskip("scipy.signal")
+    gain = math.sqrt(1.0 - rho * rho)
+    out = np.empty((trials, num_samples))
+    for t in range(trials):
+        rng = rng_stream(seed, first_trial + t)
+        if noise == "gaussian":
+            start = rng.standard_normal()
+            shocks = rng.standard_normal(num_samples)
+            out[t] = signal.lfilter([gain], [1.0, -rho], shocks, zi=np.array([rho * start]))[0]
+        else:
+            burn = 0 if rho == 0.0 else int(math.ceil(math.log(1e-12) / math.log(rho)))
+            shocks = rng.uniform(-sig.UNIFORM_HALF_WIDTH, sig.UNIFORM_HALF_WIDTH, burn + num_samples)
+            out[t] = signal.lfilter([gain], [1.0, -rho], shocks)[burn:]
+    return out
+
+
+@pytest.mark.parametrize("noise", sig.NOISE_KINDS)
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.995])
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("num_samples", [1, 144, 65536])
+def test_geometric_sampler_equals_iir_filter_bitwise(noise, rho, trials, num_samples):
+    reference = _lfilter_geometric_paths(rho, num_samples, trials, noise, seed=17, first_trial=3)
+    paths = sig.sample_geometric_paths(rho, num_samples, trials, noise, seed=17, first_trial=3)
+    assert paths.flags.c_contiguous
+    assert paths.tobytes() == reference.tobytes()
 
 
 def test_streams_are_reproducible_and_distinct():
