@@ -68,10 +68,7 @@ from .signals import (
     StateSpace,
     WhiteNoise,
     certify_decay,
-    exact_autocov,
-    phi_inf,
     psd,
-    r1_norm,
     sample_geometric,
     sample_state_space,
     sample_white,

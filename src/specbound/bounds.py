@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators
 from .constants import (
     COVER_BASE,
     FREQUENCY_COVER_FACTOR,
@@ -32,7 +31,7 @@ from .constants import (
     constants_for,
     sub_gaussian,
 )
-from .quadform import BiasCoefficients, QuadraticForm, bias_coefficients, diagonal_profile
+from .quadform import _RANGE_SLACK, QuadraticForm, _ensure_bias, bias_coefficients, diagonal_profile
 
 __all__ = [
     "BartlettSelection",
@@ -60,10 +59,6 @@ __all__ = [
 ]
 
 CONDITION_PARTS = ("pointwise", "worst_case", "bias", "pointwise_total", "worst_total")
-
-# slack for testing b[k] in [0, 1]: closed forms and diagonal sums agree only
-# to rounding
-_RANGE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -203,14 +198,6 @@ def envelope_from_form(form: QuadraticForm) -> float:
         profile = diagonal_profile(form, offset)
         g = max(g, profile.sup_norm, profile.l2_norm ** 2)
     return g
-
-
-def _ensure_bias(bias) -> BiasCoefficients:
-    if isinstance(bias, QuadraticForm):
-        return bias_coefficients(bias)
-    if isinstance(bias, BiasCoefficients):
-        return bias
-    raise TypeError("expected BiasCoefficients or a QuadraticForm")
 
 
 def check_conditions(
@@ -374,20 +361,6 @@ def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) ->
     )
 
 
-def _family_name(spec) -> str:
-    if isinstance(spec, estimators.BiasedPeriodogram):
-        return "biased_periodogram"
-    if isinstance(spec, estimators.UnbiasedPeriodogram):
-        return "unbiased_periodogram"
-    if isinstance(spec, estimators.BlackmanTukey):
-        return "blackman_tukey"
-    if isinstance(spec, estimators.Bartlett):
-        return "bartlett"
-    if isinstance(spec, estimators.Welch):
-        return "welch"
-    raise TypeError(f"unknown estimator spec {type(spec).__name__}")
-
-
 def check_estimator_conditions(
     spec, num_samples: int, part: str, eps: float, delta: float, ctx: BoundContext
 ) -> Certificate:
@@ -400,8 +373,7 @@ def check_estimator_conditions(
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
     n = int(num_samples)
-    family = _family_name(spec)
-    statement = f"{family}.{part}_condition"
+    statement = f"{spec.kind}.{part}_condition"
     if part in ("pointwise_total", "worst_total"):
         base = "pointwise" if part == "pointwise_total" else "worst_case"
         first = check_estimator_conditions(spec, n, base, eps, delta, ctx)
@@ -415,22 +387,15 @@ def check_estimator_conditions(
             delta=delta,
             inputs=_inputs(condition_epsilon=eps, conclusion_epsilon=2.0 * eps),
         )
-    if isinstance(spec, estimators.PERIODOGRAM_SPECS):
-        if part in ("pointwise", "worst_case"):
-            return Certificate(
-                statement,
-                available=False,
-                epsilon=eps,
-                delta=delta,
-                note="periodogram norm envelope is at least one",
-            )
-        cutoff = tail_cutoff_lag(eps, ctx)
-        if isinstance(spec, estimators.BiasedPeriodogram):
-            holds = n >= 2.0 * cutoff * ctx.r1_norm / eps
-        else:
-            holds = n >= cutoff
-        return Certificate(statement, holds=bool(holds), epsilon=eps, delta=delta, inputs=_inputs(cutoff=cutoff))
-    params = estimators.certificate_params(spec, n)
+    params = spec.certificate_params(n)
+    if params is None and part != "bias":
+        return Certificate(
+            statement,
+            available=False,
+            epsilon=eps,
+            delta=delta,
+            note="periodogram norm envelope is at least one",
+        )
     if part == "pointwise":
         demand = accuracy_factor(eps, ctx) * confidence_factor(delta, ctx)
         holds = 1.0 / params.envelope >= demand
@@ -454,41 +419,11 @@ def check_estimator_conditions(
     # estimator-specific bias conditions
     cutoff = tail_cutoff_lag(eps, ctx)
     floor = 1.0 - eps / (2.0 * ctx.r1_norm)
-    if isinstance(spec, estimators.BlackmanTukey):
-        m = spec.half_width
-        weights = spec.weights()
-        holds = m >= cutoff and n >= 2.0 * cutoff * ctx.r1_norm / eps
-        for k in range(min(cutoff, m)):
-            if weights[k + m - 1] < floor / (1.0 - k / n):
-                holds = False
-                break
-        rest = np.abs(np.arange(-(m - 1), m)) >= cutoff
-        if np.any(weights[rest] < -_RANGE_SLACK) or np.any(weights[rest] > 1.0 + _RANGE_SLACK):
-            holds = False
-    elif isinstance(spec, estimators.Bartlett):
-        # lag-wise form of the block-average condition: every diagonal sum
-        # 1 - |k|/M out to the cutoff stays above the floor (the coarser
-        # closed-form demand M >= 2 * cutoff * r1 / eps implies this)
-        m = spec.block_length
-        holds = all(
-            (1.0 - k / m if k < m else 0.0) >= floor for k in range(cutoff)
-        )
-    else:
-        m = spec.segment_length
-        taper = spec.taper_values()
-        correlation = np.correlate(taper, taper, "full") / float(taper @ taper)
-        holds = m >= cutoff
-        for k in range(min(cutoff, m)):
-            if correlation[k + m - 1] < floor:
-                holds = False
-                break
-    return Certificate(
-        statement,
-        holds=bool(holds),
-        epsilon=eps,
-        delta=delta,
-        inputs=_inputs(cutoff=cutoff, floor=floor),
-    )
+    holds = spec.bias_condition(n, cutoff, floor, eps, ctx.r1_norm)
+    # a family without a concentration certificate (the periodograms) does not
+    # test its diagonal sums against the floor
+    inputs = _inputs(cutoff=cutoff) if params is None else _inputs(cutoff=cutoff, floor=floor)
+    return Certificate(statement, holds=bool(holds), epsilon=eps, delta=delta, inputs=inputs)
 
 
 def bartlett_bias_closed_form(gamma: float, rho: float, block_length) -> float:

@@ -4,11 +4,15 @@ Four families are covered: raw periodograms (biased and unbiased
 autocovariance transforms), windowed-autocovariance estimates (Blackman-Tukey,
 banded Toeplitz coefficient matrix), block-averaged periodograms (Bartlett,
 block-diagonal matrix), and overlapping tapered segment averages (Welch, a sum
-of shifted rank-one blocks).  Each family knows how to build its dense
-coefficient matrix, its closed-form diagonal sums, the norm envelope and
-truncation width feeding the worst-case certificates, and a fast evaluation
-path via segment transforms that matches the generic quadratic form to
-rounding error.
+of shifted rank-one blocks).  Each family is one spec class with a config
+``kind`` and, for a sample count n, its dense coefficient matrix
+(``matrix(n)``), its closed-form diagonal sums (``diagonal_sums(n, lags)``),
+the norm envelope and truncation width feeding the worst-case certificates
+(``certificate_params(n)``, None when no concentration certificate exists),
+its estimator-specific bias condition (``bias_condition``), and a fast
+evaluation path via segment transforms (``evaluate(data, freqs)``) that
+matches the generic quadratic form to rounding error.  ``FAMILIES`` maps each
+``kind`` to its class; the module-level functions dispatch to these methods.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadform import (
+    _RANGE_SLACK,
     BiasCoefficients,
     DataMatrix,
     LagSequence,
@@ -31,6 +36,7 @@ __all__ = [
     "BiasedPeriodogram",
     "BlackmanTukey",
     "CertificateParams",
+    "FAMILIES",
     "UnbiasedPeriodogram",
     "WINDOW_KINDS",
     "Welch",
@@ -85,10 +91,48 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
 class BiasedPeriodogram:
     """Transform of the biased autocovariance estimate; coefficient matrix ones/N."""
 
+    kind = "biased_periodogram"
+
+    def matrix(self, n: int) -> np.ndarray:
+        return np.full((n, n), 1.0 / n)
+
+    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+        return 1.0 - np.abs(lags) / n
+
+    def certificate_params(self, n: int) -> None:
+        return None
+
+    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(data.samples), freqs))
+        transform = data.values @ phases
+        return np.einsum("if,jf->fij", transform, transform.conj()) / data.samples
+
+    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        return n >= 2.0 * cutoff * r1 / eps
+
 
 @dataclass(frozen=True)
 class UnbiasedPeriodogram:
     """Transform of the unbiased autocovariance estimate; Toeplitz entries 1/(N-|k|)."""
+
+    kind = "unbiased_periodogram"
+
+    def matrix(self, n: int) -> np.ndarray:
+        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        return 1.0 / (n - lags)
+
+    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+        return np.ones(2 * n - 1)
+
+    def certificate_params(self, n: int) -> None:
+        return None
+
+    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
+        seq = unbiased_acs(data)
+        return _lag_transform(seq.values, seq.offsets, freqs)
+
+    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        return n >= cutoff
 
 
 @dataclass(frozen=True)
@@ -100,12 +144,14 @@ class BlackmanTukey:
     matrix).
     """
 
+    kind = "blackman_tukey"
     half_width: int
     window: object = "rectangular"
 
     def __post_init__(self):
         if self.half_width < 1:
             raise ValueError("half_width must be positive")
+        self.weights()
 
     def weights(self) -> np.ndarray:
         if isinstance(self.window, str):
@@ -120,11 +166,58 @@ class BlackmanTukey:
             raise ValueError("lag window must satisfy w[k] = w[-k]")
         return values
 
+    def _check_fits(self, n: int) -> None:
+        if self.half_width > n:
+            raise ValueError("lag cutoff cannot exceed the sample count")
+
+    def matrix(self, n: int) -> np.ndarray:
+        m = self.half_width
+        self._check_fits(n)
+        wide = np.zeros(2 * n - 1)
+        wide[n - m : n + m - 1] = self.weights()
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        return wide[diff + n - 1] / n
+
+    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+        m = self.half_width
+        self._check_fits(n)
+        weights = self.weights()
+        size = np.abs(lags)
+        values = np.zeros(2 * n - 1)
+        inner = size < m
+        values[inner] = (n - size[inner]) * weights[lags[inner] + m - 1] / n
+        return values
+
+    def certificate_params(self, n: int) -> CertificateParams:
+        self._check_fits(n)
+        return CertificateParams((2 * self.half_width - 1) / n, self.half_width)
+
+    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
+        m = self.half_width
+        self._check_fits(data.samples)
+        stack = two_sided_stack(_acs_head(data, m - 1, biased=True))
+        weighted = stack * self.weights()[:, None, None]
+        return _lag_transform(weighted, np.arange(-(m - 1), m), freqs)
+
+    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        m = self.half_width
+        weights = self.weights()
+        holds = m >= cutoff and n >= 2.0 * cutoff * r1 / eps
+        for k in range(min(cutoff, m)):
+            if weights[k + m - 1] < floor / (1.0 - k / n):
+                holds = False
+                break
+        rest = np.abs(np.arange(-(m - 1), m)) >= cutoff
+        if np.any(weights[rest] < -_RANGE_SLACK) or np.any(weights[rest] > 1.0 + _RANGE_SLACK):
+            holds = False
+        return holds
+
 
 @dataclass(frozen=True)
 class Bartlett:
     """Average of plain periodograms over contiguous non-overlapping blocks."""
 
+    kind = "bartlett"
     block_length: int
 
     def __post_init__(self):
@@ -136,6 +229,42 @@ class Bartlett:
             raise ValueError("sample count must be a positive multiple of the block length")
         return num_samples // self.block_length
 
+    def matrix(self, n: int) -> np.ndarray:
+        m = self.block_length
+        self.blocks(n)
+        matrix = np.zeros((n, n))
+        for start in range(0, n, m):
+            matrix[start : start + m, start : start + m] = 1.0 / n
+        return matrix
+
+    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+        m = self.block_length
+        self.blocks(n)
+        size = np.abs(lags)
+        return np.where(size < m, 1.0 - size / m, 0.0)
+
+    def certificate_params(self, n: int) -> CertificateParams:
+        self.blocks(n)
+        return CertificateParams(self.block_length / n, self.block_length)
+
+    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
+        n, total = data.values.shape
+        m = self.block_length
+        blocks = self.blocks(total)
+        segments = data.values.reshape(n, blocks, m).transpose(1, 0, 2)
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
+        transform = segments @ phases
+        return np.einsum("lif,ljf->fij", transform, transform.conj()) / total
+
+    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        # lag-wise form of the block-average condition: every diagonal sum
+        # 1 - |k|/M out to the cutoff stays above the floor (the coarser
+        # closed-form demand M >= 2 * cutoff * r1 / eps implies this)
+        m = self.block_length
+        return all(
+            (1.0 - k / m if k < m else 0.0) >= floor for k in range(cutoff)
+        )
+
 
 @dataclass(frozen=True)
 class Welch:
@@ -145,6 +274,7 @@ class Welch:
     pass unnormalized weights.
     """
 
+    kind = "welch"
     segment_length: int
     hop: int
     taper: object = "hann"
@@ -152,6 +282,7 @@ class Welch:
     def __post_init__(self):
         if self.segment_length < 1 or self.hop < 1:
             raise ValueError("segment_length and hop must be positive")
+        self.taper_values()
 
     def taper_values(self) -> np.ndarray:
         if isinstance(self.taper, str):
@@ -164,6 +295,11 @@ class Welch:
             raise ValueError("taper must be finite and non-zero")
         return values
 
+    def _taper_correlation(self) -> np.ndarray:
+        """Taper autocorrelation over lags -(m-1)..m-1, normalized to one at lag 0."""
+        taper = self.taper_values()
+        return np.correlate(taper, taper, "full") / float(taper @ taper)
+
     def segments(self, num_samples: int) -> int:
         leftover = num_samples - self.segment_length
         if leftover < 0 or leftover % self.hop:
@@ -172,8 +308,55 @@ class Welch:
             )
         return leftover // self.hop + 1
 
+    def matrix(self, n: int) -> np.ndarray:
+        segments = self.segments(n)
+        taper = self.taper_values()
+        block = np.outer(taper, taper)
+        matrix = np.zeros((n, n))
+        for i in range(segments):
+            start = i * self.hop
+            matrix[start : start + self.segment_length, start : start + self.segment_length] += block
+        matrix /= segments * float(taper @ taper)
+        return matrix
 
-PERIODOGRAM_SPECS = (BiasedPeriodogram, UnbiasedPeriodogram)
+    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+        self.segments(n)
+        m = self.segment_length
+        correlation = self._taper_correlation()
+        size = np.abs(lags)
+        values = np.zeros(2 * n - 1)
+        inner = size < m
+        values[inner] = correlation[lags[inner] + m - 1]
+        return values
+
+    def certificate_params(self, n: int) -> CertificateParams:
+        segments = self.segments(n)
+        envelope = (1.0 + 2.0 * self.segment_length / self.hop) / segments
+        return CertificateParams(envelope, self.segment_length)
+
+    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
+        y = data.values
+        segments = self.segments(data.samples)
+        taper = self.taper_values()
+        taper = taper / np.linalg.norm(taper)
+        m = self.segment_length
+        windows = np.stack([y[:, i * self.hop : i * self.hop + m] for i in range(segments)])
+        phases = taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
+        transform = windows @ phases
+        return np.einsum("lif,ljf->fij", transform, transform.conj()) / segments
+
+    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        m = self.segment_length
+        correlation = self._taper_correlation()
+        holds = m >= cutoff
+        for k in range(min(cutoff, m)):
+            if correlation[k + m - 1] < floor:
+                holds = False
+                break
+        return holds
+
+
+FAMILIES = {cls.kind: cls for cls in (BiasedPeriodogram, UnbiasedPeriodogram, BlackmanTukey, Bartlett, Welch)}
 
 
 def build_matrix(spec, num_samples: int) -> QuadraticForm:
@@ -181,37 +364,7 @@ def build_matrix(spec, num_samples: int) -> QuadraticForm:
     n = int(num_samples)
     if n < 1:
         raise ValueError("sample count must be positive")
-    if isinstance(spec, BiasedPeriodogram):
-        matrix = np.full((n, n), 1.0 / n)
-    elif isinstance(spec, UnbiasedPeriodogram):
-        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        matrix = 1.0 / (n - lags)
-    elif isinstance(spec, BlackmanTukey):
-        m = spec.half_width
-        if m > n:
-            raise ValueError("lag cutoff cannot exceed the sample count")
-        wide = np.zeros(2 * n - 1)
-        wide[n - m : n + m - 1] = spec.weights()
-        diff = np.subtract.outer(np.arange(n), np.arange(n))
-        matrix = wide[diff + n - 1] / n
-    elif isinstance(spec, Bartlett):
-        m = spec.block_length
-        spec.blocks(n)
-        matrix = np.zeros((n, n))
-        for start in range(0, n, m):
-            matrix[start : start + m, start : start + m] = 1.0 / n
-    elif isinstance(spec, Welch):
-        segments = spec.segments(n)
-        taper = spec.taper_values()
-        block = np.outer(taper, taper)
-        matrix = np.zeros((n, n))
-        for i in range(segments):
-            start = i * spec.hop
-            matrix[start : start + spec.segment_length, start : start + spec.segment_length] += block
-        matrix /= segments * float(taper @ taper)
-    else:
-        raise TypeError(f"unknown estimator spec {type(spec).__name__}")
-    return QuadraticForm(matrix)
+    return QuadraticForm(spec.matrix(n))
 
 
 def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
@@ -223,35 +376,7 @@ def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
     n = int(num_samples)
     if n < 1:
         raise ValueError("sample count must be positive")
-    lags = np.arange(-(n - 1), n)
-    size = np.abs(lags)
-    if isinstance(spec, BiasedPeriodogram):
-        values = 1.0 - size / n
-    elif isinstance(spec, UnbiasedPeriodogram):
-        values = np.ones(2 * n - 1)
-    elif isinstance(spec, BlackmanTukey):
-        m = spec.half_width
-        if m > n:
-            raise ValueError("lag cutoff cannot exceed the sample count")
-        weights = spec.weights()
-        values = np.zeros(2 * n - 1)
-        inner = size < m
-        values[inner] = (n - size[inner]) * weights[lags[inner] + m - 1] / n
-    elif isinstance(spec, Bartlett):
-        m = spec.block_length
-        spec.blocks(n)
-        values = np.where(size < m, 1.0 - size / m, 0.0)
-    elif isinstance(spec, Welch):
-        spec.segments(n)
-        taper = spec.taper_values()
-        m = spec.segment_length
-        correlation = np.correlate(taper, taper, "full") / float(taper @ taper)
-        values = np.zeros(2 * n - 1)
-        inner = size < m
-        values[inner] = correlation[lags[inner] + m - 1]
-    else:
-        raise TypeError(f"unknown estimator spec {type(spec).__name__}")
-    return BiasCoefficients(values)
+    return BiasCoefficients(spec.diagonal_sums(n, np.arange(-(n - 1), n)))
 
 
 @dataclass(frozen=True)
@@ -268,21 +393,7 @@ def certificate_params(spec, num_samples: int):
     Returns None for the periodogram variants: their norm envelope never drops
     below one, so no concentration certificate exists.
     """
-    n = int(num_samples)
-    if isinstance(spec, PERIODOGRAM_SPECS):
-        return None
-    if isinstance(spec, BlackmanTukey):
-        if spec.half_width > n:
-            raise ValueError("lag cutoff cannot exceed the sample count")
-        return CertificateParams((2 * spec.half_width - 1) / n, spec.half_width)
-    if isinstance(spec, Bartlett):
-        spec.blocks(n)
-        return CertificateParams(spec.block_length / n, spec.block_length)
-    if isinstance(spec, Welch):
-        segments = spec.segments(n)
-        envelope = (1.0 + 2.0 * spec.segment_length / spec.hop) / segments
-        return CertificateParams(envelope, spec.segment_length)
-    raise TypeError(f"unknown estimator spec {type(spec).__name__}")
+    return spec.certificate_params(int(num_samples))
 
 
 def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
@@ -319,39 +430,6 @@ def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:
     agreement holds to rounding error and is enforced by the test suite.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    y = data.values
-    n, total = y.shape
-    if isinstance(spec, BiasedPeriodogram):
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(total), freqs))
-        transform = y @ phases
-        matrices = np.einsum("if,jf->fij", transform, transform.conj()) / total
-    elif isinstance(spec, UnbiasedPeriodogram):
-        seq = unbiased_acs(data)
-        matrices = _lag_transform(seq.values, seq.offsets, freqs)
-    elif isinstance(spec, BlackmanTukey):
-        m = spec.half_width
-        if m > total:
-            raise ValueError("lag cutoff cannot exceed the sample count")
-        stack = two_sided_stack(_acs_head(data, m - 1, biased=True))
-        weighted = stack * spec.weights()[:, None, None]
-        matrices = _lag_transform(weighted, np.arange(-(m - 1), m), freqs)
-    elif isinstance(spec, Bartlett):
-        m = spec.block_length
-        blocks = spec.blocks(total)
-        segments = y.reshape(n, blocks, m).transpose(1, 0, 2)
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
-        transform = segments @ phases
-        matrices = np.einsum("lif,ljf->fij", transform, transform.conj()) / total
-    elif isinstance(spec, Welch):
-        segments = spec.segments(total)
-        taper = spec.taper_values()
-        taper = taper / np.linalg.norm(taper)
-        m = spec.segment_length
-        windows = np.stack([y[:, i * spec.hop : i * spec.hop + m] for i in range(segments)])
-        phases = taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
-        transform = windows @ phases
-        matrices = np.einsum("lif,ljf->fij", transform, transform.conj()) / segments
-    else:
-        raise TypeError(f"unknown estimator spec {type(spec).__name__}")
+    matrices = spec.evaluate(data, freqs)
     matrices = 0.5 * (matrices + matrices.conj().transpose(0, 2, 1))
     return SpectralEstimate(freqs, matrices)

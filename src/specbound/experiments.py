@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,30 +146,18 @@ def _parse_model(data: dict):
 
 def _parse_estimator(data: dict):
     kind = _require(data, "kind", str, "estimator")
+    if kind not in estimators.FAMILIES:
+        raise ConfigError(f"estimator.kind {kind!r} is not one of {', '.join(estimators.FAMILIES)}")
+    family = estimators.FAMILIES[kind]
     try:
-        if kind == "biased_periodogram":
-            return estimators.BiasedPeriodogram()
-        if kind == "unbiased_periodogram":
-            return estimators.UnbiasedPeriodogram()
-        if kind == "blackman_tukey":
-            return estimators.BlackmanTukey(
-                int(_require(data, "half_width", int, "estimator")),
-                data.get("window", "rectangular"),
-            )
-        if kind == "bartlett":
-            return estimators.Bartlett(int(_require(data, "block_length", int, "estimator")))
-        if kind == "welch":
-            return estimators.Welch(
-                int(_require(data, "segment_length", int, "estimator")),
-                int(_require(data, "hop", int, "estimator")),
-                data.get("taper", "hann"),
-            )
+        # fields without a default are required integers; the rest are optional
+        values = [
+            int(_require(data, f.name, int, "estimator")) if f.default is MISSING else data.get(f.name, f.default)
+            for f in fields(family)
+        ]
+        return family(*values)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"estimator: {err}") from err
-    raise ConfigError(
-        f"estimator.kind {kind!r} is not one of biased_periodogram, unbiased_periodogram, "
-        "blackman_tukey, bartlett, welch"
-    )
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -296,15 +284,7 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
 
 def sample_model(model, noise: str, num_samples: int, seed: int, trial: int = 0) -> DataMatrix:
     """Draw one path from the configured model with the matching sampler."""
-    if isinstance(model, signals.GeometricScalar):
-        return signals.sample_geometric(model.rho, num_samples, noise, seed, trial)
-    if isinstance(model, signals.WhiteNoise):
-        return signals.sample_white(model.channels, num_samples, noise, seed, trial)
-    if isinstance(model, signals.StateSpace):
-        if noise != "gaussian":
-            raise ConfigError("state-space sampling supports gaussian noise only")
-        return signals.sample_state_space(model, num_samples, seed, trial)
-    raise ConfigError(f"cannot sample from model {type(model).__name__}")
+    return DataMatrix(model.sample_paths(num_samples, 1, noise, seed, trial)[0])
 
 
 def _need(config: ExperimentConfig, what: str):
@@ -521,14 +501,7 @@ def _sweep_rows(model, noise: str, options: ReproduceOptions, noise_index: int):
         bias_bound = bounds.geometric_bias_bound(bias, params.truncation, gamma, rho).value
         exact_bias = exact_bias_sup(bias, model, grid)
         first = (noise_index * len(options.blocks) + sweep_index) * options.trials
-        if isinstance(model, signals.StateSpace):
-            paths = signals.sample_state_space_paths(
-                model, num_samples, options.trials, options.seed, first_trial=first
-            )
-        else:
-            paths = signals.sample_geometric_paths(
-                model.rho, num_samples, options.trials, noise, options.seed, first_trial=first
-            )[:, None, :]
+        paths = model.sample_paths(num_samples, options.trials, noise, options.seed, first)
         errors = np.empty(options.trials)
         for t in range(options.trials):
             estimate = estimators.evaluate_fast(spec, DataMatrix(paths[t]), grid)

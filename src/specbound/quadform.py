@@ -67,6 +67,11 @@ def hermitian_spectral_norms(matrices: np.ndarray) -> np.ndarray:
     return np.abs(eigenvalues).max(axis=-1)
 
 
+# slack for testing b[k] in [0, 1]: closed forms and diagonal sums agree only
+# to rounding
+_RANGE_SLACK = 1e-12
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -266,9 +271,13 @@ def evaluate_generic(data: DataMatrix, form: QuadraticForm, frequency: float) ->
     """
     if form.size != data.samples:
         raise ValueError("coefficient matrix size must match the sample count")
-    phase = np.exp(-2j * np.pi * float(frequency) * np.arange(data.samples))
-    rotated = data.values * phase
-    return hermitian_part(rotated @ form.matrix @ rotated.conj().T)
+    return _evaluate_rotated(data.values, form.matrix, frequency)
+
+
+def _evaluate_rotated(values: np.ndarray, matrix: np.ndarray, frequency: float) -> np.ndarray:
+    phase = np.exp(-2j * np.pi * float(frequency) * np.arange(values.shape[1]))
+    rotated = values * phase
+    return hermitian_part(rotated @ matrix @ rotated.conj().T)
 
 
 @dataclass(frozen=True)
@@ -299,7 +308,11 @@ class SpectralEstimate:
 def evaluate_generic_grid(data: DataMatrix, form: QuadraticForm, frequencies) -> SpectralEstimate:
     """Generic quadratic-form evaluation over a whole grid."""
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    matrices = np.stack([evaluate_generic(data, form, s) for s in freqs])
+    if form.size != data.samples:
+        raise ValueError("coefficient matrix size must match the sample count")
+    # cast once: a real matrix would be cast to complex again at every frequency
+    matrix = form.matrix.astype(complex)
+    matrices = np.stack([_evaluate_rotated(data.values, matrix, s) for s in freqs])
     return SpectralEstimate(freqs, matrices)
 
 

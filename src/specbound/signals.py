@@ -11,10 +11,10 @@ Three stationary zero-mean model families back the validation studies:
   covariance.
 
 Models expose the exact autocovariance, the spectrum, its sup norm, the
-summed covariance norm, an analytic tail bound, and a geometric decay pair
-(gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|.  Samplers draw from
-counter-based streams keyed by (seed, path index) so every path is bitwise
-reproducible independent of batching.
+summed covariance norm, an analytic tail bound, a geometric decay pair
+(gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and their sampler as
+``sample_paths``.  Samplers draw from counter-based streams keyed by (seed,
+path index) so every path is bitwise reproducible independent of batching.
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ __all__ = [
     "UNIFORM_SIGMA",
     "WhiteNoise",
     "certify_decay",
-    "exact_autocov",
     "grid_phi_inf",
-    "phi_inf",
     "psd",
-    "r1_norm",
     "r1_norm_bound",
     "sample_geometric",
     "sample_geometric_paths",
@@ -135,6 +132,10 @@ class GeometricScalar:
     def decay(self) -> tuple[float, float]:
         return (1.0, self.rho)
 
+    def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
+        """Stationary paths (trials, 1, samples), one stream per trial."""
+        return sample_geometric_paths(self.rho, num_samples, trials, noise, seed, first_trial)[:, None, :]
+
 
 @dataclass(frozen=True)
 class WhiteNoise:
@@ -174,6 +175,10 @@ class WhiteNoise:
 
     def decay(self) -> tuple[float, float]:
         return (1.0, 0.0)
+
+    def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
+        """Independent noise blocks (trials, channels, samples), one stream per trial."""
+        return sample_white_paths(self.channels, num_samples, trials, noise, seed, first_trial)
 
 
 @dataclass(frozen=True)
@@ -319,6 +324,12 @@ class StateSpace:
     def r1_norm(self) -> float:
         return self._r1
 
+    def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
+        """Stationary paths (trials, channels, samples); only gaussian noise drives the system."""
+        if noise != "gaussian":
+            raise ValueError("state-space sampling supports gaussian noise only")
+        return sample_state_space_paths(self, num_samples, trials, seed, first_trial)
+
 
 def r1_norm_bound(model, depth: int) -> tuple[float, float]:
     """Partial sum of ||R[k]||_2 to ``depth`` plus a certified geometric remainder.
@@ -362,20 +373,8 @@ def certify_decay(model: StateSpace, rho_target: float) -> DecayCertificate:
     return DecayCertificate(max(static, driven), float(rho_target), kappa, weight)
 
 
-def exact_autocov(model, k: int) -> np.ndarray:
-    return model.autocov(k)
-
-
 def psd(model, frequency: float) -> np.ndarray:
     return model.psd(frequency)
-
-
-def phi_inf(model) -> float:
-    return model.phi_inf()
-
-
-def r1_norm(model) -> float:
-    return model.r1_norm()
 
 
 def _check_noise(noise: str) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from specbound import estimators
 from specbound.experiments import (
     ConfigError,
     format_number,
@@ -208,6 +210,7 @@ def test_state_space_rejects_uniform_noise(tmp_path):
     path.write_text(json.dumps(config))
     result = run_cli("simulate", "--config", str(path), "--out", str(tmp_path))
     assert result.returncode == 2
+    assert "state-space sampling supports gaussian noise only" in result.stderr
 
 
 def test_number_formatting_rules():
@@ -247,6 +250,62 @@ def test_reproduce_cli_roundtrip(tmp_path):
     assert result.returncode == 0
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == ["example2.csv", "example2.svg"]
+
+
+def _required_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+
+
+def test_families_keep_the_config_kinds_in_order():
+    assert list(estimators.FAMILIES) == [
+        "biased_periodogram", "unbiased_periodogram", "blackman_tukey", "bartlett", "welch",
+    ]
+    for kind, cls in estimators.FAMILIES.items():
+        assert cls.kind == kind
+
+
+@pytest.mark.parametrize("kind", list(estimators.FAMILIES))
+def test_estimator_config_with_required_fields_only_uses_class_defaults(kind):
+    cls = estimators.FAMILIES[kind]
+    required = {name: 4 for name in _required_fields(cls)}
+    config = parse_config({"estimator": {"kind": kind, **required}})
+    assert config.estimator == cls(**required)
+
+
+@pytest.mark.parametrize("kind", list(estimators.FAMILIES))
+def test_estimator_config_missing_required_field_is_named(kind):
+    cls = estimators.FAMILIES[kind]
+    required = {name: 4 for name in _required_fields(cls)}
+    for name in required:
+        partial = {key: value for key, value in required.items() if key != name}
+        with pytest.raises(ConfigError) as err:
+            parse_config({"estimator": {"kind": kind, **partial}})
+        assert str(err.value) == f"estimator: estimator.{name} is required"
+
+
+@pytest.mark.parametrize("kind", list(estimators.FAMILIES))
+def test_unknown_estimator_kind_lists_every_kind(kind):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"estimator": {"kind": kind + "_x"}})
+    assert str(err.value) == (
+        f"estimator.kind {kind + '_x'!r} is not one of biased_periodogram, unbiased_periodogram, "
+        "blackman_tukey, bartlett, welch"
+    )
+
+
+def test_zero_taper_is_a_config_error(tmp_path):
+    # a length-two hann taper is identically zero
+    config = {
+        "estimator": {"kind": "welch", "segment_length": 2, "hop": 1, "taper": "hann"},
+        "num_samples": 8,
+        "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_cli("certify", "--config", str(path), "--out", str(tmp_path))
+    assert result.returncode == 2
+    assert "taper must be finite and non-zero" in result.stderr
+    assert not (tmp_path / "certificates.csv").exists()
 
 
 def test_config_error_type_is_value_error():

@@ -32,6 +32,17 @@ def test_length_one_window_is_unit():
         np.testing.assert_array_equal(est.taper_window(kind, 1), [1.0])
 
 
+@pytest.mark.parametrize("kind", est.WINDOW_KINDS)
+def test_length_two_tapers_fail_at_construction(kind):
+    # hann, triangular and blackman vanish at both ends, so at length two the
+    # taper is identically zero; the other kinds stay valid
+    if kind in ("hann", "triangular", "blackman"):
+        with pytest.raises(ValueError, match="taper must be finite and non-zero"):
+            est.Welch(2, 1, kind)
+    else:
+        est.Welch(2, 1, kind)
+
+
 def test_lag_window_peaks_at_zero_lag():
     for kind in est.WINDOW_KINDS:
         weights = est.lag_window(kind, 5)

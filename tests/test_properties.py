@@ -1,0 +1,94 @@
+"""Property tests of acceptance criteria 1 and 2 over the whole estimator spec space.
+
+One hypothesis strategy per family draws a spec and a sample count N <= 64,
+including invalid and degenerate specs (zero widths, length-two tapers that
+vanish identically).  Every spec either fails at construction with a
+ValueError or satisfies the closed-form bias identity (1e-12) and the
+fast-path oracle equivalence (1e-10).
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from specbound import estimators as est
+from specbound import quadform as qf
+
+MAX_SAMPLES = 64
+windows = st.sampled_from(est.WINDOW_KINDS)
+
+
+@st.composite
+def periodograms(draw, cls):
+    return (lambda: cls()), draw(st.integers(1, MAX_SAMPLES))
+
+
+@st.composite
+def blackman_tukeys(draw):
+    n = draw(st.integers(1, MAX_SAMPLES))
+    half_width = draw(st.integers(0, n))
+    window = draw(windows)
+    return (lambda: est.BlackmanTukey(half_width, window)), n
+
+
+@st.composite
+def bartletts(draw):
+    block = draw(st.integers(0, 16))
+    blocks = draw(st.integers(1, MAX_SAMPLES // max(block, 1)))
+    return (lambda: est.Bartlett(block)), max(block, 1) * blocks
+
+
+@st.composite
+def welches(draw):
+    segment = draw(st.integers(1, 32))
+    hop = draw(st.integers(0, segment))
+    segments = draw(st.integers(1, (MAX_SAMPLES - segment) // max(hop, 1) + 1))
+    taper = draw(windows)
+    return (lambda: est.Welch(segment, hop, taper)), (segments - 1) * max(hop, 1) + segment
+
+
+SPECS = st.one_of(
+    periodograms(est.BiasedPeriodogram),
+    periodograms(est.UnbiasedPeriodogram),
+    blackman_tukeys(),
+    bartletts(),
+    welches(),
+)
+
+
+def _construct(build):
+    """The spec, or None when construction rejects it with a ValueError."""
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SPECS)
+def test_closed_form_bias_matches_dense_diagonal_sums(case):
+    build, n = case
+    spec = _construct(build)
+    if spec is None:
+        return
+    closed = est.closed_form_bias(spec, n)
+    brute = qf.bias_coefficients(est.build_matrix(spec, n))
+    assert np.abs(closed.values - brute.values).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SPECS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fast_path_matches_generic_oracle(case, channels, seed):
+    build, n = case
+    spec = _construct(build)
+    if spec is None:
+        return
+    data = qf.DataMatrix(np.random.default_rng(seed).standard_normal((channels, n)))
+    grid = qf.frequency_grid(7, full_range=True)
+    fast = est.evaluate_fast(spec, data, grid)
+    generic = qf.evaluate_generic_grid(data, est.build_matrix(spec, n), grid)
+    assert np.abs(fast.matrices - generic.matrices).max() < 1e-10
+

@@ -277,8 +277,20 @@ def test_sampler_argument_errors(chain):
         sig.sample_state_space_paths(chain, 0, 1)
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+def test_model_sample_paths_equal_the_samplers_bitwise(chain, trials):
+    cases = [
+        (sig.GeometricScalar(0.3), "uniform", sig.sample_geometric_paths(0.3, 40, trials, "uniform", 5, 2)[:, None, :]),
+        (sig.WhiteNoise(2), "gaussian", sig.sample_white_paths(2, 40, trials, "gaussian", 5, 2)),
+        (chain, "gaussian", sig.sample_state_space_paths(chain, 40, trials, 5, 2)),
+    ]
+    for model, noise, expected in cases:
+        paths = model.sample_paths(40, trials, noise, 5, 2)
+        assert paths.shape == (trials, model.channels, 40)
+        assert paths.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="state-space sampling supports gaussian noise only"):
+        chain.sample_paths(40, trials, "uniform", 5, 2)
+
+
 def test_module_level_delegates(chain):
-    np.testing.assert_array_equal(sig.exact_autocov(chain, 1), chain.autocov(1))
     np.testing.assert_array_equal(sig.psd(chain, 0.1), chain.psd(0.1))
-    assert sig.phi_inf(chain) == chain.phi_inf()
-    assert sig.r1_norm(chain) == chain.r1_norm()

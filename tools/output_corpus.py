@@ -1,0 +1,177 @@
+"""Write a corpus of specbound command-line outputs into a directory.
+
+Usage: python tools/output_corpus.py OUT
+
+Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
+fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
+--estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
+family at N = 528 and N = 2064; a context-only ``certify`` per family; a set
+of rejected configs; and ``reproduce --example 1`` and ``--example 2``.  Each
+command gets a directory holding the files it wrote and a ``console.txt``
+with its exit code, stdout and stderr (the OUT prefix replaced by ``OUT``).
+
+A refactor that promises unchanged outputs runs this script on the parent
+checkout and on the change and compares the two directories with
+``diff -r``.  Needs only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from specbound import cli  # noqa: E402
+
+STATE_SPACE = {
+    "kind": "state_space",
+    "a": [[0.3, 0.0], [1.0, 0.3]],
+    "b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "c": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "d": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "rho_target": 0.5,
+}
+
+# name -> (model, noise)
+MODELS = {
+    "geometric_gaussian": ({"kind": "geometric", "rho": 0.3}, "gaussian"),
+    "geometric_uniform": ({"kind": "ar1", "rho": 0.7}, "uniform"),
+    "white": ({"kind": "white", "channels": 2}, "gaussian"),
+    "state_space": (STATE_SPACE, "gaussian"),
+}
+
+# every family, the named windows and one custom taper; each divides both sizes
+ESTIMATORS = {
+    "biased_periodogram": {"kind": "biased_periodogram"},
+    "unbiased_periodogram": {"kind": "unbiased_periodogram"},
+    "blackman_tukey_rectangular": {"kind": "blackman_tukey", "half_width": 24},
+    "blackman_tukey_hann": {"kind": "blackman_tukey", "half_width": 32, "window": "hann"},
+    "bartlett": {"kind": "bartlett", "block_length": 48},
+    "welch_hann": {"kind": "welch", "segment_length": 32, "hop": 16},
+    "welch_custom": {"kind": "welch", "segment_length": 48, "hop": 24, "taper": [1.0 + (k % 5) for k in range(48)]},
+}
+
+SIZES = (528, 2064)
+
+CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
+
+# name -> (command, config): every one of these is rejected with exit code 2.
+# Window and taper errors, the all-zero length-two hann taper included, are
+# caught when the spec is constructed, before the missing context is noticed.
+REJECTED = {
+    "unknown_key": ("estimate", {"bogus": 1}),
+    "unknown_noise": ("simulate", {"model": {"kind": "white"}, "noise": "pink", "num_samples": 8}),
+    "unknown_model": ("simulate", {"model": {"kind": "arma"}, "num_samples": 8}),
+    "model_missing_rho": ("simulate", {"model": {"kind": "geometric"}, "num_samples": 8}),
+    "model_bad_rho": ("simulate", {"model": {"kind": "geometric", "rho": 1.5}, "num_samples": 8}),
+    "state_space_uniform": ("simulate", {"model": STATE_SPACE, "noise": "uniform", "num_samples": 8}),
+    "state_space_bad_target": ("simulate", {"model": dict(STATE_SPACE, rho_target=0.1), "num_samples": 8}),
+    "estimator_missing_kind": ("certify", {"estimator": {"half_width": 3}, "num_samples": 8}),
+    "estimator_unknown_kind": ("certify", {"estimator": {"kind": "multitaper"}, "num_samples": 8}),
+    "blackman_tukey_missing_half_width": ("certify", {"estimator": {"kind": "blackman_tukey"}, "num_samples": 8}),
+    "blackman_tukey_string_half_width": (
+        "certify", {"estimator": {"kind": "blackman_tukey", "half_width": "3"}, "num_samples": 8}
+    ),
+    "blackman_tukey_zero_half_width": (
+        "certify", {"estimator": {"kind": "blackman_tukey", "half_width": 0}, "num_samples": 8}
+    ),
+    "blackman_tukey_unknown_window": (
+        "certify", {"estimator": {"kind": "blackman_tukey", "half_width": 3, "window": "kaiser"}, "num_samples": 8}
+    ),
+    "blackman_tukey_too_wide": (
+        "certify", {"model": {"kind": "white"}, "estimator": {"kind": "blackman_tukey", "half_width": 9}, "num_samples": 8}
+    ),
+    "bartlett_missing_block_length": ("certify", {"estimator": {"kind": "bartlett"}, "num_samples": 8}),
+    "bartlett_zero_block_length": ("certify", {"estimator": {"kind": "bartlett", "block_length": 0}, "num_samples": 8}),
+    "bartlett_not_a_multiple": (
+        "certify", {"model": {"kind": "white"}, "estimator": {"kind": "bartlett", "block_length": 3}, "num_samples": 10}
+    ),
+    "welch_missing_segment_length": ("certify", {"estimator": {"kind": "welch", "hop": 2}, "num_samples": 8}),
+    "welch_missing_hop": ("certify", {"estimator": {"kind": "welch", "segment_length": 4}, "num_samples": 8}),
+    "welch_zero_hop": ("certify", {"estimator": {"kind": "welch", "segment_length": 4, "hop": 0}, "num_samples": 8}),
+    "welch_unknown_taper": (
+        "certify", {"estimator": {"kind": "welch", "segment_length": 4, "hop": 2, "taper": "kaiser"}, "num_samples": 8}
+    ),
+    "welch_taper_wrong_length": (
+        "certify", {"estimator": {"kind": "welch", "segment_length": 4, "hop": 2, "taper": [1.0, 1.0]}, "num_samples": 8}
+    ),
+    "welch_zero_taper": (
+        "certify",
+        {
+            "estimator": {"kind": "welch", "segment_length": 2, "hop": 1},
+            "num_samples": 8,
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 2},
+        },
+    ),
+    "blackman_tukey_asymmetric_window": (
+        "certify",
+        {"estimator": {"kind": "blackman_tukey", "half_width": 2, "window": [0.1, 1.0, 0.2]}, "num_samples": 8},
+    ),
+    "welch_bad_size": (
+        "estimate", {"model": {"kind": "white"}, "estimator": {"kind": "welch", "segment_length": 8, "hop": 4}, "num_samples": 13}
+    ),
+    "estimate_without_estimator": ("estimate", {"model": {"kind": "white"}, "num_samples": 8}),
+    "simulate_without_samples": ("simulate", {"model": {"kind": "white"}}),
+    "context_missing_fields": ("certify", {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16}),
+    "context_bad_phi_inf": (
+        "certify",
+        {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16, "context": dict(CONTEXT, phi_inf=-1.0)},
+    ),
+}
+
+
+def run(out: Path, name: str, argv: list[str]) -> None:
+    """Run one command into OUT/name and record its console output there."""
+    case = out / name
+    case.mkdir(parents=True, exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + ["--out", str(case)])
+    text = f"exit={code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+    (case / "console.txt").write_text(text.replace(str(out), "OUT"), encoding="utf-8")
+
+
+def write_config(out: Path, name: str, config: dict) -> str:
+    path = out / "configs" / f"{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+    return str(path)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(args[0]).resolve()
+    for model_name, (model, noise) in MODELS.items():
+        for n in SIZES:
+            base = {"model": model, "noise": noise, "num_samples": n, "seed": 11, "delta": 0.1}
+            config = write_config(out, f"{model_name}_{n}", base)
+            run(out, f"simulate/{model_name}_{n}", ["simulate", "--config", config])
+            for est_name, estimator in ESTIMATORS.items():
+                name = f"{model_name}_{est_name}_{n}"
+                config = write_config(out, name, dict(base, estimator=estimator, epsilon=0.5))
+                run(out, f"estimate/{name}", ["estimate", "--config", config])
+                run(out, f"oracle/{name}", ["estimate", "--config", config, "--oracle"])
+                estimate = str(out / "estimate" / name / "estimate.csv")
+                run(out, f"certify/{name}", ["certify", "--config", config, "--estimate", estimate])
+    for est_name, estimator in ESTIMATORS.items():
+        name = f"context_{est_name}"
+        config = write_config(
+            out, name, {"estimator": estimator, "num_samples": 2064, "epsilon": 5.0, "context": CONTEXT}
+        )
+        run(out, f"certify/{name}", ["certify", "--config", config])
+    for name, (command, body) in REJECTED.items():
+        run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
+    for example in (1, 2):
+        run(out, f"reproduce/{example}", ["reproduce", "--example", str(example)])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
