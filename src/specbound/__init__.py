@@ -32,8 +32,6 @@ from .concentration import (
     gaussian_hw_tail,
     hanson_wright_tail,
     monte_carlo_tail_check,
-    subexp_tail,
-    subgaussian_fact,
 )
 from .estimators import (
     Bartlett,
@@ -41,14 +39,12 @@ from .estimators import (
     BlackmanTukey,
     UnbiasedPeriodogram,
     Welch,
-    biased_acs,
     build_matrix,
     certificate_params,
     closed_form_bias,
     evaluate_fast,
     lag_window,
     taper_window,
-    unbiased_acs,
 )
 from .quadform import (
     BiasCoefficients,

@@ -18,7 +18,7 @@ never raised, so callers can tabulate feasibility frontiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,6 +200,19 @@ def envelope_from_form(form: QuadraticForm) -> float:
     return g
 
 
+def _conjunction(statement: str, first: Certificate, second: Certificate, eps: float, delta: float) -> Certificate:
+    """Concentration and bias conditions at eps together bound the total error by 2 * eps."""
+    if not (first.available and second.available):
+        return Certificate(statement, available=False, epsilon=eps, delta=delta, note=first.note or second.note)
+    return Certificate(
+        statement,
+        holds=bool(first.holds and second.holds),
+        epsilon=eps,
+        delta=delta,
+        inputs=_inputs(condition_epsilon=eps, conclusion_epsilon=2.0 * eps),
+    )
+
+
 def check_conditions(
     part: str,
     eps: float,
@@ -214,12 +227,12 @@ def check_conditions(
 ) -> Certificate:
     """Verdict for one sufficient error condition of the general framework.
 
-    Parts: ``pointwise`` (concentration at a single frequency, needs ``xi`` or
-    the dense form), ``worst_case`` (concentration uniform over frequency,
-    needs ``envelope``/``truncation`` or the dense form), ``bias`` (diagonal
-    sums close to one out to the tail cutoff), and the conjunctions
-    ``pointwise_total``/``worst_total`` whose conclusions hold at accuracy
-    2 * eps with probability 1 - delta.
+    Parts: ``pointwise`` (concentration at a single frequency, needs ``xi``,
+    the dense form or an ``envelope``), ``worst_case`` (concentration uniform
+    over frequency, needs ``envelope``/``truncation`` or the dense form),
+    ``bias`` (diagonal sums close to one out to the tail cutoff), and the
+    conjunctions ``pointwise_total``/``worst_total`` whose conclusions hold at
+    accuracy 2 * eps with probability 1 - delta.
     """
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
@@ -229,25 +242,23 @@ def check_conditions(
             base, eps, delta, ctx, form=form, xi=xi, envelope=envelope, truncation=truncation
         )
         second = check_conditions("bias", eps, delta, ctx, form=form, bias=bias)
-        return Certificate(
-            f"{part}_condition",
-            holds=bool(first.holds and second.holds),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(condition_epsilon=eps, conclusion_epsilon=2.0 * eps),
-        )
+        return _conjunction(f"{part}_condition", first, second, eps, delta)
     if part == "pointwise":
-        if xi is None:
-            if form is None:
-                raise ValueError("pointwise check needs xi or the dense form")
-            xi = max(form.spectral_norm, form.frobenius_norm ** 2)
+        name, value = "xi", xi
+        if xi is None and form is not None:
+            value = max(form.spectral_norm, form.frobenius_norm ** 2)
+        elif xi is None:
+            if envelope is None:
+                raise ValueError("pointwise check needs xi, the dense form or an envelope")
+            # the envelope dominates xi, so it can stand in for it
+            name, value = "envelope", envelope
         demand = accuracy_factor(eps, ctx) * confidence_factor(delta, ctx)
         return Certificate(
             "pointwise_condition",
-            holds=bool(1.0 / xi >= demand),
+            holds=bool(1.0 / value >= demand),
             epsilon=eps,
             delta=delta,
-            inputs=_inputs(xi=xi, demand=demand),
+            inputs=((name, value), ("demand", demand)),
         )
     if part == "worst_case":
         if envelope is None or truncation is None:
@@ -378,15 +389,7 @@ def check_estimator_conditions(
         base = "pointwise" if part == "pointwise_total" else "worst_case"
         first = check_estimator_conditions(spec, n, base, eps, delta, ctx)
         second = check_estimator_conditions(spec, n, "bias", eps, delta, ctx)
-        if not (first.available and second.available):
-            return Certificate(statement, available=False, epsilon=eps, delta=delta, note=first.note or second.note)
-        return Certificate(
-            statement,
-            holds=bool(first.holds and second.holds),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(condition_epsilon=eps, conclusion_epsilon=2.0 * eps),
-        )
+        return _conjunction(statement, first, second, eps, delta)
     params = spec.certificate_params(n)
     if params is None and part != "bias":
         return Certificate(
@@ -396,26 +399,9 @@ def check_estimator_conditions(
             delta=delta,
             note="periodogram norm envelope is at least one",
         )
-    if part == "pointwise":
-        demand = accuracy_factor(eps, ctx) * confidence_factor(delta, ctx)
-        holds = 1.0 / params.envelope >= demand
-        return Certificate(
-            statement,
-            holds=bool(holds),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(envelope=params.envelope, demand=demand),
-        )
-    if part == "worst_case":
-        demand = accuracy_factor(eps / 2.0, ctx) * sup_confidence_factor(params.truncation, delta, ctx)
-        holds = 1.0 / params.envelope >= demand
-        return Certificate(
-            statement,
-            holds=bool(holds),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(envelope=params.envelope, truncation=params.truncation, demand=demand),
-        )
+    if part != "bias":
+        cert = check_conditions(part, eps, delta, ctx, envelope=params.envelope, truncation=params.truncation)
+        return replace(cert, statement=statement)
     # estimator-specific bias conditions
     cutoff = tail_cutoff_lag(eps, ctx)
     floor = 1.0 - eps / (2.0 * ctx.r1_norm)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import experiments
 
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--trials", type=int)
     reproduce.add_argument("--seed", type=int)
     reproduce.add_argument("--delta", type=float)
-    reproduce.add_argument("--grid", type=int)
+    reproduce.add_argument("--grid", type=int, dest="grid_points", metavar="GRID")
     reproduce.add_argument("--rho-target", type=float, help="decay rate for the state-space envelope")
 
     verify = sub.add_parser("verify-concentration", help="Monte Carlo check of the tail bounds")
@@ -66,23 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _reproduce_options(args) -> experiments.ReproduceOptions:
-    options = experiments.ReproduceOptions()
-    changes = {}
-    if args.trials is not None:
-        changes["trials"] = args.trials
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.delta is not None:
-        changes["delta"] = args.delta
-    if args.grid is not None:
-        changes["grid_points"] = args.grid
-    if args.rho_target is not None:
-        changes["rho_target"] = args.rho_target
-    if changes:
-        from dataclasses import replace
-
-        options = replace(options, **changes)
-    return options
+    names = ("trials", "seed", "delta", "grid_points", "rho_target")
+    changes = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return replace(experiments.ReproduceOptions(), **changes)
 
 
 def main(argv=None) -> int:

@@ -3,11 +3,10 @@
 The bounds here are the concentration primitives the certificate engine is
 built on: the explicit-constant Hanson-Wright tail for quadratic forms of
 independent psi2-bounded coordinates, its sharper Gaussian specialization,
-the generic subexponential tail, the numeric right-hand sides of the standard
-sub-gaussian moment facts, and the tail for quadratic forms of an entire
-stationary data matrix.  ``monte_carlo_tail_check`` confronts any of them
-with simulation; since the bounds are proven, a flagged row indicates an
-implementation bug, not a statistical fluke.
+and the tail for quadratic forms of an entire stationary data matrix.
+``monte_carlo_tail_check`` confronts any of them with simulation; since the
+bounds are proven, a flagged row indicates an implementation bug, not a
+statistical fluke.
 """
 
 from __future__ import annotations
@@ -21,53 +20,13 @@ from .constants import COVER_BASE, GAUSSIAN_QUADFORM_RATE, HANSON_WRIGHT_RATE
 from .streams import rng_stream
 
 __all__ = [
-    "SubExponentialSpec",
-    "SubGaussianSpec",
     "TailCheckReport",
     "TailCheckRow",
     "data_matrix_tail",
     "gaussian_hw_tail",
     "hanson_wright_tail",
     "monte_carlo_tail_check",
-    "subexp_tail",
-    "subgaussian_fact",
 ]
-
-
-@dataclass(frozen=True)
-class SubGaussianSpec:
-    """Sub-gaussian scale together with the psi2 bound the tail bounds consume.
-
-    The default psi2 bound is the pipeline constant 2 * sigma (the sharper
-    sqrt(8/3) * sigma is available through ``subgaussian_fact``); a custom
-    bound may be supplied but can never exceed 2 * sigma.
-    """
-
-    sigma: float
-    psi2_bound: float | None = None
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        bound = 2.0 * self.sigma if self.psi2_bound is None else float(self.psi2_bound)
-        if bound < 0.0 or bound > 2.0 * self.sigma + 1e-12:
-            raise ValueError("psi2 bound must lie in [0, 2 * sigma]")
-        object.__setattr__(self, "psi2_bound", bound)
-
-
-@dataclass(frozen=True)
-class SubExponentialSpec:
-    """(nu, alpha) pair of a subexponential tail exp(-min{t^2/nu^2, t/alpha} / 2)."""
-
-    nu: float
-    alpha_se: float
-
-    def __post_init__(self):
-        if self.nu < 0.0 or self.alpha_se < 0.0:
-            raise ValueError("nu and alpha_se must be nonnegative")
-
-    def tail(self, t: float) -> float:
-        return subexp_tail(t, self.nu, self.alpha_se)
 
 
 def _min_branch(eps: float, quad_denom: float, linear_denom: float) -> float:
@@ -97,68 +56,6 @@ def gaussian_hw_tail(eps: float, frobenius_norm: float, spectral_norm: float) ->
         raise ValueError("norms must be positive")
     exponent = GAUSSIAN_QUADFORM_RATE * _min_branch(eps, frobenius_norm ** 2, spectral_norm)
     return min(1.0, math.exp(-exponent))
-
-
-def subexp_tail(t: float, nu: float, alpha_se: float) -> float:
-    """Upper tail exp(-min{t^2 / nu^2, t / alpha} / 2) of a (nu, alpha)-subexponential variable."""
-    if t < 0.0 or nu < 0.0 or alpha_se < 0.0:
-        raise ValueError("arguments must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    quad = math.inf if nu == 0.0 else t * t / (nu * nu)
-    linear = math.inf if alpha_se == 0.0 else t / alpha_se
-    if math.isinf(quad) and math.isinf(linear):
-        return 0.0
-    return math.exp(-0.5 * min(quad, linear))
-
-
-def subgaussian_fact(name: str, **params) -> float:
-    """Numeric right-hand sides of the standard psi2 / sub-gaussian facts.
-
-    tail(t, b): 2 exp(-t^2 / b^2)
-    even_moment(k, b): 2 b^(2k) k!
-    mgf(lam, b): exp(4 lam^2 b^2)
-    centered_square_moment(k, b): 2 (2 b^2)^k k!
-    square_mgf(lam, b): exp((4 b^2)^2 lam^2), valid for |lam| <= 1 / (4 b^2)
-    psi2_from_sigma(sigma): sqrt(8/3) sigma (always at most 2 sigma)
-    variance(sigma): sigma^2
-    """
-    if name == "tail":
-        t, b = float(params["t"]), float(params["b"])
-        if t < 0.0 or b <= 0.0:
-            raise ValueError("tail needs t >= 0 and b > 0")
-        return 2.0 * math.exp(-t * t / (b * b))
-    if name == "even_moment":
-        k, b = int(params["k"]), float(params["b"])
-        if k < 0 or b <= 0.0:
-            raise ValueError("even_moment needs k >= 0 and b > 0")
-        return 2.0 * b ** (2 * k) * math.factorial(k)
-    if name == "mgf":
-        lam, b = float(params["lam"]), float(params["b"])
-        return math.exp(4.0 * lam * lam * b * b)
-    if name == "centered_square_moment":
-        k, b = int(params["k"]), float(params["b"])
-        if k < 0 or b <= 0.0:
-            raise ValueError("centered_square_moment needs k >= 0 and b > 0")
-        return 2.0 * (2.0 * b * b) ** k * math.factorial(k)
-    if name == "square_mgf":
-        lam, b = float(params["lam"]), float(params["b"])
-        if b <= 0.0:
-            raise ValueError("square_mgf needs b > 0")
-        if abs(lam) > 1.0 / (4.0 * b * b):
-            raise ValueError("square_mgf is only valid for |lam| <= 1 / (4 b^2)")
-        return math.exp((4.0 * b * b) ** 2 * lam * lam)
-    if name == "psi2_from_sigma":
-        sigma = float(params["sigma"])
-        if sigma < 0.0:
-            raise ValueError("psi2_from_sigma needs sigma >= 0")
-        return math.sqrt(8.0 / 3.0) * sigma
-    if name == "variance":
-        sigma = float(params["sigma"])
-        if sigma < 0.0:
-            raise ValueError("variance needs sigma >= 0")
-        return sigma * sigma
-    raise ValueError(f"unknown fact {name!r}")
 
 
 def data_matrix_tail(

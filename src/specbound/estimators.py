@@ -25,9 +25,9 @@ from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
     DataMatrix,
-    LagSequence,
     QuadraticForm,
     SpectralEstimate,
+    hermitian_part,
     two_sided_stack,
 )
 
@@ -40,14 +40,12 @@ __all__ = [
     "UnbiasedPeriodogram",
     "WINDOW_KINDS",
     "Welch",
-    "biased_acs",
     "build_matrix",
     "certificate_params",
     "closed_form_bias",
     "evaluate_fast",
     "lag_window",
     "taper_window",
-    "unbiased_acs",
 ]
 
 WINDOW_KINDS = ("rectangular", "triangular", "hann", "hamming", "blackman")
@@ -128,8 +126,9 @@ class UnbiasedPeriodogram:
         return None
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
-        seq = unbiased_acs(data)
-        return _lag_transform(seq.values, seq.offsets, freqs)
+        n = data.samples
+        stack = two_sided_stack(_acs_head(data, n - 1, biased=False))
+        return _lag_transform(stack, np.arange(-(n - 1), n), freqs)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         return n >= cutoff
@@ -406,18 +405,6 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     return out
 
 
-def biased_acs(data: DataMatrix) -> LagSequence:
-    """Autocovariance estimate with divisor N, the transform partner of the periodogram."""
-    head = _acs_head(data, data.samples - 1, biased=True)
-    return LagSequence(two_sided_stack(head))
-
-
-def unbiased_acs(data: DataMatrix) -> LagSequence:
-    """Autocovariance estimate with divisor N - |k| (unbiased at every computed lag)."""
-    head = _acs_head(data, data.samples - 1, biased=False)
-    return LagSequence(two_sided_stack(head))
-
-
 def _lag_transform(stack: np.ndarray, offsets: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     phases = np.exp(-2j * np.pi * np.outer(freqs, offsets))
     return np.einsum("fk,kij->fij", phases, stack)
@@ -430,6 +417,4 @@ def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:
     agreement holds to rounding error and is enforced by the test suite.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    matrices = spec.evaluate(data, freqs)
-    matrices = 0.5 * (matrices + matrices.conj().transpose(0, 2, 1))
-    return SpectralEstimate(freqs, matrices)
+    return SpectralEstimate(freqs, hermitian_part(spec.evaluate(data, freqs)))

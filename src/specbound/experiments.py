@@ -113,24 +113,48 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ConfigError(f"{where}.{key} is required")
     value = data[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{where}.{key} has the wrong type")
     return value
 
 
+def _reject_unknown(data: dict, known, where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}")
+
+
+# the keys each model kind reads besides ``kind``
+_MODEL_KEYS = {
+    "geometric": ("rho",),
+    "ar1": ("rho",),
+    "white": ("channels",),
+    "state_space": ("a", "b", "c", "d", "rho_target"),
+}
+
+
 def _parse_model(data: dict):
     kind = _require(data, "kind", str, "model")
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"model.kind {kind!r} is not one of geometric, white, state_space")
+    _reject_unknown(data, ("kind",) + _MODEL_KEYS[kind], "model")
+    channels = data.get("channels", 1)
+    if not _is_int(channels):
+        raise ConfigError("model.channels has the wrong type")
     try:
         if kind in ("geometric", "ar1"):
             return signals.GeometricScalar(float(_require(data, "rho", (int, float), "model")))
         if kind == "white":
-            return signals.WhiteNoise(int(data.get("channels", 1)))
+            return signals.WhiteNoise(channels)
         if kind == "state_space":
             return signals.StateSpace(
                 _require(data, "a", list, "model"),
@@ -141,7 +165,6 @@ def _parse_model(data: dict):
             )
     except (ValueError, TypeError) as err:
         raise ConfigError(f"model: {err}") from err
-    raise ConfigError(f"model.kind {kind!r} is not one of geometric, white, state_space")
 
 
 def _parse_estimator(data: dict):
@@ -149,6 +172,7 @@ def _parse_estimator(data: dict):
     if kind not in estimators.FAMILIES:
         raise ConfigError(f"estimator.kind {kind!r} is not one of {', '.join(estimators.FAMILIES)}")
     family = estimators.FAMILIES[kind]
+    _reject_unknown(data, {"kind"} | {f.name for f in fields(family)}, "estimator")
     try:
         # fields without a default are required integers; the rest are optional
         values = [
@@ -167,22 +191,20 @@ def parse_config(data: dict) -> ExperimentConfig:
         "model", "noise", "estimator", "num_samples", "grid_points", "full_range",
         "trials", "delta", "epsilon", "seed", "context",
     }
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    _reject_unknown(data, known, "config")
     noise = data.get("noise", "gaussian")
     if noise not in signals.NOISE_KINDS:
         raise ConfigError(f"noise must be one of {signals.NOISE_KINDS}")
     model = _parse_model(data["model"]) if "model" in data else None
     estimator = _parse_estimator(data["estimator"]) if "estimator" in data else None
     num_samples = data.get("num_samples")
-    if num_samples is not None and (not isinstance(num_samples, int) or num_samples < 1):
+    if num_samples is not None and (not _is_int(num_samples) or num_samples < 1):
         raise ConfigError("num_samples must be a positive integer")
     grid_points = data.get("grid_points", 101)
-    if not isinstance(grid_points, int) or grid_points < 1:
+    if not _is_int(grid_points) or grid_points < 1:
         raise ConfigError("grid_points must be a positive integer")
     trials = data.get("trials", 100)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer")
     delta = data.get("delta", 0.05)
     if not isinstance(delta, (int, float)) or not 0.0 < float(delta) < 1.0:
@@ -191,7 +213,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if epsilon is not None and (not isinstance(epsilon, (int, float)) or not float(epsilon) > 0.0):
         raise ConfigError("epsilon must be positive when given")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     context = data.get("context", {})
     if not isinstance(context, dict):
@@ -307,9 +329,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> Path:
 
 def _estimate_columns(channels: int) -> list[str]:
     columns = ["frequency"]
-    for i in range(channels):
-        for j in range(i, channels):
-            columns += [f"re_{i + 1}_{j + 1}", f"im_{i + 1}_{j + 1}"]
+    for i, j in zip(*np.triu_indices(channels)):
+        columns += [f"re_{i + 1}_{j + 1}", f"im_{i + 1}_{j + 1}"]
     return columns
 
 
@@ -329,13 +350,10 @@ def run_estimate(config: ExperimentConfig, out_dir, oracle: bool = False) -> Pat
     else:
         estimate = estimators.evaluate_fast(spec, data, grid)
     n = estimate.channels
-    rows = []
-    for idx, freq in enumerate(estimate.frequencies):
-        row = [float(freq)]
-        for i in range(n):
-            for j in range(i, n):
-                row += [estimate.matrices[idx, i, j].real, estimate.matrices[idx, i, j].imag]
-        rows.append(row)
+    # upper-triangle entries in row-major order, each as its (re, im) pair
+    i, j = np.triu_indices(n)
+    upper = np.ascontiguousarray(estimate.matrices[:, i, j])
+    rows = np.column_stack([estimate.frequencies, upper.view(float)]).tolist()
     meta = {
         "config_hash": config_digest(config),
         "seed": config.seed,
@@ -352,20 +370,14 @@ def read_estimate_csv(path) -> SpectralEstimate:
     header = body[0].split(",")
     pairs = (len(header) - 1) // 2
     channels = int((math.isqrt(8 * pairs + 1) - 1) // 2)
-    freqs, matrices = [], []
-    for line in body[1:]:
-        cells = [float(cell) for cell in line.split(",")]
-        freqs.append(cells[0])
-        matrix = np.zeros((channels, channels), dtype=complex)
-        pos = 1
-        for i in range(channels):
-            for j in range(i, channels):
-                value = cells[pos] + 1j * cells[pos + 1]
-                matrix[i, j] = value
-                matrix[j, i] = value.conjugate()
-                pos += 2
-        matrices.append(matrix)
-    return SpectralEstimate(np.array(freqs), np.stack(matrices))
+    table = np.array([[float(cell) for cell in line.split(",")] for line in body[1:]])
+    table = table.reshape(len(body) - 1, len(header))
+    upper = table[:, 1:].copy().view(complex)
+    i, j = np.triu_indices(channels)
+    matrices = np.zeros((len(table), channels, channels), dtype=complex)
+    matrices[:, i, j] = upper
+    matrices[:, j, i] = upper.conj()
+    return SpectralEstimate(table[:, 0], matrices)
 
 
 def _certificate_row(cert: bounds.Certificate) -> list:

@@ -26,7 +26,6 @@ __all__ = [
     "BiasCoefficients",
     "DataMatrix",
     "DiagonalProfile",
-    "LagSequence",
     "QuadraticForm",
     "SpectralEstimate",
     "bias_coefficients",
@@ -57,8 +56,8 @@ def frequency_grid(points: int = 101, full_range: bool = False) -> np.ndarray:
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its conjugate transpose."""
-    return 0.5 * (matrix + matrix.conj().T)
+    """Average a square matrix, or each of a stack (..., n, n), with its conjugate transpose."""
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
 
 
 def hermitian_spectral_norms(matrices: np.ndarray) -> np.ndarray:
@@ -221,34 +220,6 @@ class BiasCoefficients:
         return float(self.values[int(k) + self.half_width - 1])
 
 
-@dataclass(frozen=True)
-class LagSequence:
-    """Matrix-valued lag sequence (e.g. autocovariance estimates), |k| < half_width."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] % 2 == 0 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("expected an odd-length stack of square matrices")
-        object.__setattr__(self, "values", _frozen_array(arr))
-
-    @property
-    def half_width(self) -> int:
-        return (self.values.shape[0] + 1) // 2
-
-    @property
-    def offsets(self) -> np.ndarray:
-        h = self.half_width
-        return np.arange(-(h - 1), h)
-
-    def at(self, k: int) -> np.ndarray:
-        if abs(int(k)) >= self.half_width:
-            n = self.values.shape[1]
-            return np.zeros((n, n))
-        return self.values[int(k) + self.half_width - 1]
-
-
 def two_sided_stack(head: np.ndarray) -> np.ndarray:
     """Extend a one-sided stack R[0..K] to lags -K..K using R[-k] = R[k]^T."""
     head = np.asarray(head)
@@ -324,11 +295,14 @@ def _ensure_bias(bias) -> BiasCoefficients:
     raise TypeError("expected BiasCoefficients or a QuadraticForm")
 
 
-def _two_sided_autocov(model, half_width: int) -> np.ndarray:
+def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
+    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n)."""
     if not hasattr(model, "autocov_stack"):
         raise TypeError("model does not expose an analytic autocovariance")
-    head = np.asarray(model.autocov_stack(half_width - 1), dtype=float)
-    return two_sided_stack(head)
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    autocov = two_sided_stack(np.asarray(model.autocov_stack(coeffs.half_width - 1), dtype=float))
+    phases = np.exp(-2j * np.pi * np.outer(freqs, coeffs.offsets))
+    return np.einsum("fk,kij->fij", phases * weights, autocov)
 
 
 def expected_estimate(bias, model, frequencies) -> np.ndarray:
@@ -338,10 +312,7 @@ def expected_estimate(bias, model, frequencies) -> np.ndarray:
     Serves as the exact-mean oracle in bias tests.
     """
     coeffs = _ensure_bias(bias)
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    autocov = _two_sided_autocov(model, coeffs.half_width)
-    phases = np.exp(-2j * np.pi * np.outer(freqs, coeffs.offsets))
-    return np.einsum("fk,kij->fij", phases * coeffs.values, autocov)
+    return _lag_sum(coeffs, coeffs.values, model, frequencies)
 
 
 def exact_bias_sup(bias, model, frequencies) -> float:
@@ -353,10 +324,6 @@ def exact_bias_sup(bias, model, frequencies) -> float:
     of the diagonal sums.
     """
     coeffs = _ensure_bias(bias)
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    autocov = _two_sided_autocov(model, coeffs.half_width)
-    phases = np.exp(-2j * np.pi * np.outer(freqs, coeffs.offsets))
-    finite = np.einsum("fk,kij->fij", phases * (1.0 - coeffs.values), autocov)
-    finite = 0.5 * (finite + finite.conj().transpose(0, 2, 1))
+    finite = hermitian_part(_lag_sum(coeffs, 1.0 - coeffs.values, model, frequencies))
     grid_sup = float(hermitian_spectral_norms(finite).max())
     return grid_sup + float(model.autocov_tail(coeffs.half_width))

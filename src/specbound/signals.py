@@ -284,18 +284,11 @@ class StateSpace:
         gamma, rho = self.decay()
         return 2.0 * gamma * rho ** lag / (1.0 - rho)
 
-    def transfer(self, frequency: float) -> np.ndarray:
-        """Frequency response H(s) = D + C (e^{j2 pi s} I - A)^{-1} B."""
-        z = np.exp(2j * np.pi * float(frequency))
-        resolvent = np.linalg.solve(z * np.eye(self.state_dim) - self.a, self.b.astype(complex))
-        return self.d + self.c @ resolvent
-
     def psd(self, frequency: float) -> np.ndarray:
-        h = self.transfer(frequency)
-        return h @ h.conj().T
+        return self.psd_grid([frequency])[0]
 
     def psd_grid(self, frequencies) -> np.ndarray:
-        """``psd`` at every frequency, with one batched solve over the grid."""
+        """H(s) H(s)^* with H(s) = D + C (e^{j2 pi s} I - A)^{-1} B, one batched solve over the grid."""
         s = np.atleast_1d(np.asarray(frequencies, dtype=float))
         z = np.exp(2j * np.pi * s)
         shifted = z[:, None, None] * np.eye(self.state_dim) - self.a

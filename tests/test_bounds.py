@@ -1,5 +1,6 @@
 """Tests for the certificate engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,27 @@ def test_concentration_conditions_match_envelope_rule(geometric_ctx):
         worst = bd.check_estimator_conditions(spec, n, "worst_case", eps, delta, geometric_ctx)
         expected_worst = 1.0 / params.envelope >= bd.accuracy_factor(eps / 2.0, geometric_ctx) * bd.sup_confidence_factor(params.truncation, delta, geometric_ctx)
         assert worst.holds == expected_worst
+
+
+
+@pytest.mark.parametrize("part", ["pointwise", "worst_case"])
+@pytest.mark.parametrize("kind", list(est.FAMILIES))
+def test_estimator_concentration_conditions_are_the_general_conditions(kind, part, geometric_ctx):
+    n = 136
+    cls = est.FAMILIES[kind]
+    spec = cls(*(8 for field in dataclasses.fields(cls) if field.default is dataclasses.MISSING))
+    params = est.certificate_params(spec, n)
+    # both verdicts occur for every family with a concentration certificate
+    for eps, delta in [(0.5, 0.1), (8.0, 0.05), (64.0, 0.2), (1e3, 0.1)]:
+        cert = bd.check_estimator_conditions(spec, n, part, eps, delta, geometric_ctx)
+        assert cert.statement == f"{kind}.{part}_condition"
+        if params is None:
+            assert not cert.available
+            continue
+        general = bd.check_conditions(
+            part, eps, delta, geometric_ctx, envelope=params.envelope, truncation=params.truncation
+        )
+        assert dataclasses.replace(cert, statement=general.statement) == general
 
 
 # ---------------------------------------------------------------- block-length optimizer

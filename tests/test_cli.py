@@ -8,15 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from specbound import estimators
+from specbound import cli, estimators
 from specbound.experiments import (
     ConfigError,
+    example_state_space,
     format_number,
     load_config,
     parse_config,
     read_estimate_csv,
     run_certify,
+    run_estimate,
     run_reproduce,
+    sample_model,
     ReproduceOptions,
 )
 
@@ -70,6 +73,45 @@ def test_estimate_rows_and_hermitian_reader(tmp_path, welch_config):
     assert estimate.frequencies.size == 9
     herm_gap = np.abs(estimate.matrices - estimate.matrices.conj().transpose(0, 2, 1)).max()
     assert herm_gap == 0.0
+
+
+def test_three_channel_estimate_round_trip(tmp_path):
+    model = example_state_space(0.5)
+    config = parse_config(
+        {
+            "model": {
+                "kind": "state_space",
+                "a": model.a.tolist(),
+                "b": model.b.tolist(),
+                "c": model.c.tolist(),
+                "d": model.d.tolist(),
+                "rho_target": 0.5,
+            },
+            "estimator": {"kind": "welch", "segment_length": 16, "hop": 8},
+            "num_samples": 136,
+            "grid_points": 9,
+            "full_range": True,
+            "seed": 4,
+        }
+    )
+    path = run_estimate(config, tmp_path)
+    header = path.read_text().splitlines()[1]
+    assert header == (
+        "frequency,re_1_1,im_1_1,re_1_2,im_1_2,re_1_3,im_1_3,"
+        "re_2_2,im_2_2,re_2_3,im_2_3,re_3_3,im_3_3"
+    )
+    data = sample_model(config.model, "gaussian", 136, 4)
+    grid = np.linspace(-0.5, 0.5, 9)
+    fast = estimators.evaluate_fast(config.estimator, data, grid)
+    # each row is the frequency, then (re, im) of the upper triangle row by row
+    for line, freq, matrix in zip(path.read_text().splitlines()[2:], grid, fast.matrices, strict=True):
+        upper = [matrix[i, j] for i in range(3) for j in range(i, 3)]
+        cells = [freq] + [part for value in upper for part in (value.real, value.imag)]
+        assert line == ",".join(format_number(cell) for cell in cells)
+    estimate = read_estimate_csv(path)
+    np.testing.assert_array_equal(estimate.frequencies, grid)
+    # the CSV keeps 12 significant digits
+    assert np.abs(estimate.matrices - fast.matrices).max() <= 1e-11 * np.abs(fast.matrices).max()
 
 
 def test_oracle_flag_agrees_with_fast_path(tmp_path, welch_config):
@@ -179,6 +221,50 @@ def test_unknown_key_rejected(tmp_path):
     result = run_cli("estimate", "--config", str(path), "--out", str(tmp_path))
     assert result.returncode == 2
     assert "bogus" in result.stderr
+
+
+WHITE = {"model": {"kind": "white"}, "num_samples": 8}
+CONTEXT_ONLY = {"num_samples": 8, "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1}}
+
+# case -> (command, config, message): a misspelled key inside ``model`` or
+# ``estimator``, or a JSON boolean where an integer is required
+STRICT_CASES = {
+    "estimator-key": (
+        "certify",
+        dict(CONTEXT_ONLY, estimator={"kind": "welch", "segment_length": 4, "hop": 2, "tapr": "rectangular"}),
+        "unknown estimator key 'tapr'",
+    ),
+    "model-key": ("simulate", dict(WHITE, model={"kind": "white", "channel": 3}), "unknown model key 'channel'"),
+    "geometric-key": (
+        "simulate", dict(WHITE, model={"kind": "geometric", "rho": 0.3, "channels": 2}), "unknown model key 'channels'"
+    ),
+    "num_samples": ("simulate", dict(WHITE, num_samples=True), "num_samples must be a positive integer"),
+    "grid_points": ("simulate", dict(WHITE, grid_points=True), "grid_points must be a positive integer"),
+    "trials": ("simulate", dict(WHITE, trials=True), "trials must be a positive integer"),
+    "seed": ("simulate", dict(WHITE, seed=True), "seed must be a nonnegative integer"),
+    "channels": ("simulate", dict(WHITE, model={"kind": "white", "channels": True}), "model.channels has the wrong type"),
+    "block_length": (
+        "certify",
+        dict(CONTEXT_ONLY, estimator={"kind": "bartlett", "block_length": True}),
+        "estimator: estimator.block_length has the wrong type",
+    ),
+    "hop": (
+        "certify",
+        dict(CONTEXT_ONLY, estimator={"kind": "welch", "segment_length": 2, "hop": False}),
+        "estimator: estimator.hop has the wrong type",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_CASES))
+def test_unknown_nested_keys_and_boolean_integers_are_rejected(tmp_path, capsys, case):
+    command, config, message = STRICT_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_estimator_size_mismatch_is_config_error(tmp_path):

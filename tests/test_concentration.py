@@ -49,57 +49,6 @@ def test_gaussian_tail_dominates_unit_psi2_tail():
         assert cc.gaussian_hw_tail(eps, 1.3, 0.8) <= cc.hanson_wright_tail(eps, 1.0, 1.3, 0.8)
 
 
-def test_subexponential_tail_values():
-    assert cc.subexp_tail(0.0, 1.0, 1.0) == 1.0
-    assert cc.subexp_tail(2.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    crossing = cc.subexp_tail(1.0, 1.0, 1.0)  # t = nu^2 / alpha
-    assert crossing == pytest.approx(math.exp(-0.5), rel=1e-12)
-    with pytest.raises(ValueError):
-        cc.subexp_tail(-1.0, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------- moment facts
-
-
-def test_subgaussian_fact_values():
-    assert cc.subgaussian_fact("even_moment", k=1, b=1.0) == pytest.approx(2.0)
-    assert cc.subgaussian_fact("even_moment", k=0, b=3.0) == pytest.approx(2.0)
-    assert cc.subgaussian_fact("tail", t=0.0, b=1.0) == pytest.approx(2.0)
-    psi2 = cc.subgaussian_fact("psi2_from_sigma", sigma=math.sqrt(3.0))
-    assert psi2 == pytest.approx(math.sqrt(8.0), rel=1e-12)
-    assert psi2 <= 2.0 * math.sqrt(3.0)
-    # uniform on [-sqrt(3), sqrt(3)] has unit variance, below sigma^2 = 3
-    assert 1.0 <= cc.subgaussian_fact("variance", sigma=math.sqrt(3.0))
-    assert cc.subgaussian_fact("centered_square_moment", k=2, b=1.0) == pytest.approx(16.0)
-    assert cc.subgaussian_fact("mgf", lam=0.5, b=1.0) == pytest.approx(math.exp(1.0), rel=1e-12)
-
-
-def test_subgaussian_spec_defaults_and_invariant():
-    spec = cc.SubGaussianSpec(math.sqrt(3.0))
-    assert spec.psi2_bound == pytest.approx(2.0 * math.sqrt(3.0))
-    tight = cc.SubGaussianSpec(1.5, psi2_bound=2.0)
-    assert tight.psi2_bound == 2.0
-    with pytest.raises(ValueError):
-        cc.SubGaussianSpec(1.0, psi2_bound=2.5)
-    with pytest.raises(ValueError):
-        cc.SubGaussianSpec(-1.0)
-
-
-def test_subexponential_spec_tail_delegates():
-    spec = cc.SubExponentialSpec(1.0, 1.0)
-    assert spec.tail(2.0) == cc.subexp_tail(2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        cc.SubExponentialSpec(-1.0, 1.0)
-
-
-def test_square_mgf_domain():
-    assert cc.subgaussian_fact("square_mgf", lam=0.25, b=1.0) == pytest.approx(math.exp(1.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        cc.subgaussian_fact("square_mgf", lam=0.3, b=1.0)
-    with pytest.raises(ValueError):
-        cc.subgaussian_fact("nonsense", x=1.0)
-
-
 # ---------------------------------------------------------------- consistency with the certificate engine
 
 

@@ -196,43 +196,6 @@ def test_fast_paths_match_generic_oracle(rng):
 # ---------------------------------------------------------------- autocovariance
 
 
-def test_biased_acs_hand_values():
-    seq = est.biased_acs(qf.DataMatrix([[1.0, 1.0]]))
-    assert seq.at(0)[0, 0] == pytest.approx(1.0)
-    assert seq.at(1)[0, 0] == pytest.approx(0.5)
-    flipped = est.biased_acs(qf.DataMatrix([[1.0, -1.0]]))
-    assert flipped.at(1)[0, 0] == pytest.approx(-0.5)
-
-
-def test_unbiased_acs_hand_value_and_identity(rng):
-    seq = est.unbiased_acs(qf.DataMatrix([[1.0, 1.0]]))
-    assert seq.at(1)[0, 0] == pytest.approx(1.0)
-    data = qf.DataMatrix(rng.standard_normal((2, 12)))
-    biased = est.biased_acs(data)
-    unbiased = est.unbiased_acs(data)
-    for k in range(-11, 12):
-        np.testing.assert_allclose(
-            unbiased.at(k), biased.at(k) * 12.0 / (12 - abs(k)), atol=1e-12
-        )
-
-
-def test_acs_transposition_symmetry(rng):
-    data = qf.DataMatrix(rng.standard_normal((3, 9)))
-    seq = est.biased_acs(data)
-    for k in range(9):
-        np.testing.assert_allclose(seq.at(-k), seq.at(k).T, atol=1e-15)
-
-
-def test_periodogram_from_biased_acs_matches_generic(rng):
-    data = qf.DataMatrix(rng.standard_normal((1, 10)))
-    grid = qf.frequency_grid(11, full_range=True)
-    seq = est.biased_acs(data)
-    phases = np.exp(-2j * np.pi * np.outer(grid, seq.offsets))
-    direct = np.einsum("fk,kij->fij", phases, seq.values)
-    generic = qf.evaluate_generic_grid(data, est.build_matrix(est.BiasedPeriodogram(), 10), grid)
-    assert np.abs(direct - generic.matrices).max() < 1e-10
-
-
 def test_unbiased_acs_is_unbiased_monte_carlo():
     # mean of the divisor-corrected estimate equals the true autocovariance
     trials, samples, rho = 10_000, 32, 0.4

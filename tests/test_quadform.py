@@ -61,6 +61,13 @@ def test_estimate_is_hermitian_before_and_after_symmetrization(rng):
     np.testing.assert_array_equal(value, value.conj().T)
 
 
+def test_hermitian_part_of_a_stack_is_taken_per_matrix(rng):
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    expected = np.stack([qf.hermitian_part(matrix) for matrix in stack])
+    assert qf.hermitian_part(stack).tobytes() == expected.tobytes()
+    assert qf.hermitian_part(stack[None]).tobytes() == expected[None].tobytes()
+
+
 def test_negative_frequency_conjugates_the_estimate(rng):
     data = qf.DataMatrix(rng.standard_normal((2, 9)))
     form = qf.QuadraticForm(rng.standard_normal((9, 9)))

@@ -106,8 +106,16 @@ def test_psd_grid_equals_stacked_psd(model, chain):
         # lightly damped: the spectrum peaks at 40000 near s = +-1/4
         model = sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
     freqs = np.linspace(-0.5, 0.5, 4096)
-    stacked = np.stack([model.psd(s) for s in freqs])
-    assert model.psd_grid(freqs).tobytes() == stacked.tobytes()
+    eye = np.eye(model.state_dim)
+    stacked = []
+    for s in freqs:
+        # H(s) = D + C (zI - A)^{-1} B at z = e^{j2 pi s}, one frequency at a time
+        h = model.d + model.c @ np.linalg.inv(np.exp(2j * np.pi * s) * eye - model.a) @ model.b
+        stacked.append(h @ h.conj().T)
+    stacked = np.stack(stacked)
+    grid = model.psd_grid(freqs)
+    scale = np.abs(stacked).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(grid - stacked) <= 1e-12 * scale)
 
 
 def test_state_space_spectrum_is_positive_semidefinite(chain):

@@ -6,9 +6,12 @@ Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
 family at N = 528 and N = 2064; a context-only ``certify`` per family; a set
-of rejected configs; and ``reproduce --example 1`` and ``--example 2``.  Each
-command gets a directory holding the files it wrote and a ``console.txt``
-with its exit code, stdout and stderr (the OUT prefix replaced by ``OUT``).
+of rejected configs; configs that only strict parsing rejects; a periodogram
+``certify --require-feasible``; ``reproduce --example 1`` and ``--example 2``
+with their defaults and with every option set; and ``verify-concentration``
+at its smallest trial count.  Each command gets a directory holding the
+files it wrote and a ``console.txt`` with its exit code (or the uncaught
+exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
 
 A refactor that promises unchanged outputs runs this script on the parent
 checkout and on the change and compares the two directories with
@@ -123,6 +126,47 @@ REJECTED = {
     ),
 }
 
+# name -> (command, config): accepted by a parser that ignores unknown keys
+# inside ``model`` and ``estimator`` and reads JSON booleans as integers, and
+# rejected with exit code 2 by a strict one.
+STRICT = {
+    "estimator_unknown_key": (
+        "certify",
+        {
+            "estimator": {"kind": "welch", "segment_length": 4, "hop": 2, "tapr": "rectangular"},
+            "num_samples": 8,
+            "context": CONTEXT,
+        },
+    ),
+    "model_unknown_key": ("simulate", {"model": {"kind": "white", "channel": 3}, "num_samples": 8}),
+    "geometric_unknown_key": ("simulate", {"model": {"kind": "geometric", "rho": 0.3, "channels": 2}, "num_samples": 8}),
+    "state_space_unknown_key": ("simulate", {"model": dict(STATE_SPACE, rho=0.5), "num_samples": 8}),
+    "bool_num_samples": ("simulate", {"model": {"kind": "white"}, "num_samples": True}),
+    "bool_grid_points": (
+        "estimate", {"model": {"kind": "white"}, "estimator": {"kind": "biased_periodogram"}, "num_samples": 8, "grid_points": True}
+    ),
+    "bool_trials": ("simulate", {"model": {"kind": "white"}, "num_samples": 8, "trials": True}),
+    "bool_seed": ("simulate", {"model": {"kind": "white"}, "num_samples": 8, "seed": True}),
+    "bool_channels": ("simulate", {"model": {"kind": "white", "channels": True}, "num_samples": 8}),
+    "bool_block_length": (
+        "certify", {"estimator": {"kind": "bartlett", "block_length": True}, "num_samples": 8, "context": CONTEXT}
+    ),
+    "bool_half_width": (
+        "certify", {"estimator": {"kind": "blackman_tukey", "half_width": True}, "num_samples": 8, "context": CONTEXT}
+    ),
+    "bool_hop": (
+        "certify", {"estimator": {"kind": "welch", "segment_length": 2, "hop": True, "taper": "rectangular"}, "num_samples": 8, "context": CONTEXT}
+    ),
+}
+
+# every option of ``reproduce`` set once, next to the defaults
+REPRODUCE = {
+    "1": ["--example", "1"],
+    "2": ["--example", "2"],
+    "1_options": ["--example", "1", "--trials", "3", "--seed", "5", "--delta", "0.2", "--grid", "11"],
+    "2_options": ["--example", "2", "--trials", "2", "--rho-target", "0.6"],
+}
+
 
 def run(out: Path, name: str, argv: list[str]) -> None:
     """Run one command into OUT/name and record its console output there."""
@@ -130,7 +174,10 @@ def run(out: Path, name: str, argv: list[str]) -> None:
     case.mkdir(parents=True, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv + ["--out", str(case)])
+        try:
+            code = cli.main(argv + ["--out", str(case)])
+        except Exception as err:  # an uncaught error is an outcome to compare too
+            code = f"{type(err).__name__}: {err}"
     text = f"exit={code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
     (case / "console.txt").write_text(text.replace(str(out), "OUT"), encoding="utf-8")
 
@@ -168,8 +215,14 @@ def main(argv=None) -> int:
         run(out, f"certify/{name}", ["certify", "--config", config])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
-    for example in (1, 2):
-        run(out, f"reproduce/{example}", ["reproduce", "--example", str(example)])
+    for name, (command, body) in STRICT.items():
+        run(out, f"strict/{name}", [command, "--config", write_config(out, f"strict_{name}", body)])
+    # a periodogram has no concentration certificate, so this exits with 3
+    config = write_config(out, "feasible_periodogram", {"estimator": ESTIMATORS["biased_periodogram"], "num_samples": 2064, "context": CONTEXT})
+    run(out, "certify/require_feasible_periodogram", ["certify", "--config", config, "--require-feasible"])
+    for name, argv in REPRODUCE.items():
+        run(out, f"reproduce/{name}", ["reproduce"] + argv)
+    run(out, "verify_concentration", ["verify-concentration", "--trials", "10000", "--seed", "5"])
     return 0
 
 
