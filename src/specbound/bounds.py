@@ -26,12 +26,10 @@ from .constants import (
     COVER_BASE,
     FREQUENCY_COVER_FACTOR,
     GAUSSIAN,
-    BoundConstants,
     NoiseAssumption,
-    constants_for,
     sub_gaussian,
 )
-from .quadform import _RANGE_SLACK, QuadraticForm, _ensure_bias, bias_coefficients, diagonal_profile
+from .quadform import _RANGE_SLACK, BiasCoefficients, QuadraticForm, bias_coefficients, diagonal_profile
 
 __all__ = [
     "BartlettSelection",
@@ -98,10 +96,6 @@ class BoundContext:
                             f"decay envelope fails against the model at lag {lag}"
                         )
 
-    @property
-    def constants(self) -> BoundConstants:
-        return constants_for(self.assumption)
-
     @classmethod
     def from_model(cls, model, assumption: NoiseAssumption) -> "BoundContext":
         decay = model.decay() if hasattr(model, "decay") else None
@@ -119,7 +113,7 @@ def accuracy_factor(eps: float, ctx: BoundContext) -> float:
     """Demand placed on the reciprocal norm envelope by the accuracy target eps."""
     if not eps > 0.0:
         raise ValueError("accuracy target must be positive")
-    scale = ctx.constants.scale
+    scale = ctx.assumption.scale
     phi = ctx.phi_inf
     return max(scale ** 4 * phi ** 2 / eps ** 2, scale ** 2 * phi / eps)
 
@@ -128,8 +122,8 @@ def confidence_factor(delta: float, ctx: BoundContext) -> float:
     """Demand placed on the reciprocal norm envelope by the failure budget delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
-    consts = ctx.constants
-    return math.log(COVER_BASE ** (2 * ctx.channels) * consts.multiplier / delta) / consts.rate
+    noise = ctx.assumption
+    return math.log(COVER_BASE ** (2 * ctx.channels) * noise.multiplier / delta) / noise.rate
 
 
 def sup_confidence_factor(truncation, delta: float, ctx: BoundContext) -> float:
@@ -155,7 +149,7 @@ def covariance_tail(ctx: BoundContext, lag: int) -> float:
     return 2.0 * gamma * rho ** lag / (1.0 - rho)
 
 
-def tail_cutoff_lag(eps: float, ctx: BoundContext, max_lag: int = 1_000_000) -> int:
+def tail_cutoff_lag(eps: float, ctx: BoundContext) -> int:
     """Smallest lag whose covariance tail drops to eps / 2 (nonincreasing in eps)."""
     if not eps > 0.0:
         raise ValueError("accuracy target must be positive")
@@ -163,7 +157,7 @@ def tail_cutoff_lag(eps: float, ctx: BoundContext, max_lag: int = 1_000_000) -> 
     lag = 0
     while covariance_tail(ctx, lag) > target:
         lag += 1
-        if lag > max_lag:
+        if lag > 1_000_000:
             raise ValueError("covariance tail does not reach eps / 2 within the lag budget")
     return lag
 
@@ -223,7 +217,7 @@ def check_conditions(
     xi: float | None = None,
     envelope: float | None = None,
     truncation: int | None = None,
-    bias=None,
+    bias: BiasCoefficients | None = None,
 ) -> Certificate:
     """Verdict for one sufficient error condition of the general framework.
 
@@ -279,13 +273,12 @@ def check_conditions(
         if form is None:
             raise ValueError("bias check needs the diagonal sums or the dense form")
         bias = bias_coefficients(form)
-    coeffs = _ensure_bias(bias)
     cutoff = tail_cutoff_lag(eps, ctx)
     floor = 1.0 - eps / (2.0 * ctx.r1_norm)
     in_range = bool(
-        np.all(coeffs.values >= -_RANGE_SLACK) and np.all(coeffs.values <= 1.0 + _RANGE_SLACK)
+        np.all(bias.values >= -_RANGE_SLACK) and np.all(bias.values <= 1.0 + _RANGE_SLACK)
     )
-    near_one = all(coeffs.at(k) >= floor for k in range(-(cutoff - 1), cutoff)) if cutoff > 0 else True
+    near_one = all(bias.at(k) >= floor for k in range(-(cutoff - 1), cutoff)) if cutoff > 0 else True
     return Certificate(
         "bias_condition",
         holds=in_range and near_one,
@@ -300,7 +293,7 @@ def pointwise_error_bound(xi: float, delta: float, ctx: BoundContext) -> Certifi
     if not xi > 0.0:
         raise ValueError("norm envelope must be positive")
     level = xi * confidence_factor(delta, ctx)
-    value = ctx.constants.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
+    value = ctx.assumption.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
     return Certificate("pointwise_bound", value=value, delta=delta, inputs=_inputs(xi=xi))
 
 
@@ -309,7 +302,7 @@ def worst_case_error_bound(envelope: float, truncation, delta: float, ctx: Bound
     if not envelope > 0.0:
         raise ValueError("norm envelope must be positive")
     level = envelope * sup_confidence_factor(truncation, delta, ctx)
-    value = 2.0 * ctx.constants.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
+    value = 2.0 * ctx.assumption.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
     return Certificate(
         "worst_case_bound",
         value=value,
@@ -318,7 +311,7 @@ def worst_case_error_bound(envelope: float, truncation, delta: float, ctx: Bound
     )
 
 
-def geometric_bias_bound(bias, truncation: int, gamma: float, rho: float) -> Certificate:
+def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, rho: float) -> Certificate:
     """Sure bias bound when ||R[k]|| <= gamma rho^|k| and b vanishes beyond ``truncation``."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
@@ -327,12 +320,11 @@ def geometric_bias_bound(bias, truncation: int, gamma: float, rho: float) -> Cer
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation width must be at least one")
-    coeffs = _ensure_bias(bias)
-    outside = np.abs(coeffs.offsets) >= truncation
-    if np.any(coeffs.values[outside] != 0.0):
+    outside = np.abs(bias.offsets) >= truncation
+    if np.any(bias.values[outside] != 0.0):
         raise ValueError("diagonal sums must vanish beyond the truncation width")
     lags = np.arange(-(truncation - 1), truncation)
-    body = sum(abs(1.0 - coeffs.at(k)) * rho ** abs(k) for k in lags)
+    body = sum(abs(1.0 - bias.at(k)) * rho ** abs(k) for k in lags)
     value = gamma * body + 2.0 * gamma * rho ** truncation / (1.0 - rho)
     return Certificate(
         "bias_bound_geometric",
@@ -346,7 +338,7 @@ def data_driven_factor(envelope: float, truncation, delta: float, ctx: BoundCont
     if not envelope > 0.0:
         raise ValueError("norm envelope must be positive")
     level = envelope * sup_confidence_factor(truncation, delta, ctx)
-    return 2.0 * ctx.constants.scale ** 2 * max(level, math.sqrt(level))
+    return 2.0 * ctx.assumption.scale ** 2 * max(level, math.sqrt(level))
 
 
 def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) -> Certificate:

@@ -97,15 +97,13 @@ def main(argv=None) -> int:
             for path in experiments.run_reproduce(args.example, args.out, _reproduce_options(args)):
                 print(path)
         elif args.command == "verify-concentration":
-            trials, seed = 100_000, 987654321
+            # a value the config document sets overrides the check's default; the command line overrides both
+            options = {}
             if args.config:
                 config = experiments.load_config(args.config)
-                trials, seed = config.trials, config.seed
-            if args.trials is not None:
-                trials = args.trials
-            if args.seed is not None:
-                seed = args.seed
-            path, reports = experiments.run_verify_concentration(args.out, trials=trials, seed=seed)
+                options = {key: getattr(config, key) for key in ("trials", "seed") if key in config.raw}
+            options.update((key, getattr(args, key)) for key in ("trials", "seed") if getattr(args, key) is not None)
+            path, reports = experiments.run_verify_concentration(args.out, **options)
             print(path)
             flagged = sum(report.flagged for report in reports.values())
             if flagged:

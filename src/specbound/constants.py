@@ -33,38 +33,18 @@ FREQUENCY_COVER_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class NoiseAssumption:
-    """Distributional assumption on the driving noise: gaussian or subgaussian."""
-
-    kind: str
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "subgaussian"):
-            raise ValueError(f"unknown noise assumption {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma != 1.0:
-            raise ValueError("the gaussian assumption fixes sigma = 1")
-        if self.kind == "subgaussian" and not self.sigma >= 1.0:
-            # unit-variance coordinates force the sub-gaussian scale to be >= 1
-            raise ValueError("sub-gaussian scale must be at least one")
-
-
-GAUSSIAN = NoiseAssumption("gaussian")
-
-
-def sub_gaussian(sigma: float) -> NoiseAssumption:
-    return NoiseAssumption("subgaussian", float(sigma))
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """(multiplier, rate, scale) triple entering the data-matrix tail bound."""
+    """(multiplier, rate, scale) of the data-matrix tail bound under one noise law."""
 
     multiplier: float
     rate: float
     scale: float
 
 
-def constants_for(assumption: NoiseAssumption) -> BoundConstants:
-    if assumption.kind == "gaussian":
-        return BoundConstants(GAUSSIAN_TAIL_MULTIPLIER, GAUSSIAN_TAIL_RATE, 1.0)
-    return BoundConstants(SUBGAUSSIAN_TAIL_MULTIPLIER, SUBGAUSSIAN_TAIL_RATE, assumption.sigma)
+GAUSSIAN = NoiseAssumption(GAUSSIAN_TAIL_MULTIPLIER, GAUSSIAN_TAIL_RATE, 1.0)
+
+
+def sub_gaussian(sigma: float) -> NoiseAssumption:
+    if not sigma >= 1.0:
+        # unit-variance coordinates force the sub-gaussian scale to be >= 1
+        raise ValueError("sub-gaussian scale must be at least one")
+    return NoiseAssumption(SUBGAUSSIAN_TAIL_MULTIPLIER, SUBGAUSSIAN_TAIL_RATE, float(sigma))

@@ -133,55 +133,34 @@ def _reject_unknown(data: dict, known, where: str) -> None:
             raise ConfigError(f"unknown {where} key {key!r}")
 
 
-# the keys each model kind reads besides ``kind``
-_MODEL_KEYS = {
-    "geometric": ("rho",),
-    "ar1": ("rho",),
-    "white": ("channels",),
-    "state_space": ("a", "b", "c", "d", "rho_target"),
-}
+# the JSON type a field accepts, by its annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "np.ndarray": list}
 
 
-def _parse_model(data: dict):
-    kind = _require(data, "kind", str, "model")
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"model.kind {kind!r} is not one of geometric, white, state_space")
-    _reject_unknown(data, ("kind",) + _MODEL_KEYS[kind], "model")
-    channels = data.get("channels", 1)
-    if not _is_int(channels):
-        raise ConfigError("model.channels has the wrong type")
+def _parse_spec(data: dict, registry: dict, where: str):
+    """Build the class that ``registry`` lists under ``data["kind"]`` from its dataclass fields.
+
+    A field without a default is required and must have the JSON type of its
+    annotation; an optional ``int`` field must be a JSON integer when given,
+    and the other optional fields go to the class as they are.
+    """
+    kind = _require(data, "kind", str, where)
+    if kind not in registry:
+        kinds = dict.fromkeys(cls.kind for cls in registry.values())
+        raise ConfigError(f"{where}.kind {kind!r} is not one of {', '.join(kinds)}")
+    cls = registry[kind]
+    _reject_unknown(data, {"kind"} | {f.name for f in fields(cls)}, where)
     try:
-        if kind in ("geometric", "ar1"):
-            return signals.GeometricScalar(float(_require(data, "rho", (int, float), "model")))
-        if kind == "white":
-            return signals.WhiteNoise(channels)
-        if kind == "state_space":
-            return signals.StateSpace(
-                _require(data, "a", list, "model"),
-                _require(data, "b", list, "model"),
-                _require(data, "c", list, "model"),
-                _require(data, "d", list, "model"),
-                decay_rho=data.get("rho_target"),
-            )
+        values = {}
+        for f in fields(cls):
+            if f.default is MISSING or (f.type == "int" and f.name in data):
+                value = _require(data, f.name, _JSON_TYPES[f.type], where)
+                values[f.name] = float(value) if f.type == "float" else value
+            elif f.name in data:
+                values[f.name] = data[f.name]
+        return cls(**values)
     except (ValueError, TypeError) as err:
-        raise ConfigError(f"model: {err}") from err
-
-
-def _parse_estimator(data: dict):
-    kind = _require(data, "kind", str, "estimator")
-    if kind not in estimators.FAMILIES:
-        raise ConfigError(f"estimator.kind {kind!r} is not one of {', '.join(estimators.FAMILIES)}")
-    family = estimators.FAMILIES[kind]
-    _reject_unknown(data, {"kind"} | {f.name for f in fields(family)}, "estimator")
-    try:
-        # fields without a default are required integers; the rest are optional
-        values = [
-            int(_require(data, f.name, int, "estimator")) if f.default is MISSING else data.get(f.name, f.default)
-            for f in fields(family)
-        ]
-        return family(*values)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"estimator: {err}") from err
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -195,8 +174,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     noise = data.get("noise", "gaussian")
     if noise not in signals.NOISE_KINDS:
         raise ConfigError(f"noise must be one of {signals.NOISE_KINDS}")
-    model = _parse_model(data["model"]) if "model" in data else None
-    estimator = _parse_estimator(data["estimator"]) if "estimator" in data else None
+    model = _parse_spec(data["model"], signals.MODELS, "model") if "model" in data else None
+    estimator = _parse_spec(data["estimator"], estimators.FAMILIES, "estimator") if "estimator" in data else None
     num_samples = data.get("num_samples")
     if num_samples is not None and (not _is_int(num_samples) or num_samples < 1):
         raise ConfigError("num_samples must be a positive integer")
@@ -210,7 +189,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(delta, (int, float)) or not 0.0 < float(delta) < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     epsilon = data.get("epsilon")
-    if epsilon is not None and (not isinstance(epsilon, (int, float)) or not float(epsilon) > 0.0):
+    if epsilon is not None and (
+        isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not float(epsilon) > 0.0
+    ):
         raise ConfigError("epsilon must be positive when given")
     seed = data.get("seed", 0)
     if not _is_int(seed) or seed < 0:
@@ -263,42 +244,39 @@ def _assumption_for(noise: str):
     return GAUSSIAN if noise == "gaussian" else sub_gaussian(signals.UNIFORM_SIGMA)
 
 
-_CONTEXT_FIELDS = ("phi_inf", "r1", "channels")
+# the JSON type of each ``context`` key
+_CONTEXT_TYPES = {**dict.fromkeys(("phi_inf", "r1", "gamma", "rho"), (int, float)), "channels": int}
 
 
 def make_context(config: ExperimentConfig) -> bounds.BoundContext:
-    """Bound context from the model, or from explicit context fields without one."""
-    assumption = _assumption_for(config.noise)
-    overrides = config.context_overrides
-    if config.model is not None:
-        ctx = bounds.BoundContext.from_model(config.model, assumption)
-        if overrides:
-            decay = ctx.decay
-            if "gamma" in overrides or "rho" in overrides:
-                base = decay or (1.0, 0.0)
-                decay = (float(overrides.get("gamma", base[0])), float(overrides.get("rho", base[1])))
-            ctx = bounds.BoundContext(
-                assumption,
-                float(overrides.get("phi_inf", ctx.phi_inf)),
-                float(overrides.get("r1", ctx.r1_norm)),
-                int(overrides.get("channels", ctx.channels)),
-                decay,
-                ctx.model,
-            )
-        return ctx
-    missing = [name for name in _CONTEXT_FIELDS if name not in overrides]
-    if missing:
-        raise ConfigError("context missing fields: " + ", ".join(missing))
-    decay = None
-    if "gamma" in overrides and "rho" in overrides:
-        decay = (float(overrides["gamma"]), float(overrides["rho"]))
+    """Bound context from the model's values, each of which the ``context`` object may override.
+
+    Without a model, the ``context`` object supplies every value.
+    """
+    given = config.context_overrides
+    _reject_unknown(given, _CONTEXT_TYPES, "context")
+    model = config.model
+    if model is None:
+        missing = [name for name in ("phi_inf", "r1", "channels") if name not in given]
+        if missing:
+            raise ConfigError("context missing fields: " + ", ".join(missing))
+        if ("gamma" in given) != ("rho" in given):
+            raise ConfigError("context needs gamma and rho together")
+        values = {}
+    else:
+        gamma, rho = model.decay()
+        values = dict(phi_inf=model.phi_inf(), r1=model.r1_norm(), channels=model.channels, gamma=gamma, rho=rho)
+    for key in given:
+        values[key] = _require(given, key, _CONTEXT_TYPES[key], "context")
+    decay = (float(values["gamma"]), float(values["rho"])) if "gamma" in values else None
     try:
         return bounds.BoundContext(
-            assumption,
-            float(overrides["phi_inf"]),
-            float(overrides["r1"]),
-            int(overrides["channels"]),
+            _assumption_for(config.noise),
+            float(values["phi_inf"]),
+            float(values["r1"]),
+            values["channels"],
             decay,
+            model,
         )
     except ValueError as err:
         raise ConfigError(f"context: {err}") from err
@@ -463,7 +441,7 @@ def example_state_space(rho_target: float = 0.5) -> signals.StateSpace:
         b=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         c=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         d=np.eye(3),
-        decay_rho=rho_target,
+        rho_target=rho_target,
     )
 
 
@@ -603,17 +581,17 @@ def _symmetric_gaussian_matrix(dim: int, rng) -> np.ndarray:
     return 0.5 * (raw + raw.T)
 
 
-def run_verify_concentration(
-    out_dir, trials: int = 100_000, seed: int = 987654321, dims=(4, 16), eps_points: int = 20
-):
+def run_verify_concentration(out_dir, trials: int = 100_000, seed: int = 987654321):
     """Monte Carlo validation of the quadratic-form tail bounds.
 
     Runs a Gaussian suite against the Gaussian tail and a scaled-uniform suite
-    against the psi2 tail, for each matrix dimension.  Returns (path, reports);
-    any flagged row indicates a bug since the bounds are proven.
+    against the psi2 tail, for 4 x 4 and 16 x 16 matrices at 20 deviations
+    each.  Returns (path, reports); any flagged row indicates a bug since the
+    bounds are proven.
     """
     if trials < 10_000:
         raise ConfigError("verify-concentration needs trials >= 10000")
+    dims = (4, 16)
     rows = []
     reports = {}
     for suite_index, dim in enumerate(dims):
@@ -640,7 +618,7 @@ def run_verify_concentration(
             ),
         }
         for suite_offset, (name, (sampler, bound_fn, eps_max)) in enumerate(suites.items()):
-            grid = np.linspace(0.0, eps_max, eps_points)
+            grid = np.linspace(0.0, eps_max, 20)
             report = monte_carlo_tail_check(
                 sampler, statistic, bound_fn, grid, trials, seed + 7 * suite_index + suite_offset
             )

@@ -287,14 +287,6 @@ def evaluate_generic_grid(data: DataMatrix, form: QuadraticForm, frequencies) ->
     return SpectralEstimate(freqs, matrices)
 
 
-def _ensure_bias(bias) -> BiasCoefficients:
-    if isinstance(bias, QuadraticForm):
-        return bias_coefficients(bias)
-    if isinstance(bias, BiasCoefficients):
-        return bias
-    raise TypeError("expected BiasCoefficients or a QuadraticForm")
-
-
 def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
     """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n)."""
     if not hasattr(model, "autocov_stack"):
@@ -305,17 +297,15 @@ def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) 
     return np.einsum("fk,kij->fij", phases * weights, autocov)
 
 
-def expected_estimate(bias, model, frequencies) -> np.ndarray:
+def expected_estimate(bias: BiasCoefficients, model, frequencies) -> np.ndarray:
     """Exact estimator mean sum_k e^{-j2 pi s k} b[k] R[k] on a grid, as (grid, n, n).
 
-    Accepts either precomputed diagonal sums or the dense coefficient matrix.
     Serves as the exact-mean oracle in bias tests.
     """
-    coeffs = _ensure_bias(bias)
-    return _lag_sum(coeffs, coeffs.values, model, frequencies)
+    return _lag_sum(bias, bias.values, model, frequencies)
 
 
-def exact_bias_sup(bias, model, frequencies) -> float:
+def exact_bias_sup(bias: BiasCoefficients, model, frequencies) -> float:
     """Worst-case bias upper bound, sharp up to the grid resolution.
 
     Evaluates sum_{|k| < H} e^{-j2 pi s k} (1 - b[k]) R[k] on the grid, takes
@@ -323,7 +313,6 @@ def exact_bias_sup(bias, model, frequencies) -> float:
     sum_{|l| >= H} ||R[l]||_2 supplied by the model, where H is the half-width
     of the diagonal sums.
     """
-    coeffs = _ensure_bias(bias)
-    finite = hermitian_part(_lag_sum(coeffs, 1.0 - coeffs.values, model, frequencies))
+    finite = hermitian_part(_lag_sum(bias, 1.0 - bias.values, model, frequencies))
     grid_sup = float(hermitian_spectral_norms(finite).max())
-    return grid_sup + float(model.autocov_tail(coeffs.half_width))
+    return grid_sup + float(model.autocov_tail(bias.half_width))

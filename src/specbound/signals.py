@@ -13,8 +13,10 @@ Three stationary zero-mean model families back the validation studies:
 Models expose the exact autocovariance, the spectrum, its sup norm, the
 summed covariance norm, an analytic tail bound, a geometric decay pair
 (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and their sampler as
-``sample_paths``.  Samplers draw from counter-based streams keyed by (seed,
-path index) so every path is bitwise reproducible independent of batching.
+``sample_paths``.  ``MODELS`` maps each config ``kind`` to its class, whose
+dataclass fields are the config keys.  Samplers draw from counter-based
+streams keyed by (seed, path index) so every path is bitwise reproducible
+independent of batching.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .streams import rng_stream
 __all__ = [
     "DecayCertificate",
     "GeometricScalar",
+    "MODELS",
     "NOISE_KINDS",
     "StateSpace",
     "UNIFORM_SIGMA",
@@ -60,18 +63,19 @@ def spectral_radius(matrix) -> float:
     return float(np.abs(np.linalg.eigvals(np.asarray(matrix, dtype=float))).max())
 
 
-def solve_discrete_lyapunov(transition, forcing, tol: float = 1e-12, max_doublings: int = 128) -> np.ndarray:
+def solve_discrete_lyapunov(transition, forcing) -> np.ndarray:
     """Solve X = T X T' + Q by fixed-point doubling (requires spectral radius of T < 1).
 
     Each pass squares the transition matrix, so convergence is quadratic and
-    unconditional for stable T; the result is symmetrized.
+    unconditional for stable T; the result is symmetrized.  It stops once an
+    update falls below 1e-12 of the sum, and fails after 128 passes.
     """
     x = np.array(forcing, dtype=float)
     t = np.array(transition, dtype=float)
-    for _ in range(max_doublings):
+    for _ in range(128):
         update = t @ x @ t.T
         fresh = x + update
-        if np.linalg.norm(update) <= tol * max(np.linalg.norm(fresh), np.finfo(float).tiny):
+        if np.linalg.norm(update) <= 1e-12 * max(np.linalg.norm(fresh), np.finfo(float).tiny):
             return 0.5 * (fresh + fresh.T)
         x = fresh
         t = t @ t
@@ -92,6 +96,7 @@ class GeometricScalar:
     unit-variance shocks; the gain makes the stated autocovariance exact.
     """
 
+    kind = "geometric"
     rho: float
 
     def __post_init__(self):
@@ -141,6 +146,7 @@ class GeometricScalar:
 class WhiteNoise:
     """Independent unit-variance channels: R[k] = delta[k] I and a flat unit spectrum."""
 
+    kind = "white"
     channels: int = 1
 
     def __post_init__(self):
@@ -196,16 +202,17 @@ class StateSpace:
     """Stable linear state-space process driven by standard normal noise.
 
     x[k+1] = A x[k] + B e[k],  y[k] = C x[k] + D e[k], with i.i.d. standard
-    normal e[k] and the state started from its stationary law.  ``decay_rho``
+    normal e[k] and the state started from its stationary law.  ``rho_target``
     picks the rate of the certified autocovariance envelope; it defaults to
     the midpoint between the spectral radius of A and one.
     """
 
+    kind = "state_space"
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    decay_rho: float | None = None
+    rho_target: float | None = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -220,8 +227,8 @@ class StateSpace:
         radius = spectral_radius(a)
         if radius >= 1.0:
             raise ValueError("state transition matrix must be stable (spectral radius < 1)")
-        if self.decay_rho is not None and not radius < self.decay_rho < 1.0:
-            raise ValueError("decay_rho must lie strictly between the spectral radius and one")
+        if self.rho_target is not None and not radius < self.rho_target < 1.0:
+            raise ValueError("rho_target must lie strictly between the spectral radius and one")
         for name, arr in (("a", a), ("b", b), ("c", c), ("d", d)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -269,7 +276,7 @@ class StateSpace:
 
     @cached_property
     def decay_certificate(self) -> DecayCertificate:
-        target = self.decay_rho
+        target = self.rho_target
         if target is None:
             target = 0.5 * (spectral_radius(self.a) + 1.0)
         return certify_decay(self, target)
@@ -322,6 +329,10 @@ class StateSpace:
         if noise != "gaussian":
             raise ValueError("state-space sampling supports gaussian noise only")
         return sample_state_space_paths(self, num_samples, trials, seed, first_trial)
+
+
+# config kind -> model class; ``ar1`` is another name for the geometric model
+MODELS = {**{cls.kind: cls for cls in (GeometricScalar, WhiteNoise, StateSpace)}, "ar1": GeometricScalar}
 
 
 def r1_norm_bound(model, depth: int) -> tuple[float, float]:

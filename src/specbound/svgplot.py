@@ -35,29 +35,19 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def line_plot(
-    path,
-    series,
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    log_x: bool = True,
-    log_y: bool = True,
-    width: int = 720,
-    height: int = 480,
-) -> Path:
-    """Render the series to ``path`` as a standalone SVG file."""
+def line_plot(path, series, *, title: str, x_label: str, y_label: str) -> Path:
+    """Render the series to ``path`` as a standalone SVG file on log-log axes."""
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
     xs = [float(v) for s in series for v in s.x]
-    ys = [float(v) for s in series for v in s.y if float(v) > 0.0 or not log_y]
+    ys = [float(v) for s in series for v in s.y if float(v) > 0.0]
     if not xs or not ys:
         raise ValueError("series contain no drawable points")
-    if log_x and min(xs) <= 0.0:
+    if min(xs) <= 0.0:
         raise ValueError("log x axis needs positive x values")
 
+    width, height = 720, 480
     margin_left, margin_right, margin_top, margin_bottom = 76, 16, 40, 56
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
@@ -67,33 +57,27 @@ def line_plot(
         return unique if len(unique) <= 9 else _decades(min(xs), max(xs))
 
     ticks_x = x_ticks()
-    ticks_y = _decades(min(ys), max(ys)) if log_y else None
-    lo_x = math.log10(min(xs + ticks_x)) if log_x else min(xs)
-    hi_x = math.log10(max(xs + ticks_x)) if log_x else max(xs)
-    if ticks_y is None:
-        lo_y, hi_y = min(ys), max(ys)
-    else:
-        lo_y, hi_y = math.log10(ticks_y[0]), math.log10(ticks_y[-1])
+    ticks_y = _decades(min(ys), max(ys))
+    lo_x = math.log10(min(xs + ticks_x))
+    hi_x = math.log10(max(xs + ticks_x))
+    lo_y, hi_y = math.log10(ticks_y[0]), math.log10(ticks_y[-1])
     if hi_x == lo_x:
         hi_x = lo_x + 1.0
     if hi_y == lo_y:
         hi_y = lo_y + 1.0
 
     def px(value: float) -> float:
-        v = math.log10(value) if log_x else value
-        return margin_left + (v - lo_x) / (hi_x - lo_x) * plot_w
+        return margin_left + (math.log10(value) - lo_x) / (hi_x - lo_x) * plot_w
 
     def py(value: float) -> float:
-        v = math.log10(value) if log_y else value
-        return margin_top + plot_h - (v - lo_y) / (hi_y - lo_y) * plot_h
+        return margin_top + plot_h - (math.log10(value) - lo_y) / (hi_y - lo_y) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>')
+    parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>')
 
     # frame and ticks
     parts.append(
@@ -104,19 +88,16 @@ def line_plot(
         x = px(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{margin_top + plot_h}" x2="{x:.1f}" y2="{margin_top + plot_h + 5}" stroke="#333333"/>')
         parts.append(f'<text x="{x:.1f}" y="{margin_top + plot_h + 19}" text-anchor="middle">{_fmt(tick)}</text>')
-    if ticks_y is not None:
-        for tick in ticks_y:
-            y = py(tick)
-            parts.append(f'<line x1="{margin_left - 5}" y1="{y:.1f}" x2="{margin_left}" y2="{y:.1f}" stroke="#333333"/>')
-            parts.append(f'<line x1="{margin_left}" y1="{y:.1f}" x2="{margin_left + plot_w}" y2="{y:.1f}" stroke="#dddddd"/>')
-            parts.append(f'<text x="{margin_left - 9}" y="{y + 4:.1f}" text-anchor="end">{_fmt(tick)}</text>')
-    if x_label:
-        parts.append(
-            f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        cx, cy = 18, margin_top + plot_h / 2
-        parts.append(f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" transform="rotate(-90 {cx} {cy:.1f})">{y_label}</text>')
+    for tick in ticks_y:
+        y = py(tick)
+        parts.append(f'<line x1="{margin_left - 5}" y1="{y:.1f}" x2="{margin_left}" y2="{y:.1f}" stroke="#333333"/>')
+        parts.append(f'<line x1="{margin_left}" y1="{y:.1f}" x2="{margin_left + plot_w}" y2="{y:.1f}" stroke="#dddddd"/>')
+        parts.append(f'<text x="{margin_left - 9}" y="{y + 4:.1f}" text-anchor="end">{_fmt(tick)}</text>')
+    parts.append(
+        f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle">{x_label}</text>'
+    )
+    cx, cy = 18, margin_top + plot_h / 2
+    parts.append(f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" transform="rotate(-90 {cx} {cy:.1f})">{y_label}</text>')
 
     # series
     for idx, s in enumerate(series):
@@ -124,7 +105,7 @@ def line_plot(
         points = " ".join(
             f"{px(float(x)):.1f},{py(float(y)):.1f}"
             for x, y in zip(s.x, s.y)
-            if not log_y or float(y) > 0.0
+            if float(y) > 0.0
         )
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"{dash}/>')

@@ -15,7 +15,7 @@ from specbound import constants as ct
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals as sig
-from specbound.constants import GAUSSIAN, constants_for, sub_gaussian
+from specbound.constants import GAUSSIAN, sub_gaussian
 from specbound.experiments import ReproduceOptions, run_reproduce, run_verify_concentration
 
 from conftest import random_estimator_spec
@@ -130,7 +130,7 @@ def test_criterion_4_certificate_validity():
 
 def test_criterion_5_hanson_wright_never_violated(tmp_path):
     started = time.perf_counter()
-    path, reports = run_verify_concentration(tmp_path, trials=100_000, seed=424242, dims=(4, 16))
+    path, reports = run_verify_concentration(tmp_path, trials=100_000, seed=424242)
     assert len(reports) == 4
     for key, report in reports.items():
         assert not report.flagged, f"suite {key} flagged a proven bound"
@@ -165,7 +165,7 @@ def test_criterion_7_state_space_study_reproduction(tmp_path):
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         np.eye(3),
-        decay_rho=0.5,
+        rho_target=0.5,
     )
     certificate = sig.certify_decay(model, 0.5)
     for lag in range(65):
@@ -197,10 +197,10 @@ def test_criterion_9_constants_regression():
     started = time.perf_counter()
     assert (ct.GAUSSIAN_TAIL_MULTIPLIER, ct.GAUSSIAN_TAIL_RATE) == (2.0, 1.0 / 32.0)
     assert (ct.SUBGAUSSIAN_TAIL_MULTIPLIER, ct.SUBGAUSSIAN_TAIL_RATE) == (4.0, 2.0 ** -19)
-    gauss = constants_for(GAUSSIAN)
+    gauss = GAUSSIAN
     assert (gauss.multiplier, gauss.rate, gauss.scale) == (2.0, 1.0 / 32.0, 1.0)
     sigma = math.sqrt(3.0)
-    sub = constants_for(sub_gaussian(sigma))
+    sub = sub_gaussian(sigma)
     assert (sub.multiplier, sub.rate, sub.scale) == (4.0, 2.0 ** -19, sigma)
     assert ct.HANSON_WRIGHT_RATE == 1.0 / 2048.0
     assert ct.GAUSSIAN_QUADFORM_RATE == 1.0 / 8.0

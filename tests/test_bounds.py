@@ -9,7 +9,7 @@ import pytest
 from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
-from specbound.constants import GAUSSIAN, constants_for, sub_gaussian
+from specbound.constants import GAUSSIAN, sub_gaussian
 from specbound.signals import GeometricScalar, WhiteNoise
 
 
@@ -209,6 +209,11 @@ def test_bound_condition_round_trip():
         eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
         product = bd.accuracy_factor(eps_star, ctx) * bd.confidence_factor(delta, ctx)
         assert product * xi == pytest.approx(1.0, rel=1e-9)
+
+
+def test_sub_gaussian_scale_below_one_is_rejected():
+    with pytest.raises(ValueError, match="sub-gaussian scale must be at least one"):
+        sub_gaussian(0.5)
 
 
 def test_gaussian_certificates_beat_subgaussian_at_unit_scale():

@@ -8,12 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from specbound import cli, estimators
+from specbound import cli, estimators, signals
+from specbound.bounds import GAUSSIAN, BoundContext
 from specbound.experiments import (
     ConfigError,
     example_state_space,
     format_number,
     load_config,
+    make_context,
     parse_config,
     read_estimate_csv,
     run_certify,
@@ -207,6 +209,19 @@ def test_verify_concentration_trial_floor(tmp_path):
     assert "trials" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "document, meta",
+    [({"seed": 5}, "seed=5 trials=100000"), ({"trials": 10000}, "seed=987654321 trials=10000")],
+    ids=["seed-only", "trials-only"],
+)
+def test_verify_concentration_config_sets_only_what_it_names(tmp_path, document, meta):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(["verify-concentration", "--config", str(path), "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "concentration_check.csv").read_text().splitlines()[0]
+    assert header.startswith(f"# {meta} ")
+
+
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  \"model\": ,\n}")
@@ -242,7 +257,7 @@ STRICT_CASES = {
     "grid_points": ("simulate", dict(WHITE, grid_points=True), "grid_points must be a positive integer"),
     "trials": ("simulate", dict(WHITE, trials=True), "trials must be a positive integer"),
     "seed": ("simulate", dict(WHITE, seed=True), "seed must be a nonnegative integer"),
-    "channels": ("simulate", dict(WHITE, model={"kind": "white", "channels": True}), "model.channels has the wrong type"),
+    "channels": ("simulate", dict(WHITE, model={"kind": "white", "channels": True}), "model: model.channels has the wrong type"),
     "block_length": (
         "certify",
         dict(CONTEXT_ONLY, estimator={"kind": "bartlett", "block_length": True}),
@@ -265,6 +280,42 @@ def test_unknown_nested_keys_and_boolean_integers_are_rejected(tmp_path, capsys,
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+BARTLETT = {"kind": "bartlett", "block_length": 4}
+CONTEXT = CONTEXT_ONLY["context"]
+
+# case -> (config, message): a ``context`` or ``epsilon`` that ``certify`` must not run on
+CONTEXT_CASES = {
+    "unknown-key": (dict(WHITE, context={"phi_ifn": 9.0}), "unknown context key 'phi_ifn'"),
+    "bool-number": (dict(CONTEXT_ONLY, context=dict(CONTEXT, phi_inf=True)), "context.phi_inf has the wrong type"),
+    "string-number": (dict(WHITE, context={"r1": "3"}), "context.r1 has the wrong type"),
+    "bool-decay": (dict(WHITE, context={"gamma": 2.0, "rho": False}), "context.rho has the wrong type"),
+    "float-channels": (dict(WHITE, context={"channels": 2.7}), "context.channels has the wrong type"),
+    "bool-channels": (dict(CONTEXT_ONLY, context=dict(CONTEXT, channels=True)), "context.channels has the wrong type"),
+    "bool-epsilon": (dict(CONTEXT_ONLY, epsilon=True), "epsilon must be positive when given"),
+    "lone-gamma": (dict(CONTEXT_ONLY, context=dict(CONTEXT, gamma=1.2)), "context needs gamma and rho together"),
+    "lone-rho": (dict(CONTEXT_ONLY, context=dict(CONTEXT, rho=0.4)), "context needs gamma and rho together"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTEXT_CASES))
+def test_malformed_context_and_epsilon_are_rejected(tmp_path, capsys, case):
+    config, message = CONTEXT_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, estimator=BARTLETT)))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_context_values_override_the_model_values():
+    config = parse_config({"model": {"kind": "geometric", "rho": 0.3}, "context": {"r1": 3, "gamma": 1.5}})
+    expected = dataclasses.replace(
+        BoundContext.from_model(config.model, GAUSSIAN), r1_norm=3.0, decay=(1.5, 0.3)
+    )
+    assert make_context(config) == expected
 
 
 def test_estimator_size_mismatch_is_config_error(tmp_path):
@@ -377,6 +428,54 @@ def test_unknown_estimator_kind_lists_every_kind(kind):
         f"estimator.kind {kind + '_x'!r} is not one of biased_periodogram, unbiased_periodogram, "
         "blackman_tukey, bartlett, welch"
     )
+
+
+# a valid JSON value for each annotation a required model field carries
+REQUIRED_VALUES = {"float": 0.5, "np.ndarray": [[0.5]]}
+
+
+def _required_model_values(cls):
+    return {f.name: REQUIRED_VALUES[f.type] for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+
+
+def test_models_keep_the_config_kinds_in_order():
+    assert list(signals.MODELS) == ["geometric", "white", "state_space", "ar1"]
+    for kind, cls in signals.MODELS.items():
+        assert cls.kind == kind or (kind, cls) == ("ar1", signals.GeometricScalar)
+
+
+@pytest.mark.parametrize("kind", list(signals.MODELS))
+def test_model_config_with_required_fields_only_uses_class_defaults(kind):
+    cls = signals.MODELS[kind]
+    required = _required_model_values(cls)
+    model = parse_config({"model": {"kind": kind, **required}}).model
+    expected = cls(**required)
+    assert type(model) is cls
+    for f in dataclasses.fields(cls):
+        np.testing.assert_array_equal(getattr(model, f.name), getattr(expected, f.name))
+
+
+@pytest.mark.parametrize("kind", list(signals.MODELS))
+def test_model_config_missing_required_field_is_named(kind):
+    required = _required_model_values(signals.MODELS[kind])
+    for name in required:
+        partial = {key: value for key, value in required.items() if key != name}
+        with pytest.raises(ConfigError) as err:
+            parse_config({"model": {"kind": kind, **partial}})
+        assert str(err.value) == f"model: model.{name} is required"
+
+
+@pytest.mark.parametrize("kind", list(signals.MODELS))
+def test_unknown_model_kind_lists_every_kind_once(kind):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"model": {"kind": kind + "_x"}})
+    assert str(err.value) == f"model.kind {kind + '_x'!r} is not one of geometric, white, state_space"
+
+
+@pytest.mark.parametrize("kind", list(signals.MODELS))
+def test_context_without_overrides_is_the_model_context(kind):
+    config = parse_config({"model": {"kind": kind, **_required_model_values(signals.MODELS[kind])}})
+    assert make_context(config) == BoundContext.from_model(config.model, GAUSSIAN)
 
 
 def test_zero_taper_is_a_config_error(tmp_path):

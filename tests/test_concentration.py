@@ -7,7 +7,7 @@ import pytest
 
 from specbound import bounds as bd
 from specbound import concentration as cc
-from specbound.constants import GAUSSIAN, constants_for, sub_gaussian
+from specbound.constants import GAUSSIAN, sub_gaussian
 
 
 # ---------------------------------------------------------------- tail bounds
@@ -63,7 +63,7 @@ def test_data_matrix_tail_inverts_pointwise_condition():
         delta = rng.uniform(0.01, 0.5)
         eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
         tail = cc.data_matrix_tail(
-            eps_star, xi, math.sqrt(xi), phi, channels, constants_for(assumption)
+            eps_star, xi, math.sqrt(xi), phi, channels, assumption
         )
         assert tail == pytest.approx(delta, rel=1e-9)
 

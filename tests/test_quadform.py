@@ -164,7 +164,7 @@ def test_expected_estimate_white_noise_is_flat(rng):
     form = qf.QuadraticForm(rng.standard_normal((6, 6)))
     coeffs = qf.bias_coefficients(form)
     grid = qf.frequency_grid(7, full_range=True)
-    mean = qf.expected_estimate(form, WhiteNoise(1), grid)
+    mean = qf.expected_estimate(coeffs, WhiteNoise(1), grid)
     for idx in range(grid.size):
         np.testing.assert_allclose(mean[idx], [[coeffs.at(0)]], atol=1e-12)
 

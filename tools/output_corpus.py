@@ -5,13 +5,15 @@ Usage: python tools/output_corpus.py OUT
 Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
-family at N = 528 and N = 2064; a context-only ``certify`` per family; a set
-of rejected configs; configs that only strict parsing rejects; a periodogram
-``certify --require-feasible``; ``reproduce --example 1`` and ``--example 2``
-with their defaults and with every option set; and ``verify-concentration``
-at its smallest trial count.  Each command gets a directory holding the
-files it wrote and a ``console.txt`` with its exit code (or the uncaught
-exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
+family at N = 528 and N = 2064; a context-only ``certify`` per family;
+``certify`` with ``context`` values overriding a model's; a set of rejected
+configs; configs that only strict parsing rejects; a periodogram ``certify
+--require-feasible``; ``reproduce --example 1`` and ``--example 2`` with their
+defaults and with every option set; and ``verify-concentration`` at its
+smallest trial count and with a config that sets only the seed.  Each
+command gets a directory holding the files it wrote and a ``console.txt``
+with its exit code (or the uncaught exception), stdout and stderr (the OUT
+prefix replaced by ``OUT``).
 
 A refactor that promises unchanged outputs runs this script on the parent
 checkout and on the change and compares the two directories with
@@ -61,6 +63,12 @@ ESTIMATORS = {
 SIZES = (528, 2064)
 
 CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
+
+# name -> (model, context): ``context`` values that override the model's own
+OVERRIDES = {
+    "geometric_gamma": ({"kind": "geometric", "rho": 0.3}, {"gamma": 1.5}),
+    "state_space_all": (STATE_SPACE, {"phi_inf": 12.0, "r1": 15.0, "gamma": 25.0, "rho": 0.55}),
+}
 
 # name -> (command, config): every one of these is rejected with exit code 2.
 # Window and taper errors, the all-zero length-two hann taper included, are
@@ -127,8 +135,10 @@ REJECTED = {
 }
 
 # name -> (command, config): accepted by a parser that ignores unknown keys
-# inside ``model`` and ``estimator`` and reads JSON booleans as integers, and
-# rejected with exit code 2 by a strict one.
+# inside ``model``, ``estimator`` and ``context``, reads JSON booleans as
+# numbers and coerces ``context`` values, and rejected with exit code 2 by a
+# strict one.
+BARTLETT = {"kind": "bartlett", "block_length": 4}
 STRICT = {
     "estimator_unknown_key": (
         "certify",
@@ -157,6 +167,24 @@ STRICT = {
     "bool_hop": (
         "certify", {"estimator": {"kind": "welch", "segment_length": 2, "hop": True, "taper": "rectangular"}, "num_samples": 8, "context": CONTEXT}
     ),
+    "context_unknown_key": (
+        "certify", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"phi_ifn": 9.0}}
+    ),
+    "context_bool_phi_inf": ("certify", {"estimator": BARTLETT, "num_samples": 16, "context": dict(CONTEXT, phi_inf=True)}),
+    "context_string_phi_inf": (
+        "certify", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"phi_inf": "3"}}
+    ),
+    "context_float_channels": (
+        "certify", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"channels": 2.7}}
+    ),
+    "context_bool_channels": ("certify", {"estimator": BARTLETT, "num_samples": 16, "context": dict(CONTEXT, channels=True)}),
+    "context_lone_gamma": (
+        "certify", {"estimator": BARTLETT, "num_samples": 16, "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1, "gamma": 1.2}}
+    ),
+    "context_lone_rho": (
+        "certify", {"estimator": BARTLETT, "num_samples": 16, "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1, "rho": 0.4}}
+    ),
+    "bool_epsilon": ("certify", {"estimator": BARTLETT, "num_samples": 16, "epsilon": True, "context": CONTEXT}),
 }
 
 # every option of ``reproduce`` set once, next to the defaults
@@ -213,6 +241,9 @@ def main(argv=None) -> int:
             out, name, {"estimator": estimator, "num_samples": 2064, "epsilon": 5.0, "context": CONTEXT}
         )
         run(out, f"certify/{name}", ["certify", "--config", config])
+    for name, (model, context) in OVERRIDES.items():
+        body = {"model": model, "estimator": ESTIMATORS["welch_hann"], "num_samples": 2064, "epsilon": 0.5, "context": context}
+        run(out, f"certify/override_{name}", ["certify", "--config", write_config(out, f"override_{name}", body)])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
     for name, (command, body) in STRICT.items():
@@ -223,6 +254,9 @@ def main(argv=None) -> int:
     for name, argv in REPRODUCE.items():
         run(out, f"reproduce/{name}", ["reproduce"] + argv)
     run(out, "verify_concentration", ["verify-concentration", "--trials", "10000", "--seed", "5"])
+    # the trial count comes from the command's own default
+    config = write_config(out, "verify_seed_only", {"seed": 5})
+    run(out, "verify_concentration_seed_only", ["verify-concentration", "--config", config])
     return 0
 
 
