@@ -29,7 +29,15 @@ from .constants import (
     NoiseAssumption,
     sub_gaussian,
 )
-from .quadform import _RANGE_SLACK, BiasCoefficients, QuadraticForm, bias_coefficients, diagonal_profile
+from .quadform import (
+    _RANGE_SLACK,
+    BiasCoefficients,
+    QuadraticForm,
+    autocov_tail,
+    bias_coefficients,
+    diagonal_profile,
+    envelope_tail,
+)
 
 __all__ = [
     "BartlettSelection",
@@ -38,6 +46,7 @@ __all__ = [
     "CONDITION_PARTS",
     "GAUSSIAN",
     "NoiseAssumption",
+    "PERIODOGRAM_NOTE",
     "accuracy_factor",
     "bartlett_bias_closed_form",
     "check_conditions",
@@ -58,14 +67,18 @@ __all__ = [
 
 CONDITION_PARTS = ("pointwise", "worst_case", "bias", "pointwise_total", "worst_total")
 
+# why a periodogram has no concentration certificate
+PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
+
 
 @dataclass(frozen=True)
 class BoundContext:
     """Process-side inputs shared by all certificates.
 
     ``decay`` is an optional (gamma, rho) envelope with ||R[k]|| <= gamma *
-    rho^|k|; ``model`` optionally supplies exact covariance tail sums for the
-    cutoff-lag search (the envelope is used otherwise).
+    rho^|k|; an attached ``model`` supplies the covariance tail sums for the
+    cutoff-lag search (the envelope is used otherwise) and is checked against
+    the envelope over lags 0..64.
     """
 
     assumption: NoiseAssumption
@@ -87,24 +100,21 @@ class BoundContext:
             if not gamma > 0.0 or not 0.0 <= rho < 1.0:
                 raise ValueError("decay pair must satisfy gamma > 0 and rho in [0, 1)")
             object.__setattr__(self, "decay", (float(gamma), float(rho)))
-            if self.model is not None and hasattr(self.model, "autocov"):
+            if self.model is not None:
                 # the envelope must dominate the attached model's covariances
-                for lag in range(65):
-                    norm = float(np.linalg.norm(self.model.autocov(lag), 2))
-                    if norm > gamma * rho ** lag + 1e-9:
-                        raise ValueError(
-                            f"decay envelope fails against the model at lag {lag}"
-                        )
+                norms = np.linalg.svd(self.model.autocov_stack(64), compute_uv=False)[:, 0]
+                failing = np.flatnonzero(norms > gamma * rho ** np.arange(65) + 1e-9)
+                if failing.size:
+                    raise ValueError(f"decay envelope fails against the model at lag {failing[0]}")
 
     @classmethod
     def from_model(cls, model, assumption: NoiseAssumption) -> "BoundContext":
-        decay = model.decay() if hasattr(model, "decay") else None
         return cls(
             assumption,
             float(model.phi_inf()),
             float(model.r1_norm()),
             int(model.channels),
-            decay,
+            model.decay(),
             model,
         )
 
@@ -136,17 +146,16 @@ def sup_confidence_factor(truncation, delta: float, ctx: BoundContext) -> float:
 def covariance_tail(ctx: BoundContext, lag: int) -> float:
     """Upper bound on the summed covariance norms over |k| >= lag.
 
-    Exact when the context carries a model with an analytic tail; otherwise
-    derived from the decay envelope.
+    Taken from the attached model when there is one; otherwise from the
+    context's decay envelope.
     """
-    if ctx.model is not None and hasattr(ctx.model, "autocov_tail"):
-        return float(ctx.model.autocov_tail(lag))
+    if ctx.model is not None:
+        return float(autocov_tail(ctx.model, lag))
     if lag <= 0:
         return ctx.r1_norm
     if ctx.decay is None:
         raise ValueError("context carries neither a model tail nor a decay envelope")
-    gamma, rho = ctx.decay
-    return 2.0 * gamma * rho ** lag / (1.0 - rho)
+    return envelope_tail(*ctx.decay, lag)
 
 
 def tail_cutoff_lag(eps: float, ctx: BoundContext) -> int:
@@ -325,7 +334,7 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
         raise ValueError("diagonal sums must vanish beyond the truncation width")
     lags = np.arange(-(truncation - 1), truncation)
     body = sum(abs(1.0 - bias.at(k)) * rho ** abs(k) for k in lags)
-    value = gamma * body + 2.0 * gamma * rho ** truncation / (1.0 - rho)
+    value = gamma * body + envelope_tail(gamma, rho, truncation)
     return Certificate(
         "bias_bound_geometric",
         value=float(value),
@@ -389,7 +398,7 @@ def check_estimator_conditions(
             available=False,
             epsilon=eps,
             delta=delta,
-            note="periodogram norm envelope is at least one",
+            note=PERIODOGRAM_NOTE,
         )
     if part != "bias":
         cert = check_conditions(part, eps, delta, ctx, envelope=params.envelope, truncation=params.truncation)

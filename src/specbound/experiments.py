@@ -136,6 +136,9 @@ def _reject_unknown(data: dict, known, where: str) -> None:
 # the JSON type a field accepts, by its annotation
 _JSON_TYPES = {"int": int, "float": (int, float), "np.ndarray": list}
 
+# the JSON type of each ``context`` key
+_CONTEXT_TYPES = {**dict.fromkeys(("phi_inf", "r1", "gamma", "rho"), (int, float)), "channels": int}
+
 
 def _parse_spec(data: dict, registry: dict, where: str):
     """Build the class that ``registry`` lists under ``data["kind"]`` from its dataclass fields.
@@ -199,6 +202,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     context = data.get("context", {})
     if not isinstance(context, dict):
         raise ConfigError("context must be an object")
+    _reject_unknown(context, _CONTEXT_TYPES, "context")
+    for key in context:
+        _require(context, key, _CONTEXT_TYPES[key], "context")
     full_range = data.get("full_range", False)
     if not isinstance(full_range, bool):
         raise ConfigError("full_range must be a boolean")
@@ -244,17 +250,12 @@ def _assumption_for(noise: str):
     return GAUSSIAN if noise == "gaussian" else sub_gaussian(signals.UNIFORM_SIGMA)
 
 
-# the JSON type of each ``context`` key
-_CONTEXT_TYPES = {**dict.fromkeys(("phi_inf", "r1", "gamma", "rho"), (int, float)), "channels": int}
-
-
 def make_context(config: ExperimentConfig) -> bounds.BoundContext:
     """Bound context from the model's values, each of which the ``context`` object may override.
 
     Without a model, the ``context`` object supplies every value.
     """
     given = config.context_overrides
-    _reject_unknown(given, _CONTEXT_TYPES, "context")
     model = config.model
     if model is None:
         missing = [name for name in ("phi_inf", "r1", "channels") if name not in given]
@@ -266,8 +267,7 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
     else:
         gamma, rho = model.decay()
         values = dict(phi_inf=model.phi_inf(), r1=model.r1_norm(), channels=model.channels, gamma=gamma, rho=rho)
-    for key in given:
-        values[key] = _require(given, key, _CONTEXT_TYPES[key], "context")
+    values.update(given)
     decay = (float(values["gamma"]), float(values["rho"])) if "gamma" in values else None
     try:
         return bounds.BoundContext(
@@ -360,11 +360,10 @@ def read_estimate_csv(path) -> SpectralEstimate:
 
 def _certificate_row(cert: bounds.Certificate) -> list:
     inputs = ";".join(f"{key}={_format_cell(value)}" for key, value in cert.inputs)
-    holds = "" if cert.holds is None else ("true" if cert.holds else "false")
     return [
         cert.statement,
-        "true" if cert.available else "false",
-        holds,
+        cert.available,
+        cert.holds,
         cert.value,
         cert.epsilon,
         cert.delta,
@@ -385,9 +384,8 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
     params = estimators.certificate_params(spec, num_samples)
     certs: list[bounds.Certificate] = []
     if params is None:
-        note = "periodogram norm envelope is at least one"
-        certs.append(bounds.Certificate("pointwise_bound", available=False, note=note))
-        certs.append(bounds.Certificate("worst_case_bound", available=False, note=note))
+        certs.append(bounds.Certificate("pointwise_bound", available=False, note=bounds.PERIODOGRAM_NOTE))
+        certs.append(bounds.Certificate("worst_case_bound", available=False, note=bounds.PERIODOGRAM_NOTE))
     else:
         certs.append(bounds.pointwise_error_bound(params.envelope, config.delta, ctx))
         certs.append(bounds.worst_case_error_bound(params.envelope, params.truncation, config.delta, ctx))
@@ -445,6 +443,11 @@ def example_state_space(rho_target: float = 0.5) -> signals.StateSpace:
     )
 
 
+# the segment taper of both studies and the correlation of the first study's model
+REPRODUCE_TAPER = "hann"
+EXAMPLE1_RHO = 0.3
+
+
 @dataclass(frozen=True)
 class ReproduceOptions:
     """Knobs of the bundled reproduction studies (all recorded in the output)."""
@@ -454,10 +457,8 @@ class ReproduceOptions:
     delta: float = 0.05
     segment_length: int = 32
     hop: int = 16
-    taper: str = "hann"
     grid_points: int = 101
     blocks: tuple = (8, 16, 32, 64, 128)
-    rho: float = 0.3
     rho_target: float = 0.5
 
 
@@ -482,7 +483,7 @@ def _sweep_rows(model, noise: str, options: ReproduceOptions, noise_index: int):
     rows = []
     for sweep_index, blocks in enumerate(options.blocks):
         num_samples = (blocks - 1) * options.hop + options.segment_length
-        spec = estimators.Welch(options.segment_length, options.hop, options.taper)
+        spec = estimators.Welch(options.segment_length, options.hop, REPRODUCE_TAPER)
         params = estimators.certificate_params(spec, num_samples)
         bias = estimators.closed_form_bias(spec, num_samples)
         concentration = bounds.worst_case_error_bound(
@@ -549,16 +550,16 @@ def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOp
         "seed": options.seed,
         "segment_length": options.segment_length,
         "hop": options.hop,
-        "taper": options.taper,
+        "taper": REPRODUCE_TAPER,
         "grid_points": options.grid_points,
     }
     if example == 1:
-        model = signals.GeometricScalar(options.rho)
+        model = signals.GeometricScalar(EXAMPLE1_RHO)
         paths = []
         for noise_index, noise in enumerate(("gaussian", "uniform")):
             rows = _sweep_rows(model, noise, options, noise_index)
             stem = "example1_gaussian" if noise == "gaussian" else "example1_subgaussian"
-            meta = dict(base_meta, example=1, noise=noise, rho=options.rho)
+            meta = dict(base_meta, example=1, noise=noise, rho=EXAMPLE1_RHO)
             meta["config_hash"] = _options_digest(meta)
             paths += _sweep_report(rows, out_dir, stem, meta, "exact_bias")
         return paths

@@ -28,8 +28,10 @@ __all__ = [
     "DiagonalProfile",
     "QuadraticForm",
     "SpectralEstimate",
+    "autocov_tail",
     "bias_coefficients",
     "diagonal_profile",
+    "envelope_tail",
     "evaluate_generic",
     "evaluate_generic_grid",
     "exact_bias_sup",
@@ -287,6 +289,22 @@ def evaluate_generic_grid(data: DataMatrix, form: QuadraticForm, frequencies) ->
     return SpectralEstimate(freqs, matrices)
 
 
+def envelope_tail(gamma: float, rho: float, lag: int) -> float:
+    """Sum of the envelope gamma rho^|k| over |k| >= lag, for lag >= 1."""
+    return 2.0 * gamma * rho ** lag / (1.0 - rho)
+
+
+def autocov_tail(model, lag: int) -> float:
+    """Bound on the summed covariance norms over |k| >= lag.
+
+    At lag zero or below it is the model's summed norm bound; beyond, the
+    tail of its decay envelope (exact for the geometric and white models).
+    """
+    if lag <= 0:
+        return model.r1_norm()
+    return envelope_tail(*model.decay(), lag)
+
+
 def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
     """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n)."""
     if not hasattr(model, "autocov_stack"):
@@ -309,10 +327,10 @@ def exact_bias_sup(bias: BiasCoefficients, model, frequencies) -> float:
     """Worst-case bias upper bound, sharp up to the grid resolution.
 
     Evaluates sum_{|k| < H} e^{-j2 pi s k} (1 - b[k]) R[k] on the grid, takes
-    the largest spectral norm, and adds the analytic remainder
-    sum_{|l| >= H} ||R[l]||_2 supplied by the model, where H is the half-width
-    of the diagonal sums.
+    the largest spectral norm, and adds the remainder bound
+    ``autocov_tail(model, H)`` on sum_{|l| >= H} ||R[l]||_2, where H is the
+    half-width of the diagonal sums.
     """
     finite = hermitian_part(_lag_sum(bias, 1.0 - bias.values, model, frequencies))
     grid_sup = float(hermitian_spectral_norms(finite).max())
-    return grid_sup + float(model.autocov_tail(bias.half_width))
+    return grid_sup + float(autocov_tail(model, bias.half_width))

@@ -10,13 +10,14 @@ Three stationary zero-mean model families back the validation studies:
   vectors, with closed-form autocovariance via the stationary state
   covariance.
 
-Models expose the exact autocovariance, the spectrum, its sup norm, the
-summed covariance norm, an analytic tail bound, a geometric decay pair
-(gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and their sampler as
-``sample_paths``.  ``MODELS`` maps each config ``kind`` to its class, whose
-dataclass fields are the config keys.  Samplers draw from counter-based
-streams keyed by (seed, path index) so every path is bitwise reproducible
-independent of batching.
+Models expose the exact autocovariance R[0..K] as one stack
+(``autocov_stack``), the spectrum, its sup norm, the summed covariance norm,
+a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and
+their sampler as ``sample_paths``; covariance tail sums follow from the decay
+pair (``quadform.autocov_tail``).  ``MODELS`` maps each config ``kind`` to
+its class, whose dataclass fields are the config keys.  Samplers draw from
+counter-based streams keyed by (seed, path index) so every path is bitwise
+reproducible independent of batching.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadform import DataMatrix, hermitian_spectral_norms
+from .quadform import DataMatrix, autocov_tail, hermitian_spectral_norms
 from .streams import rng_stream
 
 __all__ = [
@@ -107,17 +108,8 @@ class GeometricScalar:
     def channels(self) -> int:
         return 1
 
-    def autocov(self, k: int) -> np.ndarray:
-        return np.array([[self.rho ** abs(int(k))]])
-
     def autocov_stack(self, max_lag: int) -> np.ndarray:
         return (self.rho ** np.arange(max_lag + 1, dtype=float)).reshape(-1, 1, 1)
-
-    def autocov_tail(self, lag: int) -> float:
-        """Exact sum of |R[k]| over |k| >= lag."""
-        if lag <= 0:
-            return self.r1_norm()
-        return 2.0 * self.rho ** lag / (1.0 - self.rho)
 
     def psd_grid(self, frequencies) -> np.ndarray:
         s = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -153,18 +145,10 @@ class WhiteNoise:
         if self.channels < 1:
             raise ValueError("channel count must be positive")
 
-    def autocov(self, k: int) -> np.ndarray:
-        if int(k) == 0:
-            return np.eye(self.channels)
-        return np.zeros((self.channels, self.channels))
-
     def autocov_stack(self, max_lag: int) -> np.ndarray:
         out = np.zeros((max_lag + 1, self.channels, self.channels))
         out[0] = np.eye(self.channels)
         return out
-
-    def autocov_tail(self, lag: int) -> float:
-        return 1.0 if lag <= 0 else 0.0
 
     def psd_grid(self, frequencies) -> np.ndarray:
         s = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -256,18 +240,10 @@ class StateSpace:
         # R[k] = C A^(k-1) (A X C' + B D') for k >= 1
         return self.a @ self.state_covariance @ self.c.T + self.b @ self.d.T
 
-    def autocov(self, k: int) -> np.ndarray:
-        k = int(k)
-        if k < 0:
-            return self.autocov(-k).T
-        if k == 0:
-            return self.c @ self.state_covariance @ self.c.T + self.d @ self.d.T
-        return self.c @ np.linalg.matrix_power(self.a, k - 1) @ self._lag_seed
-
     def autocov_stack(self, max_lag: int) -> np.ndarray:
         n = self.channels
         out = np.empty((max_lag + 1, n, n))
-        out[0] = self.autocov(0)
+        out[0] = self.c @ self.state_covariance @ self.c.T + self.d @ self.d.T
         cross = self._lag_seed
         for k in range(1, max_lag + 1):
             out[k] = self.c @ cross
@@ -284,12 +260,6 @@ class StateSpace:
     def decay(self) -> tuple[float, float]:
         cert = self.decay_certificate
         return (cert.gamma, cert.rho)
-
-    def autocov_tail(self, lag: int) -> float:
-        if lag <= 0:
-            return self.r1_norm()
-        gamma, rho = self.decay()
-        return 2.0 * gamma * rho ** lag / (1.0 - rho)
 
     def psd(self, frequency: float) -> np.ndarray:
         return self.psd_grid([frequency])[0]
@@ -343,8 +313,7 @@ def r1_norm_bound(model, depth: int) -> tuple[float, float]:
     stack = model.autocov_stack(depth)
     norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
     partial = float(norms[0] + 2.0 * norms[1:].sum())
-    gamma, rho = model.decay()
-    remainder = 0.0 if rho == 0.0 else 2.0 * gamma * rho ** (depth + 1) / (1.0 - rho)
+    remainder = autocov_tail(model, depth + 1)
     return partial + remainder, remainder
 
 
@@ -365,7 +334,7 @@ def certify_decay(model: StateSpace, rho_target: float) -> DecayCertificate:
     eigenvalues = np.linalg.eigvalsh(weight)
     kappa = float(eigenvalues.max() / eigenvalues.min())
     x = model.state_covariance
-    static = float(np.linalg.norm(model.c @ x @ model.c.T + model.d @ model.d.T, 2))
+    static = float(np.linalg.norm(model.autocov_stack(0)[0], 2))
     driven = (
         math.sqrt(kappa)
         * float(np.linalg.norm(model.c, 2))

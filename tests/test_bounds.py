@@ -10,6 +10,7 @@ from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound.constants import GAUSSIAN, sub_gaussian
+from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
 
@@ -352,10 +353,22 @@ def test_optimizer_returns_best_divisor():
 
 def test_context_rejects_envelope_below_the_model():
     model = GeometricScalar(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fails against the model at lag 1$"):
         bd.BoundContext(GAUSSIAN, 3.0, 3.0, 1, decay=(1.0, 0.2), model=model)
     loose = bd.BoundContext(GAUSSIAN, 3.0, 3.0, 1, decay=(2.0, 0.6), model=model)
     assert loose.decay == (2.0, 0.6)
+    # this pair holds at lags 0 and 1 and fails later; a per-lag loop over the
+    # matrix-power closed form R[k] = C A^(k-1) (A X C' + B D') finds where
+    chain = example_state_space(0.5)
+    gamma, rho = 30.0, 0.3
+    x = chain.state_covariance
+    seed = chain.a @ x @ chain.c.T + chain.b @ chain.d.T
+    covariances = [chain.c @ x @ chain.c.T + chain.d @ chain.d.T]
+    covariances += [chain.c @ np.linalg.matrix_power(chain.a, k - 1) @ seed for k in range(1, 65)]
+    first = next(k for k, r in enumerate(covariances) if np.linalg.norm(r, 2) > gamma * rho ** k + 1e-9)
+    assert first > 1
+    with pytest.raises(ValueError, match=f"fails against the model at lag {first}$"):
+        bd.BoundContext(GAUSSIAN, 12.0, 15.0, 3, decay=(gamma, rho), model=chain)
 
 
 def test_worst_total_condition_validated_by_simulation():

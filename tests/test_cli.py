@@ -310,6 +310,22 @@ def test_malformed_context_and_epsilon_are_rejected(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate", "certify"])
+@pytest.mark.parametrize(
+    "context, message",
+    [({"phi_ifn": 9.0}, "unknown context key 'phi_ifn'"), ({"phi_inf": "3"}, "context.phi_inf has the wrong type")],
+    ids=["unknown-key", "string-number"],
+)
+def test_every_command_rejects_a_malformed_context(tmp_path, capsys, command, context, message):
+    # estimate and simulate never read the context, yet they must not run on a malformed one
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(WHITE, estimator=BARTLETT, num_samples=16, context=context)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_context_values_override_the_model_values():
     config = parse_config({"model": {"kind": "geometric", "rho": 0.3}, "context": {"r1": 3, "gamma": 1.5}})
     expected = dataclasses.replace(

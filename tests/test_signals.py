@@ -21,12 +21,18 @@ def chain():
 
 def test_geometric_autocovariance_and_transform():
     model = sig.GeometricScalar(0.3)
-    assert model.autocov(2)[0, 0] == pytest.approx(0.09)
-    assert model.autocov(-2)[0, 0] == pytest.approx(0.09)
+    stack = qf.two_sided_stack(model.autocov_stack(2))
+    assert stack[4, 0, 0] == pytest.approx(0.09)
+    assert stack[0, 0, 0] == pytest.approx(0.09)
     # value at frequency zero equals the full covariance sum (1 + rho) / (1 - rho)
     assert model.psd(0.0)[0, 0].real == pytest.approx(0.91 / 0.49)
     assert model.phi_inf() == pytest.approx(13.0 / 7.0)
     assert model.r1_norm() == pytest.approx(13.0 / 7.0)
+    # the tail sum over |k| >= L is 2 rho^L / (1 - rho), and the whole sum at L <= 0
+    for lag in (1, 2, 7, 64, 299):
+        value = qf.autocov_tail(model, lag)
+        assert type(value) is float and value == 2 * 0.3 ** lag / (1 - 0.3)
+    assert qf.autocov_tail(model, 0) == qf.autocov_tail(model, -2) == model.r1_norm()
 
 
 def test_geometric_transform_equals_lag_sum():
@@ -51,10 +57,13 @@ def test_geometric_validation():
 
 def test_white_noise_model():
     model = sig.WhiteNoise(2)
-    np.testing.assert_array_equal(model.autocov(0), np.eye(2))
-    assert not model.autocov(3).any()
+    stack = model.autocov_stack(3)
+    np.testing.assert_array_equal(stack[0], np.eye(2))
+    assert not stack[1:].any()
     np.testing.assert_array_equal(model.psd(0.3), np.eye(2))
-    assert model.autocov_tail(1) == 0.0 and model.autocov_tail(0) == 1.0
+
+    assert qf.autocov_tail(model, 0) == qf.autocov_tail(model, -1) == 1.0
+    assert all(qf.autocov_tail(model, lag) == 0.0 for lag in (1, 2, 64))
 
 
 # ---------------------------------------------------------------- state space
@@ -85,17 +94,14 @@ def test_state_covariance_fixed_point(chain):
 
 def test_state_space_autocov_closed_form(chain):
     x = chain.state_covariance
-    np.testing.assert_allclose(
-        chain.autocov(0), chain.c @ x @ chain.c.T + chain.d @ chain.d.T, atol=1e-12
-    )
+    stack = chain.autocov_stack(5)
+    two_sided = qf.two_sided_stack(stack)
+    np.testing.assert_allclose(stack[0], chain.c @ x @ chain.c.T + chain.d @ chain.d.T, atol=1e-12)
     seed = chain.a @ x @ chain.c.T + chain.b @ chain.d.T
     for k in (1, 2, 5):
         expected = chain.c @ np.linalg.matrix_power(chain.a, k - 1) @ seed
-        np.testing.assert_allclose(chain.autocov(k), expected, atol=1e-12)
-        np.testing.assert_allclose(chain.autocov(-k), expected.T, atol=1e-12)
-    stack = chain.autocov_stack(5)
-    for k in range(6):
-        np.testing.assert_allclose(stack[k], chain.autocov(k), atol=1e-12)
+        np.testing.assert_allclose(stack[k], expected, atol=1e-12)
+        np.testing.assert_allclose(two_sided[5 - k], expected.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("model", ["chain", "resonant"])
@@ -135,7 +141,7 @@ def test_spectrum_matches_truncated_lag_transform(chain):
     diff = truth - approx
     diff = 0.5 * (diff + diff.conj().transpose(0, 2, 1))
     gap = qf.hermitian_spectral_norms(diff).max()
-    assert gap <= chain.autocov_tail(depth + 1) + 1e-12
+    assert gap <= qf.autocov_tail(chain, depth + 1) + 1e-12
 
 
 def test_unstable_transition_rejected():
@@ -147,9 +153,15 @@ def test_decay_certificate_envelope(chain):
     cert = chain.decay_certificate
     assert cert.kappa >= 1.0
     assert cert.rho == 0.5
+    stack = chain.autocov_stack(64)
     for k in range(65):
-        norm = np.linalg.norm(chain.autocov(k), 2)
+        norm = np.linalg.norm(stack[k], 2)
         assert norm <= cert.gamma * cert.rho ** k + 1e-12
+    # the tail sum of the envelope over |k| >= L, and the summed norm bound at L <= 0
+    for lag in (1, 2, 7, 64, 299):
+        value = qf.autocov_tail(chain, lag)
+        assert type(value) is float and value == 2 * cert.gamma * cert.rho ** lag / (1 - cert.rho)
+    assert qf.autocov_tail(chain, 0) == qf.autocov_tail(chain, -2) == chain.r1_norm()
 
 
 def test_decay_certificate_weight_inequality(chain):
@@ -226,7 +238,7 @@ def test_stationarity_across_window_positions():
 def test_state_space_sampler_matches_lag_zero(chain):
     paths = sig.sample_state_space_paths(chain, 512, 300, seed=21)
     covariance = np.einsum("tik,tjk->ij", paths, paths) / (300 * 512)
-    exact = chain.autocov(0)
+    exact = chain.autocov_stack(0)[0]
     spread = np.abs(exact).max() / np.sqrt(300)
     assert np.abs(covariance - exact).max() <= 3.0 * spread
 

@@ -132,6 +132,25 @@ REJECTED = {
         "certify",
         {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16, "context": dict(CONTEXT, phi_inf=-1.0)},
     ),
+    # decay overrides below the model's covariance norms, first at lag 1 and at lag 4
+    "context_decay_below_geometric": (
+        "certify",
+        {
+            "model": {"kind": "geometric", "rho": 0.5},
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "context": {"gamma": 1.0, "rho": 0.2},
+        },
+    ),
+    "context_decay_below_state_space": (
+        "certify",
+        {
+            "model": STATE_SPACE,
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "context": {"gamma": 30.0, "rho": 0.3},
+        },
+    ),
 }
 
 # name -> (command, config): accepted by a parser that ignores unknown keys
@@ -185,6 +204,16 @@ STRICT = {
         "certify", {"estimator": BARTLETT, "num_samples": 16, "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1, "rho": 0.4}}
     ),
     "bool_epsilon": ("certify", {"estimator": BARTLETT, "num_samples": 16, "epsilon": True, "context": CONTEXT}),
+    "estimate_context_unknown_key": (
+        "estimate", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"phi_ifn": 9.0}}
+    ),
+    "estimate_context_string_phi_inf": (
+        "estimate", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"phi_inf": "3"}}
+    ),
+    "simulate_context_unknown_key": (
+        "simulate", {"model": {"kind": "white"}, "estimator": BARTLETT, "num_samples": 16, "context": {"phi_ifn": 9.0}}
+    ),
+    "simulate_context_bool_channels": ("simulate", {"model": {"kind": "white"}, "num_samples": 16, "context": {"channels": True}}),
 }
 
 # every option of ``reproduce`` set once, next to the defaults
