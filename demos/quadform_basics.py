@@ -54,9 +54,9 @@ print("  entries:", np.round(profile.entries, 4))
 print(f"  sup norm {profile.sup_norm:.4f} (= ||B[1]||_2), l2 norm {profile.l2_norm:.4f} (= ||B[1]||_F)")
 
 print("\ndiagonal sums b[k] determine the estimator mean; bartlett gives 1 - |k|/M:")
-coeffs = bias_coefficients(build_matrix(Bartlett(4), N))
+lags = bias_coefficients(build_matrix(Bartlett(4), N)).on_lags(5)
 for k in range(5):
-    print(f"  b[{k}] = {coeffs.at(k):.4f}")
+    print(f"  b[{k}] = {lags[k + 4]:.4f}")
 
 print("\nfast structured paths vs the dense quadratic form (worst entry deviation):")
 rng = np.random.default_rng(7)

@@ -287,7 +287,9 @@ def check_conditions(
     in_range = bool(
         np.all(bias.values >= -_RANGE_SLACK) and np.all(bias.values <= 1.0 + _RANGE_SLACK)
     )
-    near_one = all(bias.at(k) >= floor for k in range(-(cutoff - 1), cutoff)) if cutoff > 0 else True
+    # lags the diagonal sums do not store read 0.0, so one comparison covers them
+    stored = min(cutoff, bias.half_width)
+    near_one = bool(np.all(bias.on_lags(stored) >= floor)) and (cutoff == stored or 0.0 >= floor)
     return Certificate(
         "bias_condition",
         holds=in_range and near_one,
@@ -332,8 +334,18 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
     outside = np.abs(bias.offsets) >= truncation
     if np.any(bias.values[outside] != 0.0):
         raise ValueError("diagonal sums must vanish beyond the truncation width")
-    lags = np.arange(-(truncation - 1), truncation)
-    body = sum(abs(1.0 - bias.at(k)) * rho ** abs(k) for k in lags)
+    # the powers equal the scalar rho ** k of a per-lag sum: for one numpy
+    # integer k numpy returns rho at k = 1 and rho * rho at k = 2, which its
+    # array power loop need not
+    powers = rho ** np.arange(truncation, dtype=float)
+    powers[1:3] = [rho, rho * rho][: truncation - 1]
+    # |1 - b[k]| rho^|k| for k = -(truncation - 1) .. truncation - 1, built in place
+    terms = 1.0 - bias.on_lags(truncation)
+    np.abs(terms, out=terms)
+    terms[: truncation - 1] *= powers[:0:-1]
+    terms[truncation - 1 :] *= powers
+    # accumulate adds left to right, in the order of a sequential sum; np.sum adds pairwise
+    body = np.add.accumulate(terms, out=terms)[-1]
     value = gamma * body + envelope_tail(gamma, rho, truncation)
     return Certificate(
         "bias_bound_geometric",

@@ -62,7 +62,10 @@ def format_number(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
+    return _format_float(float(value))
+
+
+def _format_float(v: float) -> str:
     if v == 0.0:
         return "0"
     if 1e-3 <= abs(v) < 1e4:
@@ -71,6 +74,12 @@ def format_number(value) -> str:
 
 
 def _format_cell(value) -> str:
+    # plain floats and ints, nearly every cell, skip the type checks of format_number
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is int:
+        return str(value)
     if isinstance(value, str):
         return value
     if value is None:
@@ -82,8 +91,7 @@ def write_csv(path, columns, rows, meta) -> Path:
     """Write a CSV with one comment line of metadata and a header row."""
     lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items())]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    lines.extend(",".join([_format_cell(cell) for cell in row]) for row in rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -300,7 +308,7 @@ def run_simulate(config: ExperimentConfig, out_dir) -> Path:
     num_samples = _need(config, "num_samples")
     data = sample_model(model, config.noise, num_samples, config.seed, trial=0)
     columns = ["t"] + [f"y{i + 1}" for i in range(data.channels)]
-    rows = [[t] + list(data.values[:, t]) for t in range(data.samples)]
+    rows = ([t] + values for t, values in enumerate(data.values.T.tolist()))
     meta = {"config_hash": config_digest(config), "seed": config.seed}
     return write_csv(Path(out_dir) / "simulate.csv", columns, rows, meta)
 

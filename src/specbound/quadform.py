@@ -216,10 +216,13 @@ class BiasCoefficients:
         h = self.half_width
         return np.arange(-(h - 1), h)
 
-    def at(self, k: int) -> float:
-        if abs(int(k)) >= self.half_width:
-            return 0.0
-        return float(self.values[int(k) + self.half_width - 1])
+    def on_lags(self, width: int) -> np.ndarray:
+        """b[k] for |k| < width at index k + width - 1, zero beyond the stored lags."""
+        h = self.half_width
+        if width <= h:
+            return self.values[h - width : h + width - 1]
+        pad = np.zeros(width - h)
+        return np.concatenate([pad, self.values, pad])
 
 
 def two_sided_stack(head: np.ndarray) -> np.ndarray:

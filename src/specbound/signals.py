@@ -450,23 +450,44 @@ def sample_state_space_paths(
 ) -> np.ndarray:
     """Stationary state-space paths (trials, channels, samples), one stream per trial.
 
-    The state starts from its exact stationary law.  Each trial is computed
-    on its own, so path t is bitwise identical no matter how trials are
-    batched or scheduled.
+    The state starts from its exact stationary law.  Trial t draws its start
+    and its shocks from its own stream, so path t is bitwise identical no
+    matter how trials are batched or scheduled.
+
+    Every product is one stacked ``np.matmul`` over steps and trials: ``B z``
+    and ``D z`` for all steps at once, ``C x`` once the states are known, and
+    ``A x`` in the only Python loop, over time.  Each stacked item is the
+    BLAS call the per-step product ``M @ v`` makes, on the same operand
+    strides: the states are contiguous vectors, and each shock vector is a
+    column of its trial's (noise inputs, samples) block, read in place.  A
+    contiguous copy of the shocks would change the bits: at unit stride the
+    dot product of a one-row matrix takes a SIMD kernel that sums in another
+    order.
     """
     if num_samples < 1 or trials < 1:
         raise ValueError("num_samples and trials must be positive")
     root = _covariance_root(model.state_covariance)
-    out = np.empty((trials, model.channels, num_samples))
-    a, b, c, d = model.a, model.b, model.c, model.d
+    states = np.empty((num_samples + 1, trials, model.state_dim, 1))
+    shocks = np.empty((trials, model.noise_dim, num_samples))
     for t in range(trials):
         rng = rng_stream(seed, first_trial + t)
-        state = root @ rng.standard_normal(model.state_dim)
-        shocks = rng.standard_normal((model.noise_dim, num_samples))
-        for k in range(num_samples):
-            z = shocks[:, k]
-            out[t, :, k] = c @ state + d @ z
-            state = a @ state + b @ z
+        states[0, t, :, 0] = root @ rng.standard_normal(model.state_dim)
+        rng.standard_normal(out=shocks[t])
+    # z[t, k] is column k of trial t's shocks, shape (noise inputs, 1)
+    z = shocks.transpose(0, 2, 1)[..., None]
+    # B z[k] and D z[k] go straight into the state buffer and the
+    # (trials, channels, samples) result; dropping the shocks before the
+    # time loop keeps the peak memory near that of a per-step loop
+    np.matmul(model.b, z, out=states[1:].transpose(1, 0, 2, 3))
+    out = np.empty((trials, model.channels, num_samples))
+    y = out.transpose(0, 2, 1)[..., None]
+    np.matmul(model.d, z, out=y)
+    del shocks, z
+    # x[k + 1] = A x[k] + B z[k]
+    for x, following in zip(states, states[1:]):
+        following += np.matmul(model.a, x)
+    # y[k] = C x[k] + D z[k]
+    np.add(np.matmul(model.c, states[:-1]).transpose(1, 0, 2, 3), y, out=y)
     return out
 
 

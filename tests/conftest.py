@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from specbound import estimators
+from specbound.quadform import envelope_tail
 
 
 def random_estimator_spec(rng: np.random.Generator, max_samples: int = 128):
@@ -30,3 +31,15 @@ def random_estimator_spec(rng: np.random.Generator, max_samples: int = 128):
     if segment == 2 and taper in ("hann", "triangular", "blackman"):
         taper = "rectangular"  # those tapers vanish identically at length two
     return estimators.Welch(segment, hop, taper), (segments - 1) * hop + segment
+
+
+def sequential_geometric_bias_bound(bias, truncation, gamma, rho):
+    """The bias bound summed one lag at a time, from the most negative lag up."""
+    h = bias.half_width
+
+    def at(k):
+        return 0.0 if abs(int(k)) >= h else float(bias.values[int(k) + h - 1])
+
+    # numpy integer lags, so rho ** |k| is numpy's scalar power
+    lags = np.arange(-(truncation - 1), truncation)
+    return float(gamma * sum(abs(1.0 - at(k)) * rho ** abs(k) for k in lags) + envelope_tail(gamma, rho, truncation))

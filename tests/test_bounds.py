@@ -13,6 +13,8 @@ from specbound.constants import GAUSSIAN, sub_gaussian
 from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
+from conftest import sequential_geometric_bias_bound
+
 
 def ctx_gauss(phi=1.0, r1=1.0, channels=1, decay=None, model=None):
     return bd.BoundContext(GAUSSIAN, phi, r1, channels, decay, model)
@@ -165,6 +167,35 @@ def test_geometric_bias_bound_special_cases():
     wide = qf.BiasCoefficients(np.array([0.5, 1.0, 0.5]))
     with pytest.raises(ValueError):
         bd.geometric_bias_bound(wide, 1, 1.0, 0.5)
+
+
+BIAS_SPECS = {
+    "biased_periodogram": est.BiasedPeriodogram(),
+    "unbiased_periodogram": est.UnbiasedPeriodogram(),
+    "blackman_tukey": est.BlackmanTukey(24, "hann"),
+    "bartlett": est.Bartlett(16),
+    "welch": est.Welch(32, 16, "hann"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BIAS_SPECS))
+def test_geometric_bias_bound_equals_sequential_sum(kind):
+    spec = BIAS_SPECS[kind]
+    for n in (64, 528, 2064):
+        bias = est.closed_form_bias(spec, n)
+        params = est.certificate_params(spec, n)
+        truncation = n if params is None else params.truncation
+        # the second truncation reaches past every stored diagonal sum
+        for width in (truncation, bias.half_width + 5):
+            for rho in (0.0, 0.3, 0.95, 0.995):
+                cert = bd.geometric_bias_bound(bias, width, 1.7, rho)
+                assert cert.value == sequential_geometric_bias_bound(bias, width, 1.7, rho), (n, width, rho)
+
+
+def test_long_periodogram_bias_bound_equals_sequential_sum():
+    bias = est.closed_form_bias(est.BiasedPeriodogram(), 65536)
+    cert = bd.geometric_bias_bound(bias, 65536, 1.0, 0.95)
+    assert cert.value == sequential_geometric_bias_bound(bias, 65536, 1.0, 0.95)
 
 
 def test_bias_bounds_dominate_exact_bias():

@@ -22,6 +22,7 @@ from specbound.experiments import (
     run_estimate,
     run_reproduce,
     sample_model,
+    write_csv,
     ReproduceOptions,
 )
 
@@ -374,6 +375,21 @@ def test_number_formatting_rules():
     assert "e" in format_number(5e-4)
     assert format_number(True) == "true"
     assert format_number(7) == "7"
+
+
+def test_csv_cells_are_formatted_like_format_number(tmp_path):
+    floats = [
+        0.0, -0.0, 1e-3, float(np.nextafter(1e-3, 0.0)), 9999.999999999999, 1e4, -1e4,
+        5e-324, sys.float_info.max, float("nan"), float("inf"), float("-inf"),
+    ]
+    numbers = floats + [np.float64(x) for x in floats] + [7, -3, np.int64(12), True, np.bool_(False)]
+    expected = [format_number(cell) for cell in numbers] + ["", "text"]
+    path = write_csv(tmp_path / "cells.csv", ["cell"], [[cell] for cell in numbers + [None, "text"]], {"k": 1})
+    assert path.read_text().splitlines()[2:] == expected
+    # a float and the numpy float of equal value write the same cell
+    assert expected[: len(floats)] == expected[len(floats) : 2 * len(floats)]
+    one_row = write_csv(tmp_path / "row.csv", ["cells"], [numbers + [None, "text"]], {})
+    assert one_row.read_text().splitlines()[2] == ",".join(expected)
 
 
 def test_reproduce_small_run(tmp_path):

@@ -126,20 +126,22 @@ def test_periodogram_norm_obstruction():
 
 def test_biased_periodogram_bias_sequence():
     coeffs = est.closed_form_bias(est.BiasedPeriodogram(), 4)
+    lags = coeffs.on_lags(5)
     for k, value in [(0, 1.0), (1, 0.75), (2, 0.5), (3, 0.25), (4, 0.0)]:
-        assert coeffs.at(k) == pytest.approx(value)
-        assert coeffs.at(-k) == pytest.approx(value)
+        assert lags[k + 4] == pytest.approx(value)
+        assert lags[-k + 4] == pytest.approx(value)
 
 
 def test_unbiased_periodogram_bias_is_one():
     coeffs = est.closed_form_bias(est.UnbiasedPeriodogram(), 6)
-    assert all(coeffs.at(k) == 1.0 for k in range(-5, 6))
+    assert np.all(coeffs.on_lags(6) == 1.0)
 
 
 def test_block_average_bias_closed_form():
     coeffs = est.closed_form_bias(est.Bartlett(2), 4)
-    assert coeffs.at(1) == pytest.approx(0.5)
-    assert coeffs.at(2) == 0.0
+    lags = coeffs.on_lags(3)
+    assert lags[1 + 2] == pytest.approx(0.5)
+    assert lags[2 + 2] == 0.0
 
 
 def test_tapered_segment_bias_two_ways(rng):

@@ -3,8 +3,9 @@
 One hypothesis strategy per family draws a spec and a sample count N <= 64,
 including invalid and degenerate specs (zero widths, length-two tapers that
 vanish identically).  Every spec either fails at construction with a
-ValueError or satisfies the closed-form bias identity (1e-12) and the
-fast-path oracle equivalence (1e-10).
+ValueError or satisfies the closed-form bias identity (1e-12), the
+fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
+its geometric bias bound with the lag-by-lag sequential sum.
 """
 
 import numpy as np
@@ -14,8 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
+
+from conftest import sequential_geometric_bias_bound
 
 MAX_SAMPLES = 64
 windows = st.sampled_from(est.WINDOW_KINDS)
@@ -92,3 +96,15 @@ def test_fast_path_matches_generic_oracle(case, channels, seed):
     generic = qf.evaluate_generic_grid(data, est.build_matrix(spec, n), grid)
     assert np.abs(fast.matrices - generic.matrices).max() < 1e-10
 
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SPECS, st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 8))
+def test_geometric_bias_bound_equals_sequential_sum(case, rho, extra):
+    build, n = case
+    spec = _construct(build)
+    if spec is None:
+        return
+    bias = est.closed_form_bias(spec, n)
+    truncation = bias.half_width + extra
+    cert = bd.geometric_bias_bound(bias, truncation, 1.3, rho)
+    assert cert.value == sequential_geometric_bias_bound(bias, truncation, 1.3, rho)

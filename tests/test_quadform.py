@@ -147,17 +147,19 @@ def test_truncation_width_values():
 def test_bias_coefficients_ones_matrix():
     form = qf.QuadraticForm(np.full((4, 4), 0.25))
     coeffs = qf.bias_coefficients(form)
-    assert coeffs.at(1) == pytest.approx(0.75)
-    assert coeffs.at(0) == pytest.approx(1.0)
-    assert coeffs.at(4) == 0.0
+    lags = coeffs.on_lags(5)
+    assert lags[1 + 4] == pytest.approx(0.75)
+    assert lags[0 + 4] == pytest.approx(1.0)
+    assert lags[4 + 4] == 0.0
 
 
 def test_bias_equals_sum_of_profile_and_is_even(rng):
     form = qf.QuadraticForm(rng.standard_normal((7, 7)))
     coeffs = qf.bias_coefficients(form)
+    lags = coeffs.on_lags(7)
     for k in range(-6, 7):
-        assert coeffs.at(k) == pytest.approx(qf.diagonal_profile(form, k).entries.sum(), abs=1e-13)
-        assert coeffs.at(k) == pytest.approx(coeffs.at(-k))
+        assert lags[k + 6] == pytest.approx(qf.diagonal_profile(form, k).entries.sum(), abs=1e-13)
+        assert lags[k + 6] == pytest.approx(lags[-k + 6])
 
 
 def test_expected_estimate_white_noise_is_flat(rng):
@@ -166,7 +168,7 @@ def test_expected_estimate_white_noise_is_flat(rng):
     grid = qf.frequency_grid(7, full_range=True)
     mean = qf.expected_estimate(coeffs, WhiteNoise(1), grid)
     for idx in range(grid.size):
-        np.testing.assert_allclose(mean[idx], [[coeffs.at(0)]], atol=1e-12)
+        np.testing.assert_allclose(mean[idx], [[coeffs.on_lags(1)[0]]], atol=1e-12)
 
 
 def test_expected_estimate_block_average_closed_form():

@@ -288,6 +288,47 @@ def test_state_space_stream_consistency(chain):
     np.testing.assert_array_equal(one.values, batch[2])
 
 
+def _per_step_state_space_paths(model, num_samples, trials, seed, first_trial):
+    """The sampler written as one matrix-vector product per trial and step."""
+    root = sig._covariance_root(model.state_covariance)
+    out = np.empty((trials, model.channels, num_samples))
+    a, b, c, d = model.a, model.b, model.c, model.d
+    for t in range(trials):
+        rng = rng_stream(seed, first_trial + t)
+        state = root @ rng.standard_normal(model.state_dim)
+        shocks = rng.standard_normal((model.noise_dim, num_samples))
+        for k in range(num_samples):
+            z = shocks[:, k]
+            out[t, :, k] = c @ state + d @ z
+            state = a @ state + b @ z
+    return out
+
+
+def _dense_state_space(states, inputs, channels):
+    """A state-space model with dense random matrices and spectral radius 0.9."""
+    rng = np.random.default_rng(1000 * states + 10 * inputs + channels)
+    a = rng.standard_normal((states, states))
+    a *= 0.9 / sig.spectral_radius(a)
+    b, c, d = (rng.standard_normal(shape) for shape in ((states, inputs), (channels, states), (channels, inputs)))
+    return sig.StateSpace(a, b, c, d)
+
+
+# (states, noise inputs, channels); one-channel models with several inputs
+# are the ones whose products depend on the operand strides
+STATE_SPACE_SHAPES = [(1, 1, 1), (1, 2, 3), (3, 1, 3), (2, 5, 1), (6, 7, 1), (8, 1, 5), (16, 6, 4), (40, 16, 1)]
+
+
+@pytest.mark.parametrize("shape", [None] + STATE_SPACE_SHAPES, ids=lambda s: "chain" if s is None else "x".join(map(str, s)))
+def test_state_space_sampler_equals_per_step_loop_bitwise(chain, shape):
+    model = chain if shape is None else _dense_state_space(*shape)
+    cases = [(n, trials) for n in (1, 2, 9, 2064) for trials in (1, 7)] + [(144, 100)]
+    for num_samples, trials in cases:
+        reference = _per_step_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
+        paths = sig.sample_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
+        assert paths.flags.c_contiguous
+        assert paths.tobytes() == reference.tobytes(), (num_samples, trials)
+
+
 def test_sampler_argument_errors(chain):
     with pytest.raises(ValueError):
         sig.sample_geometric_paths(1.2, 16, 1)

@@ -5,15 +5,17 @@ Usage: python tools/output_corpus.py OUT
 Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
-family at N = 528 and N = 2064; a context-only ``certify`` per family;
-``certify`` with ``context`` values overriding a model's; a set of rejected
-configs; configs that only strict parsing rejects; a periodogram ``certify
---require-feasible``; ``reproduce --example 1`` and ``--example 2`` with their
-defaults and with every option set; and ``verify-concentration`` at its
-smallest trial count and with a config that sets only the seed.  Each
-command gets a directory holding the files it wrote and a ``console.txt``
-with its exit code (or the uncaught exception), stdout and stderr (the OUT
-prefix replaced by ``OUT``).
+family at N = 528 and N = 2064; ``simulate`` and ``estimate`` at N = 2064 for
+a state-space model with one output and five noise inputs; a
+biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
+context-only ``certify`` per family; ``certify`` with ``context`` values
+overriding a model's; a set of rejected configs; configs that only strict
+parsing rejects; a periodogram ``certify --require-feasible``; ``reproduce
+--example 1`` and ``--example 2`` with their defaults and with every option
+set; and ``verify-concentration`` at its smallest trial count and with a
+config that sets only the seed.  Each command gets a directory holding the
+files it wrote and a ``console.txt`` with its exit code (or the uncaught
+exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
 
 A refactor that promises unchanged outputs runs this script on the parent
 checkout and on the change and compares the two directories with
@@ -39,6 +41,16 @@ STATE_SPACE = {
     "c": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     "d": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     "rho_target": 0.5,
+}
+
+# dense b, c and d, one output channel and five noise inputs: each output
+# sample is a dot product whose summation order depends on operand strides
+DENSE_STATE_SPACE = {
+    "kind": "state_space",
+    "a": [[0.5, 0.2, -0.1], [-0.3, 0.4, 0.25], [0.1, -0.2, 0.6]],
+    "b": [[0.7, -1.1, 0.3, 0.9, -0.4], [1.3, 0.2, -0.8, 0.5, 0.6], [-0.6, 0.9, 1.2, -0.3, 0.8]],
+    "c": [[0.9, -1.4, 0.7]],
+    "d": [[0.3, -0.7, 1.1, 0.4, -0.2]],
 }
 
 # name -> (model, noise)
@@ -264,6 +276,14 @@ def main(argv=None) -> int:
                 run(out, f"oracle/{name}", ["estimate", "--config", config, "--oracle"])
                 estimate = str(out / "estimate" / name / "estimate.csv")
                 run(out, f"certify/{name}", ["certify", "--config", config, "--estimate", estimate])
+    base = {"model": DENSE_STATE_SPACE, "num_samples": 2064, "seed": 11}
+    run(out, "simulate/dense_state_space_2064", ["simulate", "--config", write_config(out, "dense_state_space_2064", base)])
+    for est_name, estimator in ESTIMATORS.items():
+        name = f"dense_state_space_{est_name}_2064"
+        run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, dict(base, estimator=estimator))])
+    # a long, slowly decaying bias sum
+    body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
+    run(out, "certify/long_periodogram_16384", ["certify", "--config", write_config(out, "long_periodogram_16384", body)])
     for est_name, estimator in ESTIMATORS.items():
         name = f"context_{est_name}"
         config = write_config(
