@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadform import (
     _RANGE_SLACK,
@@ -85,9 +86,52 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     return taper_window(kind, 2 * half_width - 1)
 
 
+# largest phase-matrix slab BiasedPeriodogram.evaluate builds at once
+_PHASE_SLAB_BYTES = 8 << 20
+
+
+def _phase_slabs(samples: int, points: int) -> list[tuple[int, int]]:
+    """Column ranges [a, b) covering a (samples, points) complex phase matrix.
+
+    A matrix of at most ``_PHASE_SLAB_BYTES`` is one range.  Otherwise the
+    ranges are widths of a multiple of 8 starting at multiples of 8, and a
+    last range of one column is merged into the one before it.
+    """
+    width = _PHASE_SLAB_BYTES // (16 * samples)
+    if width >= points:
+        return [(0, points)]
+    width = max(8, width // 8 * 8)
+    starts = list(range(0, points, width))
+    if len(starts) > 1 and points - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [points]))
+
+
 @dataclass(frozen=True)
 class BiasedPeriodogram:
-    """Transform of the biased autocovariance estimate; coefficient matrix ones/N."""
+    """Transform of the biased autocovariance estimate; coefficient matrix ones/N.
+
+    ``evaluate`` builds the N x grid phase matrix in column slabs of at most
+    ``_PHASE_SLAB_BYTES`` (or of eight columns, when those are larger), not
+    all at once: at N = 65536 and 101 points the whole matrix is 106 MB.
+    Slabs keep every bit of the whole-matrix product, because each phase
+    entry is computed elementwise and each output column is the same BLAS
+    dot over the samples, provided ``_phase_slabs`` keeps out two hazards:
+
+    - With one channel numpy calls ``zgemv_t``, which sums columns in groups
+      of four and the leftover columns with other kernels.  A slab that
+      starts at an unaligned column, or that is four columns wide while BLAS
+      runs on several threads, changes the bits; slabs are multiples of 8
+      wide and start at multiples of 8.
+    - A one-column slab takes numpy's vector path (``gemv``/``dot``), which
+      sums in another order when there are two or more channels; a last slab
+      of one column is merged into the slab before it.
+
+    With one channel and several BLAS threads, OpenBLAS splits a product's
+    columns between threads at points set by its width, so the bits of a
+    multi-slab call, like those of the whole-matrix product, depend on the
+    thread count; the two agree bit for bit at one thread.
+    """
 
     kind = "biased_periodogram"
 
@@ -101,8 +145,12 @@ class BiasedPeriodogram:
         return None
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(data.samples), freqs))
-        transform = data.values @ phases
+        k = np.arange(data.samples)
+        transform = np.empty((data.channels, freqs.size), dtype=complex)
+        for a, b in _phase_slabs(data.samples, freqs.size):
+            phases = np.outer(k, freqs[a:b]) * (-2j * np.pi)
+            np.exp(phases, out=phases)
+            np.matmul(data.values, phases, out=transform[:, a:b])
         return np.einsum("if,jf->fij", transform, transform.conj()) / data.samples
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
@@ -334,12 +382,11 @@ class Welch:
         return CertificateParams(envelope, self.segment_length)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
-        y = data.values
         segments = self.segments(data.samples)
         taper = self.taper_values()
         taper = taper / np.linalg.norm(taper)
         m = self.segment_length
-        windows = np.stack([y[:, i * self.hop : i * self.hop + m] for i in range(segments)])
+        windows = np.ascontiguousarray(sliding_window_view(data.values, m, axis=1)[:, ::self.hop].transpose(1, 0, 2))
         phases = taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
         transform = windows @ phases
         return np.einsum("lif,ljf->fij", transform, transform.conj()) / segments

@@ -1,5 +1,12 @@
 """Tests for the structured estimator constructors and fast paths."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -193,6 +200,78 @@ def test_fast_paths_match_generic_oracle(rng):
         fast = est.evaluate_fast(spec, data, grid)
         generic = qf.evaluate_generic_grid(data, est.build_matrix(spec, 16), grid)
         assert np.abs(fast.matrices - generic.matrices).max() < 1e-10
+
+
+SLAB_CASES = (
+    [(n, p) for n in (1, 7, 144, 2064) for p in (1, 2, 9, 17, 101, 257)]
+    + [(144, 4097)]
+    + [(n, p) for n in (8192, 65536) for p in (9, 17, 101)]
+)
+
+
+def slab_mismatches():
+    """(N, points, full_range, channels) cases where the biased periodogram's bits
+    differ from one product with the whole N x grid phase matrix."""
+    mismatches = []
+    for num_samples, points in SLAB_CASES:
+        rng = np.random.default_rng(num_samples + points)
+        for full_range in (False, True):
+            grid = qf.frequency_grid(points, full_range)
+            phases = np.exp(-2j * np.pi * np.outer(np.arange(num_samples), grid))
+            for channels in (1, 2, 3, 5):
+                values = rng.standard_normal((channels, num_samples))
+                transform = values @ phases
+                expected = qf.hermitian_part(np.einsum("if,jf->fij", transform, transform.conj()) / num_samples)
+                fast = est.evaluate_fast(est.BiasedPeriodogram(), qf.DataMatrix(values), grid)
+                if fast.matrices.tobytes() != expected.tobytes():
+                    mismatches.append((num_samples, points, full_range, channels))
+    return mismatches
+
+
+@pytest.fixture(scope="module")
+def one_thread_slab_mismatches():
+    # with several BLAS threads OpenBLAS splits a one-channel product between
+    # threads at columns set by the product's width, so the whole-matrix bits
+    # themselves change with the thread count; compare at one thread
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    probe = "import json, test_estimators; print(json.dumps(test_estimators.slab_mismatches()))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return [tuple(case) for case in json.loads(result.stdout)]
+
+
+@pytest.mark.parametrize("num_samples, points", SLAB_CASES)
+def test_biased_periodogram_slabs_keep_every_bit(one_thread_slab_mismatches, num_samples, points):
+    assert [case for case in one_thread_slab_mismatches if case[:2] == (num_samples, points)] == []
+
+
+def test_biased_periodogram_memory_stays_flat():
+    data = qf.DataMatrix(np.random.default_rng(7).standard_normal((3, 65536)))
+    grid = qf.frequency_grid(101)
+    tracemalloc.start()
+    try:
+        est.evaluate_fast(est.BiasedPeriodogram(), data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole phase matrix alone is 106 MB
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("num_samples, segment_length, hop", [(64, 8, 8), (400, 8, 8), (2064, 48, 16), (65536, 32, 16)])
+def test_welch_windows_match_stacked_segments(num_samples, segment_length, hop):
+    values = np.random.default_rng(num_samples).standard_normal((2, num_samples))
+    spec = est.Welch(segment_length, hop)
+    grid = qf.frequency_grid(17)
+    segments = spec.segments(num_samples)
+    windows = np.stack([values[:, i * hop : i * hop + segment_length] for i in range(segments)])
+    taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
+    transform = windows @ (taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(segment_length), grid)))
+    expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / segments)
+    fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
+    assert fast.matrices.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- autocovariance

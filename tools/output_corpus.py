@@ -7,7 +7,10 @@ fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
 family at N = 528 and N = 2064; ``simulate`` and ``estimate`` at N = 2064 for
 a state-space model with one output and five noise inputs; a
-biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
+biased-periodogram ``estimate`` at N = 65536 for a one-channel and a
+three-channel model, each with the default grid, 17 and 257 points and the
+full range; a biased-periodogram ``certify`` at N = 16384 on a slowly
+decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a set of rejected configs; configs that only strict
 parsing rejects; a periodogram ``certify --require-feasible``; ``reproduce
@@ -73,6 +76,9 @@ ESTIMATORS = {
 }
 
 SIZES = (528, 2064)
+
+# directory suffix -> grid options of the long periodogram estimates
+LONG_GRIDS = {"": [], "_grid17": ["--grid", "17"], "_grid257": ["--grid", "257"], "_full_range": ["--full-range"]}
 
 CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
 
@@ -281,6 +287,14 @@ def main(argv=None) -> int:
     for est_name, estimator in ESTIMATORS.items():
         name = f"dense_state_space_{est_name}_2064"
         run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, dict(base, estimator=estimator))])
+    # phase matrices of 18 MB to 270 MB, each past one slab of columns
+    for model_name in ("geometric_gaussian", "state_space"):
+        model, noise = MODELS[model_name]
+        name = f"{model_name}_biased_periodogram_65536"
+        body = {"model": model, "noise": noise, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 65536, "seed": 11}
+        config = write_config(out, name, body)
+        for suffix, options in LONG_GRIDS.items():
+            run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
     # a long, slowly decaying bias sum
     body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
     run(out, "certify/long_periodogram_16384", ["certify", "--config", write_config(out, "long_periodogram_16384", body)])
