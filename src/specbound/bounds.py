@@ -35,7 +35,6 @@ from .quadform import (
     QuadraticForm,
     autocov_tail,
     bias_coefficients,
-    diagonal_profile,
     envelope_tail,
 )
 
@@ -196,11 +195,13 @@ def _inputs(**kwargs) -> tuple:
 
 def envelope_from_form(form: QuadraticForm) -> float:
     """Envelope over ||A||_2, ||A||_F^2 and every per-diagonal norm pair."""
-    g = max(form.spectral_norm, form.frobenius_norm ** 2)
-    for offset in range(form.size):
-        profile = diagonal_profile(form, offset)
-        g = max(g, profile.sup_norm, profile.l2_norm ** 2)
-    return g
+    stats = form.diagonal_stats
+    return max(
+        form.spectral_norm,
+        form.frobenius_norm ** 2,
+        float(stats.sup_norms.max()),
+        float(stats.squared_l2_norms.max()),
+    )
 
 
 def _conjunction(statement: str, first: Certificate, second: Certificate, eps: float, delta: float) -> Certificate:

@@ -13,6 +13,13 @@ single-diagonal matrices B[k]), the diagonal sums b[k] that determine the
 estimator mean, the generic evaluation path used as the correctness oracle for
 the fast structured paths, and exact bias evaluation against analytic process
 models.
+
+Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
+``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
+its diagonals, cached on the form.  The generic path rotates the data for a
+slab of frequencies at once, multiplies the stacked real and imaginary parts
+by the real ``A`` in one real GEMM, and finishes each frequency with one small
+batched product.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "BiasCoefficients",
     "DataMatrix",
     "DiagonalProfile",
+    "DiagonalStats",
     "QuadraticForm",
     "SpectralEstimate",
     "autocov_tail",
@@ -141,12 +150,67 @@ class QuadraticForm:
         return float(np.linalg.norm(self.matrix))
 
     @cached_property
+    def diagonal_stats(self) -> DiagonalStats:
+        return _diagonal_pass(self.matrix)
+
+    @cached_property
     def truncation_width(self) -> int:
         """Smallest width beyond which every diagonal of the matrix vanishes."""
-        for offset in range(self.size - 1, -1, -1):
-            if np.any(self.diagonal(offset) != 0.0) or np.any(self.diagonal(-offset) != 0.0):
-                return offset + 1
-        return 0
+        nonzero = np.flatnonzero(self.diagonal_stats.sup_norms)
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+@dataclass(frozen=True)
+class DiagonalStats:
+    """Sum, ``max|d[k]|`` and ``||d[k]||^2`` of each diagonal, at index k = 0..N-1.
+
+    The matrix is exactly symmetric, so diagonal -k holds the entries of
+    diagonal k and shares its statistics.
+    """
+
+    sums: np.ndarray
+    sup_norms: np.ndarray
+    squared_l2_norms: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sums", "sup_norms", "squared_l2_norms"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+
+
+# largest scratch slab of the diagonal pass and of the generic grid evaluation
+_SLAB_BYTES = 8 << 20
+
+
+def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
+    """Statistics of every diagonal of a symmetric matrix, in row slabs of offsets.
+
+    Row k - 1 of ``wrapped`` starts at entry (0, k) and steps N + 1 entries
+    of the flat matrix.  Its first N - k entries are the diagonal k places
+    above the main one, equal to d[k] because the matrix is symmetric; the
+    rest wrap into the diagonal N + 1 - k places below it, and a mask zeroes
+    them.
+    """
+    size = matrix.shape[0]
+    main = np.diagonal(matrix)
+    sums, sups, squares = np.empty(size), np.empty(size), np.empty(size)
+    sums[0], sups[0], squares[0] = main.sum(), np.abs(main).max(), main @ main
+    width = size - 1
+    if width:
+        # a symmetric matrix reads the same in either memory order, so this is a view
+        flat = matrix.ravel(order="K")
+        wrapped = sliding_window_view(flat, (width - 1) * (size + 1) + 1)[1:size, :: size + 1]
+        columns = np.arange(width)
+        rows = max(1, _SLAB_BYTES // (8 * width))
+        for start in range(0, width, rows):
+            stop = min(start + rows, width)
+            lengths = width - np.arange(start, stop)
+            heads = np.where(columns < lengths[:, None], wrapped[start:stop], 0.0)
+            sums[1 + start : 1 + stop] = heads.sum(axis=1)
+            np.abs(heads, out=heads)
+            sups[1 + start : 1 + stop] = heads.max(axis=1)
+            np.square(heads, out=heads)
+            squares[1 + start : 1 + stop] = heads.sum(axis=1)
+    return DiagonalStats(sums, sups, squares)
 
 
 @dataclass(frozen=True)
@@ -234,26 +298,19 @@ def two_sided_stack(head: np.ndarray) -> np.ndarray:
 
 def bias_coefficients(form: QuadraticForm) -> BiasCoefficients:
     """Sum every diagonal of ``form``; equals 1^T d[k] at each lag."""
-    n = form.size
-    values = np.array([np.trace(form.matrix, offset=-k) for k in range(-(n - 1), n)])
-    return BiasCoefficients(values)
+    sums = form.diagonal_stats.sums
+    return BiasCoefficients(np.concatenate([sums[:0:-1], sums]))
 
 
 def evaluate_generic(data: DataMatrix, form: QuadraticForm, frequency: float) -> np.ndarray:
     """Evaluate Y D(-s) A D(s) Y^T at one frequency, symmetrized to exact Hermitian.
 
-    Runs in O(n N^2 + n^2 N) by rotating the data first; this dense path is
-    the correctness oracle for the structured estimators.
+    The one-frequency call of ``evaluate_generic_grid``: it rotates the data
+    first, so it runs in O(n N^2 + n^2 N), with the product by ``A`` one real
+    GEMM on the stacked real and imaginary parts of the rotated rows.  This
+    dense path is the correctness oracle for the structured estimators.
     """
-    if form.size != data.samples:
-        raise ValueError("coefficient matrix size must match the sample count")
-    return _evaluate_rotated(data.values, form.matrix, frequency)
-
-
-def _evaluate_rotated(values: np.ndarray, matrix: np.ndarray, frequency: float) -> np.ndarray:
-    phase = np.exp(-2j * np.pi * float(frequency) * np.arange(values.shape[1]))
-    rotated = values * phase
-    return hermitian_part(rotated @ matrix @ rotated.conj().T)
+    return evaluate_generic_grid(data, form, [frequency]).matrices[0]
 
 
 @dataclass(frozen=True)
@@ -282,14 +339,36 @@ class SpectralEstimate:
 
 
 def evaluate_generic_grid(data: DataMatrix, form: QuadraticForm, frequencies) -> SpectralEstimate:
-    """Generic quadratic-form evaluation over a whole grid."""
+    """Generic quadratic-form evaluation over a whole grid, in slabs of frequencies.
+
+    For each frequency the rotated rows Y D(-s) = C - jS are stacked as the
+    real rows [C; S].  A slab of frequencies holds at most half of
+    ``_SLAB_BYTES`` of these rows, and their product by ``A`` the other half.
+    One real GEMM multiplies the whole slab by ``A``; one batched 2n x 2n
+    product per frequency then gives G = [C; S] A [C; S]^T, whence the
+    estimate is (C A C^T + S A S^T) + j (C A S^T - S A C^T), made exactly
+    Hermitian.  ``A`` is never cast to complex.
+    """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if form.size != data.samples:
         raise ValueError("coefficient matrix size must match the sample count")
-    # cast once: a real matrix would be cast to complex again at every frequency
-    matrix = form.matrix.astype(complex)
-    matrices = np.stack([_evaluate_rotated(data.values, matrix, s) for s in freqs])
-    return SpectralEstimate(freqs, matrices)
+    values, matrix = data.values, form.matrix
+    n, size = values.shape
+    angles = 2.0 * np.pi * np.arange(size)
+    points = max(1, _SLAB_BYTES // (32 * n * size))
+    matrices = np.empty((freqs.size, n, n), dtype=complex)
+    for start in range(0, freqs.size, points):
+        slab = freqs[start : start + points]
+        phases = np.outer(slab, angles)
+        rows = np.empty((slab.size, 2 * n, size))
+        np.multiply(np.cos(phases)[:, None, :], values, out=rows[:, :n])
+        np.multiply(np.sin(phases, out=phases)[:, None, :], values, out=rows[:, n:])
+        del phases
+        gram = (rows.reshape(-1, size) @ matrix).reshape(rows.shape) @ rows.swapaxes(1, 2)
+        out = matrices[start : start + slab.size]
+        out.real = gram[:, :n, :n] + gram[:, n:, n:]
+        out.imag = gram[:, :n, n:] - gram[:, n:, :n]
+    return SpectralEstimate(freqs, hermitian_part(matrices))
 
 
 def envelope_tail(gamma: float, rho: float, lag: int) -> float:

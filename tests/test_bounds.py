@@ -103,6 +103,22 @@ def test_pointwise_condition_from_dense_form():
     assert bd.check_conditions("pointwise", 1.0, 0.1, ctx, form=form).holds
 
 
+def test_condition_parts_on_a_dense_form_share_one_diagonal_pass(monkeypatch, geometric_ctx):
+    passes = []
+    original = qf._diagonal_pass
+
+    def counted(matrix):
+        passes.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(qf, "_diagonal_pass", counted)
+    form = est.build_matrix(est.Welch(16, 8, "hann"), 136)
+    for part in bd.CONDITION_PARTS:
+        cert = bd.check_conditions(part, 0.5, 0.05, geometric_ctx, form=form)
+        assert isinstance(cert.holds, bool)
+    assert passes == [(136, 136)]
+
+
 def test_bias_condition_all_ones_coefficients():
     model = GeometricScalar(0.3)
     ctx = bd.BoundContext.from_model(model, GAUSSIAN)

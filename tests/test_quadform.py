@@ -1,9 +1,13 @@
 """Tests for the generic quadratic-form machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from specbound import estimators as est
 from specbound import quadform as qf
+from specbound.bounds import envelope_from_form
 from specbound.signals import GeometricScalar, WhiteNoise
 
 
@@ -142,6 +146,119 @@ def test_truncation_width_values():
     assert qf.QuadraticForm(np.eye(3)).truncation_width == 1
     banded = np.eye(5) + np.diag(np.ones(3), 2)
     assert qf.QuadraticForm(banded).truncation_width == 3
+
+
+# the block-averaged, windowed and segment-averaged families at each size the
+# per-diagonal statistics are checked at; both periodograms join them
+FAMILY_SPECS = {
+    1: (est.BlackmanTukey(1), est.Bartlett(1), est.Welch(1, 1, "rectangular")),
+    2: (est.BlackmanTukey(2), est.Bartlett(2), est.Welch(2, 1, "rectangular")),
+    7: (est.BlackmanTukey(4, "hann"), est.Bartlett(7), est.Welch(3, 2, "hamming")),
+    64: (est.BlackmanTukey(20, "hann"), est.Bartlett(16), est.Welch(16, 8, "hann")),
+    257: (est.BlackmanTukey(40, "blackman"), est.Bartlett(257), est.Welch(33, 28, "hann")),
+}
+FAMILY_FORMS = [
+    pytest.param(spec, n, id=f"{spec.kind}-{n}")
+    for n, specs in FAMILY_SPECS.items()
+    for spec in (est.BiasedPeriodogram(), est.UnbiasedPeriodogram()) + specs
+]
+
+
+def _banded(rng, size, width):
+    """Random symmetric matrix whose diagonals vanish from ``width`` outward."""
+    lower = np.tril(rng.standard_normal((size, size)))
+    lower[np.subtract.outer(np.arange(size), np.arange(size)) >= width] = 0.0
+    return lower + np.tril(lower, -1).T
+
+
+def _special_matrices():
+    rng = np.random.default_rng(77)
+    zero_interior = _banded(rng, 9, 5)
+    for k in (-2, 2):
+        zero_interior[np.eye(9, k=k, dtype=bool)] = 0.0
+    # outermost nonzero diagonal sums to exactly 0.0 in any order
+    cancelling = _banded(rng, 9, 5)
+    for k in (-5, 5):
+        cancelling[np.eye(9, k=k, dtype=bool)] = [0.75, -0.5, 0.25, -0.5]
+    return {
+        "dense": _banded(rng, 12, 12),
+        "one_by_one": np.array([[-2.5]]),
+        "zero_interior_diagonal": zero_interior,
+        "cancelling_outer_diagonal": cancelling,
+        "zero": np.zeros((6, 6)),
+    }
+
+
+def _per_offset_reference(form):
+    """Sums, sup norms, squared l2 norms, l1 norms and truncation width, one offset at a time."""
+    sums, sups, squares, l1, width = [], [], [], [], 0
+    for k in range(form.size):
+        entries = np.diagonal(form.matrix, -k)
+        np.testing.assert_array_equal(entries, np.diagonal(form.matrix, k))
+        sums.append(entries.sum())
+        sups.append(np.abs(entries).max())
+        squares.append(float(np.dot(entries, entries)))
+        l1.append(np.abs(entries).sum())
+        if np.any(entries != 0.0):
+            width = k + 1
+    return np.array(sums), np.array(sups), np.array(squares), np.array(l1), width
+
+
+def _assert_diagonal_statistics_match(form):
+    sums, sups, squares, l1, width = _per_offset_reference(form)
+    stats = form.diagonal_stats
+    # any summation order lands within a few rounding units of the l1 norm
+    assert np.all(np.abs(stats.sums - sums) <= 1e-13 * l1)
+    np.testing.assert_array_equal(stats.sup_norms, sups)
+    np.testing.assert_allclose(stats.squared_l2_norms, squares, rtol=1e-13, atol=0.0)
+    assert form.truncation_width == width
+    n = form.size
+    lags = np.arange(-(n - 1), n)
+    expected = np.array([np.trace(form.matrix, offset=-k) for k in lags])
+    assert np.all(np.abs(qf.bias_coefficients(form).values - expected) <= 1e-13 * l1[np.abs(lags)])
+    envelope = max(form.spectral_norm, form.frobenius_norm ** 2)
+    for k in range(n):
+        profile = qf.diagonal_profile(form, k)
+        envelope = max(envelope, profile.sup_norm, profile.l2_norm ** 2)
+    assert envelope_from_form(form) == pytest.approx(envelope, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("spec,n", FAMILY_FORMS)
+def test_diagonal_statistics_of_every_family_match_per_offset_loops(spec, n):
+    _assert_diagonal_statistics_match(est.build_matrix(spec, n))
+
+
+@pytest.mark.parametrize(
+    "name,width",
+    [("dense", 12), ("one_by_one", 1), ("zero_interior_diagonal", 5), ("cancelling_outer_diagonal", 6), ("zero", 0)],
+)
+def test_diagonal_statistics_of_random_matrices_match_per_offset_loops(name, width):
+    form = qf.QuadraticForm(_special_matrices()[name])
+    _assert_diagonal_statistics_match(form)
+    assert form.truncation_width == width
+
+
+def test_generic_grid_stays_in_bounded_slabs_and_matches_a_per_frequency_loop():
+    rng = np.random.default_rng(528)
+    n = 528
+    form = qf.QuadraticForm(rng.standard_normal((n, n)))
+    data = qf.DataMatrix(rng.standard_normal((3, n)))
+    grid = qf.frequency_grid(1025, full_range=True)
+    tracemalloc.start()
+    try:
+        estimate = qf.evaluate_generic_grid(data, form, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 1025 rotated rows at once would take about 26 MB
+    assert peak < form.matrix.nbytes + (16 << 20)
+    matrix = form.matrix.astype(complex)
+    expected = []
+    for frequency in grid:
+        rotated = data.values * np.exp(-2j * np.pi * frequency * np.arange(n))
+        expected.append(rotated @ matrix @ rotated.conj().T)
+    expected = np.array(expected)
+    assert np.abs(estimate.matrices - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_bias_coefficients_ones_matrix():

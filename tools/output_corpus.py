@@ -5,8 +5,10 @@ Usage: python tools/output_corpus.py OUT
 Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
-family at N = 528 and N = 2064; ``simulate`` and ``estimate`` at N = 2064 for
-a state-space model with one output and five noise inputs; a
+family at N = 528 and N = 2064; an ``--oracle`` estimate of the
+three-channel state-space model at N = 528 on a 1025-point full-range grid,
+which spans several frequency slabs; ``simulate`` and ``estimate`` at
+N = 2064 for a state-space model with one output and five noise inputs; a
 biased-periodogram ``estimate`` at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
 full range; a biased-periodogram ``certify`` at N = 16384 on a slowly
@@ -282,6 +284,10 @@ def main(argv=None) -> int:
                 run(out, f"oracle/{name}", ["estimate", "--config", config, "--oracle"])
                 estimate = str(out / "estimate" / name / "estimate.csv")
                 run(out, f"certify/{name}", ["certify", "--config", config, "--estimate", estimate])
+    # the dense oracle over several frequency slabs
+    config = str(out / "configs" / "state_space_welch_hann_528.json")
+    argv = ["estimate", "--config", config, "--oracle", "--grid", "1025", "--full-range"]
+    run(out, "oracle/state_space_welch_hann_528_grid1025_full_range", argv)
     base = {"model": DENSE_STATE_SPACE, "num_samples": 2064, "seed": 11}
     run(out, "simulate/dense_state_space_2064", ["simulate", "--config", write_config(out, "dense_state_space_2064", base)])
     for est_name, estimator in ESTIMATORS.items():
