@@ -13,10 +13,18 @@ its estimator-specific bias condition (``bias_condition``), and a fast
 evaluation path via segment transforms (``evaluate(data, freqs)``) that
 matches the generic quadratic form to rounding error.  ``FAMILIES`` maps each
 ``kind`` to its class; the module-level functions dispatch to these methods.
+
+Bartlett and Welch read their (segment length, grid) phase matrix, scaled by
+the unit-norm taper for Welch, from one bounded ``functools.lru_cache`` keyed
+by the segment length, the taper (a window name or a custom taper's bytes)
+and the grid bytes.  It holds at most 16 read-only matrices of at most
+``_PHASE_CACHE_BYTES`` each; larger ones are built on every call, so the
+cache never holds an array as long as a sample block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +113,41 @@ def _phase_slabs(samples: int, points: int) -> list[tuple[int, int]]:
     if len(starts) > 1 and points - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [points]))
+
+
+# largest segment phase matrix _segment_phases keeps in its cache
+_PHASE_CACHE_BYTES = 1 << 20
+
+
+def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
+    """Read-only (length, grid) matrix of segment phases, scaled by a unit-norm taper.
+
+    ``taper`` is None (no taper), a window kind, or the float64 bytes of a
+    custom taper; ``grid`` holds the float64 bytes of the frequencies.
+    """
+    freqs = np.frombuffer(grid)
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(length), freqs))
+    if taper is not None:
+        values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
+        values = values / np.linalg.norm(values)
+        phases = values[:, None] * phases
+    phases.setflags(write=False)
+    return phases
+
+
+_cached_segment_phases = functools.lru_cache(maxsize=16)(_build_segment_phases)
+
+
+def _segment_phases(length: int, taper, freqs: np.ndarray) -> np.ndarray:
+    """Segment phases shared by every call with the same (length, taper, grid).
+
+    Matrices above ``_PHASE_CACHE_BYTES`` are built afresh on each call, so
+    the cache holds at most 16 MiB and no array as long as a sample block.
+    """
+    grid = freqs.tobytes()
+    if 16 * length * freqs.size > _PHASE_CACHE_BYTES:
+        return _build_segment_phases(length, taper, grid)
+    return _cached_segment_phases(length, taper, grid)
 
 
 @dataclass(frozen=True)
@@ -236,8 +279,13 @@ class BlackmanTukey:
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
+        # A[i, j] = w[i - j] / n: the row-sum bound gives ||A||_2 <= sum|w| / n,
+        # and ||A||_F^2 and every ||d[k]||^2 are at most sum w^2 / n; the term
+        # 2M - 1 binds for any window inside [-1, 1], named windows included
         self._check_fits(n)
-        return CertificateParams((2 * self.half_width - 1) / n, self.half_width)
+        weights = self.weights()
+        bound = max(2 * self.half_width - 1, float(np.abs(weights).sum()), float(weights @ weights))
+        return CertificateParams(bound / n, self.half_width)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
@@ -299,8 +347,7 @@ class Bartlett:
         m = self.block_length
         blocks = self.blocks(total)
         segments = data.values.reshape(n, blocks, m).transpose(1, 0, 2)
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
-        transform = segments @ phases
+        transform = segments @ _segment_phases(m, None, freqs)
         return np.einsum("lif,ljf->fij", transform, transform.conj()) / total
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
@@ -383,12 +430,10 @@ class Welch:
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
-        taper = self.taper_values()
-        taper = taper / np.linalg.norm(taper)
         m = self.segment_length
         windows = np.ascontiguousarray(sliding_window_view(data.values, m, axis=1)[:, ::self.hop].transpose(1, 0, 2))
-        phases = taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(m), freqs))
-        transform = windows @ phases
+        taper = self.taper if isinstance(self.taper, str) else np.asarray(self.taper, dtype=float).tobytes()
+        transform = windows @ _segment_phases(m, taper, freqs)
         return np.einsum("lif,ljf->fij", transform, transform.conj()) / segments
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:

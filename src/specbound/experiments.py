@@ -482,41 +482,53 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(model, noise: str, options: ReproduceOptions, noise_index: int):
-    """One row per segment count: empirical worst-grid error vs certificates."""
+def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
+    """Per noise, one row per segment count: empirical worst-grid error vs certificates.
+
+    The estimator, its bias coefficients and the exact bias do not depend on
+    the noise, so each segment count builds them once for every noise.
+    """
     grid = frequency_grid(options.grid_points)
     truth = model.psd_grid(grid)
-    ctx = bounds.BoundContext.from_model(model, _assumption_for(noise))
-    gamma, rho = ctx.decay
-    rows = []
+    contexts = [bounds.BoundContext.from_model(model, _assumption_for(noise)) for noise in noises]
+
+    def grid_error(spec, path):
+        estimate = estimators.evaluate_fast(spec, DataMatrix(path), grid)
+        return float(hermitian_spectral_norms(estimate.matrices - truth).max())
+
+    rows = [[] for _ in noises]
     for sweep_index, blocks in enumerate(options.blocks):
         num_samples = (blocks - 1) * options.hop + options.segment_length
         spec = estimators.Welch(options.segment_length, options.hop, REPRODUCE_TAPER)
         params = estimators.certificate_params(spec, num_samples)
         bias = estimators.closed_form_bias(spec, num_samples)
-        concentration = bounds.worst_case_error_bound(
-            params.envelope, params.truncation, options.delta, ctx
-        ).value
-        bias_bound = bounds.geometric_bias_bound(bias, params.truncation, gamma, rho).value
         exact_bias = exact_bias_sup(bias, model, grid)
-        first = (noise_index * len(options.blocks) + sweep_index) * options.trials
-        paths = model.sample_paths(num_samples, options.trials, noise, options.seed, first)
-        errors = np.empty(options.trials)
-        for t in range(options.trials):
-            estimate = estimators.evaluate_fast(spec, DataMatrix(paths[t]), grid)
-            errors[t] = float(hermitian_spectral_norms(estimate.matrices - truth).max())
-        rows.append(
-            [
-                blocks,
-                num_samples,
-                float(errors.mean()),
-                float(errors.max()),
-                concentration + bias_bound,
-                concentration,
-                bias_bound,
-                exact_bias,
-            ]
-        )
+        for noise_index, (noise, ctx) in enumerate(zip(noises, contexts)):
+            gamma, rho = ctx.decay
+            concentration = bounds.worst_case_error_bound(
+                params.envelope, params.truncation, options.delta, ctx
+            ).value
+            bias_bound = bounds.geometric_bias_bound(bias, params.truncation, gamma, rho).value
+            first = (noise_index * len(options.blocks) + sweep_index) * options.trials
+            # no name outlives the comprehension, so the paths are freed once scored
+            errors = np.array(
+                [
+                    grid_error(spec, path)
+                    for path in model.sample_paths(num_samples, options.trials, noise, options.seed, first)
+                ]
+            )
+            rows[noise_index].append(
+                [
+                    blocks,
+                    num_samples,
+                    float(errors.mean()),
+                    float(errors.max()),
+                    concentration + bias_bound,
+                    concentration,
+                    bias_bound,
+                    exact_bias,
+                ]
+            )
     return rows
 
 
@@ -563,9 +575,9 @@ def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOp
     }
     if example == 1:
         model = signals.GeometricScalar(EXAMPLE1_RHO)
+        noises = ("gaussian", "uniform")
         paths = []
-        for noise_index, noise in enumerate(("gaussian", "uniform")):
-            rows = _sweep_rows(model, noise, options, noise_index)
+        for noise, rows in zip(noises, _sweep_rows(model, noises, options)):
             stem = "example1_gaussian" if noise == "gaussian" else "example1_subgaussian"
             meta = dict(base_meta, example=1, noise=noise, rho=EXAMPLE1_RHO)
             meta["config_hash"] = _options_digest(meta)
@@ -573,7 +585,7 @@ def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOp
         return paths
     if example == 2:
         model = example_state_space(options.rho_target)
-        rows = _sweep_rows(model, "gaussian", options, noise_index=0)
+        (rows,) = _sweep_rows(model, ("gaussian",), options)
         meta = dict(base_meta, example=2, noise="gaussian", rho_target=options.rho_target)
         meta["config_hash"] = _options_digest(meta)
         return _sweep_report(rows, out_dir, "example2", meta, "bias_bound")

@@ -72,7 +72,13 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 
 
 def hermitian_spectral_norms(matrices: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack (..., n, n) of Hermitian matrices."""
+    """Spectral norms of a stack (..., n, n) of Hermitian matrices.
+
+    A 1 x 1 stack skips the eigensolver: LAPACK returns the real part of a
+    1 x 1 Hermitian matrix as its eigenvalue, so the bits are the same.
+    """
+    if matrices.shape[-1] == 1:
+        return np.abs(matrices[..., 0, 0].real)
     eigenvalues = np.linalg.eigvalsh(matrices)
     return np.abs(eigenvalues).max(axis=-1)
 

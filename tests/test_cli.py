@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from specbound import cli, estimators, signals
+from specbound import cli, estimators, experiments, signals
 from specbound.bounds import GAUSSIAN, BoundContext
 from specbound.experiments import (
     ConfigError,
@@ -410,6 +410,20 @@ def test_reproduce_small_run(tmp_path):
     for line in lines[2:]:
         cells = [float(x) for x in line.split(",")]
         assert cells[4] >= cells[3]  # certificate above the worst observed error
+
+
+def test_reproduce_computes_the_exact_bias_once_per_block_count(tmp_path, monkeypatch):
+    calls = []
+    original = experiments.exact_bias_sup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "exact_bias_sup", counted)
+    options = ReproduceOptions(trials=2, grid_points=5)
+    run_reproduce(1, tmp_path, options)
+    assert len(options.blocks) == 5 and len(calls) == 5
 
 
 def test_reproduce_cli_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from specbound import estimators as est
 from specbound import quadform as qf
+from specbound.bounds import envelope_from_form
 from specbound.signals import sample_geometric_paths
 
 from conftest import random_estimator_spec
@@ -274,6 +275,45 @@ def test_welch_windows_match_stacked_segments(num_samples, segment_length, hop):
     assert fast.matrices.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("num_samples, block_length", [(64, 8), (400, 8), (2064, 48), (65536, 32)])
+def test_bartlett_blocks_match_stacked_segments(num_samples, block_length):
+    values = np.random.default_rng(num_samples).standard_normal((2, num_samples))
+    spec = est.Bartlett(block_length)
+    grid = qf.frequency_grid(17)
+    blocks = spec.blocks(num_samples)
+    segments = values.reshape(2, blocks, block_length).transpose(1, 0, 2)
+    transform = segments @ np.exp(-2j * np.pi * np.outer(np.arange(block_length), grid))
+    expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / num_samples)
+    for _ in range(2):  # the second call reads the cached phases
+        fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
+        assert fast.matrices.tobytes() == expected.tobytes()
+
+
+def test_welch_custom_tapers_of_equal_length_keep_their_own_phases():
+    # same length, same norm, same values in another order: only the key's
+    # taper bytes tell the two specs apart
+    values = np.random.default_rng(5).standard_normal((1, 40))
+    grid = qf.frequency_grid(9)
+    rising = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    specs = [est.Welch(8, 4, rising), est.Welch(8, 4, rising[::-1])]
+    results = [est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices for spec in specs]
+    assert results[0].tobytes() != results[1].tobytes()
+    for spec, result in zip(specs, results):
+        windows = np.stack([values[:, i * 4 : i * 4 + 8] for i in range(spec.segments(40))])
+        taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
+        transform = windows @ (taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(8), grid)))
+        expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / spec.segments(40))
+        assert result.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("length, points", [(8, 17), (4096, 101)])  # cached, and too large to cache
+def test_segment_phases_are_read_only(length, points):
+    phases = est._segment_phases(length, "hann", qf.frequency_grid(points))
+    assert phases.shape == (length, points) and not phases.flags.writeable
+    with pytest.raises(ValueError):
+        phases[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------- autocovariance
 
 
@@ -297,6 +337,14 @@ def test_certificate_params_closed_forms():
     assert params.envelope == pytest.approx(1.0 / 16.0) and params.truncation == 8
     params = est.certificate_params(est.Welch(8, 4), 128)
     assert params.envelope == pytest.approx(5.0 / 31.0) and params.truncation == 8
+
+
+def test_blackman_tukey_envelope_covers_a_custom_window_above_one():
+    # (2M - 1) / n = 3/64 is below the dense envelope 1.1597; sum w^2 / n binds
+    spec = est.BlackmanTukey(2, [5.0, 5.0, 5.0])
+    params = est.certificate_params(spec, 64)
+    assert params.envelope == 75.0 / 64.0
+    assert params.envelope >= envelope_from_form(est.build_matrix(spec, 64))
 
 
 def test_certificate_params_unavailable_for_periodograms():

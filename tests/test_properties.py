@@ -5,7 +5,9 @@ including invalid and degenerate specs (zero widths, length-two tapers that
 vanish identically).  Every spec either fails at construction with a
 ValueError or satisfies the closed-form bias identity (1e-12), the
 fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
-its geometric bias bound with the lag-by-lag sequential sum.
+its geometric bias bound with the lag-by-lag sequential sum.  A last strategy
+draws Blackman-Tukey windows of any sign and size, whose closed-form
+envelope must cover the dense form's.
 """
 
 import numpy as np
@@ -108,3 +110,20 @@ def test_geometric_bias_bound_equals_sequential_sum(case, rho, extra):
     truncation = bias.half_width + extra
     cert = bd.geometric_bias_bound(bias, truncation, 1.3, rho)
     assert cert.value == sequential_geometric_bias_bound(bias, truncation, 1.3, rho)
+
+
+@st.composite
+def signed_windows(draw):
+    """A sample count and a Blackman-Tukey spec whose symmetric window takes any sign and size."""
+    n = draw(st.integers(1, MAX_SAMPLES))
+    half_width = draw(st.integers(1, n))
+    half = draw(st.lists(st.floats(-10.0, 10.0), min_size=half_width, max_size=half_width))
+    return est.BlackmanTukey(half_width, half[:0:-1] + half), n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_windows())
+def test_blackman_tukey_envelope_covers_the_dense_envelope(case):
+    spec, n = case
+    envelope = est.certificate_params(spec, n).envelope
+    assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))

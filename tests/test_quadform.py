@@ -27,6 +27,16 @@ def _brute_expansion(data, form, frequency):
     return total
 
 
+def test_one_by_one_spectral_norms_match_the_eigensolver_bit_for_bit():
+    diagonal = np.array([-3.5, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 2.0], dtype=complex)
+    diagonal[-1] += 1.5j  # eigvalsh reads only the real part of the diagonal
+    for stack in (diagonal[:, None, None], diagonal.reshape(3, 3, 1, 1)):
+        expected = np.abs(np.linalg.eigvalsh(stack)).max(-1)
+        result = qf.hermitian_spectral_norms(stack)
+        assert result.dtype == expected.dtype and result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+
+
 def test_identity_frequency_is_plain_quadratic_form(rng):
     data = qf.DataMatrix(rng.standard_normal((2, 6)))
     form = qf.QuadraticForm(rng.standard_normal((6, 6)))

@@ -24,7 +24,11 @@ exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
 
 A refactor that promises unchanged outputs runs this script on the parent
 checkout and on the change and compares the two directories with
-``diff -r``.  Needs only the standard library and numpy.
+``diff -r``.  One-channel fast paths change their last bits with the BLAS
+thread count, so the script pins OpenBLAS, OpenMP and MKL to one thread
+before numpy is imported, whatever the environment says; both runs of a
+comparison therefore use the same count.  Needs only the standard library
+and numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +36,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread, set before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
