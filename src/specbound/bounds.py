@@ -33,7 +33,6 @@ from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
     QuadraticForm,
-    autocov_tail,
     bias_coefficients,
     envelope_tail,
 )
@@ -149,7 +148,9 @@ def covariance_tail(ctx: BoundContext, lag: int) -> float:
     context's decay envelope.
     """
     if ctx.model is not None:
-        return float(autocov_tail(ctx.model, lag))
+        if lag <= 0:
+            return float(ctx.model.r1_norm())
+        return float(envelope_tail(*ctx.model.decay(), lag))
     if lag <= 0:
         return ctx.r1_norm
     if ctx.decay is None:

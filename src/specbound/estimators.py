@@ -6,20 +6,22 @@ banded Toeplitz coefficient matrix), block-averaged periodograms (Bartlett,
 block-diagonal matrix), and overlapping tapered segment averages (Welch, a sum
 of shifted rank-one blocks).  Each family is one spec class with a config
 ``kind`` and, for a sample count n, its dense coefficient matrix
-(``matrix(n)``), its closed-form diagonal sums (``diagonal_sums(n, lags)``),
-the norm envelope and truncation width feeding the worst-case certificates
+(``matrix(n)``), its closed-form diagonal sums (``diagonal_sums(n)``), the
+norm envelope and truncation width feeding the worst-case certificates
 (``certificate_params(n)``, None when no concentration certificate exists),
 its estimator-specific bias condition (``bias_condition``), and a fast
-evaluation path via segment transforms (``evaluate(data, freqs)``) that
-matches the generic quadratic form to rounding error.  ``FAMILIES`` maps each
-``kind`` to its class; the module-level functions dispatch to these methods.
+evaluation path (``evaluate(data, freqs)``) that matches the generic
+quadratic form to rounding error.  ``FAMILIES`` maps each ``kind`` to its
+class; the module-level functions dispatch to these methods.
 
-Bartlett and Welch read their (segment length, grid) phase matrix, scaled by
-the unit-norm taper for Welch, from one bounded ``functools.lru_cache`` keyed
-by the segment length, the taper (a window name or a custom taper's bytes)
-and the grid bytes.  It holds at most 16 read-only matrices of at most
-``_PHASE_CACHE_BYTES`` each; larger ones are built on every call, so the
-cache never holds an array as long as a sample block.
+The biased periodogram (one segment of length N), Bartlett (contiguous
+blocks) and Welch (tapered windows) evaluate through one segment-average
+kernel, ``_segment_average``, which builds the (segment length, grid) phase
+matrix in the column slabs of ``_phase_slabs``.  Matrices of at most
+``_PHASE_CACHE_BYTES`` come from one bounded ``functools.lru_cache`` keyed by
+the segment length, the taper (a window name or a custom taper's bytes) and
+the grid bytes, so at 101 grid points it may hold a periodogram's matrix up
+to N = 648; larger ones are built slab by slab on every call.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     return taper_window(kind, 2 * half_width - 1)
 
 
-# largest phase-matrix slab BiasedPeriodogram.evaluate builds at once
+# largest phase-matrix slab _segment_average builds at once
 _PHASE_SLAB_BYTES = 8 << 20
 
 
@@ -123,14 +125,14 @@ def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
     """Read-only (length, grid) matrix of segment phases, scaled by a unit-norm taper.
 
     ``taper`` is None (no taper), a window kind, or the float64 bytes of a
-    custom taper; ``grid`` holds the float64 bytes of the frequencies.
+    custom taper; ``grid`` holds the float64 bytes of the frequencies.  Built
+    in place, so a matrix of B bytes peaks at 1.5 B.
     """
-    freqs = np.frombuffer(grid)
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(length), freqs))
+    phases = np.outer(np.arange(length), np.frombuffer(grid)) * (-2j * np.pi)
+    np.exp(phases, out=phases)
     if taper is not None:
         values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
-        values = values / np.linalg.norm(values)
-        phases = values[:, None] * phases
+        phases *= (values / np.linalg.norm(values))[:, None]
     phases.setflags(write=False)
     return phases
 
@@ -142,7 +144,7 @@ def _segment_phases(length: int, taper, freqs: np.ndarray) -> np.ndarray:
     """Segment phases shared by every call with the same (length, taper, grid).
 
     Matrices above ``_PHASE_CACHE_BYTES`` are built afresh on each call, so
-    the cache holds at most 16 MiB and no array as long as a sample block.
+    the cache holds at most 16 MiB.
     """
     grid = freqs.tobytes()
     if 16 * length * freqs.size > _PHASE_CACHE_BYTES:
@@ -150,16 +152,17 @@ def _segment_phases(length: int, taper, freqs: np.ndarray) -> np.ndarray:
     return _cached_segment_phases(length, taper, grid)
 
 
-@dataclass(frozen=True)
-class BiasedPeriodogram:
-    """Transform of the biased autocovariance estimate; coefficient matrix ones/N.
+def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
+    """sum_l X_l(s) X_l(s)^H / divisor on a grid, as (grid, channels, channels).
 
-    ``evaluate`` builds the N x grid phase matrix in column slabs of at most
-    ``_PHASE_SLAB_BYTES`` (or of eight columns, when those are larger), not
-    all at once: at N = 65536 and 101 points the whole matrix is 106 MB.
-    Slabs keep every bit of the whole-matrix product, because each phase
-    entry is computed elementwise and each output column is the same BLAS
-    dot over the samples, provided ``_phase_slabs`` keeps out two hazards:
+    ``windows`` is a (segments, channels, length) stack and X_l(s) the
+    transform of segment l against the phases of ``_segment_phases``.  The
+    phase matrix is built in the column slabs of ``_phase_slabs``, not all at
+    once: at N = 65536 and 101 points the periodogram's whole matrix is
+    106 MB.  Slabs keep every bit of the whole-matrix product, because each
+    phase entry is computed elementwise and each output column is the same
+    BLAS dot over the samples, provided ``_phase_slabs`` keeps out two
+    hazards:
 
     - With one channel numpy calls ``zgemv_t``, which sums columns in groups
       of four and the leftover columns with other kernels.  A slab that
@@ -175,26 +178,30 @@ class BiasedPeriodogram:
     multi-slab call, like those of the whole-matrix product, depend on the
     thread count; the two agree bit for bit at one thread.
     """
+    segments, channels, length = windows.shape
+    transform = np.empty((segments, channels, freqs.size), dtype=complex)
+    for a, b in _phase_slabs(length, freqs.size):
+        np.matmul(windows, _segment_phases(length, taper, freqs[a:b]), out=transform[..., a:b])
+    return np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor
+
+
+@dataclass(frozen=True)
+class BiasedPeriodogram:
+    """Transform of the biased autocovariance estimate; coefficient matrix ones/N."""
 
     kind = "biased_periodogram"
 
     def matrix(self, n: int) -> np.ndarray:
         return np.full((n, n), 1.0 / n)
 
-    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
-        return 1.0 - np.abs(lags) / n
+    def diagonal_sums(self, n: int) -> np.ndarray:
+        return 1.0 - np.abs(np.arange(-(n - 1), n)) / n
 
     def certificate_params(self, n: int) -> None:
         return None
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
-        k = np.arange(data.samples)
-        transform = np.empty((data.channels, freqs.size), dtype=complex)
-        for a, b in _phase_slabs(data.samples, freqs.size):
-            phases = np.outer(k, freqs[a:b]) * (-2j * np.pi)
-            np.exp(phases, out=phases)
-            np.matmul(data.values, phases, out=transform[:, a:b])
-        return np.einsum("if,jf->fij", transform, transform.conj()) / data.samples
+        return _segment_average(data.values[None], None, freqs, data.samples)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         return n >= 2.0 * cutoff * r1 / eps
@@ -210,7 +217,7 @@ class UnbiasedPeriodogram:
         lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         return 1.0 / (n - lags)
 
-    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+    def diagonal_sums(self, n: int) -> np.ndarray:
         return np.ones(2 * n - 1)
 
     def certificate_params(self, n: int) -> None:
@@ -268,14 +275,11 @@ class BlackmanTukey:
         diff = np.subtract.outer(np.arange(n), np.arange(n))
         return wide[diff + n - 1] / n
 
-    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+    def diagonal_sums(self, n: int) -> np.ndarray:
         m = self.half_width
         self._check_fits(n)
-        weights = self.weights()
-        size = np.abs(lags)
         values = np.zeros(2 * n - 1)
-        inner = size < m
-        values[inner] = (n - size[inner]) * weights[lags[inner] + m - 1] / n
+        values[n - m : n + m - 1] = (n - np.abs(np.arange(1 - m, m))) * self.weights() / n
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
@@ -332,10 +336,10 @@ class Bartlett:
             matrix[start : start + m, start : start + m] = 1.0 / n
         return matrix
 
-    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+    def diagonal_sums(self, n: int) -> np.ndarray:
         m = self.block_length
         self.blocks(n)
-        size = np.abs(lags)
+        size = np.abs(np.arange(-(n - 1), n))
         return np.where(size < m, 1.0 - size / m, 0.0)
 
     def certificate_params(self, n: int) -> CertificateParams:
@@ -344,11 +348,8 @@ class Bartlett:
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         n, total = data.values.shape
-        m = self.block_length
-        blocks = self.blocks(total)
-        segments = data.values.reshape(n, blocks, m).transpose(1, 0, 2)
-        transform = segments @ _segment_phases(m, None, freqs)
-        return np.einsum("lif,ljf->fij", transform, transform.conj()) / total
+        blocks = data.values.reshape(n, self.blocks(total), self.block_length).transpose(1, 0, 2)
+        return _segment_average(blocks, None, freqs, total)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         # lag-wise form of the block-average condition: every diagonal sum
@@ -413,14 +414,11 @@ class Welch:
         matrix /= segments * float(taper @ taper)
         return matrix
 
-    def diagonal_sums(self, n: int, lags: np.ndarray) -> np.ndarray:
+    def diagonal_sums(self, n: int) -> np.ndarray:
         self.segments(n)
         m = self.segment_length
-        correlation = self._taper_correlation()
-        size = np.abs(lags)
         values = np.zeros(2 * n - 1)
-        inner = size < m
-        values[inner] = correlation[lags[inner] + m - 1]
+        values[n - m : n + m - 1] = self._taper_correlation()
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
@@ -430,11 +428,9 @@ class Welch:
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
-        m = self.segment_length
-        windows = np.ascontiguousarray(sliding_window_view(data.values, m, axis=1)[:, ::self.hop].transpose(1, 0, 2))
+        windows = sliding_window_view(data.values, self.segment_length, axis=1)[:, ::self.hop]
         taper = self.taper if isinstance(self.taper, str) else np.asarray(self.taper, dtype=float).tobytes()
-        transform = windows @ _segment_phases(m, taper, freqs)
-        return np.einsum("lif,ljf->fij", transform, transform.conj()) / segments
+        return _segment_average(np.ascontiguousarray(windows.transpose(1, 0, 2)), taper, freqs, segments)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         m = self.segment_length
@@ -467,7 +463,7 @@ def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
     n = int(num_samples)
     if n < 1:
         raise ValueError("sample count must be positive")
-    return BiasCoefficients(spec.diagonal_sums(n, np.arange(-(n - 1), n)))
+    return BiasCoefficients(spec.diagonal_sums(n))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -460,11 +461,12 @@ EXAMPLE1_RHO = 0.3
 class ReproduceOptions:
     """Knobs of the bundled reproduction studies (all recorded in the output)."""
 
+    # the Welch segment length and hop of both studies, fixed like the taper
+    segment_length: ClassVar[int] = 32
+    hop: ClassVar[int] = 16
     trials: int = 100
     seed: int = 20240311
     delta: float = 0.05
-    segment_length: int = 32
-    hop: int = 16
     grid_points: int = 101
     blocks: tuple = (8, 16, 32, 64, 128)
     rho_target: float = 0.5

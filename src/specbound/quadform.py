@@ -37,7 +37,6 @@ __all__ = [
     "DiagonalStats",
     "QuadraticForm",
     "SpectralEstimate",
-    "autocov_tail",
     "bias_coefficients",
     "diagonal_profile",
     "envelope_tail",
@@ -382,17 +381,6 @@ def envelope_tail(gamma: float, rho: float, lag: int) -> float:
     return 2.0 * gamma * rho ** lag / (1.0 - rho)
 
 
-def autocov_tail(model, lag: int) -> float:
-    """Bound on the summed covariance norms over |k| >= lag.
-
-    At lag zero or below it is the model's summed norm bound; beyond, the
-    tail of its decay envelope (exact for the geometric and white models).
-    """
-    if lag <= 0:
-        return model.r1_norm()
-    return envelope_tail(*model.decay(), lag)
-
-
 def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
     """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n)."""
     if not hasattr(model, "autocov_stack"):
@@ -416,9 +404,9 @@ def exact_bias_sup(bias: BiasCoefficients, model, frequencies) -> float:
 
     Evaluates sum_{|k| < H} e^{-j2 pi s k} (1 - b[k]) R[k] on the grid, takes
     the largest spectral norm, and adds the remainder bound
-    ``autocov_tail(model, H)`` on sum_{|l| >= H} ||R[l]||_2, where H is the
-    half-width of the diagonal sums.
+    ``envelope_tail`` of the model's decay pair on sum_{|l| >= H} ||R[l]||_2,
+    where H >= 1 is the half-width of the diagonal sums.
     """
     finite = hermitian_part(_lag_sum(bias, 1.0 - bias.values, model, frequencies))
     grid_sup = float(hermitian_spectral_norms(finite).max())
-    return grid_sup + float(autocov_tail(model, bias.half_width))
+    return grid_sup + float(envelope_tail(*model.decay(), bias.half_width))

@@ -14,7 +14,7 @@ Models expose the exact autocovariance R[0..K] as one stack
 (``autocov_stack``), the spectrum, its sup norm, the summed covariance norm,
 a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and
 their sampler as ``sample_paths``; covariance tail sums follow from the decay
-pair (``quadform.autocov_tail``).  ``MODELS`` maps each config ``kind`` to
+pair (``quadform.envelope_tail``).  ``MODELS`` maps each config ``kind`` to
 its class, whose dataclass fields are the config keys.  Samplers draw from
 counter-based streams keyed by (seed, path index) so every path is bitwise
 reproducible independent of batching.
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadform import DataMatrix, autocov_tail, hermitian_spectral_norms
+from .quadform import DataMatrix, envelope_tail, hermitian_spectral_norms
 from .streams import rng_stream
 
 __all__ = [
@@ -313,7 +313,7 @@ def r1_norm_bound(model, depth: int) -> tuple[float, float]:
     stack = model.autocov_stack(depth)
     norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
     partial = float(norms[0] + 2.0 * norms[1:].sum())
-    remainder = autocov_tail(model, depth + 1)
+    remainder = envelope_tail(*model.decay(), depth + 1)
     return partial + remainder, remainder
 
 

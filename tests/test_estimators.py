@@ -209,23 +209,51 @@ SLAB_CASES = (
     + [(n, p) for n in (8192, 65536) for p in (9, 17, 101)]
 )
 
+# segment families whose (segment length, grid) phase matrix spans several
+# slabs at N = 65536; at 257 points the last one-column slab is merged
+SEGMENT_SLAB_SPECS = {
+    "bartlett8192": est.Bartlett(8192),
+    "bartlett32768": est.Bartlett(32768),
+    "welch_hann": est.Welch(16384, 8192, "hann"),
+    "welch_custom": est.Welch(16384, 8192, [1.0 + (k % 5) for k in range(16384)]),
+}
+SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [("bartlett8192", 65536, 257)]
+
+
+def whole_matrix_estimate(spec, values, grid):
+    """The estimate from one product with the whole (segment length, grid) phase matrix."""
+    num_samples = values.shape[1]
+    if isinstance(spec, est.BiasedPeriodogram):
+        transform = values @ np.exp(-2j * np.pi * np.outer(np.arange(num_samples), grid))
+        return qf.hermitian_part(np.einsum("if,jf->fij", transform, transform.conj()) / num_samples)
+    if isinstance(spec, est.Bartlett):
+        length = hop = spec.block_length
+        taper, divisor = None, num_samples
+    else:
+        length, hop, divisor = spec.segment_length, spec.hop, spec.segments(num_samples)
+        taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
+    windows = np.stack([values[:, start : start + length] for start in range(0, num_samples - length + 1, hop)])
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
+    transform = windows @ (phases if taper is None else taper[:, None] * phases)
+    return qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor)
+
 
 def slab_mismatches():
-    """(N, points, full_range, channels) cases where the biased periodogram's bits
-    differ from one product with the whole N x grid phase matrix."""
+    """(spec, N, points, full_range, channels) cases where the bits of a slabbed
+    estimate differ from one product with the whole phase matrix."""
+    cases = [("biased_periodogram", n, p) for n, p in SLAB_CASES] + SEGMENT_SLAB_CASES
+    specs = dict(SEGMENT_SLAB_SPECS, biased_periodogram=est.BiasedPeriodogram())
     mismatches = []
-    for num_samples, points in SLAB_CASES:
+    for name, num_samples, points in cases:
         rng = np.random.default_rng(num_samples + points)
         for full_range in (False, True):
             grid = qf.frequency_grid(points, full_range)
-            phases = np.exp(-2j * np.pi * np.outer(np.arange(num_samples), grid))
             for channels in (1, 2, 3, 5):
                 values = rng.standard_normal((channels, num_samples))
-                transform = values @ phases
-                expected = qf.hermitian_part(np.einsum("if,jf->fij", transform, transform.conj()) / num_samples)
-                fast = est.evaluate_fast(est.BiasedPeriodogram(), qf.DataMatrix(values), grid)
+                expected = whole_matrix_estimate(specs[name], values, grid)
+                fast = est.evaluate_fast(specs[name], qf.DataMatrix(values), grid)
                 if fast.matrices.tobytes() != expected.tobytes():
-                    mismatches.append((num_samples, points, full_range, channels))
+                    mismatches.append((name, num_samples, points, full_range, channels))
     return mismatches
 
 
@@ -243,21 +271,30 @@ def one_thread_slab_mismatches():
     return [tuple(case) for case in json.loads(result.stdout)]
 
 
-@pytest.mark.parametrize("num_samples, points", SLAB_CASES)
-def test_biased_periodogram_slabs_keep_every_bit(one_thread_slab_mismatches, num_samples, points):
-    assert [case for case in one_thread_slab_mismatches if case[:2] == (num_samples, points)] == []
+@pytest.mark.parametrize(
+    "case",
+    [("biased_periodogram", n, p) for n, p in SLAB_CASES] + SEGMENT_SLAB_CASES,
+    ids=lambda case: "-".join(map(str, case[1:] if case[0] == "biased_periodogram" else case)),
+)
+def test_biased_periodogram_slabs_keep_every_bit(one_thread_slab_mismatches, case):
+    assert [mismatch for mismatch in one_thread_slab_mismatches if mismatch[:3] == case] == []
 
 
-def test_biased_periodogram_memory_stays_flat():
+@pytest.mark.parametrize(
+    "spec",
+    [est.BiasedPeriodogram(), est.Bartlett(32768), est.Welch(16384, 8192)],
+    ids=["biased_periodogram", "bartlett32768", "welch16384"],
+)
+def test_biased_periodogram_memory_stays_flat(spec):
     data = qf.DataMatrix(np.random.default_rng(7).standard_normal((3, 65536)))
     grid = qf.frequency_grid(101)
     tracemalloc.start()
     try:
-        est.evaluate_fast(est.BiasedPeriodogram(), data, grid)
+        est.evaluate_fast(spec, data, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole phase matrix alone is 106 MB
+    # whole phase matrices of 106 MB (periodogram), 53 MB (Bartlett) and 26 MB (Welch)
     assert peak < 32 << 20
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specbound import quadform as qf
+from specbound.bounds import GAUSSIAN, BoundContext, covariance_tail
 from specbound import signals as sig
 from specbound.experiments import example_state_space
 from specbound.streams import rng_stream
@@ -29,10 +30,11 @@ def test_geometric_autocovariance_and_transform():
     assert model.phi_inf() == pytest.approx(13.0 / 7.0)
     assert model.r1_norm() == pytest.approx(13.0 / 7.0)
     # the tail sum over |k| >= L is 2 rho^L / (1 - rho), and the whole sum at L <= 0
+    ctx = BoundContext.from_model(model, GAUSSIAN)
     for lag in (1, 2, 7, 64, 299):
-        value = qf.autocov_tail(model, lag)
+        value = covariance_tail(ctx, lag)
         assert type(value) is float and value == 2 * 0.3 ** lag / (1 - 0.3)
-    assert qf.autocov_tail(model, 0) == qf.autocov_tail(model, -2) == model.r1_norm()
+    assert covariance_tail(ctx, 0) == covariance_tail(ctx, -2) == model.r1_norm()
 
 
 def test_geometric_transform_equals_lag_sum():
@@ -62,8 +64,9 @@ def test_white_noise_model():
     assert not stack[1:].any()
     np.testing.assert_array_equal(model.psd(0.3), np.eye(2))
 
-    assert qf.autocov_tail(model, 0) == qf.autocov_tail(model, -1) == 1.0
-    assert all(qf.autocov_tail(model, lag) == 0.0 for lag in (1, 2, 64))
+    ctx = BoundContext.from_model(model, GAUSSIAN)
+    assert covariance_tail(ctx, 0) == covariance_tail(ctx, -1) == 1.0
+    assert all(covariance_tail(ctx, lag) == 0.0 for lag in (1, 2, 64))
 
 
 # ---------------------------------------------------------------- state space
@@ -141,7 +144,7 @@ def test_spectrum_matches_truncated_lag_transform(chain):
     diff = truth - approx
     diff = 0.5 * (diff + diff.conj().transpose(0, 2, 1))
     gap = qf.hermitian_spectral_norms(diff).max()
-    assert gap <= qf.autocov_tail(chain, depth + 1) + 1e-12
+    assert gap <= covariance_tail(BoundContext.from_model(chain, GAUSSIAN), depth + 1) + 1e-12
 
 
 def test_unstable_transition_rejected():
@@ -158,10 +161,11 @@ def test_decay_certificate_envelope(chain):
         norm = np.linalg.norm(stack[k], 2)
         assert norm <= cert.gamma * cert.rho ** k + 1e-12
     # the tail sum of the envelope over |k| >= L, and the summed norm bound at L <= 0
+    ctx = BoundContext.from_model(chain, GAUSSIAN)
     for lag in (1, 2, 7, 64, 299):
-        value = qf.autocov_tail(chain, lag)
+        value = covariance_tail(ctx, lag)
         assert type(value) is float and value == 2 * cert.gamma * cert.rho ** lag / (1 - cert.rho)
-    assert qf.autocov_tail(chain, 0) == qf.autocov_tail(chain, -2) == chain.r1_norm()
+    assert covariance_tail(ctx, 0) == covariance_tail(ctx, -2) == chain.r1_norm()
 
 
 def test_decay_certificate_weight_inequality(chain):

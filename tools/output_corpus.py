@@ -8,8 +8,9 @@ fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 family at N = 528 and N = 2064; an ``--oracle`` estimate of the
 three-channel state-space model at N = 528 on a 1025-point full-range grid,
 which spans several frequency slabs; ``simulate`` and ``estimate`` at
-N = 2064 for a state-space model with one output and five noise inputs; a
-biased-periodogram ``estimate`` at N = 65536 for a one-channel and a
+N = 2064 for a state-space model with one output and five noise inputs;
+biased-periodogram, Bartlett (block length 32768) and Welch (segment length
+16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
 full range; a biased-periodogram ``certify`` at N = 16384 on a slowly
 decaying model; a
@@ -88,7 +89,14 @@ ESTIMATORS = {
 
 SIZES = (528, 2064)
 
-# directory suffix -> grid options of the long periodogram estimates
+# estimators of the N = 65536 estimates, whose phase matrices span several slabs
+LONG_ESTIMATORS = {
+    "biased_periodogram": ESTIMATORS["biased_periodogram"],
+    "bartlett_32768": {"kind": "bartlett", "block_length": 32768},
+    "welch_16384": {"kind": "welch", "segment_length": 16384, "hop": 8192},
+}
+
+# directory suffix -> grid options of the long estimates
 LONG_GRIDS = {"": [], "_grid17": ["--grid", "17"], "_grid257": ["--grid", "257"], "_full_range": ["--full-range"]}
 
 CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
@@ -302,14 +310,15 @@ def main(argv=None) -> int:
     for est_name, estimator in ESTIMATORS.items():
         name = f"dense_state_space_{est_name}_2064"
         run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, dict(base, estimator=estimator))])
-    # phase matrices of 18 MB to 270 MB, each past one slab of columns
+    # phase matrices of 4.5 MB to 270 MB, most past one slab of columns
     for model_name in ("geometric_gaussian", "state_space"):
         model, noise = MODELS[model_name]
-        name = f"{model_name}_biased_periodogram_65536"
-        body = {"model": model, "noise": noise, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 65536, "seed": 11}
-        config = write_config(out, name, body)
-        for suffix, options in LONG_GRIDS.items():
-            run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
+        for est_name, estimator in LONG_ESTIMATORS.items():
+            name = f"{model_name}_{est_name}_65536"
+            body = {"model": model, "noise": noise, "estimator": estimator, "num_samples": 65536, "seed": 11}
+            config = write_config(out, name, body)
+            for suffix, options in LONG_GRIDS.items():
+                run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
     # a long, slowly decaying bias sum
     body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
     run(out, "certify/long_periodogram_16384", ["certify", "--config", write_config(out, "long_periodogram_16384", body)])
