@@ -16,12 +16,19 @@ class; the module-level functions dispatch to these methods.
 
 The biased periodogram (one segment of length N), Bartlett (contiguous
 blocks) and Welch (tapered windows) evaluate through one segment-average
-kernel, ``_segment_average``, which builds the (segment length, grid) phase
-matrix in the column slabs of ``_phase_slabs``.  Matrices of at most
-``_PHASE_CACHE_BYTES`` come from one bounded ``functools.lru_cache`` keyed by
-the segment length, the taper (a window name or a custom taper's bytes) and
-the grid bytes, so at 101 grid points it may hold a periodogram's matrix up
-to N = 648; larger ones are built slab by slab on every call.
+kernel, ``_segment_average``, which covers the grid in the column slabs of
+``_phase_slabs``.  Each slab's segment transforms come from
+``_phase_transform``: a segment of at most ``_PHASE_BLOCK`` = 256 samples
+takes one product with its (length, grid) phase matrix, the unit-norm taper
+folded in; a longer one is split into blocks of 256 (t = qB + r) and takes
+one product with a (256, grid) inner table and one contraction with a
+(blocks, grid) outer table, so a segment of N samples builds 256 + N/256
+complex exponentials per frequency instead of N.  The unbiased periodogram's
+lag transform over 2N - 1 lags takes the same two stages.  Phase tables of
+at most ``_PHASE_CACHE_BYTES`` come from one bounded ``functools.lru_cache``
+keyed by the segment length, the taper (a window name or a custom taper's
+bytes) and the grid bytes; at 101 grid points that holds both tables of
+every segment up to 65536 samples.
 """
 
 from __future__ import annotations
@@ -96,18 +103,18 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     return taper_window(kind, 2 * half_width - 1)
 
 
-# largest phase-matrix slab _segment_average builds at once
+# largest set of per-column arrays _segment_average builds at once
 _PHASE_SLAB_BYTES = 8 << 20
 
 
-def _phase_slabs(samples: int, points: int) -> list[tuple[int, int]]:
-    """Column ranges [a, b) covering a (samples, points) complex phase matrix.
+def _phase_slabs(rows: int, points: int) -> list[tuple[int, int]]:
+    """Column ranges [a, b) covering ``points`` grid columns of ``rows`` complex entries each.
 
-    A matrix of at most ``_PHASE_SLAB_BYTES`` is one range.  Otherwise the
-    ranges are widths of a multiple of 8 starting at multiples of 8, and a
-    last range of one column is merged into the one before it.
+    Up to ``_PHASE_SLAB_BYTES`` in all is one range.  Otherwise the ranges
+    are widths of a multiple of 8 starting at multiples of 8, and a last
+    range of one column is merged into the one before it.
     """
-    width = _PHASE_SLAB_BYTES // (16 * samples)
+    width = _PHASE_SLAB_BYTES // (16 * rows)
     if width >= points:
         return [(0, points)]
     width = max(8, width // 8 * 8)
@@ -120,6 +127,15 @@ def _phase_slabs(samples: int, points: int) -> list[tuple[int, int]]:
 # largest segment phase matrix _segment_phases keeps in its cache
 _PHASE_CACHE_BYTES = 1 << 20
 
+# samples per block of the two-stage transform; a power of two, so s * B is exact
+_PHASE_BLOCK = 256
+
+
+def _unit_taper(taper, length: int) -> np.ndarray:
+    """A window kind or a custom taper's float64 bytes, scaled to unit norm."""
+    values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
+    return values / np.linalg.norm(values)
+
 
 def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
     """Read-only (length, grid) matrix of segment phases, scaled by a unit-norm taper.
@@ -131,8 +147,7 @@ def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
     phases = np.outer(np.arange(length), np.frombuffer(grid)) * (-2j * np.pi)
     np.exp(phases, out=phases)
     if taper is not None:
-        values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
-        phases *= (values / np.linalg.norm(values))[:, None]
+        phases *= _unit_taper(taper, length)[:, None]
     phases.setflags(write=False)
     return phases
 
@@ -140,29 +155,55 @@ def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
 _cached_segment_phases = functools.lru_cache(maxsize=16)(_build_segment_phases)
 
 
-def _segment_phases(length: int, taper, freqs: np.ndarray) -> np.ndarray:
-    """Segment phases shared by every call with the same (length, taper, grid).
+def _segment_phases(length: int, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+    """Grid ``columns`` of the segment phases shared by every call with the same (length, taper, grid).
 
-    Matrices above ``_PHASE_CACHE_BYTES`` are built afresh on each call, so
-    the cache holds at most 16 MiB.
+    A whole matrix of at most ``_PHASE_CACHE_BYTES`` is cached, so every
+    slab of a grid reads one entry; a larger one is built afresh for the
+    asked columns on each call, so the cache holds at most 16 MiB.
     """
-    grid = freqs.tobytes()
     if 16 * length * freqs.size > _PHASE_CACHE_BYTES:
-        return _build_segment_phases(length, taper, grid)
-    return _cached_segment_phases(length, taper, grid)
+        return _build_segment_phases(length, taper, freqs[columns].tobytes())
+    return _cached_segment_phases(length, taper, freqs.tobytes())[:, columns]
+
+
+def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+    """sum_t w[t] x[t] e^{-2 pi i s t} over the last axis of a (..., length) stack, as (..., columns).
+
+    w is the unit-norm ``taper``, or one when it is None.  Up to
+    ``_PHASE_BLOCK`` samples this is one product with the (length, grid)
+    phases of ``_segment_phases``, the taper folded in.  A longer axis is
+    split as t = q B + r (Cooley & Tukey, 1965): the tapered data, zero-padded
+    to Q whole blocks of B samples, is multiplied by the (B, grid) inner
+    phases e^{-2 pi i s r}, and its Q axis is contracted against the
+    (Q, grid) outer phases e^{-2 pi i s q B}, which are the segment phases of
+    length Q on the grid scaled by B.  Both tables come from
+    ``_segment_phases``: (B + Q) exponentials per frequency instead of Q B.
+    """
+    length = values.shape[-1]
+    if length <= _PHASE_BLOCK:
+        return values @ _segment_phases(length, taper, freqs, columns)
+    blocks = -(-length // _PHASE_BLOCK)
+    padded = np.zeros(values.shape[:-1] + (blocks * _PHASE_BLOCK,), dtype=complex)
+    padded[..., :length] = values if taper is None else values * _unit_taper(taper, length)
+    inner = _segment_phases(_PHASE_BLOCK, None, freqs, columns)
+    partial = padded.reshape(values.shape[:-1] + (blocks, _PHASE_BLOCK)) @ inner
+    return np.einsum("...qf,qf->...f", partial, _segment_phases(blocks, None, freqs * _PHASE_BLOCK, columns))
 
 
 def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
     """sum_l X_l(s) X_l(s)^H / divisor on a grid, as (grid, channels, channels).
 
     ``windows`` is a (segments, channels, length) stack and X_l(s) the
-    transform of segment l against the phases of ``_segment_phases``.  The
-    phase matrix is built in the column slabs of ``_phase_slabs``, not all at
-    once: at N = 65536 and 101 points the periodogram's whole matrix is
-    106 MB.  Slabs keep every bit of the whole-matrix product, because each
-    phase entry is computed elementwise and each output column is the same
-    BLAS dot over the samples, provided ``_phase_slabs`` keeps out two
-    hazards:
+    transform of segment l by ``_phase_transform``.  The grid is covered in
+    the column slabs of ``_phase_slabs``, and each slab's transform is
+    reduced before the next is built, so neither a phase table too large to
+    cache nor the (segments, channels, grid) transform and its conjugate ever
+    exist whole: Welch 32/16 on 3 x 65536 samples at 101 points has a 19 MB
+    transform.  Slabs keep every bit of the unslabbed computation, because
+    each phase entry is computed elementwise, each output column is the same
+    BLAS dot over the samples and each estimate entry sums the segments in
+    the same order, provided ``_phase_slabs`` keeps out two hazards:
 
     - With one channel numpy calls ``zgemv_t``, which sums columns in groups
       of four and the leftover columns with other kernels.  A slab that
@@ -175,14 +216,22 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
 
     With one channel and several BLAS threads, OpenBLAS splits a product's
     columns between threads at points set by its width, so the bits of a
-    multi-slab call, like those of the whole-matrix product, depend on the
+    multi-slab call, like those of the unslabbed product, depend on the
     thread count; the two agree bit for bit at one thread.
     """
     segments, channels, length = windows.shape
-    transform = np.empty((segments, channels, freqs.size), dtype=complex)
-    for a, b in _phase_slabs(length, freqs.size):
-        np.matmul(windows, _segment_phases(length, taper, freqs[a:b]), out=transform[..., a:b])
-    return np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor
+    blocks = -(-length // _PHASE_BLOCK)
+    # per grid column: the phase tables, then either the (segments, channels,
+    # Q) partial products and the transform, or the transform and its conjugate
+    rows = min(length, _PHASE_BLOCK) + blocks + segments * channels * (blocks + 1)
+    # the layout einsum gives its own output: the grid axis is contiguous
+    estimate = np.empty((channels, channels, freqs.size), dtype=complex).transpose(2, 0, 1)
+    if blocks == 1:  # cast once, not in each slab's product
+        windows = windows.astype(complex)
+    for a, b in _phase_slabs(rows, freqs.size):
+        transform = _phase_transform(windows, taper, freqs, slice(a, b))
+        np.einsum("lif,ljf->fij", transform, transform.conj(), out=estimate[a:b])
+    return estimate / divisor
 
 
 @dataclass(frozen=True)
@@ -226,7 +275,7 @@ class UnbiasedPeriodogram:
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         n = data.samples
         stack = two_sided_stack(_acs_head(data, n - 1, biased=False))
-        return _lag_transform(stack, np.arange(-(n - 1), n), freqs)
+        return _lag_transform(stack, 1 - n, freqs)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         return n >= cutoff
@@ -296,7 +345,7 @@ class BlackmanTukey:
         self._check_fits(data.samples)
         stack = two_sided_stack(_acs_head(data, m - 1, biased=True))
         weighted = stack * self.weights()[:, None, None]
-        return _lag_transform(weighted, np.arange(-(m - 1), m), freqs)
+        return _lag_transform(weighted, 1 - m, freqs)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         m = self.half_width
@@ -493,9 +542,20 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     return out
 
 
-def _lag_transform(stack: np.ndarray, offsets: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    phases = np.exp(-2j * np.pi * np.outer(freqs, offsets))
-    return np.einsum("fk,kij->fij", phases, stack)
+def _lag_transform(stack: np.ndarray, first: int, freqs: np.ndarray) -> np.ndarray:
+    """sum_k e^{-2 pi i s k} R[k] over the lags k = first, first + 1, ... of a stack, as (grid, n, n).
+
+    Up to ``_PHASE_BLOCK`` lags this is one einsum with the (grid, lags)
+    phase matrix.  More lags take the two stages of ``_phase_transform`` over
+    k - first, times e^{-2 pi i s first}: at N = 16384 the unbiased
+    periodogram's one-stage matrix would be 53 MB at 101 points.
+    """
+    lags = stack.shape[0]
+    if lags <= _PHASE_BLOCK:
+        phases = np.exp(-2j * np.pi * np.outer(freqs, np.arange(first, first + lags)))
+        return np.einsum("fk,kij->fij", phases, stack)
+    transform = _phase_transform(stack.transpose(1, 2, 0), None, freqs).transpose(2, 0, 1)
+    return transform * np.exp(-2j * np.pi * first * freqs)[:, None, None]
 
 
 def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:

@@ -205,36 +205,67 @@ def test_fast_paths_match_generic_oracle(rng):
 
 SLAB_CASES = (
     [(n, p) for n in (1, 7, 144, 2064) for p in (1, 2, 9, 17, 101, 257)]
-    + [(144, 4097)]
+    + [(144, 4097), (8192, 4097)]
     + [(n, p) for n in (8192, 65536) for p in (9, 17, 101)]
 )
 
-# segment families whose (segment length, grid) phase matrix spans several
-# slabs at N = 65536; at 257 points the last one-column slab is merged
+# segment families at N = 65536: long segments, and many short segments
+# whose (segments, channels, grid) transform spans several slabs (at 17
+# points the last one-column slab is merged)
 SEGMENT_SLAB_SPECS = {
     "bartlett8192": est.Bartlett(8192),
     "bartlett32768": est.Bartlett(32768),
     "welch_hann": est.Welch(16384, 8192, "hann"),
     "welch_custom": est.Welch(16384, 8192, [1.0 + (k % 5) for k in range(16384)]),
+    "welch32": est.Welch(32, 16),
+    "bartlett16": est.Bartlett(16),
+    "welch512": est.Welch(512, 64),
 }
-SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [("bartlett8192", 65536, 257)]
+# welch512 at 201 points: several slabs, each reading its columns of both
+# cached two-stage tables
+SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [
+    ("bartlett8192", 65536, 257),
+    ("welch32", 65536, 17),
+    ("welch512", 65536, 201),
+]
+
+# samples per block of the two-stage segment transform
+BLOCK = 256
 
 
 def whole_matrix_estimate(spec, values, grid):
-    """The estimate from one product with the whole (segment length, grid) phase matrix."""
+    """The estimate from unslabbed products over the whole grid.
+
+    A segment of at most ``BLOCK`` samples takes one product with its whole
+    (segment length, grid) phase matrix.  A longer one is zero-padded to Q
+    whole blocks and takes one product with the (BLOCK, grid) inner phases
+    and one contraction of Q with the (Q, grid) outer phases.
+    """
     num_samples = values.shape[1]
-    if isinstance(spec, est.BiasedPeriodogram):
+    if isinstance(spec, est.BiasedPeriodogram) and num_samples <= BLOCK:
         transform = values @ np.exp(-2j * np.pi * np.outer(np.arange(num_samples), grid))
         return qf.hermitian_part(np.einsum("if,jf->fij", transform, transform.conj()) / num_samples)
-    if isinstance(spec, est.Bartlett):
+    if isinstance(spec, est.BiasedPeriodogram):
+        length = hop = num_samples
+        taper, divisor = None, num_samples
+    elif isinstance(spec, est.Bartlett):
         length = hop = spec.block_length
         taper, divisor = None, num_samples
     else:
         length, hop, divisor = spec.segment_length, spec.hop, spec.segments(num_samples)
         taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
     windows = np.stack([values[:, start : start + length] for start in range(0, num_samples - length + 1, hop)])
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
-    transform = windows @ (phases if taper is None else taper[:, None] * phases)
+    if length <= BLOCK:
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
+        transform = windows @ (phases if taper is None else taper[:, None] * phases)
+    else:
+        blocks = -(-length // BLOCK)
+        padded = np.zeros(windows.shape[:2] + (blocks * BLOCK,))
+        padded[..., :length] = windows if taper is None else windows * taper
+        inner = np.exp(-2j * np.pi * np.outer(np.arange(BLOCK), grid))
+        outer = np.exp(-2j * np.pi * np.outer(np.arange(blocks) * BLOCK, grid))
+        partial = padded.reshape(windows.shape[:2] + (blocks, BLOCK)) @ inner
+        transform = np.einsum("liqf,qf->lif", partial, outer)
     return qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor)
 
 
@@ -281,12 +312,18 @@ def test_biased_periodogram_slabs_keep_every_bit(one_thread_slab_mismatches, cas
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [est.BiasedPeriodogram(), est.Bartlett(32768), est.Welch(16384, 8192)],
-    ids=["biased_periodogram", "bartlett32768", "welch16384"],
+    "spec, channels, num_samples",
+    [
+        (est.BiasedPeriodogram(), 3, 65536),
+        (est.Bartlett(32768), 3, 65536),
+        (est.Welch(16384, 8192), 3, 65536),
+        (est.Welch(32, 16), 3, 65536),
+        (est.UnbiasedPeriodogram(), 1, 16384),
+    ],
+    ids=["biased_periodogram", "bartlett32768", "welch16384", "welch32", "unbiased_periodogram16384"],
 )
-def test_biased_periodogram_memory_stays_flat(spec):
-    data = qf.DataMatrix(np.random.default_rng(7).standard_normal((3, 65536)))
+def test_biased_periodogram_memory_stays_flat(spec, channels, num_samples):
+    data = qf.DataMatrix(np.random.default_rng(7).standard_normal((channels, num_samples)))
     grid = qf.frequency_grid(101)
     tracemalloc.start()
     try:
@@ -294,8 +331,73 @@ def test_biased_periodogram_memory_stays_flat(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # whole phase matrices of 106 MB (periodogram), 53 MB (Bartlett) and 26 MB (Welch)
+    # one-stage phase matrices of 106 MB (periodogram), 53 MB (Bartlett) and
+    # 26 MB (Welch 16384); a 19 MB transform and its conjugate (Welch 32);
+    # a 53 MB lag-phase matrix (unbiased periodogram)
     assert peak < 32 << 20
+
+
+def longdouble_estimate(spec, values, freqs):
+    """The segment average at a few frequencies, its transforms summed in long double."""
+    num_samples = values.shape[1]
+    if isinstance(spec, est.BiasedPeriodogram):
+        length = hop = divisor = num_samples
+        taper = np.ones(length)
+    elif isinstance(spec, est.Bartlett):
+        length = hop = spec.block_length
+        divisor, taper = num_samples, np.ones(length)
+    else:
+        length, hop, divisor = spec.segment_length, spec.hop, spec.segments(num_samples)
+        taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
+    windows = np.stack([values[:, start : start + length] for start in range(0, num_samples - length + 1, hop)])
+    weighted = windows.astype(np.longdouble) * taper.astype(np.longdouble)
+    estimates = []
+    for s in freqs:
+        turns = (np.arange(length, dtype=np.longdouble) * np.longdouble(s)) % 1
+        angle = -2 * np.pi * turns
+        real, imag = weighted @ np.cos(angle), weighted @ np.sin(angle)
+        transform = real + 1j * imag
+        estimates.append(np.einsum("li,lj->ij", transform, transform.conj()) / divisor)
+    return np.array(estimates)
+
+
+@pytest.mark.parametrize("full_range", [False, True], ids=["half_range", "full_range"])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize(
+    "spec", [est.BiasedPeriodogram(), est.Bartlett(32768), est.Welch(16384, 8192, "hann")], ids=lambda spec: spec.kind
+)
+def test_two_stage_segments_match_a_long_double_transform(spec, channels, full_range):
+    values = np.random.default_rng(channels).standard_normal((channels, 65536))
+    grid = qf.frequency_grid(101, full_range)
+    picks = [0, 1, 37, 99, 100]
+    fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
+    reference = longdouble_estimate(spec, values, grid[picks])
+    for got, want in zip(fast, reference):
+        scale = float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "spec, num_samples",
+    [
+        (est.BiasedPeriodogram(), 257),
+        (est.BiasedPeriodogram(), 600),
+        (est.UnbiasedPeriodogram(), 129),
+        (est.UnbiasedPeriodogram(), 600),
+        (est.BlackmanTukey(300, "hamming"), 600),
+        (est.Bartlett(300), 600),
+        (est.Welch(300, 100, "hann"), 600),
+        (est.Welch(260, 170, [1.0 + (k % 7) for k in range(260)]), 600),
+    ],
+    ids=lambda case: case.kind if hasattr(case, "kind") else str(case),
+)
+def test_two_stage_fast_paths_match_generic_oracle(spec, num_samples):
+    data = qf.DataMatrix(np.random.default_rng(num_samples).standard_normal((2, num_samples)))
+    for full_range in (False, True):
+        grid = qf.frequency_grid(37, full_range)  # spacing 1/72: s B is not a whole number of turns
+        fast = est.evaluate_fast(spec, data, grid)
+        generic = qf.evaluate_generic_grid(data, est.build_matrix(spec, num_samples), grid)
+        assert np.abs(fast.matrices - generic.matrices).max() < 1e-10
 
 
 @pytest.mark.parametrize("num_samples, segment_length, hop", [(64, 8, 8), (400, 8, 8), (2064, 48, 16), (65536, 32, 16)])

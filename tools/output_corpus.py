@@ -12,8 +12,9 @@ N = 2064 for a state-space model with one output and five noise inputs;
 biased-periodogram, Bartlett (block length 32768) and Welch (segment length
 16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
-full range; a biased-periodogram ``certify`` at N = 16384 on a slowly
-decaying model; a
+full range; an unbiased-periodogram ``estimate`` at N = 16384; a
+three-channel Welch (segment length 32, hop 16) ``estimate`` at N = 65536;
+a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a set of rejected configs; configs that only strict
 parsing rejects; a periodogram ``certify --require-feasible``; ``reproduce
@@ -89,7 +90,7 @@ ESTIMATORS = {
 
 SIZES = (528, 2064)
 
-# estimators of the N = 65536 estimates, whose phase matrices span several slabs
+# estimators of the N = 65536 estimates, whose segments are transformed in two stages
 LONG_ESTIMATORS = {
     "biased_periodogram": ESTIMATORS["biased_periodogram"],
     "bartlett_32768": {"kind": "bartlett", "block_length": 32768},
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     for est_name, estimator in ESTIMATORS.items():
         name = f"dense_state_space_{est_name}_2064"
         run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, dict(base, estimator=estimator))])
-    # phase matrices of 4.5 MB to 270 MB, most past one slab of columns
+    # segments of 16384 to 65536 samples, transformed in two stages
     for model_name in ("geometric_gaussian", "state_space"):
         model, noise = MODELS[model_name]
         for est_name, estimator in LONG_ESTIMATORS.items():
@@ -319,6 +320,13 @@ def main(argv=None) -> int:
             config = write_config(out, name, body)
             for suffix, options in LONG_GRIDS.items():
                 run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
+    # the unbiased periodogram's two-stage lag transform, and a many-segment
+    # Welch transform that spans several slabs
+    for model_name, est_name, n in (("geometric_gaussian", "unbiased_periodogram", 16384), ("state_space", "welch_hann", 65536)):
+        model, noise = MODELS[model_name]
+        name = f"{model_name}_{est_name}_{n}"
+        body = {"model": model, "noise": noise, "estimator": ESTIMATORS[est_name], "num_samples": n, "seed": 11}
+        run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, body)])
     # a long, slowly decaying bias sum
     body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
     run(out, "certify/long_periodogram_16384", ["certify", "--config", write_config(out, "long_periodogram_16384", body)])
