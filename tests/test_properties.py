@@ -127,3 +127,50 @@ def test_blackman_tukey_envelope_covers_the_dense_envelope(case):
     spec, n = case
     envelope = est.certificate_params(spec, n).envelope
     assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
+
+
+def _dense_spectral_norm(matrix):
+    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+
+
+@st.composite
+def centrosymmetric_matrices(draw):
+    """A symmetric matrix S + JSJ (J the index reversal) of size 1 to 40, exactly centrosymmetric."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((n, n)) * 10.0 ** draw(st.integers(-6, 6))
+    symmetric = raw + raw.T
+    return symmetric + symmetric[::-1, ::-1], rng
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(centrosymmetric_matrices())
+def test_centrosymmetric_split_matches_the_dense_eigensolve(case):
+    matrix, _ = case
+    form = qf.QuadraticForm(matrix)
+    assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(centrosymmetric_matrices(), st.floats(0.01, 0.9))
+def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, fraction):
+    matrix, rng = case
+    raw = rng.standard_normal(matrix.shape)
+    symmetric = raw + raw.T
+    skew = symmetric - symmetric[::-1, ::-1]  # J skew J = -skew
+    scale = np.linalg.norm(skew)
+    if scale > 0.0:
+        # ||A - JAJ||_F / 2 = ||perturbation||_F, a fraction of the gate
+        matrix = matrix + skew * (fraction * qf._CENTRO_GATE * np.linalg.norm(matrix) / scale)
+    form = qf.QuadraticForm(matrix)
+    dense = _dense_spectral_norm(form.matrix)
+    residual = 0.5 * np.linalg.norm(form.matrix - form.matrix[::-1, ::-1])
+    assert form.spectral_norm >= dense * (1.0 - 1e-13)
+    assert form.spectral_norm <= dense * (1.0 + 1e-13) + 2.0 * residual
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_generic_symmetric_norm_is_the_dense_expression_bit_for_bit(n, seed):
+    form = qf.QuadraticForm(np.random.default_rng(seed).standard_normal((n, n)))
+    assert form.spectral_norm == _dense_spectral_norm(form.matrix)

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound.bounds import envelope_from_form
+from specbound.constants import GAUSSIAN
 from specbound.signals import GeometricScalar, WhiteNoise
 
 
@@ -390,3 +392,72 @@ def test_spectral_estimate_validation_and_sup(rng):
     assert estimate.sup_norm() == pytest.approx(5.0)
     with pytest.raises(ValueError):
         qf.SpectralEstimate(grid, mats[:3])
+
+
+def _dense_spectral_norm(matrix):
+    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+
+
+def _family_specs(n):
+    """The five families, with Bartlett and Welch segments that tile N."""
+    if n % 2:
+        segmented = (est.Bartlett(15), est.Welch(15, 8, "hann"))
+    else:
+        segmented = (est.Bartlett(16), est.Welch(32, 16, "hann"))
+    return (est.BiasedPeriodogram(), est.UnbiasedPeriodogram(), est.BlackmanTukey(32, "hann")) + segmented
+
+
+@pytest.mark.parametrize("n", [255, 256, 1024])
+def test_family_spectral_norms_and_verdicts_match_the_dense_eigensolve(n):
+    ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
+    for spec in _family_specs(n):
+        form = est.build_matrix(spec, n)
+        dense = _dense_spectral_norm(form.matrix)
+        assert form.spectral_norm == pytest.approx(dense, rel=1e-13, abs=0.0)
+        stats = form.diagonal_stats
+        xi = max(dense, form.frobenius_norm ** 2)
+        envelope = max(xi, float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
+        dense_inputs = {"xi": xi, "envelope": envelope, "truncation": form.truncation_width}
+        for eps in (0.05, 0.5, 5.0):
+            for part in bd.CONDITION_PARTS:
+                split = bd.check_conditions(part, eps, 0.05, ctx, form=form)
+                oracle = bd.check_conditions(part, eps, 0.05, ctx, form=form, **dense_inputs)
+                assert split.holds == oracle.holds, (spec, part, eps)
+
+
+@pytest.mark.parametrize("n, cross", [(16, False), (17, False), (17, True)])
+def test_split_adds_the_mirror_residual_to_the_centrosymmetric_norm(rng, n, cross):
+    raw = rng.standard_normal((n, n))
+    symmetric = raw + raw.T
+    centro = symmetric + symmetric[::-1, ::-1]
+    skew = symmetric - symmetric[::-1, ::-1]
+    if cross:  # only the middle row and column, which the top half holds once
+        mask = np.zeros((n, n), dtype=bool)
+        mask[n // 2] = mask[:, n // 2] = True
+        skew = np.where(mask, skew, 0.0)
+    # half the gate: ||A - JAJ||_F / 2 = ||perturbation||_F
+    scale = 0.5 * qf._CENTRO_GATE * np.linalg.norm(centro) / np.linalg.norm(skew)
+    form = qf.QuadraticForm(centro + scale * skew)
+    mirrored = form.matrix[::-1, ::-1]
+    residual = 0.5 * np.linalg.norm(form.matrix - mirrored)
+    gap = form.spectral_norm - _dense_spectral_norm(0.5 * (form.matrix + mirrored))
+    assert gap == pytest.approx(residual, rel=1e-2)
+
+
+def test_family_forms_take_two_half_size_eigensolves(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(matrix):
+        sizes.append(matrix.shape[-1])
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for n in (255, 256):
+        for spec in _family_specs(n):
+            sizes.clear()
+            est.build_matrix(spec, n).spectral_norm
+            assert sorted(sizes) == [n // 2, n - n // 2], spec
+    sizes.clear()
+    qf.QuadraticForm(np.random.default_rng(5).standard_normal((9, 9))).spectral_norm
+    assert sizes == [9]
