@@ -23,12 +23,17 @@ takes one product with its (length, grid) phase matrix, the unit-norm taper
 folded in; a longer one is split into blocks of 256 (t = qB + r) and takes
 one product with a (256, grid) inner table and one contraction with a
 (blocks, grid) outer table, so a segment of N samples builds 256 + N/256
-complex exponentials per frequency instead of N.  The unbiased periodogram's
-lag transform over 2N - 1 lags takes the same two stages.  Phase tables of
-at most ``_PHASE_CACHE_BYTES`` come from one bounded ``functools.lru_cache``
-keyed by the segment length, the taper (a window name or a custom taper's
-bytes) and the grid bytes; at 101 grid points that holds both tables of
-every segment up to 65536 samples.
+complex exponentials per frequency instead of N.  The data stays real:
+each product multiplies the flattened real stack by the complex table read
+as twice as many real columns, one real GEMM with half the flops of a
+complex one, and every table is stored zero-padded to a multiple of 8 grid
+columns, so each slab's columns take the BLAS kernels of the whole grid's.
+The unbiased periodogram's lag transform over 2N - 1 lags takes the same
+two stages, and so do ``quadform``'s exact mean and bias sums, over the
+lags 0..H-1 of each side.  Phase tables of at most ``_PHASE_CACHE_BYTES``
+come from one bounded ``functools.lru_cache`` keyed by the segment length,
+the taper (a window name or a custom taper's bytes) and the grid bytes; at
+101 grid points that holds both tables of every segment up to 65536 samples.
 """
 
 from __future__ import annotations
@@ -106,21 +111,27 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
 # largest set of per-column arrays _segment_average builds at once
 _PHASE_SLAB_BYTES = 8 << 20
 
+# phase tables are stored with their grid columns zero-padded to a multiple of this
+_PHASE_PAD = 8
+
+
+def _padded(points: int) -> int:
+    """``points`` rounded up to a whole number of ``_PHASE_PAD`` columns."""
+    return -(-points // _PHASE_PAD) * _PHASE_PAD
+
 
 def _phase_slabs(rows: int, points: int) -> list[tuple[int, int]]:
     """Column ranges [a, b) covering ``points`` grid columns of ``rows`` complex entries each.
 
     Up to ``_PHASE_SLAB_BYTES`` in all is one range.  Otherwise the ranges
-    are widths of a multiple of 8 starting at multiples of 8, and a last
-    range of one column is merged into the one before it.
+    start at multiples of ``_PHASE_PAD`` and, but for the last, are a
+    multiple of ``_PHASE_PAD`` wide.
     """
     width = _PHASE_SLAB_BYTES // (16 * rows)
     if width >= points:
         return [(0, points)]
-    width = max(8, width // 8 * 8)
+    width = max(_PHASE_PAD, width // _PHASE_PAD * _PHASE_PAD)
     starts = list(range(0, points, width))
-    if len(starts) > 1 and points - starts[-1] == 1:
-        starts.pop()
     return list(zip(starts, starts[1:] + [points]))
 
 
@@ -130,7 +141,6 @@ _PHASE_CACHE_BYTES = 1 << 20
 # samples per block of the two-stage transform; a power of two, so s * B is exact
 _PHASE_BLOCK = 256
 
-
 def _unit_taper(taper, length: int) -> np.ndarray:
     """A window kind or a custom taper's float64 bytes, scaled to unit norm."""
     values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
@@ -138,16 +148,20 @@ def _unit_taper(taper, length: int) -> np.ndarray:
 
 
 def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
-    """Read-only (length, grid) matrix of segment phases, scaled by a unit-norm taper.
+    """Read-only (length, padded grid) matrix of segment phases, scaled by a unit-norm taper.
 
     ``taper`` is None (no taper), a window kind, or the float64 bytes of a
-    custom taper; ``grid`` holds the float64 bytes of the frequencies.  Built
-    in place, so a matrix of B bytes peaks at 1.5 B.
+    custom taper; ``grid`` holds the float64 bytes of the frequencies, and
+    the columns past them, up to a multiple of ``_PHASE_PAD``, are zero.
+    Built in place, so a matrix of B bytes peaks at 1.5 B.
     """
-    phases = np.outer(np.arange(length), np.frombuffer(grid)) * (-2j * np.pi)
-    np.exp(phases, out=phases)
+    freqs = np.frombuffer(grid)
+    phases = np.zeros((length, _padded(freqs.size)), dtype=complex)
+    table = phases[:, : freqs.size]
+    np.multiply(np.outer(np.arange(length), freqs), -2j * np.pi, out=table)
+    np.exp(table, out=table)
     if taper is not None:
-        phases *= _unit_taper(taper, length)[:, None]
+        table *= _unit_taper(taper, length)[:, None]
     phases.setflags(write=False)
     return phases
 
@@ -158,17 +172,32 @@ _cached_segment_phases = functools.lru_cache(maxsize=16)(_build_segment_phases)
 def _segment_phases(length: int, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
     """Grid ``columns`` of the segment phases shared by every call with the same (length, taper, grid).
 
-    A whole matrix of at most ``_PHASE_CACHE_BYTES`` is cached, so every
-    slab of a grid reads one entry; a larger one is built afresh for the
-    asked columns on each call, so the cache holds at most 16 MiB.
+    ``columns`` starts at a multiple of ``_PHASE_PAD``, and the table
+    returned runs on to a multiple of ``_PHASE_PAD`` columns past that start,
+    the columns past the grid being zero.  A whole table of at most
+    ``_PHASE_CACHE_BYTES`` is cached, so every slab of a grid reads one
+    entry; a larger one is built afresh for the asked columns on each call,
+    so the cache holds at most 16 MiB.
     """
-    if 16 * length * freqs.size > _PHASE_CACHE_BYTES:
+    if 16 * length * _padded(freqs.size) > _PHASE_CACHE_BYTES:
         return _build_segment_phases(length, taper, freqs[columns].tobytes())
-    return _cached_segment_phases(length, taper, freqs.tobytes())[:, columns]
+    start, stop, _ = columns.indices(freqs.size)
+    return _cached_segment_phases(length, taper, freqs.tobytes())[:, start : start + _padded(stop - start)]
+
+
+def _times_phases(values: np.ndarray, phases: np.ndarray, width: int) -> np.ndarray:
+    """Real (..., length) stack times a padded (length, columns) phase table, as (..., width).
+
+    One real GEMM (or, for one row, GEMV) of the flattened stack with the
+    table read as (length, 2 columns) reals; the first ``width`` complex
+    columns of the product are a view.
+    """
+    product = (values.reshape(-1, values.shape[-1]) @ phases.view(float)).view(complex)
+    return product[:, :width].reshape(values.shape[:-1] + (width,))
 
 
 def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-    """sum_t w[t] x[t] e^{-2 pi i s t} over the last axis of a (..., length) stack, as (..., columns).
+    """sum_t w[t] x[t] e^{-2 pi i s t} over the last axis of a real (..., length) stack, as (..., columns).
 
     w is the unit-norm ``taper``, or one when it is None.  Up to
     ``_PHASE_BLOCK`` samples this is one product with the (length, grid)
@@ -179,22 +208,25 @@ def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slic
     (Q, grid) outer phases e^{-2 pi i s q B}, which are the segment phases of
     length Q on the grid scaled by B.  Both tables come from
     ``_segment_phases``: (B + Q) exponentials per frequency instead of Q B.
+    The data stays real: each product is one real GEMM by ``_times_phases``.
     """
     length = values.shape[-1]
+    width = freqs[columns].size
     if length <= _PHASE_BLOCK:
-        return values @ _segment_phases(length, taper, freqs, columns)
+        return _times_phases(values, _segment_phases(length, taper, freqs, columns), width)
     blocks = -(-length // _PHASE_BLOCK)
-    padded = np.zeros(values.shape[:-1] + (blocks * _PHASE_BLOCK,), dtype=complex)
+    padded = np.zeros(values.shape[:-1] + (blocks * _PHASE_BLOCK,))
     padded[..., :length] = values if taper is None else values * _unit_taper(taper, length)
     inner = _segment_phases(_PHASE_BLOCK, None, freqs, columns)
-    partial = padded.reshape(values.shape[:-1] + (blocks, _PHASE_BLOCK)) @ inner
-    return np.einsum("...qf,qf->...f", partial, _segment_phases(blocks, None, freqs * _PHASE_BLOCK, columns))
+    partial = _times_phases(padded.reshape(values.shape[:-1] + (blocks, _PHASE_BLOCK)), inner, width)
+    outer = _segment_phases(blocks, None, freqs * _PHASE_BLOCK, columns)[:, :width]
+    return np.einsum("...qf,qf->...f", partial, outer)
 
 
 def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
     """sum_l X_l(s) X_l(s)^H / divisor on a grid, as (grid, channels, channels).
 
-    ``windows`` is a (segments, channels, length) stack and X_l(s) the
+    ``windows`` is a real (segments, channels, length) stack and X_l(s) the
     transform of segment l by ``_phase_transform``.  The grid is covered in
     the column slabs of ``_phase_slabs``, and each slab's transform is
     reduced before the next is built, so neither a phase table too large to
@@ -203,21 +235,20 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     transform.  Slabs keep every bit of the unslabbed computation, because
     each phase entry is computed elementwise, each output column is the same
     BLAS dot over the samples and each estimate entry sums the segments in
-    the same order, provided ``_phase_slabs`` keeps out two hazards:
+    the same order, provided BLAS takes the same kernel for every column.
+    The product is a real GEMM (a GEMV for one row) over twice as many real
+    columns as the table has complex ones, and OpenBLAS sums the columns past
+    the last whole group of its kernel's unroll with tail kernels, in another
+    order.  So every table is zero-padded to a multiple of ``_PHASE_PAD`` = 8
+    complex columns, ``_phase_slabs`` gives slabs that start at multiples of
+    8 and, but for the last, which reads its padded columns, are a multiple
+    of 8 wide, and only the grid's own columns are reduced.  Padded, no
+    product is one column wide either, which numpy would run as a
+    matrix-vector product summing in another order.
 
-    - With one channel numpy calls ``zgemv_t``, which sums columns in groups
-      of four and the leftover columns with other kernels.  A slab that
-      starts at an unaligned column, or that is four columns wide while BLAS
-      runs on several threads, changes the bits; slabs are multiples of 8
-      wide and start at multiples of 8.
-    - A one-column slab takes numpy's vector path (``gemv``/``dot``), which
-      sums in another order when there are two or more channels; a last slab
-      of one column is merged into the slab before it.
-
-    With one channel and several BLAS threads, OpenBLAS splits a product's
-    columns between threads at points set by its width, so the bits of a
-    multi-slab call, like those of the unslabbed product, depend on the
-    thread count; the two agree bit for bit at one thread.
+    OpenBLAS splits a product between threads at points set by its shape, so
+    the bits are promised at a fixed thread count only, and the tests compare
+    at one thread; no change was seen between one and four threads.
     """
     segments, channels, length = windows.shape
     blocks = -(-length // _PHASE_BLOCK)
@@ -226,10 +257,11 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     rows = min(length, _PHASE_BLOCK) + blocks + segments * channels * (blocks + 1)
     # the layout einsum gives its own output: the grid axis is contiguous
     estimate = np.empty((channels, channels, freqs.size), dtype=complex).transpose(2, 0, 1)
-    if blocks == 1:  # cast once, not in each slab's product
-        windows = windows.astype(complex)
+    windows = np.ascontiguousarray(windows)  # so each slab's product flattens it without a copy
     for a, b in _phase_slabs(rows, freqs.size):
-        transform = _phase_transform(windows, taper, freqs, slice(a, b))
+        # contiguous: the one-stage transform is a view of the padded product,
+        # on which conj and einsum take a slow strided path (same bits)
+        transform = np.ascontiguousarray(_phase_transform(windows, taper, freqs, slice(a, b)))
         np.einsum("lif,ljf->fij", transform, transform.conj(), out=estimate[a:b])
     return estimate / divisor
 

@@ -12,7 +12,7 @@ Euclidean norms are exactly the spectral and Frobenius norms of the
 single-diagonal matrices B[k]), the diagonal sums b[k] that determine the
 estimator mean, the generic evaluation path used as the correctness oracle for
 the fast structured paths, and exact bias evaluation against analytic process
-models.
+models, whose lag sums take the estimators' cached phase tables.
 
 Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
 ``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
@@ -427,13 +427,29 @@ def envelope_tail(gamma: float, rho: float, lag: int) -> float:
 
 
 def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
-    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n)."""
+    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n).
+
+    Both sides are one transform over the lags k = 0..H-1 by the estimators'
+    ``_phase_transform``, stacked as (2n, n, H): weights[k] R[k] on top, and
+    below weights[-k] R[-k] = weights[-k] R[k]^T, whose transform is
+    conjugated because the R[k] are real.  The phase tables are the cached
+    (H, grid) one up to 256 lags and the cached (256, grid) and
+    (blocks, grid) ones beyond, never a (grid, 2H - 1) phase matrix, and each
+    phase e^{-j2 pi s k} is rounded at its own |k|, where a decaying
+    covariance keeps its mass.
+    """
+    from .estimators import _phase_transform  # the estimators module imports this one
+
     if not hasattr(model, "autocov_stack"):
         raise TypeError("model does not expose an analytic autocovariance")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    autocov = two_sided_stack(np.asarray(model.autocov_stack(coeffs.half_width - 1), dtype=float))
-    phases = np.exp(-2j * np.pi * np.outer(freqs, coeffs.offsets))
-    return np.einsum("fk,kij->fij", phases * weights, autocov)
+    half = coeffs.half_width
+    head = np.asarray(model.autocov_stack(half - 1), dtype=float).transpose(1, 2, 0)  # R[k][i, j] at [i, j, k]
+    n = head.shape[0]
+    sides = np.concatenate([head * weights[half - 1 :], head.transpose(1, 0, 2) * weights[half - 1 :: -1]])
+    sides[n:, :, 0] = 0.0  # lag 0 is summed once
+    transform = _phase_transform(sides, None, freqs)
+    return (transform[:n] + transform[n:].conj()).transpose(2, 0, 1)
 
 
 def expected_estimate(bias: BiasCoefficients, model, frequencies) -> np.ndarray:

@@ -211,7 +211,7 @@ SLAB_CASES = (
 
 # segment families at N = 65536: long segments, and many short segments
 # whose (segments, channels, grid) transform spans several slabs (at 17
-# points the last one-column slab is merged)
+# points the last slab holds one grid column)
 SEGMENT_SLAB_SPECS = {
     "bartlett8192": est.Bartlett(8192),
     "bartlett32768": est.Bartlett(32768),
@@ -233,17 +233,33 @@ SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [
 BLOCK = 256
 
 
+def padded_phases(length, grid, taper=None):
+    """The (length, grid) phases, times the taper, zero-padded to a multiple of 8 columns."""
+    phases = np.zeros((length, -(-grid.size // 8) * 8), dtype=complex)
+    phases[:, : grid.size] = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
+    if taper is not None:
+        phases[:, : grid.size] *= taper[:, None]
+    return phases
+
+
+def real_transform(windows, phases, points):
+    """The real stack (..., length) times the padded phases read as reals, first ``points`` columns."""
+    product = (windows.reshape(-1, windows.shape[-1]) @ phases.view(float)).view(complex)
+    return product[:, :points].reshape(windows.shape[:-1] + (points,))
+
+
 def whole_matrix_estimate(spec, values, grid):
     """The estimate from unslabbed products over the whole grid.
 
-    A segment of at most ``BLOCK`` samples takes one product with its whole
-    (segment length, grid) phase matrix.  A longer one is zero-padded to Q
-    whole blocks and takes one product with the (BLOCK, grid) inner phases
-    and one contraction of Q with the (Q, grid) outer phases.
+    A segment of at most ``BLOCK`` samples takes one real product with its
+    whole padded (segment length, grid) phase matrix.  A longer one is
+    zero-padded to Q whole blocks and takes one real product with the padded
+    (BLOCK, grid) inner phases and one contraction of Q with the (Q, grid)
+    outer phases.
     """
     num_samples = values.shape[1]
     if isinstance(spec, est.BiasedPeriodogram) and num_samples <= BLOCK:
-        transform = values @ np.exp(-2j * np.pi * np.outer(np.arange(num_samples), grid))
+        transform = real_transform(values, padded_phases(num_samples, grid), grid.size)
         return qf.hermitian_part(np.einsum("if,jf->fij", transform, transform.conj()) / num_samples)
     if isinstance(spec, est.BiasedPeriodogram):
         length = hop = num_samples
@@ -256,15 +272,14 @@ def whole_matrix_estimate(spec, values, grid):
         taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
     windows = np.stack([values[:, start : start + length] for start in range(0, num_samples - length + 1, hop)])
     if length <= BLOCK:
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
-        transform = windows @ (phases if taper is None else taper[:, None] * phases)
+        transform = real_transform(windows, padded_phases(length, grid, taper), grid.size)
     else:
         blocks = -(-length // BLOCK)
         padded = np.zeros(windows.shape[:2] + (blocks * BLOCK,))
         padded[..., :length] = windows if taper is None else windows * taper
-        inner = np.exp(-2j * np.pi * np.outer(np.arange(BLOCK), grid))
+        inner = padded_phases(BLOCK, grid)
         outer = np.exp(-2j * np.pi * np.outer(np.arange(blocks) * BLOCK, grid))
-        partial = padded.reshape(windows.shape[:2] + (blocks, BLOCK)) @ inner
+        partial = real_transform(padded.reshape(windows.shape[:2] + (blocks, BLOCK)), inner, grid.size)
         transform = np.einsum("liqf,qf->lif", partial, outer)
     return qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor)
 
@@ -408,7 +423,7 @@ def test_welch_windows_match_stacked_segments(num_samples, segment_length, hop):
     segments = spec.segments(num_samples)
     windows = np.stack([values[:, i * hop : i * hop + segment_length] for i in range(segments)])
     taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
-    transform = windows @ (taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(segment_length), grid)))
+    transform = real_transform(windows, padded_phases(segment_length, grid, taper), grid.size)
     expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / segments)
     fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
     assert fast.matrices.tobytes() == expected.tobytes()
@@ -421,7 +436,7 @@ def test_bartlett_blocks_match_stacked_segments(num_samples, block_length):
     grid = qf.frequency_grid(17)
     blocks = spec.blocks(num_samples)
     segments = values.reshape(2, blocks, block_length).transpose(1, 0, 2)
-    transform = segments @ np.exp(-2j * np.pi * np.outer(np.arange(block_length), grid))
+    transform = real_transform(segments, padded_phases(block_length, grid), grid.size)
     expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / num_samples)
     for _ in range(2):  # the second call reads the cached phases
         fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
@@ -440,7 +455,7 @@ def test_welch_custom_tapers_of_equal_length_keep_their_own_phases():
     for spec, result in zip(specs, results):
         windows = np.stack([values[:, i * 4 : i * 4 + 8] for i in range(spec.segments(40))])
         taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
-        transform = windows @ (taper[:, None] * np.exp(-2j * np.pi * np.outer(np.arange(8), grid)))
+        transform = real_transform(windows, padded_phases(8, grid, taper), grid.size)
         expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / spec.segments(40))
         assert result.tobytes() == expected.tobytes()
 
@@ -448,7 +463,9 @@ def test_welch_custom_tapers_of_equal_length_keep_their_own_phases():
 @pytest.mark.parametrize("length, points", [(8, 17), (4096, 101)])  # cached, and too large to cache
 def test_segment_phases_are_read_only(length, points):
     phases = est._segment_phases(length, "hann", qf.frequency_grid(points))
-    assert phases.shape == (length, points) and not phases.flags.writeable
+    # the grid's columns, then zeros up to a multiple of 8
+    assert phases.shape == (length, -(-points // 8) * 8) and not phases.flags.writeable
+    assert not np.any(phases[:, points:])
     with pytest.raises(ValueError):
         phases[0, 0] = 0.0
 

@@ -10,6 +10,7 @@ from specbound import estimators as est
 from specbound import quadform as qf
 from specbound.bounds import envelope_from_form
 from specbound.constants import GAUSSIAN
+from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
 
@@ -373,6 +374,64 @@ def test_exact_bias_sup_single_point_white_noise():
     coeffs = qf.BiasCoefficients(np.array([0.0, 0.25, 0.0]))
     value = qf.exact_bias_sup(coeffs, WhiteNoise(1), np.array([0.0]))
     assert value == pytest.approx(0.75)
+
+
+def longdouble_lag_sum(weights, model, freqs):
+    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k], the phases and sums in long double, one frequency at a time."""
+    half = (weights.size + 1) // 2
+    head = model.autocov_stack(half - 1).astype(np.longdouble)
+    stack = np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])  # R[-k] = R[k]^T
+    weighted = stack * weights.astype(np.longdouble)[:, None, None]
+    lags = np.arange(1 - half, half).astype(np.longdouble)
+    sums = []
+    for s in freqs:
+        angle = -2 * np.pi * ((lags * np.longdouble(s)) % 1)
+        sums.append(np.einsum("k,kij->ij", np.cos(angle), weighted) + 1j * np.einsum("k,kij->ij", np.sin(angle), weighted))
+    return np.array(sums)
+
+
+# Welch 32/16 at the first study's sizes (H = N), the three-channel chain at
+# H = 96, 144 and 528, and a slowly decaying model whose weighted covariances
+# reach past lag 256: each side's H lags take one product up to 256 lags and
+# two stages beyond
+LAG_SUM_CASES = [(GeometricScalar(0.3), est.Welch(32, 16), n) for n in (144, 272, 528, 1040, 2064)] + [
+    (example_state_space(), est.Bartlett(8), 96),
+    (example_state_space(), est.Welch(32, 16), 144),
+    (example_state_space(), est.Welch(32, 16), 528),
+    (GeometricScalar(0.99), est.Welch(32, 16), 2064),
+    (GeometricScalar(0.99), est.Bartlett(512), 1024),
+]
+
+
+@pytest.mark.parametrize("full_range", [False, True], ids=["half_range", "full_range"])
+@pytest.mark.parametrize(
+    "model, spec, num_samples",
+    LAG_SUM_CASES,
+    ids=[f"{getattr(model, 'rho', 'chain')}-{spec.kind}-{n}" for model, spec, n in LAG_SUM_CASES],
+)
+def test_lag_sums_match_a_long_double_sum(model, spec, num_samples, full_range):
+    # 37 points, spacing 1/72 or 1/36: s * 256 is not a whole number of turns,
+    # so the two-stage outer table is not all ones
+    grid = qf.frequency_grid(37, full_range)
+    coeffs = est.closed_form_bias(spec, num_samples)
+    mean = qf.expected_estimate(coeffs, model, grid)
+    reference = longdouble_lag_sum(coeffs.values, model, grid)
+    assert float(np.abs(mean - reference).max()) <= 1e-14 * float(np.abs(reference).max())
+    finite = qf.hermitian_part(longdouble_lag_sum(1.0 - coeffs.values, model, grid).astype(complex))
+    sup = float(np.abs(np.linalg.eigvalsh(finite)).max()) + qf.envelope_tail(*model.decay(), coeffs.half_width)
+    assert qf.exact_bias_sup(coeffs, model, grid) == pytest.approx(sup, rel=1e-14)
+
+
+def test_exact_bias_sup_memory_stays_flat():
+    coeffs = est.closed_form_bias(est.Welch(32, 16), 16384)
+    tracemalloc.start()
+    try:
+        qf.exact_bias_sup(coeffs, GeometricScalar(0.3), qf.frequency_grid(101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a one-product (grid, 2H - 1) phase matrix alone is 53 MB
+    assert peak < 32 << 20
 
 
 def test_frequency_grid_endpoints():
