@@ -2,11 +2,12 @@
 
 The bounds here are the concentration primitives the certificate engine is
 built on: the explicit-constant Hanson-Wright tail for quadratic forms of
-independent psi2-bounded coordinates, its sharper Gaussian specialization,
-and the tail for quadratic forms of an entire stationary data matrix.
-``monte_carlo_tail_check`` confronts any of them with simulation; since the
-bounds are proven, a flagged row indicates an implementation bug, not a
-statistical fluke.
+independent psi2-bounded coordinates and its sharper Gaussian
+specialization.  The tail for quadratic forms of an entire stationary data
+matrix has its constants in ``constants`` and is inverted in closed form by
+``bounds.confidence_factor``.  ``monte_carlo_tail_check`` confronts any of
+these tails with simulation; since the bounds are proven, a flagged row
+indicates an implementation bug, not a statistical fluke.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COVER_BASE, GAUSSIAN_QUADFORM_RATE, HANSON_WRIGHT_RATE
+from .constants import GAUSSIAN_QUADFORM_RATE, HANSON_WRIGHT_RATE
 from .streams import rng_stream
 
 __all__ = [
     "TailCheckReport",
     "TailCheckRow",
-    "data_matrix_tail",
     "gaussian_hw_tail",
     "hanson_wright_tail",
     "monte_carlo_tail_check",
@@ -56,31 +56,6 @@ def gaussian_hw_tail(eps: float, frobenius_norm: float, spectral_norm: float) ->
         raise ValueError("norms must be positive")
     exponent = GAUSSIAN_QUADFORM_RATE * _min_branch(eps, frobenius_norm ** 2, spectral_norm)
     return min(1.0, math.exp(-exponent))
-
-
-def data_matrix_tail(
-    eps: float,
-    spectral_norm: float,
-    frobenius_norm: float,
-    phi_inf: float,
-    channels: int,
-    constants,
-) -> float:
-    """Tail of ||Y J Y' - E||_2 for a stationary data matrix under a constants triple.
-
-    ``constants`` carries (multiplier, rate, scale); setting this bound equal
-    to delta and solving for the norms reproduces the pointwise sufficient
-    condition of the certificate engine exactly.
-    """
-    if eps < 0.0:
-        raise ValueError("deviation must be nonnegative")
-    if not (spectral_norm > 0.0 and frobenius_norm > 0.0 and phi_inf > 0.0):
-        raise ValueError("norms and phi_inf must be positive")
-    scale2 = constants.scale ** 2
-    exponent = constants.rate * _min_branch(
-        eps, scale2 ** 2 * frobenius_norm ** 2 * phi_inf ** 2, scale2 * spectral_norm * phi_inf
-    )
-    return min(1.0, COVER_BASE ** (2 * int(channels)) * constants.multiplier * math.exp(-exponent))
 
 
 @dataclass(frozen=True)

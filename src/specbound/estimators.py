@@ -17,33 +17,21 @@ class; the module-level functions dispatch to these methods.
 The biased periodogram (one segment of length N), Bartlett (contiguous
 blocks) and Welch (tapered windows) evaluate through one segment-average
 kernel, ``_segment_average``, which covers the grid in the column slabs of
-``_phase_slabs``.  Each slab's segment transforms come from
-``_phase_transform``: a segment of at most ``_PHASE_BLOCK`` = 256 samples
-takes one product with its (length, grid) phase matrix, the unit-norm taper
-folded in; a longer one is split into blocks of 256 (t = qB + r) and takes
-one product with a (256, grid) inner table and one contraction with a
-(blocks, grid) outer table, so a segment of N samples builds 256 + N/256
-complex exponentials per frequency instead of N.  The data stays real:
-each product multiplies the flattened real stack by the complex table read
-as twice as many real columns, one real GEMM with half the flops of a
-complex one, and every table is stored zero-padded to a multiple of 8 grid
-columns, so each slab's columns take the BLAS kernels of the whole grid's.
-The unbiased periodogram's lag transform over 2N - 1 lags takes the same
-two stages, and so do ``quadform``'s exact mean and bias sums, over the
-lags 0..H-1 of each side.  Phase tables of at most ``_PHASE_CACHE_BYTES``
-come from one bounded ``functools.lru_cache`` keyed by the segment length,
-the taper (a window name or a custom taper's bytes) and the grid bytes; at
-101 grid points that holds both tables of every segment up to 65536 samples.
+``phases._phase_slabs`` and takes each slab's segment transforms from
+``phases._phase_transform``.  The unbiased periodogram and Blackman-Tukey
+sum their lag products (``_acs_head``) through ``phases.lag_sum``, the sum
+that ``quadform``'s exact mean and bias take too.  The phase tables, their
+cache and the exact reduction of the phase argument live in ``phases``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .phases import _PHASE_BLOCK, WINDOW_KINDS, _phase_slabs, _phase_transform, lag_sum, taper_window
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
@@ -51,7 +39,6 @@ from .quadform import (
     QuadraticForm,
     SpectralEstimate,
     hermitian_part,
-    two_sided_stack,
 )
 
 __all__ = [
@@ -71,34 +58,6 @@ __all__ = [
     "taper_window",
 ]
 
-WINDOW_KINDS = ("rectangular", "triangular", "hann", "hamming", "blackman")
-
-
-def taper_window(kind: str, length: int) -> np.ndarray:
-    """Symmetric data taper of the named kind on points 0..length-1.
-
-    All named kinds take values in [0, 1] and are symmetric about the
-    midpoint; a length of one degenerates to the single weight 1.
-    """
-    if length < 1:
-        raise ValueError("window length must be positive")
-    if kind not in WINDOW_KINDS:
-        raise ValueError(f"unknown window kind {kind!r}")
-    if kind == "rectangular" or length == 1:
-        return np.ones(length)
-    k = np.arange(length)
-    x = 2.0 * np.pi * k / (length - 1)
-    if kind == "triangular":
-        values = 1.0 - np.abs(2.0 * k - (length - 1)) / (length - 1)
-    elif kind == "hann":
-        values = 0.5 - 0.5 * np.cos(x)
-    elif kind == "hamming":
-        values = 0.54 - 0.46 * np.cos(x)
-    else:
-        values = 0.42 - 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
-    # rounding can leave values a few ulp outside [0, 1]
-    return np.clip(values, 0.0, 1.0)
-
 
 def lag_window(kind: str, half_width: int) -> np.ndarray:
     """Symmetric lag weights w[k] for |k| < half_width, stored at index k + half_width - 1.
@@ -106,121 +65,6 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     Same shapes as the tapers, re-centered so the peak weight sits at lag 0.
     """
     return taper_window(kind, 2 * half_width - 1)
-
-
-# largest set of per-column arrays _segment_average builds at once
-_PHASE_SLAB_BYTES = 8 << 20
-
-# phase tables are stored with their grid columns zero-padded to a multiple of this
-_PHASE_PAD = 8
-
-
-def _padded(points: int) -> int:
-    """``points`` rounded up to a whole number of ``_PHASE_PAD`` columns."""
-    return -(-points // _PHASE_PAD) * _PHASE_PAD
-
-
-def _phase_slabs(rows: int, points: int) -> list[tuple[int, int]]:
-    """Column ranges [a, b) covering ``points`` grid columns of ``rows`` complex entries each.
-
-    Up to ``_PHASE_SLAB_BYTES`` in all is one range.  Otherwise the ranges
-    start at multiples of ``_PHASE_PAD`` and, but for the last, are a
-    multiple of ``_PHASE_PAD`` wide.
-    """
-    width = _PHASE_SLAB_BYTES // (16 * rows)
-    if width >= points:
-        return [(0, points)]
-    width = max(_PHASE_PAD, width // _PHASE_PAD * _PHASE_PAD)
-    starts = list(range(0, points, width))
-    return list(zip(starts, starts[1:] + [points]))
-
-
-# largest segment phase matrix _segment_phases keeps in its cache
-_PHASE_CACHE_BYTES = 1 << 20
-
-# samples per block of the two-stage transform; a power of two, so s * B is exact
-_PHASE_BLOCK = 256
-
-def _unit_taper(taper, length: int) -> np.ndarray:
-    """A window kind or a custom taper's float64 bytes, scaled to unit norm."""
-    values = taper_window(taper, length) if isinstance(taper, str) else np.frombuffer(taper)
-    return values / np.linalg.norm(values)
-
-
-def _build_segment_phases(length: int, taper, grid: bytes) -> np.ndarray:
-    """Read-only (length, padded grid) matrix of segment phases, scaled by a unit-norm taper.
-
-    ``taper`` is None (no taper), a window kind, or the float64 bytes of a
-    custom taper; ``grid`` holds the float64 bytes of the frequencies, and
-    the columns past them, up to a multiple of ``_PHASE_PAD``, are zero.
-    Built in place, so a matrix of B bytes peaks at 1.5 B.
-    """
-    freqs = np.frombuffer(grid)
-    phases = np.zeros((length, _padded(freqs.size)), dtype=complex)
-    table = phases[:, : freqs.size]
-    np.multiply(np.outer(np.arange(length), freqs), -2j * np.pi, out=table)
-    np.exp(table, out=table)
-    if taper is not None:
-        table *= _unit_taper(taper, length)[:, None]
-    phases.setflags(write=False)
-    return phases
-
-
-_cached_segment_phases = functools.lru_cache(maxsize=16)(_build_segment_phases)
-
-
-def _segment_phases(length: int, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-    """Grid ``columns`` of the segment phases shared by every call with the same (length, taper, grid).
-
-    ``columns`` starts at a multiple of ``_PHASE_PAD``, and the table
-    returned runs on to a multiple of ``_PHASE_PAD`` columns past that start,
-    the columns past the grid being zero.  A whole table of at most
-    ``_PHASE_CACHE_BYTES`` is cached, so every slab of a grid reads one
-    entry; a larger one is built afresh for the asked columns on each call,
-    so the cache holds at most 16 MiB.
-    """
-    if 16 * length * _padded(freqs.size) > _PHASE_CACHE_BYTES:
-        return _build_segment_phases(length, taper, freqs[columns].tobytes())
-    start, stop, _ = columns.indices(freqs.size)
-    return _cached_segment_phases(length, taper, freqs.tobytes())[:, start : start + _padded(stop - start)]
-
-
-def _times_phases(values: np.ndarray, phases: np.ndarray, width: int) -> np.ndarray:
-    """Real (..., length) stack times a padded (length, columns) phase table, as (..., width).
-
-    One real GEMM (or, for one row, GEMV) of the flattened stack with the
-    table read as (length, 2 columns) reals; the first ``width`` complex
-    columns of the product are a view.
-    """
-    product = (values.reshape(-1, values.shape[-1]) @ phases.view(float)).view(complex)
-    return product[:, :width].reshape(values.shape[:-1] + (width,))
-
-
-def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-    """sum_t w[t] x[t] e^{-2 pi i s t} over the last axis of a real (..., length) stack, as (..., columns).
-
-    w is the unit-norm ``taper``, or one when it is None.  Up to
-    ``_PHASE_BLOCK`` samples this is one product with the (length, grid)
-    phases of ``_segment_phases``, the taper folded in.  A longer axis is
-    split as t = q B + r (Cooley & Tukey, 1965): the tapered data, zero-padded
-    to Q whole blocks of B samples, is multiplied by the (B, grid) inner
-    phases e^{-2 pi i s r}, and its Q axis is contracted against the
-    (Q, grid) outer phases e^{-2 pi i s q B}, which are the segment phases of
-    length Q on the grid scaled by B.  Both tables come from
-    ``_segment_phases``: (B + Q) exponentials per frequency instead of Q B.
-    The data stays real: each product is one real GEMM by ``_times_phases``.
-    """
-    length = values.shape[-1]
-    width = freqs[columns].size
-    if length <= _PHASE_BLOCK:
-        return _times_phases(values, _segment_phases(length, taper, freqs, columns), width)
-    blocks = -(-length // _PHASE_BLOCK)
-    padded = np.zeros(values.shape[:-1] + (blocks * _PHASE_BLOCK,))
-    padded[..., :length] = values if taper is None else values * _unit_taper(taper, length)
-    inner = _segment_phases(_PHASE_BLOCK, None, freqs, columns)
-    partial = _times_phases(padded.reshape(values.shape[:-1] + (blocks, _PHASE_BLOCK)), inner, width)
-    outer = _segment_phases(blocks, None, freqs * _PHASE_BLOCK, columns)[:, :width]
-    return np.einsum("...qf,qf->...f", partial, outer)
 
 
 def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
@@ -306,8 +150,7 @@ class UnbiasedPeriodogram:
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         n = data.samples
-        stack = two_sided_stack(_acs_head(data, n - 1, biased=False))
-        return _lag_transform(stack, 1 - n, freqs)
+        return lag_sum(_acs_head(data, n - 1, biased=False), np.ones(2 * n - 1), freqs)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         return n >= cutoff
@@ -375,9 +218,7 @@ class BlackmanTukey:
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
         self._check_fits(data.samples)
-        stack = two_sided_stack(_acs_head(data, m - 1, biased=True))
-        weighted = stack * self.weights()[:, None, None]
-        return _lag_transform(weighted, 1 - m, freqs)
+        return lag_sum(_acs_head(data, m - 1, biased=True), self.weights(), freqs)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
         m = self.half_width
@@ -572,22 +413,6 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     for k in range(max_lag + 1):
         out[k] = (y[:, k:] @ y[:, : total - k].T) / (total if biased else total - k)
     return out
-
-
-def _lag_transform(stack: np.ndarray, first: int, freqs: np.ndarray) -> np.ndarray:
-    """sum_k e^{-2 pi i s k} R[k] over the lags k = first, first + 1, ... of a stack, as (grid, n, n).
-
-    Up to ``_PHASE_BLOCK`` lags this is one einsum with the (grid, lags)
-    phase matrix.  More lags take the two stages of ``_phase_transform`` over
-    k - first, times e^{-2 pi i s first}: at N = 16384 the unbiased
-    periodogram's one-stage matrix would be 53 MB at 101 points.
-    """
-    lags = stack.shape[0]
-    if lags <= _PHASE_BLOCK:
-        phases = np.exp(-2j * np.pi * np.outer(freqs, np.arange(first, first + lags)))
-        return np.einsum("fk,kij->fij", phases, stack)
-    transform = _phase_transform(stack.transpose(1, 2, 0), None, freqs).transpose(2, 0, 1)
-    return transform * np.exp(-2j * np.pi * first * freqs)[:, None, None]
 
 
 def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:

@@ -12,7 +12,7 @@ Euclidean norms are exactly the spectral and Frobenius norms of the
 single-diagonal matrices B[k]), the diagonal sums b[k] that determine the
 estimator mean, the generic evaluation path used as the correctness oracle for
 the fast structured paths, and exact bias evaluation against analytic process
-models, whose lag sums take the estimators' cached phase tables.
+models, whose lag sums go through ``phases.lag_sum`` like the estimators'.
 
 Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
 ``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
@@ -35,6 +35,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .phases import lag_sum
+
 __all__ = [
     "BiasCoefficients",
     "DataMatrix",
@@ -52,7 +54,6 @@ __all__ = [
     "frequency_grid",
     "hermitian_part",
     "hermitian_spectral_norms",
-    "two_sided_stack",
 ]
 
 
@@ -339,13 +340,6 @@ class BiasCoefficients:
         return np.concatenate([pad, self.values, pad])
 
 
-def two_sided_stack(head: np.ndarray) -> np.ndarray:
-    """Extend a one-sided stack R[0..K] to lags -K..K using R[-k] = R[k]^T."""
-    head = np.asarray(head)
-    tail = head[1:][::-1].transpose(0, 2, 1)
-    return np.concatenate([tail, head])
-
-
 def bias_coefficients(form: QuadraticForm) -> BiasCoefficients:
     """Sum every diagonal of ``form``; equals 1^T d[k] at each lag."""
     sums = form.diagonal_stats.sums
@@ -427,29 +421,12 @@ def envelope_tail(gamma: float, rho: float, lag: int) -> float:
 
 
 def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
-    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n).
-
-    Both sides are one transform over the lags k = 0..H-1 by the estimators'
-    ``_phase_transform``, stacked as (2n, n, H): weights[k] R[k] on top, and
-    below weights[-k] R[-k] = weights[-k] R[k]^T, whose transform is
-    conjugated because the R[k] are real.  The phase tables are the cached
-    (H, grid) one up to 256 lags and the cached (256, grid) and
-    (blocks, grid) ones beyond, never a (grid, 2H - 1) phase matrix, and each
-    phase e^{-j2 pi s k} is rounded at its own |k|, where a decaying
-    covariance keeps its mass.
-    """
-    from .estimators import _phase_transform  # the estimators module imports this one
-
+    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n), from the model's R[0..H-1]."""
     if not hasattr(model, "autocov_stack"):
         raise TypeError("model does not expose an analytic autocovariance")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    half = coeffs.half_width
-    head = np.asarray(model.autocov_stack(half - 1), dtype=float).transpose(1, 2, 0)  # R[k][i, j] at [i, j, k]
-    n = head.shape[0]
-    sides = np.concatenate([head * weights[half - 1 :], head.transpose(1, 0, 2) * weights[half - 1 :: -1]])
-    sides[n:, :, 0] = 0.0  # lag 0 is summed once
-    transform = _phase_transform(sides, None, freqs)
-    return (transform[:n] + transform[n:].conj()).transpose(2, 0, 1)
+    head = np.asarray(model.autocov_stack(coeffs.half_width - 1), dtype=float)
+    return lag_sum(head, weights, freqs)
 
 
 def expected_estimate(bias: BiasCoefficients, model, frequencies) -> np.ndarray:

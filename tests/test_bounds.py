@@ -9,7 +9,7 @@ import pytest
 from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
-from specbound.constants import GAUSSIAN, sub_gaussian
+from specbound.constants import COVER_BASE, GAUSSIAN, sub_gaussian
 from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
@@ -257,6 +257,29 @@ def test_bound_condition_round_trip():
         eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
         product = bd.accuracy_factor(eps_star, ctx) * bd.confidence_factor(delta, ctx)
         assert product * xi == pytest.approx(1.0, rel=1e-9)
+
+
+def data_matrix_tail(eps, spectral_norm, frobenius_norm, phi_inf, channels, constants):
+    """Tail of ||Y J Y' - E||_2 for a stationary data matrix, as written in ``constants``."""
+    scale2 = constants.scale ** 2
+    exponent = constants.rate * min(
+        eps * eps / (scale2 ** 2 * frobenius_norm ** 2 * phi_inf ** 2), eps / (scale2 * spectral_norm * phi_inf)
+    )
+    return min(1.0, COVER_BASE ** (2 * channels) * constants.multiplier * math.exp(-exponent))
+
+
+def test_data_matrix_tail_inverts_pointwise_condition():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        assumption = GAUSSIAN if rng.random() < 0.5 else sub_gaussian(1.0 + 2.0 * rng.random())
+        phi = 10.0 ** rng.uniform(-1.0, 1.0)
+        channels = int(rng.integers(1, 4))
+        ctx = bd.BoundContext(assumption, phi, 1.0, channels)
+        xi = 10.0 ** rng.uniform(-5.0, 0.0)
+        delta = rng.uniform(0.01, 0.5)
+        eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
+        tail = data_matrix_tail(eps_star, xi, math.sqrt(xi), phi, channels, assumption)
+        assert tail == pytest.approx(delta, rel=1e-9)
 
 
 def test_sub_gaussian_scale_below_one_is_rejected():

@@ -5,9 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specbound import bounds as bd
 from specbound import concentration as cc
-from specbound.constants import GAUSSIAN, sub_gaussian
 
 
 # ---------------------------------------------------------------- tail bounds
@@ -47,25 +45,6 @@ def test_gaussian_tail_branch_equality_point():
 def test_gaussian_tail_dominates_unit_psi2_tail():
     for eps in np.linspace(0.01, 500.0, 40):
         assert cc.gaussian_hw_tail(eps, 1.3, 0.8) <= cc.hanson_wright_tail(eps, 1.0, 1.3, 0.8)
-
-
-# ---------------------------------------------------------------- consistency with the certificate engine
-
-
-def test_data_matrix_tail_inverts_pointwise_condition():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        assumption = GAUSSIAN if rng.random() < 0.5 else sub_gaussian(1.0 + 2.0 * rng.random())
-        phi = 10.0 ** rng.uniform(-1.0, 1.0)
-        channels = int(rng.integers(1, 4))
-        ctx = bd.BoundContext(assumption, phi, 1.0, channels)
-        xi = 10.0 ** rng.uniform(-5.0, 0.0)
-        delta = rng.uniform(0.01, 0.5)
-        eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
-        tail = cc.data_matrix_tail(
-            eps_star, xi, math.sqrt(xi), phi, channels, assumption
-        )
-        assert tail == pytest.approx(delta, rel=1e-9)
 
 
 # ---------------------------------------------------------------- Monte Carlo verifier

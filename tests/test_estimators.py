@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from specbound import estimators as est
+from specbound import phases as ph
 from specbound import quadform as qf
 from specbound.bounds import envelope_from_form
 from specbound.signals import sample_geometric_paths
@@ -233,10 +234,23 @@ SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [
 BLOCK = 256
 
 
+def reduced_phases(indices, grid):
+    """e^{-2 pi i t s} for integer indices t < 2^27, the argument t s reduced mod 1 before it is rounded.
+
+    s splits into a head of at most 26 significant bits (Veltkamp), whose
+    products with t are exact, and a small tail.
+    """
+    split = grid * 134217729.0  # 2^27 + 1
+    head = split - (split - grid)
+    turns = np.outer(indices, head)
+    turns = turns - np.round(turns) + np.outer(indices, grid - head)
+    return np.exp(-2j * np.pi * turns)
+
+
 def padded_phases(length, grid, taper=None):
     """The (length, grid) phases, times the taper, zero-padded to a multiple of 8 columns."""
     phases = np.zeros((length, -(-grid.size // 8) * 8), dtype=complex)
-    phases[:, : grid.size] = np.exp(-2j * np.pi * np.outer(np.arange(length), grid))
+    phases[:, : grid.size] = reduced_phases(np.arange(length), grid)
     if taper is not None:
         phases[:, : grid.size] *= taper[:, None]
     return phases
@@ -278,7 +292,7 @@ def whole_matrix_estimate(spec, values, grid):
         padded = np.zeros(windows.shape[:2] + (blocks * BLOCK,))
         padded[..., :length] = windows if taper is None else windows * taper
         inner = padded_phases(BLOCK, grid)
-        outer = np.exp(-2j * np.pi * np.outer(np.arange(blocks) * BLOCK, grid))
+        outer = reduced_phases(np.arange(blocks) * BLOCK, grid)
         partial = real_transform(padded.reshape(windows.shape[:2] + (blocks, BLOCK)), inner, grid.size)
         transform = np.einsum("liqf,qf->lif", partial, outer)
     return qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / divisor)
@@ -377,12 +391,15 @@ def longdouble_estimate(spec, values, freqs):
 
 
 @pytest.mark.parametrize("full_range", [False, True], ids=["half_range", "full_range"])
-@pytest.mark.parametrize("channels", [1, 3])
+# at N = 262144 a phase argument t s rounded before its reduction mod 1 is
+# off by up to 2^-36 turns, which puts the periodogram at s = 0.495 1.8e-10
+# (relative) off the long-double sum
+@pytest.mark.parametrize("channels, num_samples", [(1, 65536), (3, 65536), (1, 262144)], ids=["1", "3", "1-262144"])
 @pytest.mark.parametrize(
     "spec", [est.BiasedPeriodogram(), est.Bartlett(32768), est.Welch(16384, 8192, "hann")], ids=lambda spec: spec.kind
 )
-def test_two_stage_segments_match_a_long_double_transform(spec, channels, full_range):
-    values = np.random.default_rng(channels).standard_normal((channels, 65536))
+def test_two_stage_segments_match_a_long_double_transform(spec, channels, num_samples, full_range):
+    values = np.random.default_rng(channels).standard_normal((channels, num_samples))
     grid = qf.frequency_grid(101, full_range)
     picks = [0, 1, 37, 99, 100]
     fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
@@ -462,7 +479,7 @@ def test_welch_custom_tapers_of_equal_length_keep_their_own_phases():
 
 @pytest.mark.parametrize("length, points", [(8, 17), (4096, 101)])  # cached, and too large to cache
 def test_segment_phases_are_read_only(length, points):
-    phases = est._segment_phases(length, "hann", qf.frequency_grid(points))
+    phases = ph._segment_phases(length, "hann", qf.frequency_grid(points))
     # the grid's columns, then zeros up to a multiple of 8
     assert phases.shape == (length, -(-points // 8) * 8) and not phases.flags.writeable
     assert not np.any(phases[:, points:])

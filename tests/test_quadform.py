@@ -376,10 +376,10 @@ def test_exact_bias_sup_single_point_white_noise():
     assert value == pytest.approx(0.75)
 
 
-def longdouble_lag_sum(weights, model, freqs):
-    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k], the phases and sums in long double, one frequency at a time."""
-    half = (weights.size + 1) // 2
-    head = model.autocov_stack(half - 1).astype(np.longdouble)
+def longdouble_lag_sum(head, weights, freqs):
+    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] from a one-sided stack R[0..H-1], the phases and sums in long double, one frequency at a time."""
+    half = head.shape[0]
+    head = head.astype(np.longdouble)
     stack = np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])  # R[-k] = R[k]^T
     weighted = stack * weights.astype(np.longdouble)[:, None, None]
     lags = np.arange(1 - half, half).astype(np.longdouble)
@@ -414,12 +414,33 @@ def test_lag_sums_match_a_long_double_sum(model, spec, num_samples, full_range):
     # so the two-stage outer table is not all ones
     grid = qf.frequency_grid(37, full_range)
     coeffs = est.closed_form_bias(spec, num_samples)
+    head = model.autocov_stack(coeffs.half_width - 1)
     mean = qf.expected_estimate(coeffs, model, grid)
-    reference = longdouble_lag_sum(coeffs.values, model, grid)
+    reference = longdouble_lag_sum(head, coeffs.values, grid)
     assert float(np.abs(mean - reference).max()) <= 1e-14 * float(np.abs(reference).max())
-    finite = qf.hermitian_part(longdouble_lag_sum(1.0 - coeffs.values, model, grid).astype(complex))
+    finite = qf.hermitian_part(longdouble_lag_sum(head, 1.0 - coeffs.values, grid).astype(complex))
     sup = float(np.abs(np.linalg.eigvalsh(finite)).max()) + qf.envelope_tail(*model.decay(), coeffs.half_width)
     assert qf.exact_bias_sup(coeffs, model, grid) == pytest.approx(sup, rel=1e-14)
+
+
+@pytest.mark.parametrize("full_range", [False, True], ids=["half_range", "full_range"])
+@pytest.mark.parametrize(
+    "spec, channels, num_samples",
+    [(est.UnbiasedPeriodogram(), 1, 16384), (est.BlackmanTukey(300, "hann"), 3, 65536)],
+    ids=["unbiased_periodogram16384", "blackman_tukey300"],
+)
+def test_lag_families_match_a_long_double_sum(spec, channels, num_samples, full_range):
+    # the estimate's own float64 lag products, summed in long double; both
+    # sides of either family (N and 300 lags) take the two-stage transform
+    data = qf.DataMatrix(np.random.default_rng(channels).standard_normal((channels, num_samples)))
+    grid = qf.frequency_grid(37, full_range)
+    if isinstance(spec, est.UnbiasedPeriodogram):
+        head, weights = est._acs_head(data, num_samples - 1, biased=False), np.ones(2 * num_samples - 1)
+    else:
+        head, weights = est._acs_head(data, spec.half_width - 1, biased=True), spec.weights()
+    reference = longdouble_lag_sum(head, weights, grid)
+    fast = est.evaluate_fast(spec, data, grid).matrices
+    assert float(np.abs(fast - reference).max()) <= 1e-10 * float(np.abs(reference).max())
 
 
 def test_exact_bias_sup_memory_stays_flat():

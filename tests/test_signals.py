@@ -17,12 +17,17 @@ def chain():
     return example_state_space(0.5)
 
 
+def two_sided_stack(head):
+    """Extend a one-sided stack R[0..K] to lags -K..K using R[-k] = R[k]^T."""
+    return np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])
+
+
 # ---------------------------------------------------------------- geometric model
 
 
 def test_geometric_autocovariance_and_transform():
     model = sig.GeometricScalar(0.3)
-    stack = qf.two_sided_stack(model.autocov_stack(2))
+    stack = two_sided_stack(model.autocov_stack(2))
     assert stack[4, 0, 0] == pytest.approx(0.09)
     assert stack[0, 0, 0] == pytest.approx(0.09)
     # value at frequency zero equals the full covariance sum (1 + rho) / (1 - rho)
@@ -98,7 +103,7 @@ def test_state_covariance_fixed_point(chain):
 def test_state_space_autocov_closed_form(chain):
     x = chain.state_covariance
     stack = chain.autocov_stack(5)
-    two_sided = qf.two_sided_stack(stack)
+    two_sided = two_sided_stack(stack)
     np.testing.assert_allclose(stack[0], chain.c @ x @ chain.c.T + chain.d @ chain.d.T, atol=1e-12)
     seed = chain.a @ x @ chain.c.T + chain.b @ chain.d.T
     for k in (1, 2, 5):
@@ -138,7 +143,7 @@ def test_spectrum_matches_truncated_lag_transform(chain):
     depth = 64
     grid = np.linspace(-0.5, 0.5, 256)
     truth = chain.psd_grid(grid)
-    stack = qf.two_sided_stack(chain.autocov_stack(depth))
+    stack = two_sided_stack(chain.autocov_stack(depth))
     phases = np.exp(-2j * np.pi * np.outer(grid, np.arange(-depth, depth + 1)))
     approx = np.einsum("fk,kij->fij", phases, stack)
     diff = truth - approx

@@ -13,7 +13,9 @@ biased-periodogram, Bartlett (block length 32768) and Welch (segment length
 16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
 full range; an unbiased-periodogram ``estimate`` at N = 16384; a
-three-channel Welch (segment length 32, hop 16) ``estimate`` at N = 65536;
+three-channel Blackman-Tukey (hann, half width 300) ``estimate`` at
+N = 2064, whose lag window reaches past 256 lags; a three-channel Welch
+(segment length 32, hop 16) ``estimate`` at N = 65536;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a set of rejected configs; configs that only strict
@@ -320,12 +322,16 @@ def main(argv=None) -> int:
             config = write_config(out, name, body)
             for suffix, options in LONG_GRIDS.items():
                 run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
-    # the unbiased periodogram's two-stage lag transform, and a many-segment
-    # Welch transform that spans several slabs
-    for model_name, est_name, n in (("geometric_gaussian", "unbiased_periodogram", 16384), ("state_space", "welch_hann", 65536)):
+    # the two-stage lag sums of the unbiased periodogram and of a lag window
+    # over 256 lags, and a many-segment Welch transform that spans several slabs
+    for model_name, est_name, estimator, n in (
+        ("geometric_gaussian", "unbiased_periodogram", ESTIMATORS["unbiased_periodogram"], 16384),
+        ("state_space", "blackman_tukey_hann_300", {"kind": "blackman_tukey", "half_width": 300, "window": "hann"}, 2064),
+        ("state_space", "welch_hann", ESTIMATORS["welch_hann"], 65536),
+    ):
         model, noise = MODELS[model_name]
         name = f"{model_name}_{est_name}_{n}"
-        body = {"model": model, "noise": noise, "estimator": ESTIMATORS[est_name], "num_samples": n, "seed": 11}
+        body = {"model": model, "noise": noise, "estimator": estimator, "num_samples": n, "seed": 11}
         run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, body)])
     # a long, slowly decaying bias sum
     body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
