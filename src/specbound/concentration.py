@@ -78,12 +78,19 @@ class TailCheckReport:
         return any(row.flagged for row in self.rows)
 
 
+# draws per slab of the Monte Carlo tail check: a 16-dimensional slab is 1 MiB
+_STATISTIC_ROWS = 8192
+
+
 def monte_carlo_tail_check(sampler, statistic, bound_fn, eps_grid, trials: int, seed: int) -> TailCheckReport:
     """Empirical exceedance frequencies against an analytic tail bound.
 
     ``sampler(rng, count)`` draws a batch of inputs and ``statistic(batch)``
     maps them to one centered scalar per draw; ``bound_fn(eps)`` is the
-    analytic tail.  A row is flagged when the empirical frequency exceeds the
+    analytic tail.  The draws come in slabs of at most ``_STATISTIC_ROWS``
+    from one generator, so a sampler that fills its batch in stream order
+    (numpy's ``standard_normal`` and ``uniform`` do) gives the numbers of one
+    whole batch.  A row is flagged when the empirical frequency exceeds the
     bound by more than three one-sided binomial standard errors; with a proven
     bound a flag indicates a bug.
     """
@@ -94,9 +101,13 @@ def monte_carlo_tail_check(sampler, statistic, bound_fn, eps_grid, trials: int, 
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("eps grid must be finite and non-empty")
     rng = rng_stream(seed)
-    stats = np.asarray(statistic(sampler(rng, trials)), dtype=float)
-    if stats.shape != (trials,) or not np.all(np.isfinite(stats)):
-        raise ValueError("statistic must yield one finite value per trial")
+    stats = np.empty(trials)
+    for start in range(0, trials, _STATISTIC_ROWS):
+        count = min(_STATISTIC_ROWS, trials - start)
+        slab = np.asarray(statistic(sampler(rng, count)), dtype=float)
+        if slab.shape != (count,) or not np.all(np.isfinite(slab)):
+            raise ValueError("statistic must yield one finite value per trial")
+        stats[start : start + count] = slab
     rows = []
     for eps in grid:
         empirical = float(np.mean(stats > eps))

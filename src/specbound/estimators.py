@@ -1,11 +1,11 @@
 """Classical spectrum estimators expressed through their quadratic forms.
 
-Four families are covered: raw periodograms (biased and unbiased
+Three families are covered: raw periodograms (biased and unbiased
 autocovariance transforms), windowed-autocovariance estimates (Blackman-Tukey,
-banded Toeplitz coefficient matrix), block-averaged periodograms (Bartlett,
-block-diagonal matrix), and overlapping tapered segment averages (Welch, a sum
-of shifted rank-one blocks).  Each family is one spec class with a config
-``kind`` and, for a sample count n, its dense coefficient matrix
+banded Toeplitz coefficient matrix), and tapered segment averages (Welch, a
+sum of shifted rank-one blocks, and Bartlett, the layout of contiguous
+untapered blocks, which takes every method from Welch).  Each spec class has
+a config ``kind`` and, for a sample count n, its dense coefficient matrix
 (``matrix(n)``), its closed-form diagonal sums (``diagonal_sums(n)``), the
 norm envelope and truncation width feeding the worst-case certificates
 (``certificate_params(n)``, None when no concentration certificate exists),
@@ -14,19 +14,20 @@ evaluation path (``evaluate(data, freqs)``) that matches the generic
 quadratic form to rounding error.  ``FAMILIES`` maps each ``kind`` to its
 class; the module-level functions dispatch to these methods.
 
-The biased periodogram (one segment of length N), Bartlett (contiguous
-blocks) and Welch (tapered windows) evaluate through one segment-average
-kernel, ``_segment_average``, which covers the grid in the column slabs of
-``phases._phase_slabs`` and takes each slab's segment transforms from
-``phases._phase_transform``.  The unbiased periodogram and Blackman-Tukey
-sum their lag products (``_acs_head``) through ``phases.lag_sum``, the sum
-that ``quadform``'s exact mean and bias take too.  The phase tables, their
-cache and the exact reduction of the phase argument live in ``phases``.
+The biased periodogram (one segment of length N) and the segment averages
+evaluate through one kernel, ``_segment_average``, which covers the grid in
+the column slabs of ``phases._phase_slabs`` and takes each slab's segment
+transforms from ``phases._phase_transform``.  The unbiased periodogram and
+Blackman-Tukey sum their lag products (``_acs_head``) through
+``phases.lag_sum``, the sum that ``quadform``'s exact mean and bias take
+too.  The phase tables, their cache and the exact reduction of the phase
+argument live in ``phases``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -208,11 +209,11 @@ class BlackmanTukey:
 
     def certificate_params(self, n: int) -> CertificateParams:
         # A[i, j] = w[i - j] / n: the row-sum bound gives ||A||_2 <= sum|w| / n,
-        # and ||A||_F^2 and every ||d[k]||^2 are at most sum w^2 / n; the term
-        # 2M - 1 binds for any window inside [-1, 1], named windows included
+        # every max |d[k]| is at most that, and ||A||_F^2 and every ||d[k]||^2
+        # are at most sum w^2 / n
         self._check_fits(n)
         weights = self.weights()
-        bound = max(2 * self.half_width - 1, float(np.abs(weights).sum()), float(weights @ weights))
+        bound = max(float(np.abs(weights).sum()), float(weights @ weights))
         return CertificateParams(bound / n, self.half_width)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
@@ -234,72 +235,13 @@ class BlackmanTukey:
         return holds
 
 
-@dataclass(frozen=True)
-class Bartlett:
-    """Average of plain periodograms over contiguous non-overlapping blocks."""
+class _SegmentAverage:
+    """Average of tapered periodograms over K segments: A = V V^T / K, V's columns the unit-norm taper at l * hop.
 
-    kind = "bartlett"
-    block_length: int
-
-    def __post_init__(self):
-        if self.block_length < 1:
-            raise ValueError("block_length must be positive")
-
-    def blocks(self, num_samples: int) -> int:
-        if num_samples < 1 or num_samples % self.block_length:
-            raise ValueError("sample count must be a positive multiple of the block length")
-        return num_samples // self.block_length
-
-    def matrix(self, n: int) -> np.ndarray:
-        m = self.block_length
-        self.blocks(n)
-        matrix = np.zeros((n, n))
-        for start in range(0, n, m):
-            matrix[start : start + m, start : start + m] = 1.0 / n
-        return matrix
-
-    def diagonal_sums(self, n: int) -> np.ndarray:
-        m = self.block_length
-        self.blocks(n)
-        size = np.abs(np.arange(-(n - 1), n))
-        return np.where(size < m, 1.0 - size / m, 0.0)
-
-    def certificate_params(self, n: int) -> CertificateParams:
-        self.blocks(n)
-        return CertificateParams(self.block_length / n, self.block_length)
-
-    def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
-        n, total = data.values.shape
-        blocks = data.values.reshape(n, self.blocks(total), self.block_length).transpose(1, 0, 2)
-        return _segment_average(blocks, None, freqs, total)
-
-    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
-        # lag-wise form of the block-average condition: every diagonal sum
-        # 1 - |k|/M out to the cutoff stays above the floor (the coarser
-        # closed-form demand M >= 2 * cutoff * r1 / eps implies this)
-        m = self.block_length
-        return all(
-            (1.0 - k / m if k < m else 0.0) >= floor for k in range(cutoff)
-        )
-
-
-@dataclass(frozen=True)
-class Welch:
-    """Average of tapered periodograms over segments advanced by ``hop``.
-
-    The taper is normalized to unit Euclidean norm internally; callers may
-    pass unnormalized weights.
+    A subclass gives the layout: ``segment_length``, ``hop``, ``taper`` (a
+    window kind or weights of any norm) and ``segments(n)``, which counts the
+    segments of n samples and rejects a count that the layout does not fill.
     """
-
-    kind = "welch"
-    segment_length: int
-    hop: int
-    taper: object = "hann"
-
-    def __post_init__(self):
-        if self.segment_length < 1 or self.hop < 1:
-            raise ValueError("segment_length and hop must be positive")
-        self.taper_values()
 
     def taper_values(self) -> np.ndarray:
         if isinstance(self.taper, str):
@@ -312,18 +254,24 @@ class Welch:
             raise ValueError("taper must be finite and non-zero")
         return values
 
+    @cached_property
     def _taper_correlation(self) -> np.ndarray:
-        """Taper autocorrelation over lags -(m-1)..m-1, normalized to one at lag 0."""
-        taper = self.taper_values()
-        return np.correlate(taper, taper, "full") / float(taper @ taper)
+        """Read-only taper autocorrelation c over lags -(m-1)..m-1, with c(0) = 1.
 
-    def segments(self, num_samples: int) -> int:
-        leftover = num_samples - self.segment_length
-        if leftover < 0 or leftover % self.hop:
-            raise ValueError(
-                "sample count must equal (segments - 1) * hop + segment_length"
-            )
-        return leftover // self.hop + 1
+        1 - |k|/m for a constant taper (Bartlett's), else |W|^2 of one real
+        FFT zero-padded to at least 2m - 1 points.
+        """
+        taper = self.taper_values()
+        m = taper.size
+        if np.all(taper == taper[0]):
+            one_sided = 1.0 - np.arange(m) / m
+        else:
+            size = 1 << (2 * m - 2).bit_length()
+            spectrum = np.fft.rfft(taper, size)
+            one_sided = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:m]
+        correlation = np.concatenate([one_sided[:0:-1], one_sided]) / one_sided[0]
+        correlation.setflags(write=False)
+        return correlation
 
     def matrix(self, n: int) -> np.ndarray:
         segments = self.segments(n)
@@ -340,13 +288,23 @@ class Welch:
         self.segments(n)
         m = self.segment_length
         values = np.zeros(2 * n - 1)
-        values[n - m : n + m - 1] = self._taper_correlation()
+        values[n - m : n + m - 1] = self._taper_correlation
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
+        """Envelope (1 + 2 sum_{1 <= l < K, l hop < m} |c(l hop)|) / K and truncation m.
+
+        A is PSD with trace 1, so ||A||_F^2 <= ||A||_2 tr A, every ||d[k]||^2
+        <= max_i A_ii tr A and every max|d[k]| <= max_i A_ii are at most
+        ||A||_2 = ||V^T V||_2 / K.  The Gram matrix V^T V has entries
+        c(|i - j| hop), and Gershgorin bounds its norm by its largest absolute
+        row sum.  Without overlap (Bartlett) the envelope is ||A||_2 = 1/K.
+        """
         segments = self.segments(n)
-        envelope = (1.0 + 2.0 * self.segment_length / self.hop) / segments
-        return CertificateParams(envelope, self.segment_length)
+        m = self.segment_length
+        lags = np.arange(self.hop, m, self.hop)[: segments - 1]
+        overlap = float(np.abs(self._taper_correlation[m - 1 + lags]).sum())
+        return CertificateParams((1.0 + 2.0 * overlap) / segments, m)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
@@ -355,14 +313,55 @@ class Welch:
         return _segment_average(np.ascontiguousarray(windows.transpose(1, 0, 2)), taper, freqs, segments)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+        # every c(k) out to the cutoff stays above the floor, c = 0 past the segment
         m = self.segment_length
-        correlation = self._taper_correlation()
-        holds = m >= cutoff
-        for k in range(min(cutoff, m)):
-            if correlation[k + m - 1] < floor:
-                holds = False
-                break
-        return holds
+        stored = self._taper_correlation[m - 1 : m - 1 + min(cutoff, m)]
+        return bool(np.all(stored >= floor)) and (cutoff <= m or 0.0 >= floor)
+
+
+@dataclass(frozen=True)
+class Bartlett(_SegmentAverage):
+    """Average of plain periodograms over contiguous blocks: the rectangular taper at hop = segment length."""
+
+    kind = "bartlett"
+    block_length: int
+    taper = "rectangular"
+
+    def __post_init__(self):
+        if self.block_length < 1:
+            raise ValueError("block_length must be positive")
+
+    @property
+    def segment_length(self) -> int:
+        return self.block_length
+
+    hop = segment_length
+
+    def segments(self, num_samples: int) -> int:
+        if num_samples < 1 or num_samples % self.block_length:
+            raise ValueError("sample count must be a positive multiple of the block length")
+        return num_samples // self.block_length
+
+
+@dataclass(frozen=True)
+class Welch(_SegmentAverage):
+    """Average of tapered periodograms over segments of any length, hop and taper."""
+
+    kind = "welch"
+    segment_length: int
+    hop: int
+    taper: object = "hann"
+
+    def __post_init__(self):
+        if self.segment_length < 1 or self.hop < 1:
+            raise ValueError("segment_length and hop must be positive")
+        self.taper_values()
+
+    def segments(self, num_samples: int) -> int:
+        leftover = num_samples - self.segment_length
+        if leftover < 0 or leftover % self.hop:
+            raise ValueError("sample count must equal (segments - 1) * hop + segment_length")
+        return leftover // self.hop + 1
 
 
 FAMILIES = {cls.kind: cls for cls in (BiasedPeriodogram, UnbiasedPeriodogram, BlackmanTukey, Bartlett, Welch)}

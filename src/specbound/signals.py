@@ -11,8 +11,8 @@ Three stationary zero-mean model families back the validation studies:
   covariance.
 
 Models expose the exact autocovariance R[0..K] as one stack
-(``autocov_stack``), the spectrum, its sup norm, the summed covariance norm,
-a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and
+(``autocov_stack``), the spectrum, its sup norm, the summed covariance norm
+and its first lag moment, a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and
 their sampler as ``sample_paths``; covariance tail sums follow from the decay
 pair (``quadform.envelope_tail``).  ``MODELS`` maps each config ``kind`` to
 its class, whose dataclass fields are the config keys.  Samplers draw from
@@ -36,10 +36,12 @@ __all__ = [
     "GeometricScalar",
     "MODELS",
     "NOISE_KINDS",
+    "PHI_GRID_POINTS",
     "StateSpace",
     "UNIFORM_SIGMA",
     "WhiteNoise",
     "certify_decay",
+    "covariance_norm_sums",
     "grid_phi_inf",
     "psd",
     "r1_norm_bound",
@@ -83,10 +85,21 @@ def solve_discrete_lyapunov(transition, forcing) -> np.ndarray:
     raise ValueError("doubling iteration did not converge; transition matrix may be unstable")
 
 
-def grid_phi_inf(model, points: int = 4096, safety: float = 1.01) -> float:
-    """Grid maximum of the spectral norm of the model spectrum, inflated by ``safety``."""
-    freqs = np.linspace(-0.5, 0.5, points)
-    return safety * float(hermitian_spectral_norms(model.psd_grid(freqs)).max())
+# points of the frequency grid on [-1/2, 1/2] behind ``grid_phi_inf``
+PHI_GRID_POINTS = 4096
+
+
+def grid_phi_inf(model) -> float:
+    """Proven upper bound on sup_s ||Phi(s)||_2: min(r1, grid max + pi h L).
+
+    ||Phi(s)|| <= sum_k ||R[k]|| = r1 at every s.  Phi is Lipschitz with
+    ||dPhi/ds|| <= 2 pi L, where L = sum_k |k| ||R[k]|| (``lag_moment``), and
+    every frequency lies within h/2 of a point of the grid of spacing h.
+    """
+    freqs = np.linspace(-0.5, 0.5, PHI_GRID_POINTS)
+    grid_max = float(hermitian_spectral_norms(model.psd_grid(freqs)).max())
+    spacing = 1.0 / (PHI_GRID_POINTS - 1)
+    return min(model.r1_norm(), grid_max + math.pi * spacing * model.lag_moment())
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,9 @@ class GeometricScalar:
     def r1_norm(self) -> float:
         return (1.0 + self.rho) / (1.0 - self.rho)
 
+    def lag_moment(self) -> float:
+        return 2.0 * self.rho / (1.0 - self.rho) ** 2
+
     def decay(self) -> tuple[float, float]:
         return (1.0, self.rho)
 
@@ -162,6 +178,9 @@ class WhiteNoise:
 
     def r1_norm(self) -> float:
         return 1.0
+
+    def lag_moment(self) -> float:
+        return 0.0
 
     def decay(self) -> tuple[float, float]:
         return (1.0, 0.0)
@@ -281,7 +300,7 @@ class StateSpace:
         return self._phi_inf
 
     @cached_property
-    def _r1(self) -> float:
+    def _norm_sums(self) -> tuple[float, float, float]:
         gamma, rho = self.decay()
         if rho == 0.0:
             depth = 1
@@ -289,10 +308,13 @@ class StateSpace:
             # pick a depth at which the certified remainder is negligible
             depth = int(math.ceil(math.log(1e-9 * (1.0 - rho) / (2.0 * gamma)) / math.log(rho)))
             depth = min(max(depth, 1), 100_000)
-        return r1_norm_bound(self, depth)[0]
+        return covariance_norm_sums(self, depth)
 
     def r1_norm(self) -> float:
-        return self._r1
+        return self._norm_sums[0]
+
+    def lag_moment(self) -> float:
+        return self._norm_sums[1]
 
     def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
         """Stationary paths (trials, channels, samples); only gaussian noise drives the system."""
@@ -305,16 +327,31 @@ class StateSpace:
 MODELS = {**{cls.kind: cls for cls in (GeometricScalar, WhiteNoise, StateSpace)}, "ar1": GeometricScalar}
 
 
+def covariance_norm_sums(model, depth: int) -> tuple[float, float, float]:
+    """Upper bounds on sum_k ||R[k]||_2 and on sum_k |k| ||R[k]||_2, and the first one's remainder.
+
+    Each is its partial sum over |k| <= ``depth``, from one
+    ``autocov_stack(depth)`` and one batched SVD, plus the certified
+    remainder of the decay pair (gamma, rho) over |k| > D = ``depth``:
+    ``envelope_tail(gamma, rho, D + 1)`` and
+    2 gamma rho^(D+1) (D + 1 - D rho) / (1 - rho)^2.
+    """
+    norms = np.linalg.svd(model.autocov_stack(depth), compute_uv=False)[:, 0]
+    gamma, rho = model.decay()
+    remainder = envelope_tail(gamma, rho, depth + 1)
+    moment_remainder = 2.0 * gamma * rho ** (depth + 1) * (depth + 1 - depth * rho) / (1.0 - rho) ** 2
+    partial = float(norms[0] + 2.0 * norms[1:].sum())
+    moment = 2.0 * float(np.arange(1, depth + 1) @ norms[1:])
+    return partial + remainder, moment + moment_remainder, remainder
+
+
 def r1_norm_bound(model, depth: int) -> tuple[float, float]:
     """Partial sum of ||R[k]||_2 to ``depth`` plus a certified geometric remainder.
 
     Returns (upper bound on the summed covariance norms, remainder used).
     """
-    stack = model.autocov_stack(depth)
-    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    partial = float(norms[0] + 2.0 * norms[1:].sum())
-    remainder = envelope_tail(*model.decay(), depth + 1)
-    return partial + remainder, remainder
+    bound, _, remainder = covariance_norm_sums(model, depth)
+    return bound, remainder
 
 
 def certify_decay(model: StateSpace, rho_target: float) -> DecayCertificate:

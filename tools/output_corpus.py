@@ -5,9 +5,10 @@ Usage: python tools/output_corpus.py OUT
 Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 --estimate`` with ``epsilon``, and ``simulate`` for every model and estimator
-family at N = 528 and N = 2064; an ``--oracle`` estimate of the
-three-channel state-space model at N = 528 on a 1025-point full-range grid,
-which spans several frequency slabs; ``simulate`` and ``estimate`` at
+family at N = 528 and N = 2064, Welch with a positive and with a signed
+custom taper among them; an ``--oracle`` estimate of the three-channel
+state-space model at N = 528 on a 1025-point full-range grid, which spans
+several frequency slabs; ``simulate`` and ``estimate`` at
 N = 2064 for a state-space model with one output and five noise inputs;
 biased-periodogram, Bartlett (block length 32768) and Welch (segment length
 16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
@@ -18,11 +19,12 @@ N = 2064, whose lag window reaches past 256 lags; a three-channel Welch
 (segment length 32, hop 16) ``estimate`` at N = 65536;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
-overriding a model's; a set of rejected configs; configs that only strict
-parsing rejects; a periodogram ``certify --require-feasible``; ``reproduce
---example 1`` and ``--example 2`` with their defaults and with every option
-set; and ``verify-concentration`` at its smallest trial count and with a
-config that sets only the seed.  Each command gets a directory holding the
+overriding a model's; a ``certify`` of a lightly damped resonant model; a
+set of rejected configs; configs that only strict parsing rejects; a
+periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
+``--example 2`` with their defaults and with every option set; and
+``verify-concentration`` at its smallest trial count and with a config that
+sets only the seed.  Each command gets a directory holding the
 files it wrote and a ``console.txt`` with its exit code (or the uncaught
 exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
 
@@ -79,7 +81,8 @@ MODELS = {
     "state_space": (STATE_SPACE, "gaussian"),
 }
 
-# every family, the named windows and one custom taper; each divides both sizes
+# every family, the named windows, one positive custom taper and one signed
+# custom taper on overlapping segments; each divides both sizes
 ESTIMATORS = {
     "biased_periodogram": {"kind": "biased_periodogram"},
     "unbiased_periodogram": {"kind": "unbiased_periodogram"},
@@ -88,6 +91,7 @@ ESTIMATORS = {
     "bartlett": {"kind": "bartlett", "block_length": 48},
     "welch_hann": {"kind": "welch", "segment_length": 32, "hop": 16},
     "welch_custom": {"kind": "welch", "segment_length": 48, "hop": 24, "taper": [1.0 + (k % 5) for k in range(48)]},
+    "welch_signed": {"kind": "welch", "segment_length": 48, "hop": 16, "taper": [(k % 7) - 3.0 for k in range(48)]},
 }
 
 SIZES = (528, 2064)
@@ -101,6 +105,10 @@ LONG_ESTIMATORS = {
 
 # directory suffix -> grid options of the long estimates
 LONG_GRIDS = {"": [], "_grid17": ["--grid", "17"], "_grid257": ["--grid", "257"], "_full_range": ["--full-range"]}
+
+# a lightly damped resonance: its spectral peak of 40000 at s = 1/4 falls
+# between the points of the phi_inf grid
+RESONANT = {"kind": "state_space", "a": [[0.0, -0.995], [1.0, 0.0]], "b": [[1.0], [0.0]], "c": [[1.0, 0.0]], "d": [[0.0]]}
 
 CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
 
@@ -345,6 +353,8 @@ def main(argv=None) -> int:
     for name, (model, context) in OVERRIDES.items():
         body = {"model": model, "estimator": ESTIMATORS["welch_hann"], "num_samples": 2064, "epsilon": 0.5, "context": context}
         run(out, f"certify/override_{name}", ["certify", "--config", write_config(out, f"override_{name}", body)])
+    body = {"model": RESONANT, "estimator": ESTIMATORS["welch_hann"], "num_samples": 2064, "epsilon": 0.5}
+    run(out, "certify/resonant_welch_hann_2064", ["certify", "--config", write_config(out, "resonant_welch_hann_2064", body)])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
     for name, (command, body) in STRICT.items():
