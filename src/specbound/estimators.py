@@ -229,8 +229,7 @@ class BlackmanTukey:
             if weights[k + m - 1] < floor / (1.0 - k / n):
                 holds = False
                 break
-        rest = np.abs(np.arange(-(m - 1), m)) >= cutoff
-        if np.any(weights[rest] < -_RANGE_SLACK) or np.any(weights[rest] > 1.0 + _RANGE_SLACK):
+        if np.any(weights < -_RANGE_SLACK) or np.any(weights > 1.0 + _RANGE_SLACK):
             holds = False
         return holds
 
@@ -313,10 +312,13 @@ class _SegmentAverage:
         return _segment_average(np.ascontiguousarray(windows.transpose(1, 0, 2)), taper, freqs, segments)
 
     def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
-        # every c(k) out to the cutoff stays above the floor, c = 0 past the segment
+        # c stays in [0, 1] (a signed taper's can go negative), every c(k) out
+        # to the cutoff stays above the floor, and c = 0 past the segment
         m = self.segment_length
-        stored = self._taper_correlation[m - 1 : m - 1 + min(cutoff, m)]
-        return bool(np.all(stored >= floor)) and (cutoff <= m or 0.0 >= floor)
+        correlation = self._taper_correlation
+        in_range = bool(np.all(correlation >= -_RANGE_SLACK) and np.all(correlation <= 1.0 + _RANGE_SLACK))
+        stored = correlation[m - 1 : m - 1 + min(cutoff, m)]
+        return in_range and bool(np.all(stored >= floor)) and (cutoff <= m or 0.0 >= floor)
 
 
 @dataclass(frozen=True)

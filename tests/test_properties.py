@@ -8,7 +8,10 @@ fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
 its geometric bias bound with the lag-by-lag sequential sum.  Two last
 strategies draw Blackman-Tukey windows and Welch tapers of any sign and size
 (Welch at any hop, Bartlett among them), whose closed-form envelopes must
-cover the dense form's.
+cover the dense form's.  Welch specs with custom tapers, positive or signed,
+must give the same bias verdict from their own condition as from the general
+check on their closed-form diagonal sums, and a Blackman-Tukey spec whose
+own bias condition holds passes the general check too.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
+from specbound import signals
 
 from conftest import sequential_geometric_bias_bound
 
@@ -149,6 +153,47 @@ def test_welch_envelope_covers_the_dense_envelope(case):
     spec, n = case
     envelope = est.certificate_params(spec, n).envelope
     assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
+
+
+@st.composite
+def custom_taper_welches(draw):
+    """A sample count and a Welch spec whose custom taper is positive or takes either sign."""
+    m = draw(st.integers(1, 32))
+    hop = draw(st.integers(1, m))
+    segments = draw(st.integers(1, (MAX_SAMPLES - m) // hop + 1))
+    low = 1e-3 if draw(st.booleans()) else -10.0
+    taper = draw(st.lists(st.floats(low, 10.0), min_size=m, max_size=m).filter(lambda t: max(map(abs, t)) >= 1e-3))
+    return est.Welch(m, hop, taper), (segments - 1) * hop + m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(custom_taper_welches(), st.floats(0.0, 0.9), st.floats(0.05, 8.0))
+def test_welch_bias_condition_agrees_with_the_general_check(case, rho, eps):
+    spec, n = case
+    ctx = bd.BoundContext.from_model(signals.GeometricScalar(rho), bd.GAUSSIAN)
+    specific = bd.check_estimator_conditions(spec, n, "bias", eps, 0.1, ctx)
+    general = bd.check_conditions("bias", eps, 0.1, ctx, bias=est.closed_form_bias(spec, n))
+    assert specific.holds == general.holds
+
+
+@st.composite
+def near_unit_windows(draw):
+    """A sample count and a Blackman-Tukey spec whose window lies in [0, 1] or strays a little past it."""
+    n = draw(st.integers(1, MAX_SAMPLES))
+    half_width = draw(st.integers(1, n))
+    low, high = (0.0, 1.0) if draw(st.booleans()) else (-0.25, 1.25)
+    half = draw(st.lists(st.floats(low, high), min_size=half_width, max_size=half_width))
+    return est.BlackmanTukey(half_width, half[:0:-1] + half), n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(near_unit_windows(), st.floats(0.0, 0.9), st.floats(0.05, 8.0))
+def test_blackman_tukey_bias_condition_implies_the_general_check(case, rho, eps):
+    # the family's condition also asks for n >= 2 L r1 / eps, so it may reject more
+    spec, n = case
+    ctx = bd.BoundContext.from_model(signals.GeometricScalar(rho), bd.GAUSSIAN)
+    if bd.check_estimator_conditions(spec, n, "bias", eps, 0.1, ctx).holds:
+        assert bd.check_conditions("bias", eps, 0.1, ctx, bias=est.closed_form_bias(spec, n)).holds
 
 
 def _dense_spectral_norm(matrix):

@@ -17,6 +17,11 @@ def chain():
     return example_state_space(0.5)
 
 
+def _resonant():
+    # y[k + 1] + 0.995 y[k - 1] = e[k]: lightly damped, the spectrum peaks at 40000
+    return sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+
+
 def two_sided_stack(head):
     """Extend a one-sided stack R[0..K] to lags -K..K using R[-k] = R[k]^T."""
     return np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])
@@ -116,8 +121,7 @@ def test_psd_grid_equals_stacked_psd(model, chain):
     if model == "chain":
         model = chain
     else:
-        # lightly damped: the spectrum peaks at 40000 near s = +-1/4
-        model = sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+        model = _resonant()
     freqs = np.linspace(-0.5, 0.5, 4096)
     eye = np.eye(model.state_dim)
     stacked = []
@@ -195,9 +199,9 @@ def test_certify_decay_rejects_bad_target(chain):
 
 
 def test_phi_inf_covers_a_resonance_between_grid_points():
-    # y[k + 1] + 0.995 y[k - 1] = e[k]: the spectrum peaks at 1 / 0.005^2 =
-    # 40000 at s = 1/4, between two grid points, and r1 equals that peak
-    model = sig.StateSpace(a=[[0.0, -0.995], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+    # the spectrum peaks at 1 / 0.005^2 = 40000 at s = 1/4, between two grid
+    # points, and r1 equals that peak
+    model = _resonant()
     assert 40000.0 <= model.phi_inf() <= 40000.0 * (1.0 + 1e-9)
 
 
@@ -303,19 +307,21 @@ def test_state_space_stream_consistency(chain):
     np.testing.assert_array_equal(one.values, batch[2])
 
 
-def _per_step_state_space_paths(model, num_samples, trials, seed, first_trial):
-    """The sampler written as one matrix-vector product per trial and step."""
+def _long_double_state_space_paths(model, num_samples, trials, seed, first_trial):
+    """The sampler written as the per-step recursion, in long double, from the same draws."""
     root = sig._covariance_root(model.state_covariance)
-    out = np.empty((trials, model.channels, num_samples))
-    a, b, c, d = model.a, model.b, model.c, model.d
+    a, b, c, d = (m.astype(np.longdouble) for m in (model.a, model.b, model.c, model.d))
+    state = np.empty((trials, model.state_dim), dtype=np.longdouble)
+    shocks = np.empty((trials, model.noise_dim, num_samples))
     for t in range(trials):
         rng = rng_stream(seed, first_trial + t)
-        state = root @ rng.standard_normal(model.state_dim)
-        shocks = rng.standard_normal((model.noise_dim, num_samples))
-        for k in range(num_samples):
-            z = shocks[:, k]
-            out[t, :, k] = c @ state + d @ z
-            state = a @ state + b @ z
+        state[t] = root @ rng.standard_normal(model.state_dim)
+        rng.standard_normal(out=shocks[t])
+    z = shocks.astype(np.longdouble)
+    out = np.empty((trials, model.channels, num_samples), dtype=np.longdouble)
+    for k in range(num_samples):
+        out[:, :, k] = state @ c.T + z[:, :, k] @ d.T
+        state = state @ a.T + z[:, :, k] @ b.T
     return out
 
 
@@ -328,20 +334,56 @@ def _dense_state_space(states, inputs, channels):
     return sig.StateSpace(a, b, c, d)
 
 
-# (states, noise inputs, channels); one-channel models with several inputs
-# are the ones whose products depend on the operand strides
+# (states, noise inputs, channels)
 STATE_SPACE_SHAPES = [(1, 1, 1), (1, 2, 3), (3, 1, 3), (2, 5, 1), (6, 7, 1), (8, 1, 5), (16, 6, 4), (40, 16, 1)]
+SAMPLER_MODELS = ["chain", "resonant"] + STATE_SPACE_SHAPES
+# 4099 is no square, so its last chunk is partial
+SAMPLER_CASES = [(n, trials) for n in (1, 2, 9, 2064, 4099) for trials in (1, 7)]
 
 
-@pytest.mark.parametrize("shape", [None] + STATE_SPACE_SHAPES, ids=lambda s: "chain" if s is None else "x".join(map(str, s)))
-def test_state_space_sampler_equals_per_step_loop_bitwise(chain, shape):
-    model = chain if shape is None else _dense_state_space(*shape)
-    cases = [(n, trials) for n in (1, 2, 9, 2064) for trials in (1, 7)] + [(144, 100)]
-    for num_samples, trials in cases:
-        reference = _per_step_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
+def _sampler_model(chain, name):
+    if name == "chain":
+        return chain
+    return _resonant() if name == "resonant" else _dense_state_space(*name)
+
+
+def _model_id(name):
+    return name if isinstance(name, str) else "x".join(map(str, name))
+
+
+@pytest.mark.parametrize("name", SAMPLER_MODELS, ids=_model_id)
+def test_state_space_sampler_matches_long_double_recursion(chain, name):
+    model = _sampler_model(chain, name)
+    for num_samples, trials in SAMPLER_CASES:
+        reference = _long_double_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
         paths = sig.sample_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
-        assert paths.flags.c_contiguous
-        assert paths.tobytes() == reference.tobytes(), (num_samples, trials)
+        assert paths.flags.c_contiguous and paths.shape == reference.shape
+        error = np.abs(paths - reference).max(axis=(1, 2))
+        assert np.all(error <= 1e-14 * np.abs(reference).max(axis=(1, 2))), (num_samples, trials)
+
+
+@pytest.mark.parametrize("name", SAMPLER_MODELS, ids=_model_id)
+def test_state_space_sampler_batching_is_bitwise(chain, name):
+    model = _sampler_model(chain, name)
+    for num_samples in sorted({n for n, _ in SAMPLER_CASES}):
+        batch = sig.sample_state_space_paths(model, num_samples, 7, seed=23, first_trial=4)
+        for t in range(7):
+            alone = sig.sample_state_space_paths(model, num_samples, 1, seed=23, first_trial=4 + t)
+            assert alone[0].tobytes() == batch[t].tobytes(), (num_samples, t)
+
+
+def test_resonant_autocov_stack_matches_long_double():
+    # 26119 lags: the depth at which the resonant model's certified remainder drops below 1e-9
+    model = _resonant()
+    stack = model.autocov_stack(26119)
+    a, c = model.a.astype(np.longdouble), model.c.astype(np.longdouble)
+    cross = model._lag_seed.astype(np.longdouble)
+    reference = np.empty(stack.shape, dtype=np.longdouble)
+    reference[0] = stack[0]
+    for k in range(1, stack.shape[0]):
+        reference[k] = c @ cross
+        cross = a @ cross
+    assert np.abs(stack - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_sampler_argument_errors(chain):

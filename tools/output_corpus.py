@@ -10,6 +10,9 @@ custom taper among them; an ``--oracle`` estimate of the three-channel
 state-space model at N = 528 on a 1025-point full-range grid, which spans
 several frequency slabs; ``simulate`` and ``estimate`` at
 N = 2064 for a state-space model with one output and five noise inputs;
+``simulate`` at N = 65536 for the three-channel chain model and for a
+lightly damped resonant model, whose paths cross 255 boundaries of the
+sampler's 256-step chunks;
 biased-periodogram, Bartlett (block length 32768) and Welch (segment length
 16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
@@ -321,6 +324,11 @@ def main(argv=None) -> int:
     for est_name, estimator in ESTIMATORS.items():
         name = f"dense_state_space_{est_name}_2064"
         run(out, f"estimate/{name}", ["estimate", "--config", write_config(out, name, dict(base, estimator=estimator))])
+    # long paths through the sampler's chunked scan, one of them lightly damped
+    for model_name, model in (("state_space", STATE_SPACE), ("resonant", RESONANT)):
+        name = f"{model_name}_65536"
+        body = {"model": model, "num_samples": 65536, "seed": 11}
+        run(out, f"simulate/{name}", ["simulate", "--config", write_config(out, name, body)])
     # segments of 16384 to 65536 samples, transformed in two stages
     for model_name in ("geometric_gaussian", "state_space"):
         model, noise = MODELS[model_name]
