@@ -5,11 +5,12 @@ sufficient condition for error at most eps (probability at least 1 - delta)
 hold for this estimator?"; bound evaluators invert those conditions into
 numeric high-probability error bounds.  Concentration conditions compare the
 reciprocal of a norm envelope against the product of an accuracy demand and a
-confidence demand; bias conditions ask the diagonal sums to stay near one out
-to a covariance-tail cutoff lag.  Estimator-specific checks instantiate those
-conditions on the closed forms of the windowed-autocovariance, block-averaged,
-and tapered-segment estimators; for the raw periodograms only the bias
-condition is attainable.
+confidence demand; the bias condition asks the diagonal sums b[k] to lie in
+[0, 1] and to stay near one out to a covariance-tail cutoff lag, a test made
+only in ``check_conditions``.  Estimator-specific checks run those conditions
+on a family's closed forms, and the bias part adds what the family's own
+``bias_condition`` asks beyond the general test; for the raw periodograms
+only the bias condition is attainable.
 
 Infeasible or unavailable certificates are returned as structured results,
 never raised, so callers can tabulate feasibility frontiers.
@@ -29,6 +30,7 @@ from .constants import (
     NoiseAssumption,
     sub_gaussian,
 )
+from .estimators import closed_form_bias
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
@@ -289,9 +291,10 @@ def check_conditions(
     in_range = bool(
         np.all(bias.values >= -_RANGE_SLACK) and np.all(bias.values <= 1.0 + _RANGE_SLACK)
     )
-    # lags the diagonal sums do not store read 0.0, so one comparison covers them
+    # b is even, so lags 0..cutoff-1 cover both signs; lags the diagonal sums
+    # do not store read 0.0, so one comparison covers them
     stored = min(cutoff, bias.half_width)
-    near_one = bool(np.all(bias.on_lags(stored) >= floor)) and (cutoff == stored or 0.0 >= floor)
+    near_one = bool(np.all(bias.values[:stored] >= floor)) and (cutoff == stored or 0.0 >= floor)
     return Certificate(
         "bias_condition",
         holds=in_range and near_one,
@@ -333,8 +336,7 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation width must be at least one")
-    outside = np.abs(bias.offsets) >= truncation
-    if np.any(bias.values[outside] != 0.0):
+    if np.any(bias.values[truncation:] != 0.0):
         raise ValueError("diagonal sums must vanish beyond the truncation width")
     # the powers equal the scalar rho ** k of a per-lag sum: for one numpy
     # integer k numpy returns rho at k = 1 and rho * rho at k = 2, which its
@@ -392,7 +394,9 @@ def check_estimator_conditions(
 ) -> Certificate:
     """Estimator-specific sufficient conditions on the closed-form quantities.
 
-    For the periodogram variants only the bias condition is attainable (their
+    The bias part is the general bias test on ``closed_form_bias(spec, n)``
+    and the family's ``bias_condition``, what it asks beyond that test.  For
+    the periodogram variants only the bias condition is attainable (their
     norm envelope never drops below one); concentration parts come back
     unavailable.
     """
@@ -417,14 +421,13 @@ def check_estimator_conditions(
     if part != "bias":
         cert = check_conditions(part, eps, delta, ctx, envelope=params.envelope, truncation=params.truncation)
         return replace(cert, statement=statement)
-    # estimator-specific bias conditions
-    cutoff = tail_cutoff_lag(eps, ctx)
-    floor = 1.0 - eps / (2.0 * ctx.r1_norm)
-    holds = spec.bias_condition(n, cutoff, floor, eps, ctx.r1_norm)
-    # a family without a concentration certificate (the periodograms) does not
-    # test its diagonal sums against the floor
-    inputs = _inputs(cutoff=cutoff) if params is None else _inputs(cutoff=cutoff, floor=floor)
-    return Certificate(statement, holds=bool(holds), epsilon=eps, delta=delta, inputs=inputs)
+    # the general test on the closed-form diagonal sums, and what the family asks beyond it
+    general = check_conditions("bias", eps, delta, ctx, bias=closed_form_bias(spec, n))
+    cutoff = dict(general.inputs)["cutoff"]
+    holds = general.holds and spec.bias_condition(n, cutoff, eps, ctx.r1_norm)
+    # a periodogram's own condition is stated in the cutoff alone, and its row records only that
+    inputs = general.inputs[:1] if params is None else general.inputs
+    return replace(general, statement=statement, holds=bool(holds), inputs=inputs)
 
 
 def bartlett_bias_closed_form(gamma: float, rho: float, block_length) -> float:

@@ -6,13 +6,15 @@ banded Toeplitz coefficient matrix), and tapered segment averages (Welch, a
 sum of shifted rank-one blocks, and Bartlett, the layout of contiguous
 untapered blocks, which takes every method from Welch).  Each spec class has
 a config ``kind`` and, for a sample count n, its dense coefficient matrix
-(``matrix(n)``), its closed-form diagonal sums (``diagonal_sums(n)``), the
-norm envelope and truncation width feeding the worst-case certificates
-(``certificate_params(n)``, None when no concentration certificate exists),
-its estimator-specific bias condition (``bias_condition``), and a fast
-evaluation path (``evaluate(data, freqs)``) that matches the generic
-quadratic form to rounding error.  ``FAMILIES`` maps each ``kind`` to its
-class; the module-level functions dispatch to these methods.
+(``matrix(n)``), its closed-form diagonal sums b[k] at lags k = 0..n-1
+(``diagonal_sums(n)``; b is even), the norm envelope and truncation width
+feeding the worst-case certificates (``certificate_params(n)``, None when no
+concentration certificate exists), what its bias condition asks beyond the
+general test on those sums in ``bounds.check_conditions``
+(``bias_condition``), and a fast evaluation path (``evaluate(data, freqs)``)
+that matches the generic quadratic form to rounding error.  ``FAMILIES``
+maps each ``kind`` to its class; the module-level functions dispatch to
+these methods.
 
 The biased periodogram (one segment of length N) and the segment averages
 evaluate through one kernel, ``_segment_average``, which covers the grid in
@@ -121,7 +123,7 @@ class BiasedPeriodogram:
         return np.full((n, n), 1.0 / n)
 
     def diagonal_sums(self, n: int) -> np.ndarray:
-        return 1.0 - np.abs(np.arange(-(n - 1), n)) / n
+        return 1.0 - np.arange(n) / n
 
     def certificate_params(self, n: int) -> None:
         return None
@@ -129,7 +131,7 @@ class BiasedPeriodogram:
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         return _segment_average(data.values[None], None, freqs, data.samples)
 
-    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+    def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
         return n >= 2.0 * cutoff * r1 / eps
 
 
@@ -144,16 +146,16 @@ class UnbiasedPeriodogram:
         return 1.0 / (n - lags)
 
     def diagonal_sums(self, n: int) -> np.ndarray:
-        return np.ones(2 * n - 1)
+        return np.ones(n)
 
     def certificate_params(self, n: int) -> None:
         return None
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         n = data.samples
-        return lag_sum(_acs_head(data, n - 1, biased=False), np.ones(2 * n - 1), freqs)
+        return lag_sum(_acs_head(data, n - 1, biased=False), np.ones(n), freqs)
 
-    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
+    def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
         return n >= cutoff
 
 
@@ -203,8 +205,8 @@ class BlackmanTukey:
     def diagonal_sums(self, n: int) -> np.ndarray:
         m = self.half_width
         self._check_fits(n)
-        values = np.zeros(2 * n - 1)
-        values[n - m : n + m - 1] = (n - np.abs(np.arange(1 - m, m))) * self.weights() / n
+        values = np.zeros(n)
+        values[:m] = (n - np.arange(m)) * self.weights()[m - 1 :] / n
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
@@ -219,19 +221,12 @@ class BlackmanTukey:
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
         self._check_fits(data.samples)
-        return lag_sum(_acs_head(data, m - 1, biased=True), self.weights(), freqs)
+        return lag_sum(_acs_head(data, m - 1, biased=True), self.weights()[m - 1 :], freqs)
 
-    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
-        m = self.half_width
+    def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
         weights = self.weights()
-        holds = m >= cutoff and n >= 2.0 * cutoff * r1 / eps
-        for k in range(min(cutoff, m)):
-            if weights[k + m - 1] < floor / (1.0 - k / n):
-                holds = False
-                break
-        if np.any(weights < -_RANGE_SLACK) or np.any(weights > 1.0 + _RANGE_SLACK):
-            holds = False
-        return holds
+        in_range = bool(np.all(weights >= -_RANGE_SLACK) and np.all(weights <= 1.0 + _RANGE_SLACK))
+        return self.half_width >= cutoff and n >= 2.0 * cutoff * r1 / eps and in_range
 
 
 class _SegmentAverage:
@@ -255,7 +250,7 @@ class _SegmentAverage:
 
     @cached_property
     def _taper_correlation(self) -> np.ndarray:
-        """Read-only taper autocorrelation c over lags -(m-1)..m-1, with c(0) = 1.
+        """Read-only taper autocorrelation c over lags 0..m-1, with c(0) = 1.
 
         1 - |k|/m for a constant taper (Bartlett's), else |W|^2 of one real
         FFT zero-padded to at least 2m - 1 points.
@@ -268,7 +263,7 @@ class _SegmentAverage:
             size = 1 << (2 * m - 2).bit_length()
             spectrum = np.fft.rfft(taper, size)
             one_sided = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:m]
-        correlation = np.concatenate([one_sided[:0:-1], one_sided]) / one_sided[0]
+        correlation = one_sided / one_sided[0]
         correlation.setflags(write=False)
         return correlation
 
@@ -285,9 +280,8 @@ class _SegmentAverage:
 
     def diagonal_sums(self, n: int) -> np.ndarray:
         self.segments(n)
-        m = self.segment_length
-        values = np.zeros(2 * n - 1)
-        values[n - m : n + m - 1] = self._taper_correlation
+        values = np.zeros(n)
+        values[: self.segment_length] = self._taper_correlation
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
@@ -302,23 +296,19 @@ class _SegmentAverage:
         segments = self.segments(n)
         m = self.segment_length
         lags = np.arange(self.hop, m, self.hop)[: segments - 1]
-        overlap = float(np.abs(self._taper_correlation[m - 1 + lags]).sum())
+        overlap = float(np.abs(self._taper_correlation[lags]).sum())
         return CertificateParams((1.0 + 2.0 * overlap) / segments, m)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
         windows = sliding_window_view(data.values, self.segment_length, axis=1)[:, ::self.hop]
         taper = self.taper if isinstance(self.taper, str) else np.asarray(self.taper, dtype=float).tobytes()
-        return _segment_average(np.ascontiguousarray(windows.transpose(1, 0, 2)), taper, freqs, segments)
+        return _segment_average(windows.transpose(1, 0, 2), taper, freqs, segments)
 
-    def bias_condition(self, n: int, cutoff: int, floor: float, eps: float, r1: float) -> bool:
-        # c stays in [0, 1] (a signed taper's can go negative), every c(k) out
-        # to the cutoff stays above the floor, and c = 0 past the segment
-        m = self.segment_length
-        correlation = self._taper_correlation
-        in_range = bool(np.all(correlation >= -_RANGE_SLACK) and np.all(correlation <= 1.0 + _RANGE_SLACK))
-        stored = correlation[m - 1 : m - 1 + min(cutoff, m)]
-        return in_range and bool(np.all(stored >= floor)) and (cutoff <= m or 0.0 >= floor)
+    def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
+        # the diagonal sums are c out to the segment length and zero past it,
+        # and the general test on them is the whole condition
+        return True
 
 
 @dataclass(frozen=True)
@@ -378,7 +368,7 @@ def build_matrix(spec, num_samples: int) -> QuadraticForm:
 
 
 def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
-    """Per-family closed form for the diagonal sums b[k], padded to |k| < num_samples.
+    """Per-family closed form for the diagonal sums b[k], padded to lags 0..num_samples-1.
 
     Equals the brute-force diagonal sums of the dense coefficient matrix to
     rounding error.

@@ -59,7 +59,20 @@ class ConfigError(ValueError):
 
 
 def format_number(value) -> str:
-    """CSV cell format: plain inside [1e-3, 1e4), scientific outside."""
+    """CSV cell format: numbers plain inside [1e-3, 1e4), scientific outside.
+
+    Booleans are true/false, a string is itself and None is empty.
+    """
+    # plain floats and ints, nearly every cell, take the first two checks
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is int:
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -75,25 +88,11 @@ def _format_float(v: float) -> str:
     return f"{v:.12e}"
 
 
-def _format_cell(value) -> str:
-    # plain floats and ints, nearly every cell, skip the type checks of format_number
-    kind = type(value)
-    if kind is float:
-        return _format_float(value)
-    if kind is int:
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    return format_number(value)
-
-
 def write_csv(path, columns, rows, meta) -> Path:
     """Write a CSV with one comment line of metadata and a header row."""
     lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items())]
     lines.append(",".join(columns))
-    lines.extend(",".join([_format_cell(cell) for cell in row]) for row in rows)
+    lines.extend(",".join([format_number(cell) for cell in row]) for row in rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -263,7 +262,9 @@ def _assumption_for(noise: str):
 def make_context(config: ExperimentConfig) -> bounds.BoundContext:
     """Bound context from the model's values, each of which the ``context`` object may override.
 
-    Without a model, the ``context`` object supplies every value.
+    Without a model, the ``context`` object supplies every value.  With one,
+    a ``channels`` value must equal the model's: the certificates' cover term
+    grows with the channel count, so a smaller one would leave them unproven.
     """
     given = config.context_overrides
     model = config.model
@@ -275,6 +276,8 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
             raise ConfigError("context needs gamma and rho together")
         values = {}
     else:
+        if given.get("channels", model.channels) != model.channels:
+            raise ConfigError(f"context.channels must equal the model's channel count {model.channels}")
         gamma, rho = model.decay()
         values = dict(phi_inf=model.phi_inf(), r1=model.r1_norm(), channels=model.channels, gamma=gamma, rho=rho)
     values.update(given)
@@ -369,7 +372,7 @@ def read_estimate_csv(path) -> SpectralEstimate:
 
 
 def _certificate_row(cert: bounds.Certificate) -> list:
-    inputs = ";".join(f"{key}={_format_cell(value)}" for key, value in cert.inputs)
+    inputs = ";".join(f"{key}={format_number(value)}" for key, value in cert.inputs)
     return [
         cert.statement,
         cert.available,

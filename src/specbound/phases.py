@@ -12,8 +12,8 @@ real: each product multiplies the flattened real stack by the complex table
 read as twice as many real columns, one real GEMM with half the flops of a
 complex one, and every table is stored zero-padded to a multiple of 8 grid
 columns, so each slab of ``_phase_slabs`` takes the BLAS kernels of the
-whole grid's.  ``lag_sum`` sums a lag sequence over both signs of the lag
-through one such transform of its one-sided head.
+whole grid's.  ``lag_sum`` sums an even-weighted lag sequence over both
+signs of the lag through one such transform of its one-sided head.
 
 Every table comes from ``_build_segment_phases``, which reduces each phase
 argument t s mod 1 exactly before it is rounded, so a table's accuracy does
@@ -186,22 +186,21 @@ def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slic
 
 
 def lag_sum(head: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sum_{|k| < H} e^{-2 pi i s k} weights[k] R[k] on a grid, as (grid, n, n).
+    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] on a grid, as (grid, n, n).
 
     ``head`` is the real one-sided stack R[0..H-1] of (n, n) lag matrices,
-    and ``weights`` holds weights[k] for |k| < H at index k + H - 1.  Both
-    sides are one ``_phase_transform`` over the lags k = 0..H-1, stacked as
-    (2n, n, H): weights[k] R[k] on top, and below weights[-k] R[-k] =
-    weights[-k] R[k]^T, whose transform is conjugated because the R[k] are
-    real.  The phase tables are the cached (H, grid) one up to 256 lags and
-    the cached (256, grid) and (blocks, grid) ones beyond, never a
+    and ``weights`` the one-sided w[0..H-1] of an even weight sequence,
+    w[-k] = w[k].  Both sides are one ``_phase_transform`` over the lags
+    k = 0..H-1, stacked as (2n, n, H): w[k] R[k] on top, and below
+    w[-k] R[-k] = w[k] R[k]^T, whose transform is conjugated because the R[k]
+    are real.  The phase tables are the cached (H, grid) one up to 256 lags
+    and the cached (256, grid) and (blocks, grid) ones beyond, never a
     (grid, 2H - 1) phase matrix, and each phase e^{-2 pi i s k} is rounded
     at its own |k|, where a decaying covariance keeps its mass.
     """
-    half = head.shape[0]
     head = head.transpose(1, 2, 0)  # R[k][i, j] at [i, j, k]
     n = head.shape[0]
-    sides = np.concatenate([head * weights[half - 1 :], head.transpose(1, 0, 2) * weights[half - 1 :: -1]])
+    sides = np.concatenate([head * weights, head.transpose(1, 0, 2) * weights])
     sides[n:, :, 0] = 0.0  # lag 0 is summed once
     transform = _phase_transform(sides, None, freqs)
     return (transform[:n] + transform[n:].conj()).transpose(2, 0, 1)

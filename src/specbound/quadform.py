@@ -10,9 +10,10 @@ dense representation of ``A`` together with the derived quantities consumed by
 the error certificates: the per-diagonal profiles d[k] (whose sup and
 Euclidean norms are exactly the spectral and Frobenius norms of the
 single-diagonal matrices B[k]), the diagonal sums b[k] that determine the
-estimator mean, the generic evaluation path used as the correctness oracle for
-the fast structured paths, and exact bias evaluation against analytic process
-models, whose lag sums go through ``phases.lag_sum`` like the estimators'.
+estimator mean (even in k, so stored for k >= 0 only), the generic
+evaluation path used as the correctness oracle for the fast structured
+paths, and exact bias evaluation against analytic process models, whose lag
+sums go through ``phases.lag_sum`` like the estimators'.
 
 Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
 ``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
@@ -308,42 +309,36 @@ def diagonal_profile(form: QuadraticForm, offset: int) -> DiagonalProfile:
 
 @dataclass(frozen=True)
 class BiasCoefficients:
-    """Diagonal sums b[k] of a coefficient matrix, stored for |k| < half_width.
+    """Diagonal sums b[k] of a symmetric coefficient matrix, stored for lags k = 0..half_width-1.
 
-    Lag ``k`` lives at index ``k + half_width - 1``; the sequence is zero
-    outside.  The estimator mean is sum_k e^{-j2 pi s k} b[k] R[k].
+    Every b[k] is even, b[-k] = b[k], so lag k lives at index |k|, and the
+    sequence is zero past the stored lags; ``on_lags`` gives both signs.  The
+    estimator mean is sum_k e^{-j2 pi s k} b[k] R[k].
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if arr.ndim != 1 or arr.size % 2 == 0:
-            raise ValueError("lag-indexed values need an odd-length vector")
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("diagonal sums need a non-empty vector")
         object.__setattr__(self, "values", _frozen_array(arr))
 
     @property
     def half_width(self) -> int:
-        return (self.values.size + 1) // 2
-
-    @property
-    def offsets(self) -> np.ndarray:
-        h = self.half_width
-        return np.arange(-(h - 1), h)
+        return self.values.size
 
     def on_lags(self, width: int) -> np.ndarray:
         """b[k] for |k| < width at index k + width - 1, zero beyond the stored lags."""
-        h = self.half_width
-        if width <= h:
-            return self.values[h - width : h + width - 1]
-        pad = np.zeros(width - h)
-        return np.concatenate([pad, self.values, pad])
+        head = self.values[:width]
+        if width > head.size:
+            head = np.concatenate([head, np.zeros(width - head.size)])
+        return np.concatenate([head[:0:-1], head])
 
 
 def bias_coefficients(form: QuadraticForm) -> BiasCoefficients:
     """Sum every diagonal of ``form``; equals 1^T d[k] at each lag."""
-    sums = form.diagonal_stats.sums
-    return BiasCoefficients(np.concatenate([sums[:0:-1], sums]))
+    return BiasCoefficients(form.diagonal_stats.sums)
 
 
 def evaluate_generic(data: DataMatrix, form: QuadraticForm, frequency: float) -> np.ndarray:
@@ -420,12 +415,12 @@ def envelope_tail(gamma: float, rho: float, lag: int) -> float:
     return 2.0 * gamma * rho ** lag / (1.0 - rho)
 
 
-def _lag_sum(coeffs: BiasCoefficients, weights: np.ndarray, model, frequencies) -> np.ndarray:
-    """sum_{|k| < H} e^{-j2 pi s k} weights[k] R[k] on a grid, as (grid, n, n), from the model's R[0..H-1]."""
+def _lag_sum(weights: np.ndarray, model, frequencies) -> np.ndarray:
+    """sum_{|k| < H} e^{-j2 pi s k} w[k] R[k] on a grid, as (grid, n, n), from w[0..H-1] and the model's R[0..H-1]."""
     if not hasattr(model, "autocov_stack"):
         raise TypeError("model does not expose an analytic autocovariance")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    head = np.asarray(model.autocov_stack(coeffs.half_width - 1), dtype=float)
+    head = np.asarray(model.autocov_stack(weights.size - 1), dtype=float)
     return lag_sum(head, weights, freqs)
 
 
@@ -434,7 +429,7 @@ def expected_estimate(bias: BiasCoefficients, model, frequencies) -> np.ndarray:
 
     Serves as the exact-mean oracle in bias tests.
     """
-    return _lag_sum(bias, bias.values, model, frequencies)
+    return _lag_sum(bias.values, model, frequencies)
 
 
 def exact_bias_sup(bias: BiasCoefficients, model, frequencies) -> float:
@@ -445,6 +440,6 @@ def exact_bias_sup(bias: BiasCoefficients, model, frequencies) -> float:
     ``envelope_tail`` of the model's decay pair on sum_{|l| >= H} ||R[l]||_2,
     where H >= 1 is the half-width of the diagonal sums.
     """
-    finite = hermitian_part(_lag_sum(bias, 1.0 - bias.values, model, frequencies))
+    finite = hermitian_part(_lag_sum(1.0 - bias.values, model, frequencies))
     grid_sup = float(hermitian_spectral_norms(finite).max())
     return grid_sup + float(envelope_tail(*model.decay(), bias.half_width))

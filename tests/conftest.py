@@ -34,11 +34,11 @@ def random_estimator_spec(rng: np.random.Generator, max_samples: int = 128):
 
 
 def sequential_geometric_bias_bound(bias, truncation, gamma, rho):
-    """The bias bound summed one lag at a time, from the most negative lag up."""
+    """The bias bound summed one lag at a time, from the most negative lag up; b[k] is stored at |k|."""
     h = bias.half_width
 
     def at(k):
-        return 0.0 if abs(int(k)) >= h else float(bias.values[int(k) + h - 1])
+        return 0.0 if abs(int(k)) >= h else float(bias.values[abs(int(k))])
 
     # numpy integer lags, so rho ** |k| is numpy's scalar power
     lags = np.arange(-(truncation - 1), truncation)

@@ -228,7 +228,7 @@ def _assert_diagonal_statistics_match(form):
     n = form.size
     lags = np.arange(-(n - 1), n)
     expected = np.array([np.trace(form.matrix, offset=-k) for k in lags])
-    assert np.all(np.abs(qf.bias_coefficients(form).values - expected) <= 1e-13 * l1[np.abs(lags)])
+    assert np.all(np.abs(qf.bias_coefficients(form).on_lags(n) - expected) <= 1e-13 * l1[np.abs(lags)])
     envelope = max(form.spectral_norm, form.frobenius_norm ** 2)
     for k in range(n):
         profile = qf.diagonal_profile(form, k)
@@ -328,11 +328,7 @@ def test_expected_estimate_matches_monte_carlo_mean():
     trials = 20_000
     model = GeometricScalar(rho)
     grid = np.array([0.0, 0.13, 0.37])
-    coeffs_values = np.where(
-        np.abs(np.arange(-(samples - 1), samples)) < m,
-        1.0 - np.abs(np.arange(-(samples - 1), samples)) / m,
-        0.0,
-    )
+    coeffs_values = np.where(np.arange(samples) < m, 1.0 - np.arange(samples) / m, 0.0)
     expected = qf.expected_estimate(qf.BiasCoefficients(coeffs_values), model, grid)[:, 0, 0]
     paths = sample_geometric_paths(rho, samples, trials, "gaussian", seed=606)
     segments = paths.reshape(trials, blocks, m)
@@ -347,7 +343,7 @@ def test_expected_estimate_matches_monte_carlo_mean():
 def test_expected_estimate_all_ones_is_truncated_transform():
     model = GeometricScalar(0.4)
     half = 8
-    coeffs = qf.BiasCoefficients(np.ones(2 * half - 1))
+    coeffs = qf.BiasCoefficients(np.ones(half))
     grid = np.array([0.05, 0.3])
     mean = qf.expected_estimate(coeffs, model, grid)
     for idx, s in enumerate(grid):
@@ -356,7 +352,7 @@ def test_expected_estimate_all_ones_is_truncated_transform():
 
 
 def test_expected_estimate_needs_analytic_model(rng):
-    coeffs = qf.BiasCoefficients(np.ones(3))
+    coeffs = qf.BiasCoefficients(np.ones(2))
     with pytest.raises(TypeError):
         qf.expected_estimate(coeffs, object(), [0.0])
 
@@ -365,23 +361,24 @@ def test_exact_bias_sup_pure_truncation():
     # all-ones diagonal sums leave only the tail: exactly 2 rho^H / (1 - rho)
     model = GeometricScalar(0.3)
     half = 6
-    coeffs = qf.BiasCoefficients(np.ones(2 * half - 1))
+    coeffs = qf.BiasCoefficients(np.ones(half))
     value = qf.exact_bias_sup(coeffs, model, qf.frequency_grid(33))
     assert value == pytest.approx(2.0 * 0.3 ** half / 0.7, rel=1e-12)
 
 
 def test_exact_bias_sup_single_point_white_noise():
-    coeffs = qf.BiasCoefficients(np.array([0.0, 0.25, 0.0]))
+    coeffs = qf.BiasCoefficients(np.array([0.25, 0.0]))
     value = qf.exact_bias_sup(coeffs, WhiteNoise(1), np.array([0.0]))
     assert value == pytest.approx(0.75)
 
 
 def longdouble_lag_sum(head, weights, freqs):
-    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] from a one-sided stack R[0..H-1], the phases and sums in long double, one frequency at a time."""
+    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] from one-sided R[0..H-1] and w[0..H-1], the phases and sums in long double, one frequency at a time."""
     half = head.shape[0]
     head = head.astype(np.longdouble)
     stack = np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])  # R[-k] = R[k]^T
-    weighted = stack * weights.astype(np.longdouble)[:, None, None]
+    weights = weights.astype(np.longdouble)
+    weighted = stack * np.concatenate([weights[:0:-1], weights])[:, None, None]  # w[-k] = w[k]
     lags = np.arange(1 - half, half).astype(np.longdouble)
     sums = []
     for s in freqs:
@@ -435,9 +432,9 @@ def test_lag_families_match_a_long_double_sum(spec, channels, num_samples, full_
     data = qf.DataMatrix(np.random.default_rng(channels).standard_normal((channels, num_samples)))
     grid = qf.frequency_grid(37, full_range)
     if isinstance(spec, est.UnbiasedPeriodogram):
-        head, weights = est._acs_head(data, num_samples - 1, biased=False), np.ones(2 * num_samples - 1)
+        head, weights = est._acs_head(data, num_samples - 1, biased=False), np.ones(num_samples)
     else:
-        head, weights = est._acs_head(data, spec.half_width - 1, biased=True), spec.weights()
+        head, weights = est._acs_head(data, spec.half_width - 1, biased=True), spec.weights()[spec.half_width - 1 :]
     reference = longdouble_lag_sum(head, weights, grid)
     fast = est.evaluate_fast(spec, data, grid).matrices
     assert float(np.abs(fast - reference).max()) <= 1e-10 * float(np.abs(reference).max())
