@@ -50,6 +50,7 @@ __all__ = [
     "accuracy_factor",
     "bartlett_bias_closed_form",
     "check_conditions",
+    "check_all_estimator_conditions",
     "check_estimator_conditions",
     "confidence_factor",
     "covariance_tail",
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 CONDITION_PARTS = ("pointwise", "worst_case", "bias", "pointwise_total", "worst_total")
+
+# each conjunction part and the concentration part it joins to the bias part
+_TOTALS = {"pointwise_total": "pointwise", "worst_total": "worst_case"}
 
 # why a periodogram has no concentration certificate
 PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
@@ -243,10 +247,9 @@ def check_conditions(
     """
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
-    if part in ("pointwise_total", "worst_total"):
-        base = "pointwise" if part == "pointwise_total" else "worst_case"
+    if part in _TOTALS:
         first = check_conditions(
-            base, eps, delta, ctx, form=form, xi=xi, envelope=envelope, truncation=truncation
+            _TOTALS[part], eps, delta, ctx, form=form, xi=xi, envelope=envelope, truncation=truncation
         )
         second = check_conditions("bias", eps, delta, ctx, form=form, bias=bias)
         return _conjunction(f"{part}_condition", first, second, eps, delta)
@@ -404,9 +407,8 @@ def check_estimator_conditions(
         raise ValueError(f"unknown condition part {part!r}")
     n = int(num_samples)
     statement = f"{spec.kind}.{part}_condition"
-    if part in ("pointwise_total", "worst_total"):
-        base = "pointwise" if part == "pointwise_total" else "worst_case"
-        first = check_estimator_conditions(spec, n, base, eps, delta, ctx)
+    if part in _TOTALS:
+        first = check_estimator_conditions(spec, n, _TOTALS[part], eps, delta, ctx)
         second = check_estimator_conditions(spec, n, "bias", eps, delta, ctx)
         return _conjunction(statement, first, second, eps, delta)
     params = spec.certificate_params(n)
@@ -428,6 +430,24 @@ def check_estimator_conditions(
     # a periodogram's own condition is stated in the cutoff alone, and its row records only that
     inputs = general.inputs[:1] if params is None else general.inputs
     return replace(general, statement=statement, holds=bool(holds), inputs=inputs)
+
+
+def check_all_estimator_conditions(
+    spec, num_samples: int, eps: float, delta: float, ctx: BoundContext
+) -> list[Certificate]:
+    """``check_estimator_conditions`` for every part, in ``CONDITION_PARTS`` order.
+
+    Each total is the conjunction of the rows already built for its two
+    parts, so the bias part is computed once.
+    """
+    rows = {
+        part: check_estimator_conditions(spec, num_samples, part, eps, delta, ctx)
+        for part in CONDITION_PARTS
+        if part not in _TOTALS
+    }
+    for part, base in _TOTALS.items():
+        rows[part] = _conjunction(f"{spec.kind}.{part}_condition", rows[base], rows["bias"], eps, delta)
+    return [rows[part] for part in CONDITION_PARTS]
 
 
 def bartlett_bias_closed_form(gamma: float, rho: float, block_length) -> float:

@@ -10,6 +10,7 @@ error, 3 an infeasible certificate was requested as a hard requirement.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -18,6 +19,8 @@ from . import experiments
 __all__ = ["main"]
 
 
+# building the parser costs about 20 times as much as one parse, so it is built once per process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specbound",

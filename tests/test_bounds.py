@@ -392,6 +392,21 @@ def test_estimator_concentration_conditions_are_the_general_conditions(kind, par
         assert dataclasses.replace(cert, statement=general.statement) == general
 
 
+@pytest.mark.parametrize("kind", list(est.FAMILIES))
+def test_all_estimator_conditions_are_the_parts_one_by_one(kind, geometric_ctx, monkeypatch):
+    n = 136
+    cls = est.FAMILIES[kind]
+    spec = cls(*(8 for field in dataclasses.fields(cls) if field.default is dataclasses.MISSING))
+    for eps, delta in [(0.05, 0.1), (0.5, 0.1), (8.0, 0.05), (64.0, 0.2), (1e3, 0.1)]:
+        parts = [bd.check_estimator_conditions(spec, n, part, eps, delta, geometric_ctx) for part in bd.CONDITION_PARTS]
+        calls = []
+        monkeypatch.setattr(bd, "closed_form_bias", lambda *args: calls.append(args) or est.closed_form_bias(*args))
+        assert bd.check_all_estimator_conditions(spec, n, eps, delta, geometric_ctx) == parts
+        # the bias part is built once for all three rows that need it
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------- block-length optimizer
 
 

@@ -21,6 +21,7 @@ from specbound.experiments import (
     run_certify,
     run_estimate,
     run_reproduce,
+    run_simulate,
     sample_model,
     write_csv,
     ReproduceOptions,
@@ -202,6 +203,17 @@ def test_simulate_exports_path(tmp_path, welch_config):
     lines = (tmp_path / "simulate.csv").read_text().splitlines()
     assert lines[1] == "t,y1"
     assert len(lines) == 2 + 136
+
+
+def test_long_simulate_rows_are_formatted_like_format_number(tmp_path):
+    # past t = 10000 a float t column would turn scientific
+    config = parse_config({"model": {"kind": "white", "channels": 2}, "num_samples": 10050, "seed": 3})
+    lines = run_simulate(config, tmp_path).read_text().splitlines()
+    data = sample_model(config.model, "gaussian", 10050, 3)
+    assert lines[1] == "t,y1,y2"
+    for t, (line, values) in enumerate(zip(lines[2:], data.values.T.tolist(), strict=True)):
+        assert line == ",".join(format_number(cell) for cell in [t] + values)
+    assert lines[-1].startswith("10049,")
 
 
 def test_verify_concentration_trial_floor(tmp_path):

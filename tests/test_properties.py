@@ -11,8 +11,11 @@ strategies draw Blackman-Tukey windows and Welch tapers of any sign and size
 cover the dense form's.  For every family, custom Welch tapers (positive or
 signed) and Blackman-Tukey windows near [0, 1] among them, a bias verdict
 that holds implies the general check on the closed-form diagonal sums, and
-a segment average's verdict equals it.
+a segment average's verdict equals it.  A float table written as an array
+has the bytes of the same table written row by row.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals
+from specbound.experiments import write_csv
 
 from conftest import sequential_geometric_bias_bound
 
@@ -238,3 +242,35 @@ def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, 
 def test_generic_symmetric_norm_is_the_dense_expression_bit_for_bit(n, seed):
     form = qf.QuadraticForm(np.random.default_rng(seed).standard_normal((n, n)))
     assert form.spectral_norm == _dense_spectral_norm(form.matrix)
+
+
+# zeros, the edges of the plain range, the subnormal and largest doubles and the non-finite values
+EDGE_CELLS = [
+    0.0, -0.0, 1e-3, -1e-3, *np.nextafter(1e-3, [0.0, 1.0]), 1e4, -1e4, *np.nextafter(1e4, [0.0, np.inf]),
+    9999.999999999999, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, np.nan, np.inf, -np.inf,
+]
+
+
+@st.composite
+def float_tables(draw):
+    """A table of 1, 4 or 91 columns (91: a 9-channel estimate), drawn from a small pool of cells."""
+    columns = draw(st.sampled_from((1, 4, 91)))
+    rows = draw(st.sampled_from((0, 1, 2, 300)))
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_CELLS), st.floats()), min_size=1, max_size=24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).choice(np.array(pool), (rows, columns))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(float_tables(), st.booleans())
+def test_array_and_row_tables_write_the_same_bytes(table_dir, table, index):
+    columns = [f"c{k}" for k in range(table.shape[1] + index)]
+    rows = [[t] * index + row for t, row in enumerate(table.tolist())]
+    from_array = write_csv(table_dir / "array.csv", columns, table, {"k": 1}, index=index)
+    from_rows = write_csv(table_dir / "rows.csv", columns, rows, {"k": 1})
+    assert from_array.read_bytes() == from_rows.read_bytes()
