@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from specbound import gaussian_hw_tail, hanson_wright_tail, monte_carlo_tail_check
+from specbound import GAUSSIAN_QUADFORM, hanson_wright, monte_carlo_tail_check
 
 dim, trials = 8, 50_000
 rng = np.random.default_rng(12)
@@ -33,7 +33,7 @@ grid = np.linspace(0.0, 40.0 * spec_norm, 9)
 report = monte_carlo_tail_check(
     lambda stream, count: stream.standard_normal((count, dim)),
     statistic,
-    lambda eps: gaussian_hw_tail(eps, frob, spec_norm),
+    lambda eps: GAUSSIAN_QUADFORM.tail(eps, frob, spec_norm),
     grid,
     trials,
     seed=1,
@@ -45,10 +45,11 @@ print("flagged:", report.flagged)
 
 print("\nuniform coordinates on [-sqrt(3), sqrt(3)] vs the psi2 tail (b = 2 sqrt(3)):")
 half = math.sqrt(3.0)
+psi2_tail = hanson_wright(2.0 * half)
 report = monte_carlo_tail_check(
     lambda stream, count: stream.uniform(-half, half, (count, dim)),
     statistic,
-    lambda eps: hanson_wright_tail(eps, 2.0 * half, frob, spec_norm),
+    lambda eps: psi2_tail.tail(eps, frob, spec_norm),
     grid,
     trials,
     seed=2,

@@ -13,26 +13,20 @@ from .bounds import (
     Certificate,
     GAUSSIAN,
     NoiseAssumption,
-    accuracy_factor,
     bartlett_bias_closed_form,
     check_conditions,
     check_estimator_conditions,
-    confidence_factor,
     data_driven_error_bound,
     data_driven_factor,
     geometric_bias_bound,
     optimize_bartlett_m,
     pointwise_error_bound,
     sub_gaussian,
-    sup_confidence_factor,
     tail_cutoff_lag,
     worst_case_error_bound,
 )
-from .concentration import (
-    gaussian_hw_tail,
-    hanson_wright_tail,
-    monte_carlo_tail_check,
-)
+from .concentration import monte_carlo_tail_check
+from .constants import GAUSSIAN_QUADFORM, hanson_wright
 from .estimators import (
     Bartlett,
     BiasedPeriodogram,

@@ -47,12 +47,10 @@ __all__ = [
     "GAUSSIAN",
     "NoiseAssumption",
     "PERIODOGRAM_NOTE",
-    "accuracy_factor",
     "bartlett_bias_closed_form",
     "check_conditions",
     "check_all_estimator_conditions",
     "check_estimator_conditions",
-    "confidence_factor",
     "covariance_tail",
     "data_driven_error_bound",
     "data_driven_factor",
@@ -61,7 +59,6 @@ __all__ = [
     "optimize_bartlett_m",
     "pointwise_error_bound",
     "sub_gaussian",
-    "sup_confidence_factor",
     "tail_cutoff_lag",
     "worst_case_error_bound",
 ]
@@ -74,6 +71,9 @@ _TOTALS = {"pointwise_total": "pointwise", "worst_total": "worst_case"}
 # why a periodogram has no concentration certificate
 PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
 
+# the furthest lag a covariance tail or decay envelope is searched to
+_LAG_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -81,8 +81,8 @@ class BoundContext:
 
     ``decay`` is an optional (gamma, rho) envelope with ||R[k]|| <= gamma *
     rho^|k|; an attached ``model`` supplies the covariance tail sums for the
-    cutoff-lag search (the envelope is used otherwise) and is checked against
-    the envelope over lags 0..64.
+    cutoff-lag search (the envelope is used otherwise) and must lie below the
+    envelope at every lag.
     """
 
     assumption: NoiseAssumption
@@ -105,11 +105,37 @@ class BoundContext:
                 raise ValueError("decay pair must satisfy gamma > 0 and rho in [0, 1)")
             object.__setattr__(self, "decay", (float(gamma), float(rho)))
             if self.model is not None:
-                # the envelope must dominate the attached model's covariances
-                norms = np.linalg.svd(self.model.autocov_stack(64), compute_uv=False)[:, 0]
-                failing = np.flatnonzero(norms > gamma * rho ** np.arange(65) + 1e-9)
-                if failing.size:
-                    raise ValueError(f"decay envelope fails against the model at lag {failing[0]}")
+                self._check_decay(*self.decay)
+
+    def _check_decay(self, gamma: float, rho: float) -> None:
+        """Reject a decay envelope that the attached model's covariance norms exceed at some lag.
+
+        Lags 0..64 are checked directly.  Past them the model's certified
+        envelope gamma_m rho_m^k stands in for the norms: it stays below
+        gamma rho^k from lag K = ceil(log(gamma_m / gamma) / log(rho / rho_m))
+        on, so the direct check extends to lag K when K lies past 64.  No lag
+        is late enough when rho_m > rho, or rho_m = rho and gamma_m > gamma.
+        """
+
+        def check_lags(depth: int) -> None:
+            norms = np.linalg.svd(self.model.autocov_stack(depth), compute_uv=False)[:, 0]
+            failing = np.flatnonzero(norms > gamma * rho ** np.arange(depth + 1) + 1e-9)
+            if failing.size:
+                raise ValueError(f"decay envelope fails against the model at lag {failing[0]}")
+
+        check_lags(64)
+        gamma_m, rho_m = self.model.decay()
+        if rho_m > rho or (rho_m == rho and gamma_m > gamma):
+            raise ValueError(
+                f"decay envelope falls below the model's certified envelope ({gamma_m!r}, {rho_m!r}) "
+                f"at large lags: rho must be at least the certified rate {rho_m!r}"
+            )
+        if gamma_m > gamma and rho_m > 0.0:
+            crossing = math.ceil(math.log(gamma_m / gamma) / math.log(rho / rho_m))
+            if crossing > _LAG_BUDGET:
+                raise ValueError("decay envelope meets the model's certified envelope only past the lag budget")
+            if crossing > 64:
+                check_lags(crossing)
 
     @classmethod
     def from_model(cls, model, assumption: NoiseAssumption) -> "BoundContext":
@@ -122,29 +148,31 @@ class BoundContext:
             model,
         )
 
+    def budget(self, delta: float, truncation=None) -> float:
+        """Log budget at failure probability delta: the reciprocal envelope's second demand.
 
-def accuracy_factor(eps: float, ctx: BoundContext) -> float:
-    """Demand placed on the reciprocal norm envelope by the accuracy target eps."""
-    if not eps > 0.0:
-        raise ValueError("accuracy target must be positive")
-    scale = ctx.assumption.scale
-    phi = ctx.phi_inf
-    return max(scale ** 4 * phi ** 2 / eps ** 2, scale ** 2 * phi / eps)
+        Every certificate covers the unit sphere of the channel space with
+        ``COVER_BASE^(2 channels)`` points.  With a ``truncation`` width T the
+        certificate also holds uniformly over frequency, through a cover of
+        K = 5 T^2 frequencies, and the budget is log(K) plus the budget at
+        delta / 2.
 
-
-def confidence_factor(delta: float, ctx: BoundContext) -> float:
-    """Demand placed on the reciprocal norm envelope by the failure budget delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("failure probability must lie in (0, 1)")
-    noise = ctx.assumption
-    return math.log(COVER_BASE ** (2 * ctx.channels) * noise.multiplier / delta) / noise.rate
-
-
-def sup_confidence_factor(truncation, delta: float, ctx: BoundContext) -> float:
-    """Confidence demand for bounds uniform over frequency (adds the grid-cover term)."""
-    if not truncation >= 1:
-        raise ValueError("truncation width must be at least one")
-    return math.log(FREQUENCY_COVER_FACTOR * float(truncation) ** 2) + confidence_factor(delta / 2.0, ctx)
+        That frequency term is not yet proven.  A union bound over K points
+        asks each one for failure delta / (2 K), a budget of
+        log(K) / rate plus the budget at delta / 2: the log K term needs the
+        factor 1 / rate.  Read as a union bound, the undivided log K proves a
+        failure probability of K^(1 - rate) delta / 2, not delta; under
+        Gaussian constants at T = 32 that is about 1960 delta.  Until that
+        term is divided by the rate, the certificates uniform over frequency
+        (``worst_case_error_bound``, ``data_driven_factor`` and the
+        ``worst_case`` condition) are unproven.
+        """
+        cover = COVER_BASE ** (2 * self.channels)
+        if truncation is None:
+            return self.assumption.log_budget(delta, cover)
+        if not truncation >= 1:
+            raise ValueError("truncation width must be at least one")
+        return math.log(FREQUENCY_COVER_FACTOR * float(truncation) ** 2) + self.assumption.log_budget(delta / 2.0, cover)
 
 
 def covariance_tail(ctx: BoundContext, lag: int) -> float:
@@ -172,7 +200,7 @@ def tail_cutoff_lag(eps: float, ctx: BoundContext) -> int:
     lag = 0
     while covariance_tail(ctx, lag) > target:
         lag += 1
-        if lag > 1_000_000:
+        if lag > _LAG_BUDGET:
             raise ValueError("covariance tail does not reach eps / 2 within the lag budget")
     return lag
 
@@ -262,7 +290,7 @@ def check_conditions(
                 raise ValueError("pointwise check needs xi, the dense form or an envelope")
             # the envelope dominates xi, so it can stand in for it
             name, value = "envelope", envelope
-        demand = accuracy_factor(eps, ctx) * confidence_factor(delta, ctx)
+        demand = ctx.assumption.demand(eps, ctx.phi_inf) * ctx.budget(delta)
         return Certificate(
             "pointwise_condition",
             holds=bool(1.0 / value >= demand),
@@ -276,7 +304,7 @@ def check_conditions(
                 raise ValueError("worst-case check needs envelope and truncation or the dense form")
             envelope = envelope_from_form(form)
             truncation = form.truncation_width
-        demand = accuracy_factor(eps / 2.0, ctx) * sup_confidence_factor(truncation, delta, ctx)
+        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, truncation)
         return Certificate(
             "worst_case_condition",
             holds=bool(1.0 / envelope >= demand),
@@ -309,19 +337,13 @@ def check_conditions(
 
 def pointwise_error_bound(xi: float, delta: float, ctx: BoundContext) -> Certificate:
     """Deviation bound at a single frequency holding with probability 1 - delta."""
-    if not xi > 0.0:
-        raise ValueError("norm envelope must be positive")
-    level = xi * confidence_factor(delta, ctx)
-    value = ctx.assumption.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
+    value = ctx.assumption.deviation(xi, ctx.budget(delta), ctx.phi_inf)
     return Certificate("pointwise_bound", value=value, delta=delta, inputs=_inputs(xi=xi))
 
 
 def worst_case_error_bound(envelope: float, truncation, delta: float, ctx: BoundContext) -> Certificate:
     """Deviation bound uniform over frequency holding with probability 1 - delta."""
-    if not envelope > 0.0:
-        raise ValueError("norm envelope must be positive")
-    level = envelope * sup_confidence_factor(truncation, delta, ctx)
-    value = 2.0 * ctx.assumption.scale ** 2 * ctx.phi_inf * max(level, math.sqrt(level))
+    value = 2.0 * ctx.assumption.deviation(envelope, ctx.budget(delta, truncation), ctx.phi_inf)
     return Certificate(
         "worst_case_bound",
         value=value,
@@ -363,10 +385,7 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
 
 def data_driven_factor(envelope: float, truncation, delta: float, ctx: BoundContext) -> float:
     """The multiplier of the self-referential worst-case bound (worst bound / phi_inf)."""
-    if not envelope > 0.0:
-        raise ValueError("norm envelope must be positive")
-    level = envelope * sup_confidence_factor(truncation, delta, ctx)
-    return 2.0 * ctx.assumption.scale ** 2 * max(level, math.sqrt(level))
+    return 2.0 * ctx.assumption.deviation(envelope, ctx.budget(delta, truncation), 1.0)
 
 
 def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) -> Certificate:

@@ -3,8 +3,9 @@
 Subcommands: ``estimate`` (spectrum of one sampled path over a grid),
 ``certify`` (certificate table for the configured estimator), ``reproduce``
 (the bundled sweep studies), ``verify-concentration`` (Monte Carlo tail
-validation), and ``simulate`` (path export).  Exit codes: 0 success, 2 config
-error, 3 an infeasible certificate was requested as a hard requirement.
+validation), and ``simulate`` (path export).  Exit codes: 0 success, 1
+``verify-concentration`` flagged a row, 2 config error, 3 an infeasible
+certificate was requested as a hard requirement.
 """
 
 from __future__ import annotations

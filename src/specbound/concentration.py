@@ -1,13 +1,11 @@
-"""Executable tail bounds for quadratic forms, plus a Monte Carlo verifier.
+"""Monte Carlo verifier for tail bounds of quadratic forms.
 
-The bounds here are the concentration primitives the certificate engine is
-built on: the explicit-constant Hanson-Wright tail for quadratic forms of
-independent psi2-bounded coordinates and its sharper Gaussian
-specialization.  The tail for quadratic forms of an entire stationary data
-matrix has its constants in ``constants`` and is inverted in closed form by
-``bounds.confidence_factor``.  ``monte_carlo_tail_check`` confronts any of
-these tails with simulation; since the bounds are proven, a flagged row
-indicates an implementation bug, not a statistical fluke.
+Every tail the certificates rest on is one ``constants.NoiseAssumption``:
+the data-matrix tails ``GAUSSIAN`` and ``sub_gaussian``, and the tails of
+quadratic forms of independent coordinates, ``GAUSSIAN_QUADFORM`` and
+``hanson_wright``.  ``monte_carlo_tail_check`` confronts any tail with
+simulation; since the bounds are proven, a flagged row indicates an
+implementation bug, not a statistical fluke.
 """
 
 from __future__ import annotations
@@ -17,45 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAUSSIAN_QUADFORM_RATE, HANSON_WRIGHT_RATE
 from .streams import rng_stream
 
 __all__ = [
     "TailCheckReport",
     "TailCheckRow",
-    "gaussian_hw_tail",
-    "hanson_wright_tail",
     "monte_carlo_tail_check",
 ]
-
-
-def _min_branch(eps: float, quad_denom: float, linear_denom: float) -> float:
-    return min(eps * eps / quad_denom, eps / linear_denom)
-
-
-def hanson_wright_tail(eps: float, psi2_bound: float, frobenius_norm: float, spectral_norm: float) -> float:
-    """Upper tail of x'Ax - E[x'Ax] for independent psi2-bounded coordinates.
-
-    Probabilities are capped at one; below the cap the bound is
-    2 exp(-min{eps^2 / (b^4 F^2), eps / (b^2 S)} / 2048).
-    """
-    if eps < 0.0:
-        raise ValueError("deviation must be nonnegative")
-    if not (psi2_bound > 0.0 and frobenius_norm > 0.0 and spectral_norm > 0.0):
-        raise ValueError("psi2 bound and norms must be positive")
-    b2 = psi2_bound * psi2_bound
-    exponent = HANSON_WRIGHT_RATE * _min_branch(eps, b2 * b2 * frobenius_norm ** 2, b2 * spectral_norm)
-    return min(1.0, 2.0 * math.exp(-exponent))
-
-
-def gaussian_hw_tail(eps: float, frobenius_norm: float, spectral_norm: float) -> float:
-    """Sharper specialization of the quadratic-form tail for standard normal coordinates."""
-    if eps < 0.0:
-        raise ValueError("deviation must be nonnegative")
-    if not (frobenius_norm > 0.0 and spectral_norm > 0.0):
-        raise ValueError("norms must be positive")
-    exponent = GAUSSIAN_QUADFORM_RATE * _min_branch(eps, frobenius_norm ** 2, spectral_norm)
-    return min(1.0, math.exp(-exponent))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Single table of concentration constants used by every bound in the package.
+"""Single table of concentration constants and the one tail object that reads them.
 
 The data-matrix tail bound has the shape
 
@@ -9,10 +9,18 @@ with F and S the Frobenius and spectral norms of the coefficient matrix and p
 the sup of the process spectrum.  Gaussian data admits a smaller multiplier
 and a much larger rate than general sub-Gaussian data, which is why Gaussian
 certificates are tighter at matched inputs.
+
+``NoiseAssumption`` is the only place the shape is written.  ``tail`` is the
+forward bound; ``log_budget`` solves it for the exponent that a failure
+probability allows, ``demand`` is what an accuracy target asks of the norm
+envelope, and ``deviation`` turns an envelope and a budget into the deviation
+they prove.  Quadratic forms of independent coordinates (``hanson_wright``,
+``GAUSSIAN_QUADFORM``) are the same shape with p = 1 and no cover.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 GAUSSIAN_TAIL_MULTIPLIER = 2.0
@@ -39,8 +47,39 @@ class NoiseAssumption:
     rate: float
     scale: float
 
+    def tail(self, eps: float, frobenius: float, spectral: float, phi: float = 1.0, cover: float = 1.0) -> float:
+        """Probability bound, capped at one, that the centered form deviates by more than eps."""
+        if eps < 0.0:
+            raise ValueError("deviation must be nonnegative")
+        if not (frobenius > 0.0 and spectral > 0.0):
+            raise ValueError("norms must be positive")
+        b2 = self.scale * self.scale
+        exponent = self.rate * min(eps * eps / (b2 * b2 * frobenius ** 2 * phi ** 2), eps / (b2 * spectral * phi))
+        return min(1.0, cover * self.multiplier * math.exp(-exponent))
+
+    def log_budget(self, delta: float, cover: float) -> float:
+        """The exponent the tail must reach for failure probability delta under ``cover``."""
+        if not 0.0 < delta < 1.0:
+            raise ValueError("failure probability must lie in (0, 1)")
+        return math.log(cover * self.multiplier / delta) / self.rate
+
+    def demand(self, eps: float, phi: float) -> float:
+        """Demand placed on the reciprocal norm envelope by the accuracy target eps."""
+        if not eps > 0.0:
+            raise ValueError("accuracy target must be positive")
+        scale = self.scale
+        return max(scale ** 4 * phi ** 2 / eps ** 2, scale ** 2 * phi / eps)
+
+    def deviation(self, envelope: float, budget: float, phi: float) -> float:
+        """Deviation that an envelope proves at a log budget: the tail solved for eps."""
+        if not envelope > 0.0:
+            raise ValueError("norm envelope must be positive")
+        level = envelope * budget
+        return self.scale ** 2 * phi * max(level, math.sqrt(level))
+
 
 GAUSSIAN = NoiseAssumption(GAUSSIAN_TAIL_MULTIPLIER, GAUSSIAN_TAIL_RATE, 1.0)
+GAUSSIAN_QUADFORM = NoiseAssumption(1.0, GAUSSIAN_QUADFORM_RATE, 1.0)
 
 
 def sub_gaussian(sigma: float) -> NoiseAssumption:
@@ -48,3 +87,10 @@ def sub_gaussian(sigma: float) -> NoiseAssumption:
         # unit-variance coordinates force the sub-gaussian scale to be >= 1
         raise ValueError("sub-gaussian scale must be at least one")
     return NoiseAssumption(SUBGAUSSIAN_TAIL_MULTIPLIER, SUBGAUSSIAN_TAIL_RATE, float(sigma))
+
+
+def hanson_wright(psi2: float) -> NoiseAssumption:
+    """The Hanson-Wright tail of x'Ax for independent coordinates with psi2 norm at most ``psi2``."""
+    if not psi2 > 0.0:
+        raise ValueError("psi2 bound must be positive")
+    return NoiseAssumption(2.0, HANSON_WRIGHT_RATE, float(psi2))

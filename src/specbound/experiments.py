@@ -20,8 +20,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import bounds, estimators, signals
-from .concentration import gaussian_hw_tail, hanson_wright_tail, monte_carlo_tail_check
-from .constants import GAUSSIAN, sub_gaussian
+from .concentration import monte_carlo_tail_check
+from .constants import GAUSSIAN, GAUSSIAN_QUADFORM, hanson_wright, sub_gaussian
 from .quadform import (
     DataMatrix,
     QuadraticForm,
@@ -310,6 +310,9 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
     Without a model, the ``context`` object supplies every value.  With one,
     a ``channels`` value must equal the model's: the certificates' cover term
     grows with the channel count, so a smaller one would leave them unproven.
+    For the same reason a ``phi_inf`` or ``r1`` value may not lie below the
+    model's proven one: the concentration bounds shrink with phi_inf, and
+    the bias floor 1 - eps / (2 r1) drops with r1.
     """
     given = config.context_overrides
     model = config.model
@@ -325,6 +328,9 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
             raise ConfigError(f"context.channels must equal the model's channel count {model.channels}")
         gamma, rho = model.decay()
         values = dict(phi_inf=model.phi_inf(), r1=model.r1_norm(), channels=model.channels, gamma=gamma, rho=rho)
+        for name in ("phi_inf", "r1"):
+            if given.get(name, values[name]) < values[name]:
+                raise ConfigError(f"context.{name} is below the model's proven value {values[name]!r}")
     values.update(given)
     decay = (float(values["gamma"]), float(values["rho"])) if "gamma" in values else None
     try:
@@ -658,6 +664,7 @@ def run_verify_concentration(out_dir, trials: int = 100_000, seed: int = 9876543
     if trials < 10_000:
         raise ConfigError("verify-concentration needs trials >= 10000")
     dims = (4, 16)
+    uniform_tail = hanson_wright(2.0 * signals.UNIFORM_SIGMA)
     rows = []
     reports = {}
     for suite_index, dim in enumerate(dims):
@@ -671,14 +678,14 @@ def run_verify_concentration(out_dir, trials: int = 100_000, seed: int = 9876543
         suites = {
             "gaussian": (
                 lambda rng, count: rng.standard_normal((count, dim)),
-                lambda eps: gaussian_hw_tail(eps, frob, spec_norm),
+                lambda eps: GAUSSIAN_QUADFORM.tail(eps, frob, spec_norm),
                 max(math.sqrt(72.0) * frob, 72.0 * spec_norm),
             ),
             "uniform": (
                 lambda rng, count: rng.uniform(
                     -signals.UNIFORM_HALF_WIDTH, signals.UNIFORM_HALF_WIDTH, (count, dim)
                 ),
-                lambda eps: hanson_wright_tail(eps, 2.0 * signals.UNIFORM_SIGMA, frob, spec_norm),
+                lambda eps: uniform_tail.tail(eps, frob, spec_norm),
                 max(math.sqrt(1500.0) * 12.0 * frob, 1500.0 * 12.0 * spec_norm),
             ),
         }

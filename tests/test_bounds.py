@@ -29,31 +29,34 @@ def geometric_ctx():
 # ---------------------------------------------------------------- factors
 
 
-def test_accuracy_factor_substitutions():
-    assert bd.accuracy_factor(0.5, ctx_gauss()) == pytest.approx(4.0)
-    assert bd.accuracy_factor(2.0, ctx_gauss()) == pytest.approx(0.5)
-    ctx = bd.BoundContext(sub_gaussian(math.sqrt(3.0)), 1.0, 1.0, 1)
-    assert bd.accuracy_factor(1.0, ctx) == pytest.approx(9.0)
+def test_demand_substitutions():
+    assert GAUSSIAN.demand(0.5, 1.0) == pytest.approx(4.0)
+    assert GAUSSIAN.demand(2.0, 1.0) == pytest.approx(0.5)
+    assert sub_gaussian(math.sqrt(3.0)).demand(1.0, 1.0) == pytest.approx(9.0)
     with pytest.raises(ValueError):
-        bd.accuracy_factor(0.0, ctx_gauss())
+        GAUSSIAN.demand(0.0, 1.0)
 
 
-def test_confidence_factor_value_and_domain():
+def test_budget_value_and_domain():
     # 32 * log(4000) evaluated at high precision
-    assert bd.confidence_factor(0.05, ctx_gauss()) == pytest.approx(32.0 * math.log(4000.0), rel=1e-12)
-    assert bd.confidence_factor(0.05, ctx_gauss()) == pytest.approx(265.4096, abs=1e-3)
-    assert bd.confidence_factor(0.025, ctx_gauss()) > bd.confidence_factor(0.05, ctx_gauss())
+    assert ctx_gauss().budget(0.05) == pytest.approx(32.0 * math.log(4000.0), rel=1e-12)
+    assert ctx_gauss().budget(0.05) == pytest.approx(265.4096, abs=1e-3)
+    assert ctx_gauss().budget(0.025) > ctx_gauss().budget(0.05)
     for bad in (0.0, 1.0, 200.0, -0.1):
         with pytest.raises(ValueError):
-            bd.confidence_factor(bad, ctx_gauss())
+            ctx_gauss().budget(bad)
+    # the frequency cover adds log(5 T^2) to the budget at delta / 2
+    assert ctx_gauss().budget(0.05, 8) == math.log(5.0 * 64.0) + ctx_gauss().budget(0.025)
+    with pytest.raises(ValueError):
+        ctx_gauss().budget(0.05, 0)
 
 
 def test_factor_monotonicity(geometric_ctx):
     eps_grid = np.linspace(0.05, 3.0, 20)
-    alphas = [bd.accuracy_factor(e, geometric_ctx) for e in eps_grid]
+    alphas = [geometric_ctx.assumption.demand(e, geometric_ctx.phi_inf) for e in eps_grid]
     assert all(a >= b - 1e-12 for a, b in zip(alphas, alphas[1:]))
     deltas = np.linspace(0.01, 0.99, 20)
-    betas = [bd.confidence_factor(d, geometric_ctx) for d in deltas]
+    betas = [geometric_ctx.budget(d) for d in deltas]
     assert all(a >= b - 1e-12 for a, b in zip(betas, betas[1:]))
     cutoffs = [bd.tail_cutoff_lag(e, geometric_ctx) for e in eps_grid]
     assert all(a >= b for a, b in zip(cutoffs, cutoffs[1:]))
@@ -152,7 +155,7 @@ def test_unknown_part_rejected(geometric_ctx):
 
 def test_pointwise_bound_branches():
     ctx = ctx_gauss()
-    level_one = 1.0 / bd.confidence_factor(0.05, ctx)
+    level_one = 1.0 / ctx.budget(0.05)
     assert bd.pointwise_error_bound(level_one, 0.05, ctx).value == pytest.approx(1.0, rel=1e-12)
     small = bd.pointwise_error_bound(level_one / 4.0, 0.05, ctx)
     assert small.value == pytest.approx(0.5, rel=1e-12)  # square-root branch
@@ -168,7 +171,7 @@ def test_worst_case_bound_value_and_scaling():
     half = bd.worst_case_error_bound(1.0 / 2048.0, 8, 0.05, ctx)
     assert frozen.value / half.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
     single = bd.worst_case_error_bound(1e-4, 1, 0.05, ctx)
-    level = 1e-4 * (math.log(5.0) + bd.confidence_factor(0.025, ctx))
+    level = 1e-4 * (math.log(5.0) + ctx.budget(0.025))
     assert single.value == pytest.approx(2.0 * math.sqrt(level), rel=1e-12)
 
 
@@ -255,7 +258,7 @@ def test_bound_condition_round_trip():
         xi = 10.0 ** rng.uniform(-5, 1)
         delta = rng.uniform(0.01, 0.5)
         eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
-        product = bd.accuracy_factor(eps_star, ctx) * bd.confidence_factor(delta, ctx)
+        product = ctx.assumption.demand(eps_star, ctx.phi_inf) * ctx.budget(delta)
         assert product * xi == pytest.approx(1.0, rel=1e-9)
 
 
@@ -280,6 +283,8 @@ def test_data_matrix_tail_inverts_pointwise_condition():
         eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
         tail = data_matrix_tail(eps_star, xi, math.sqrt(xi), phi, channels, assumption)
         assert tail == pytest.approx(delta, rel=1e-9)
+        cover = COVER_BASE ** (2 * channels)
+        assert assumption.tail(eps_star, math.sqrt(xi), xi, phi, cover) == pytest.approx(tail, rel=0.0, abs=1e-15)
 
 
 def test_sub_gaussian_scale_below_one_is_rejected():
@@ -291,7 +296,7 @@ def test_gaussian_certificates_beat_subgaussian_at_unit_scale():
     gauss = ctx_gauss()
     sub = bd.BoundContext(sub_gaussian(1.0), 1.0, 1.0, 1)
     for delta in np.linspace(0.01, 0.95, 25):
-        assert bd.confidence_factor(delta, gauss) < bd.confidence_factor(delta, sub)
+        assert gauss.budget(delta) < sub.budget(delta)
         assert (
             bd.pointwise_error_bound(1e-3, delta, gauss).value
             < bd.pointwise_error_bound(1e-3, delta, sub).value
@@ -364,10 +369,10 @@ def test_concentration_conditions_match_envelope_rule(geometric_ctx):
     params = est.certificate_params(spec, n)
     for eps, delta in [(0.5, 0.1), (2.0, 0.3), (8.0, 0.05)]:
         cert = bd.check_estimator_conditions(spec, n, "pointwise", eps, delta, geometric_ctx)
-        expected = 1.0 / params.envelope >= bd.accuracy_factor(eps, geometric_ctx) * bd.confidence_factor(delta, geometric_ctx)
+        expected = 1.0 / params.envelope >= geometric_ctx.assumption.demand(eps, geometric_ctx.phi_inf) * geometric_ctx.budget(delta)
         assert cert.holds == expected
         worst = bd.check_estimator_conditions(spec, n, "worst_case", eps, delta, geometric_ctx)
-        expected_worst = 1.0 / params.envelope >= bd.accuracy_factor(eps / 2.0, geometric_ctx) * bd.sup_confidence_factor(params.truncation, delta, geometric_ctx)
+        expected_worst = 1.0 / params.envelope >= geometric_ctx.assumption.demand(eps / 2.0, geometric_ctx.phi_inf) * geometric_ctx.budget(delta, params.truncation)
         assert worst.holds == expected_worst
 
 
@@ -454,6 +459,57 @@ def test_context_rejects_envelope_below_the_model():
     assert first > 1
     with pytest.raises(ValueError, match=f"fails against the model at lag {first}$"):
         bd.BoundContext(GAUSSIAN, 12.0, 15.0, 3, decay=(gamma, rho), model=chain)
+
+
+def test_context_rejects_envelope_that_fails_past_lag_64():
+    # ||R[k]|| = 0.9^k exceeds 210 * 0.85^k from lag 94 on
+    model = GeometricScalar(0.9)
+    with pytest.raises(ValueError, match=r"certified envelope \(1\.0, 0\.9\)"):
+        bd.BoundContext(GAUSSIAN, 19.0, 19.0, 1, decay=(210.0, 0.85), model=model)
+    # the model's own rate needs at least the model's own scale
+    with pytest.raises(ValueError, match="certified rate 0.9$"):
+        bd.BoundContext(GAUSSIAN, 19.0, 19.0, 1, decay=(1.0 - 1e-12, 0.9), model=model)
+
+
+class _BumpModel:
+    """One channel with ||R[k]|| = 0.9^k except a bump to 0.03 at lag 80, inside the certified envelope 2 * 0.95^k."""
+
+    def __init__(self):
+        self.depths = []
+
+    def autocov_stack(self, max_lag):
+        self.depths.append(max_lag)
+        norms = 0.9 ** np.arange(max_lag + 1.0)
+        if max_lag >= 80:
+            norms[80] = 0.03
+        return norms.reshape(-1, 1, 1)
+
+    def decay(self):
+        return (2.0, 0.95)
+
+
+def test_decay_check_extends_to_where_the_certified_envelope_takes_over():
+    # 0.955^80 = 0.0251 < 0.03 < 2 * 0.95^80 = 0.0330; the certified envelope
+    # stays below 0.955^k from lag ceil(log 2 / log(0.955 / 0.95)) = 133 on
+    model = _BumpModel()
+    with pytest.raises(ValueError, match="fails against the model at lag 80$"):
+        bd.BoundContext(GAUSSIAN, 40.0, 40.0, 1, decay=(1.0, 0.955), model=model)
+    assert model.depths == [64, 133]
+    # a rate far enough above the certified one meets it before lag 64
+    model = _BumpModel()
+    bd.BoundContext(GAUSSIAN, 40.0, 40.0, 1, decay=(1.0, 0.99), model=model)
+    assert model.depths == [64]
+
+
+def test_decay_check_on_the_models_own_pair_reads_64_lags_once(monkeypatch):
+    chain = example_state_space(0.5)
+    # the model's cached values read their own stacks; only the decay check's are counted
+    chain.phi_inf(), chain.r1_norm(), chain.decay()
+    depths = []
+    stack = chain.autocov_stack
+    monkeypatch.setattr(type(chain), "autocov_stack", lambda self, max_lag: depths.append(max_lag) or stack(max_lag))
+    bd.BoundContext.from_model(chain, GAUSSIAN)
+    assert depths == [64]
 
 
 def test_worst_total_condition_validated_by_simulation():

@@ -235,6 +235,13 @@ def test_verify_concentration_config_sets_only_what_it_names(tmp_path, document,
     assert header.startswith(f"# {meta} ")
 
 
+def test_verify_concentration_exits_one_and_counts_flagged_suites(tmp_path, capsys, monkeypatch):
+    # a gaussian tail of zero is exceeded at the small deviations of both gaussian suites
+    monkeypatch.setattr(experiments, "GAUSSIAN_QUADFORM", dataclasses.replace(experiments.GAUSSIAN_QUADFORM, multiplier=0.0))
+    assert cli.main(["verify-concentration", "--trials", "10000", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "2 suite(s) flagged: tail bound violated\n"
+
+
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  \"model\": ,\n}")
@@ -315,6 +322,16 @@ CONTEXT_CASES = {
     "model-channels": (
         dict(WHITE, model={"kind": "white", "channels": 3}, context={"channels": 1}),
         "context.channels must equal the model's channel count 3",
+    ),
+    # a phi_inf below the model's shrinks every concentration bound, and an r1
+    # below it lowers the bias floor 1 - eps / (2 r1)
+    "low-phi_inf": (dict(WHITE, context={"phi_inf": 0.5}), "context.phi_inf is below the model's proven value 1.0"),
+    "low-r1": (dict(WHITE, context={"r1": 0.5}), "context.r1 is below the model's proven value 1.0"),
+    # holds over lags 0..64, fails from lag 94 on
+    "decay-below-model-rate": (
+        dict(WHITE, model={"kind": "geometric", "rho": 0.9}, context={"gamma": 210.0, "rho": 0.85}),
+        "context: decay envelope falls below the model's certified envelope (1.0, 0.9) at large lags: "
+        "rho must be at least the certified rate 0.9",
     ),
 }
 

@@ -6,30 +6,33 @@ import numpy as np
 import pytest
 
 from specbound import concentration as cc
+from specbound.constants import GAUSSIAN_QUADFORM, hanson_wright
 
 
 # ---------------------------------------------------------------- tail bounds
 
 
 def test_hanson_wright_cap_and_branch_point():
-    assert cc.hanson_wright_tail(0.0, 1.0, 1.0, 1.0) == 1.0
+    assert hanson_wright(1.0).tail(0.0, 1.0, 1.0) == 1.0
     # unit norms at eps = 2048: both branches give exponent one
-    assert cc.hanson_wright_tail(2048.0, 1.0, 1.0, 1.0) == pytest.approx(2.0 / math.e, rel=1e-12)
+    assert hanson_wright(1.0).tail(2048.0, 1.0, 1.0) == pytest.approx(2.0 / math.e, rel=1e-12)
     with pytest.raises(ValueError):
-        cc.hanson_wright_tail(-1.0, 1.0, 1.0, 1.0)
+        hanson_wright(1.0).tail(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        cc.hanson_wright_tail(1.0, 0.0, 1.0, 1.0)
+        hanson_wright(0.0)
+    with pytest.raises(ValueError):
+        hanson_wright(1.0).tail(1.0, 0.0, 1.0)
 
 
 def test_tail_bounds_are_nonincreasing_and_capped():
     grid = np.linspace(0.0, 5e4, 60)
-    hw = [cc.hanson_wright_tail(e, 1.0, 2.0, 1.5) for e in grid]
-    gauss = [cc.gaussian_hw_tail(e, 2.0, 1.5) for e in grid]
+    hw = [hanson_wright(1.0).tail(e, 2.0, 1.5) for e in grid]
+    gauss = [GAUSSIAN_QUADFORM.tail(e, 2.0, 1.5) for e in grid]
     for series in (hw, gauss):
         assert all(0.0 <= v <= 1.0 for v in series)
         assert all(a >= b - 1e-15 for a, b in zip(series, series[1:]))
     # positive before the exponent underflows
-    assert all(cc.gaussian_hw_tail(e, 2.0, 1.5) > 0.0 for e in np.linspace(0.0, 1e3, 20))
+    assert all(GAUSSIAN_QUADFORM.tail(e, 2.0, 1.5) > 0.0 for e in np.linspace(0.0, 1e3, 20))
 
 
 def test_gaussian_tail_branch_equality_point():
@@ -38,13 +41,13 @@ def test_gaussian_tail_branch_equality_point():
     spec_norm = 1.0
     eps = 8.0 * spec_norm
     frob = eps / math.sqrt(8.0)
-    assert cc.gaussian_hw_tail(eps, frob, spec_norm) == pytest.approx(1.0 / math.e, rel=1e-12)
-    assert cc.gaussian_hw_tail(0.0, 1.0, 1.0) == 1.0
+    assert GAUSSIAN_QUADFORM.tail(eps, frob, spec_norm) == pytest.approx(1.0 / math.e, rel=1e-12)
+    assert GAUSSIAN_QUADFORM.tail(0.0, 1.0, 1.0) == 1.0
 
 
 def test_gaussian_tail_dominates_unit_psi2_tail():
     for eps in np.linspace(0.01, 500.0, 40):
-        assert cc.gaussian_hw_tail(eps, 1.3, 0.8) <= cc.hanson_wright_tail(eps, 1.0, 1.3, 0.8)
+        assert GAUSSIAN_QUADFORM.tail(eps, 1.3, 0.8) <= hanson_wright(1.0).tail(eps, 1.3, 0.8)
 
 
 # ---------------------------------------------------------------- Monte Carlo verifier
@@ -71,7 +74,7 @@ def test_monte_carlo_flags_nothing_on_proven_bound():
     sampler, statistic, frob, spec_norm = _gaussian_quadform_setup(4, seed=3)
     grid = np.linspace(0.0, 72.0 * max(frob / math.sqrt(72.0), spec_norm), 12)
     report = cc.monte_carlo_tail_check(
-        sampler, statistic, lambda e: cc.gaussian_hw_tail(e, frob, spec_norm), grid, 20_000, 5
+        sampler, statistic, lambda e: GAUSSIAN_QUADFORM.tail(e, frob, spec_norm), grid, 20_000, 5
     )
     assert not report.flagged
     assert len(report.rows) == 12
