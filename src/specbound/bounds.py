@@ -38,6 +38,7 @@ from .quadform import (
     bias_coefficients,
     envelope_tail,
 )
+from .signals import StateSpace, certify_decay, spectral_radius
 
 __all__ = [
     "BartlettSelection",
@@ -115,6 +116,9 @@ class BoundContext:
         gamma rho^k from lag K = ceil(log(gamma_m / gamma) / log(rho / rho_m))
         on, so the direct check extends to lag K when K lies past 64.  No lag
         is late enough when rho_m > rho, or rho_m = rho and gamma_m > gamma.
+        A state-space model is certified at every rate above its spectral
+        radius, so when rho lies between that radius and rho_m, the pair
+        ``signals.certify_decay(model, rho)`` stands in for (gamma_m, rho_m).
         """
 
         def check_lags(depth: int) -> None:
@@ -125,10 +129,14 @@ class BoundContext:
 
         check_lags(64)
         gamma_m, rho_m = self.model.decay()
+        if rho_m > rho and isinstance(self.model, StateSpace) and spectral_radius(self.model.a) < rho:
+            at_rate = certify_decay(self.model, rho)
+            gamma_m, rho_m = at_rate.gamma, at_rate.rho
         if rho_m > rho or (rho_m == rho and gamma_m > gamma):
+            need = "rho must be at least" if rho_m > rho else f"gamma must be at least {gamma_m!r} at"
             raise ValueError(
                 f"decay envelope falls below the model's certified envelope ({gamma_m!r}, {rho_m!r}) "
-                f"at large lags: rho must be at least the certified rate {rho_m!r}"
+                f"at large lags: {need} the certified rate {rho_m!r}"
             )
         if gamma_m > gamma and rho_m > 0.0:
             crossing = math.ceil(math.log(gamma_m / gamma) / math.log(rho / rho_m))

@@ -10,6 +10,7 @@ total certificate, bias curve) as CSV plus a log-scale SVG plot.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -101,46 +102,201 @@ def _format_float(v: float) -> str:
     return _FLOAT_FORMATS[_plain(abs(v))] % (v + 0.0)
 
 
-def _format_table(table: np.ndarray, index: bool) -> str:
+# cells per slab of the array kernel, which bounds its temporaries
+_SLAB_CELLS = 1 << 14
+# half the distance to a rounding tie below which a scaled cell is formatted by _format_float
+_TIE_MARGIN = 2.0**-9
+
+
+@functools.cache
+def _digit_tables():
+    """Lookup tables of the array kernel, built with numpy on first use.
+
+    ``head[(i * 2 + dot) * 2 + neg]`` holds the 8 bytes ``,``, ``-`` when
+    ``neg``, the digits of 0 <= i <= 10000 and ``.`` when ``dot``.
+    ``word[variant * 10**4 + g]`` holds the 4 digits of 0 <= g < 10**4
+    without trailing zeros (variant 0), so none for g = 0, or in full (1);
+    ``word[2 * 10**4 + 99 + x]`` holds ``e±xx`` for |x| <= 99.  ``power[j]``
+    is the exact double 10**j for 0 <= j <= 22.  A zero byte stands for no
+    character.
+    """
+    weights = 10 ** np.arange(4, -1, -1)
+    i = np.arange(10001)[:, None]
+    # a leading zero of i is no character, but i = 0 keeps its units digit
+    digits = np.where((i < weights) & (weights > 1), 0, i // weights % 10 + ord("0"))
+    head = np.zeros((10001, 2, 2, 8), np.uint8)
+    head[..., 0] = ord(",")
+    head[..., 2:7] = digits[:, None, None, :]
+    head[:, 1, :, 7] = ord(".")
+    head[:, :, 1, 1] = ord("-")
+    full = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+    trailing = np.cumprod(full[:, ::-1] == ord("0"), axis=1)[:, ::-1] == 1
+    x = np.arange(-99, 100)
+    sign = np.where(x < 0, ord("-"), ord("+"))
+    exponent = np.column_stack([np.full(199, ord("e")), sign, abs(x) // 10 + ord("0"), abs(x) % 10 + ord("0")])
+    word = np.concatenate([np.where(trailing, 0, full), full, exponent]).astype(np.uint8)
+    power = np.array([float(10**j) for j in range(23)])
+    return head.view(np.uint64).ravel(), word.view(np.uint32).ravel(), power
+
+
+def _fallback(cells: np.ndarray, where: np.ndarray, texts) -> None:
+    """Write each ``,text`` over the words of the cells (cells, words) flagged by ``where``."""
+    width = 4 * cells.shape[1]
+    slots = b"".join([("," + text).encode().ljust(width, b"\0") for text in texts])
+    cells.view(np.uint8)[where] = np.frombuffer(slots, np.uint8).reshape(-1, width)
+
+
+def _scaled(m: np.ndarray, k: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """m * 10**k for -22 <= k <= 22 in one IEEE rounding: 10**|k| is an exact double."""
+    y = m * power.take(np.maximum(k, 0))
+    shrink = k < 0
+    if shrink.any():
+        y[shrink] = m[shrink] / power.take(-k[shrink])
+    return y
+
+
+def _value_words(block: np.ndarray) -> np.ndarray:
+    """The cells of a 2-D float block as ``,``-led words, shaped (rows, 6 columns).
+
+    Each cell is an 8-byte head word (separator, sign, integer digits and
+    point) and four 4-byte words: three groups of four fraction digits and
+    a fourth group when plain, the exponent when scientific.
+
+    A nonzero finite |v| is scaled by 10**k, an exact double for
+    -22 <= k <= 22, to y in [10**(d-1), 10**d], where d is its significant
+    digit count: 12 plain, 13 scientific.  That is one IEEE rounding, off by
+    at most 2**-14 below 1e12 and 2**-10 below 1e13, so when y is more than
+    ``_TIE_MARGIN`` from a rounding tie, y rounds to the integer the exact
+    |v| 10**k rounds to.  At either end of the range the rounded integer
+    names the same decimal as the neighbouring k would, so y may sit on an
+    end.  Every value split below is an integer a < 2**53, and a / 10**j
+    rounds by less than 10**-j, the least distance to the next integer, so
+    its floor is exact; the splitting powers 10**(j-8) and 10**(16-j) are
+    exact quotients of exact powers (a carry to 10000 leaves no fraction to
+    split).  ``_format_float`` formats the rest: cells within the margin of
+    a tie, NaN and infinities, and magnitudes that need a k outside
+    [-22, 22], which scale out of range.
+    """
+    head, word, power = _digit_tables()
+    v = np.asarray(block, dtype=float).ravel()
+    m = np.abs(v)
+    plain = _plain(m)
+    scientific = ~plain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(m))
+    # zeros scale as 1.0 and print their digit 0 below; NaN and infinities scale to 0.0, out of range
+    special = ~np.isfinite(e)
+    zero = m == 0.0
+    m[special] = zero[special]
+    e[special] = 0.0
+    low = 1e11 + 9e11 * scientific
+    top = 10.0 * low
+    k = (11 - e.astype(np.intp) + scientific).clip(-22, 22)
+    y = _scaled(m, k, power)
+    # log10 may miss the exponent by one next to a power of ten
+    off = (y < low) | (y > top)
+    if off.any():
+        moved = np.flatnonzero(off)
+        k[moved] = (k[moved] + np.where(y[moved] < low[moved], 1, -1)).clip(-22, 22)
+        y[moved] = _scaled(m[moved], k[moved], power)
+        off = (y < low) | (y > top)
+    q = np.rint(y)
+    fallback = off | (np.abs(y - q) >= 0.5 - _TIE_MARGIN)
+    q[fallback] = low[fallback]
+    # a carry into the next power of ten
+    carry = q == top
+    q[carry] = low[carry]
+    k -= carry
+    # digits after the point: k when plain, 12 when scientific
+    scale = power.take(np.where(plain, k, 12))
+    integer = np.floor(q / scale)
+    rest = q - integer * scale
+    # the fraction padded to 16 digits is high * 10**8 + low8
+    split = scale / 1e8
+    high = np.floor(rest / split)
+    low8 = (rest - high * split) * (1e16 / scale)
+    groups = np.empty((4, len(v)))
+    groups[0] = np.floor(high / 1e4)
+    groups[1] = high - groups[0] * 1e4
+    groups[2] = np.floor(low8 / 1e4)
+    # the last word holds the fourth group when plain, the exponent when scientific
+    groups[3] = np.where(plain, low8 - groups[2] * 1e4, 2e4 + 111 - k)
+    # a group prints in full when a later word prints, else without its trailing zeros
+    later = groups[3] != 0
+    for j in (2, 1, 0):
+        printed = later | (groups[j] != 0)
+        groups[j] += 1e4 * later
+        later = printed
+    integer[zero] = 0.0
+    # the point prints when a later word does
+    key = (integer.astype(np.intp) * 2 + later) * 2 + (v < 0)
+    cells = np.empty((len(v), 6), np.uint32)
+    cells.view(np.uint64)[:, 0] = head.take(key)
+    for j, column in enumerate(groups.astype(np.intp)):
+        cells[:, 2 + j] = word.take(column)
+    if fallback.any():
+        _fallback(cells, fallback, [_format_float(x) for x in v[fallback].tolist()])
+    return cells.reshape(block.shape[0], 6 * block.shape[1])
+
+
+def _index_words(start: int, stop: int) -> np.ndarray:
+    """The row numbers start..stop-1 below 10**11 as ``,``-led words: a head word and a group, (rows, 3)."""
+    head, word, _ = _digit_tables()
+    t = np.arange(start, stop, dtype=float)
+    wide = t >= 1e4
+    high = np.floor(t / 1e4)
+    lead = np.where(wide, high, t).clip(0, 10000)
+    cells = np.empty((len(t), 3), np.uint32)
+    cells[:, :2] = head.take(lead.astype(np.intp) * 4).view(np.uint32).reshape(-1, 2)
+    cells[:, 2] = word.take(np.where(wide, t - high * 1e4 + 1e4, 0).astype(np.intp))
+    huge = t >= 1e8
+    if huge.any():
+        _fallback(cells, huge, [str(n) for n in range(max(start, 10**8), stop)])
+    return cells
+
+
+def _format_table(table: np.ndarray, index: bool) -> bytes:
     """CSV lines of a 2-D float array, each cell as ``format_number`` writes it.
 
-    The rows sharing one pattern of plain and scientific cells share one
-    format string, and the whole body is one ``%`` over all the cells.
+    A numpy digit kernel writes each cell as machine words gathered from
+    lookup tables (``_value_words``, which carries the exactness argument,
+    and ``_index_words``), in slabs of about ``_SLAB_CELLS`` cells; the zero
+    bytes that pad the words are then dropped.  Each cell starts with its
+    separator, and the first cell of every row with a newline.
     """
-    table = table + 0.0
-    # one opaque key per row's pattern; a bit code in one integer would overflow past 63 columns
-    packed = np.packbits(_plain(np.abs(table)), axis=1)
-    width = packed.shape[1]
-    patterns, which = np.unique(packed.view(np.dtype((np.void, width))).ravel(), return_inverse=True)
-    bits = np.unpackbits(patterns.view(np.uint8).reshape(len(patterns), width), axis=1, count=table.shape[1])
-    lead, cells = "", table
-    if index:
-        # Python ints go through %d faster than floats do
-        lead, cells = "%d,", np.empty((len(table), table.shape[1] + 1), dtype=object)
-        cells[:, 0] = range(len(table))
-        cells[:, 1:] = table
-    formats = np.array(
-        [lead + ",".join([_FLOAT_FORMATS[bit] for bit in row]) + "\n" for row in bits.tolist()], dtype=object
-    )
-    return "".join(formats[which].tolist()) % tuple(cells.ravel().tolist())
+    rows, columns = table.shape
+    width = columns + index
+    if not width:
+        return b"\n" * rows
+    step = max(1, _SLAB_CELLS // width)
+    parts = []
+    for start in range(0, rows, step):
+        stop = min(rows, start + step)
+        cells = _value_words(table[start:stop])
+        if index:
+            cells = np.concatenate([_index_words(start, stop), cells], axis=1)
+        cells.view(np.uint8)[:, 0] = ord("\n")
+        parts.append(cells.tobytes().translate(None, b"\0"))
+    return b"".join(parts)[1:] + b"\n" if rows else b""
 
 
 def write_csv(path, columns, rows, meta, *, index: bool = False) -> Path:
     """Write a CSV with one comment line of metadata and a header row.
 
     ``rows`` is either an iterable of rows, each cell written by
-    ``format_number``, or a 2-D float array, written in one pass to the same
-    bytes.  With ``index`` the array's rows are preceded by their 0-based
-    number as an integer cell, which ``columns`` names first.
+    ``format_number``, or a 2-D float array, written by a numpy digit kernel
+    (``_format_table``) to the same bytes.  With ``index`` the array's rows
+    are preceded by their 0-based number as an integer cell, which
+    ``columns`` names first.
     """
     head = "# " + " ".join(f"{key}={value}" for key, value in meta.items()) + "\n" + ",".join(columns) + "\n"
     if isinstance(rows, np.ndarray):
         body = _format_table(rows, index)
     else:
-        body = "".join(",".join([format_number(cell) for cell in row]) + "\n" for row in rows)
+        body = "".join(",".join([format_number(cell) for cell in row]) + "\n" for row in rows).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(head + body, encoding="utf-8")
+    path.write_bytes(head.encode("utf-8") + body)
     return path
 
 
@@ -421,6 +577,13 @@ def read_estimate_csv(path) -> SpectralEstimate:
     return SpectralEstimate(table[:, 0], matrices)
 
 
+def _meta(path) -> dict:
+    """The ``key=value`` items of a CSV's first line, when it is a metadata comment."""
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline()
+    return dict(item.partition("=")[::2] for item in first[2:].split()) if first.startswith("# ") else {}
+
+
 def _certificate_row(cert: bounds.Certificate) -> list:
     inputs = ";".join(f"{key}={format_number(value)}" for key, value in cert.inputs)
     return [
@@ -439,10 +602,19 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
     """Evaluate the certificate suite for the configured estimator and context.
 
     Emits one row per statement; rows whose certificate does not exist are
-    marked unavailable rather than omitted.  Returns (path, certificates).
+    marked unavailable rather than omitted.  An ``estimate_path`` whose
+    ``config_hash`` differs from this config's is rejected.  Returns (path,
+    certificates).
     """
     spec = _need(config, "estimator")
     num_samples = _need(config, "num_samples")
+    if estimate_path is not None:
+        found = _meta(estimate_path).get("config_hash")
+        if found != config_digest(config):
+            raise ConfigError(
+                f"estimate {estimate_path} has config_hash={found}, not this config's {config_digest(config)}: "
+                "certify needs an estimate of the same config"
+            )
     ctx = make_context(config)
     params = estimators.certificate_params(spec, num_samples)
     certs: list[bounds.Certificate] = []

@@ -11,7 +11,7 @@ from specbound import estimators as est
 from specbound import quadform as qf
 from specbound.constants import COVER_BASE, GAUSSIAN, sub_gaussian
 from specbound.experiments import example_state_space
-from specbound.signals import GeometricScalar, WhiteNoise
+from specbound.signals import GeometricScalar, WhiteNoise, certify_decay
 
 from conftest import sequential_geometric_bias_bound
 
@@ -469,6 +469,25 @@ def test_context_rejects_envelope_that_fails_past_lag_64():
     # the model's own rate needs at least the model's own scale
     with pytest.raises(ValueError, match="certified rate 0.9$"):
         bd.BoundContext(GAUSSIAN, 19.0, 19.0, 1, decay=(1.0 - 1e-12, 0.9), model=model)
+
+
+def test_context_certifies_a_state_space_model_at_the_users_rate():
+    # spectral radius 0.3, certified (20.52, 0.5) by default; at rate 0.45
+    # certify_decay gives gamma 28.74, so 30 * 0.45^k is proven at every lag
+    chain = example_state_space(0.5)
+    assert chain.decay()[1] == 0.5
+    assert certify_decay(chain, 0.45).gamma <= 30.0
+    assert bd.BoundContext(GAUSSIAN, 12.0, 15.0, 3, decay=(30.0, 0.45), model=chain).decay == (30.0, 0.45)
+    # at that rate a scale below the certified one proves nothing
+    with pytest.raises(ValueError, match=r"gamma must be at least 28\.7\d* at the certified rate 0\.45$"):
+        bd.BoundContext(GAUSSIAN, 12.0, 15.0, 3, decay=(20.0, 0.45), model=chain)
+
+
+def test_context_rejects_a_rate_at_the_state_space_spectral_radius():
+    # ||R[k]|| / 0.3^k grows like k but stays below 1e6 over lags 0..64
+    chain = example_state_space(0.5)
+    with pytest.raises(ValueError, match=r"certified envelope \(20\.5\d*, 0\.5\).*certified rate 0\.5$"):
+        bd.BoundContext(GAUSSIAN, 12.0, 15.0, 3, decay=(1e6, 0.3), model=chain)
 
 
 class _BumpModel:

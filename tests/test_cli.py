@@ -172,6 +172,25 @@ def test_certify_data_driven_from_estimate(tmp_path, welch_config):
     assert not data_driven[0].available
 
 
+def test_certify_rejects_an_estimate_of_another_config(tmp_path, welch_config, capsys):
+    # a finer grid is another config: its estimate's sup is taken over other points
+    other = tmp_path / "other"
+    assert cli.main(["estimate", "--config", str(welch_config), "--grid", "17", "--out", str(other)]) == 0
+    own = experiments.config_digest(load_config(welch_config))
+    found = experiments._meta(other / "estimate.csv")["config_hash"]
+    assert found != own
+    capsys.readouterr()
+    argv = ["certify", "--config", str(welch_config), "--out", str(tmp_path / "c"), "--estimate", str(other / "estimate.csv")]
+    assert cli.main(argv) == 2
+    assert f"has config_hash={found}, not this config's {own}: certify needs an estimate of the same config" in capsys.readouterr().err
+    assert not (tmp_path / "c" / "certificates.csv").exists()
+    # a table without the metadata line names no config
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join((other / "estimate.csv").read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ConfigError, match="has config_hash=None"):
+        run_certify(load_config(welch_config), tmp_path / "d", estimate_path=bare)
+
+
 def test_certify_periodogram_unavailable_and_require_feasible(tmp_path):
     config = {
         "model": {"kind": "white"},
@@ -214,6 +233,16 @@ def test_long_simulate_rows_are_formatted_like_format_number(tmp_path):
     for t, (line, values) in enumerate(zip(lines[2:], data.values.T.tolist(), strict=True)):
         assert line == ",".join(format_number(cell) for cell in [t] + values)
     assert lines[-1].startswith("10049,")
+
+
+def test_simulate_writes_more_than_eight_channels(tmp_path):
+    # the path is written as the transpose of a (channels, N) array: a
+    # column-major table, here wider than eight columns
+    config = parse_config({"model": {"kind": "white", "channels": 9}, "num_samples": 40, "seed": 3})
+    lines = run_simulate(config, tmp_path).read_text().splitlines()
+    data = sample_model(config.model, "gaussian", 40, 3)
+    for t, (line, values) in enumerate(zip(lines[2:], data.values.T.tolist(), strict=True)):
+        assert line == ",".join(format_number(cell) for cell in [t] + values)
 
 
 def test_verify_concentration_trial_floor(tmp_path):

@@ -12,10 +12,16 @@ cover the dense form's.  For every family, custom Welch tapers (positive or
 signed) and Blackman-Tukey windows near [0, 1] among them, a bias verdict
 that holds implies the general check on the closed-form diagonal sums, and
 a segment average's verdict equals it.  A float table written as an array
-has the bytes of the same table written row by row.
+has the bytes of the same table written row by row, rounding ties, cells
+next to a power of ten and uniform tables of every shape included, and a
+rounding tie is formatted by the scalar formatter.
 """
 
+import math
+import subprocess
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals
+from specbound import experiments
 from specbound.experiments import write_csv
 
 from conftest import sequential_geometric_bias_bound
@@ -266,11 +273,107 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(float_tables(), st.booleans())
-def test_array_and_row_tables_write_the_same_bytes(table_dir, table, index):
+def _same_bytes(table_dir, table, index=False) -> bytes:
+    """Write ``table`` as an array and row by row, assert the two files agree, and return the bytes."""
     columns = [f"c{k}" for k in range(table.shape[1] + index)]
     rows = [[t] * index + row for t, row in enumerate(table.tolist())]
     from_array = write_csv(table_dir / "array.csv", columns, table, {"k": 1}, index=index)
     from_rows = write_csv(table_dir / "rows.csv", columns, rows, {"k": 1})
     assert from_array.read_bytes() == from_rows.read_bytes()
+    return from_array.read_bytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(float_tables(), st.booleans())
+def test_array_and_row_tables_write_the_same_bytes(table_dir, table, index):
+    _same_bytes(table_dir, table, index)
+
+
+@st.composite
+def decimal_ties(draw):
+    """An exact double that ends in a 5 one digit past what its cell keeps: a rounding tie.
+
+    A plain cell (1e-3 <= |v| < 1e4) keeps 12 significant digits, a
+    scientific one 13.  With |v| in [10^x, 10^(x+1)) the tie digit sits
+    ``places = kept - x`` digits after the point, and an odd multiple of
+    2^-places ends there in a 5; past the point, an integer ending in 5 does.
+    """
+    exponent = draw(st.integers(-7, 14))
+    kept = 12 if -3 <= exponent <= 3 else 13
+    places = kept - exponent
+    if places > 0:
+        low = math.ceil(Fraction(10) ** exponent * 2**places)
+        high = math.ceil(Fraction(10) ** (exponent + 1) * 2**places)
+        odd = draw(st.integers(low, high - 1).filter(lambda a: a % 2 == 1))
+        value = odd / 2**places
+    else:
+        value = float((10 * draw(st.integers(10 ** (kept - 1), 10**kept - 1)) + 5) * 10**-places)
+    return draw(st.sampled_from((1.0, -1.0))) * value
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(decimal_ties(), min_size=1, max_size=12), st.booleans())
+def test_exact_ties_take_the_fallback_and_keep_their_bytes(table_dir, ties, index):
+    table = np.array(ties).reshape(-1, 1)
+    with mock.patch.object(experiments, "_format_float", side_effect=experiments._format_float) as counted:
+        experiments._format_table(table, index)
+    assert counted.call_count == len(ties)
+    _same_bytes(table_dir, table, index)
+
+
+def test_near_ties_built_from_integers_take_the_fallback(table_dir):
+    # within an ulp of 1.000001953125 and 0.001000001953125 (12 digits and a
+    # 5), and of 1.0000022091255e-5 and 1.0000022091255e5 (13 digits and a 5)
+    near = np.array([[1953125 * 512001 * 1e-12, 1953125 * 512001 * 1e-15, 19531255 * 512001 * 1e-18, 19531255 * 512001 * 1e-8]])
+    with mock.patch.object(experiments, "_format_float", side_effect=experiments._format_float) as counted:
+        experiments._format_table(near, False)
+    assert counted.call_count == near.size
+    _same_bytes(table_dir, np.vstack([near, -near]))
+
+
+# every power of ten from 1e-3 to 1e4, the ends of the plain range, with both neighbours
+POWERS = np.array([float(f"1e{e}") for e in range(-3, 5)])
+NEIGHBOURS = np.concatenate([np.nextafter(POWERS, 0.0), POWERS, np.nextafter(POWERS, np.inf)])
+# 13 nines and a 5 carry into the next power of ten, plain and scientific alike
+CARRIES = np.array([9.9999999999995 * 10.0**e for e in range(-12, 30)] + [9.999999999999995 * 10.0**e for e in range(-12, 30)])
+
+
+@pytest.mark.parametrize("cells", [NEIGHBOURS, CARRIES], ids=["power_neighbours", "carries"])
+def test_cells_next_to_a_power_of_ten(table_dir, cells):
+    table = np.concatenate([cells, -cells, np.nextafter(cells, 0.0), np.nextafter(cells, np.inf)]).reshape(-1, 2)
+    _same_bytes(table_dir, table, index=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("scientific", "nan", "inf", "zeros", "negative")),
+    st.sampled_from(((0, 3), (1, 1), (3, 64), (2, 130))),
+    st.integers(0, 2**32 - 1),
+)
+def test_uniform_tables_and_shapes(table_dir, kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "scientific":
+        table = rng.standard_normal(shape) * 10.0 ** rng.choice([-300, -12, -5, 4, 9, 20, 300], shape)
+    elif kind == "nan":
+        table = np.full(shape, np.nan)
+    elif kind == "inf":
+        table = rng.choice([np.inf, -np.inf], shape)
+    elif kind == "zeros":
+        table = rng.choice([0.0, -0.0], shape)
+    else:
+        table = -np.abs(rng.standard_normal(shape)) * 10.0 ** rng.integers(-6, 8, shape)
+    _same_bytes(table_dir, table, index=bool(seed % 2))
+
+
+def test_index_past_ten_thousand_rows(table_dir):
+    table = np.random.default_rng(5).standard_normal((20011, 1)) * 1e3
+    lines = _same_bytes(table_dir, table, index=True).splitlines()
+    assert lines[2 + 9999].startswith(b"9999,") and lines[2 + 10000].startswith(b"10000,")
+    assert lines[-1].startswith(b"20010,")
+
+
+def test_import_builds_no_digit_table():
+    probe = "import specbound.cli, specbound.experiments as e; print(e._digit_tables.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"

@@ -12,7 +12,10 @@ several frequency slabs; ``simulate`` and ``estimate`` at
 N = 2064 for a state-space model with one output and five noise inputs;
 ``simulate`` at N = 65536 for the three-channel chain model and for a
 lightly damped resonant model, whose paths cross 255 boundaries of the
-sampler's 256-step chunks;
+sampler's 256-step chunks; ``simulate`` and a Welch ``estimate`` at
+N = 65536 for the chain model at a high gain (d = 1e5 I), whose cells
+straddle 1e4 or are scientific, and at a low gain (c and d scaled by 1e-3),
+whose cells straddle 1e-3 or are scientific;
 biased-periodogram, Bartlett (block length 32768) and Welch (segment length
 16384, hop 8192) ``estimate`` runs at N = 65536 for a one-channel and a
 three-channel model, each with the default grid, 17 and 257 points and the
@@ -114,6 +117,14 @@ LONG_GRIDS = {"": [], "_grid17": ["--grid", "17"], "_grid257": ["--grid", "257"]
 RESONANT = {"kind": "state_space", "a": [[0.0, -0.995], [1.0, 0.0]], "b": [[1.0], [0.0]], "c": [[1.0, 0.0]], "d": [[0.0]]}
 
 CONTEXT = {"phi_inf": 2.0, "r1": 2.5, "channels": 2, "gamma": 1.2, "rho": 0.4}
+
+# gains far from one: the high one's cells straddle 1e4 in ``simulate`` and
+# are nearly all scientific in ``estimate``, the low one's straddle 1e-3 and
+# are all scientific
+GAINS = {
+    "high_gain": dict(STATE_SPACE, d=[[1e5, 0.0, 0.0], [0.0, 1e5, 0.0], [0.0, 0.0, 1e5]]),
+    "low_gain": dict(STATE_SPACE, c=[[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3]], d=[[1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0], [0.0, 0.0, 1e-3]]),
+}
 
 # name -> (model, context): ``context`` values that override the model's own
 OVERRIDES = {
@@ -329,6 +340,13 @@ def main(argv=None) -> int:
         name = f"{model_name}_65536"
         body = {"model": model, "num_samples": 65536, "seed": 11}
         run(out, f"simulate/{name}", ["simulate", "--config", write_config(out, name, body)])
+    # tables of mostly scientific cells and of cells next to the ends of the plain range
+    for model_name, model in GAINS.items():
+        name = f"{model_name}_65536"
+        body = {"model": model, "estimator": ESTIMATORS["welch_hann"], "num_samples": 65536, "seed": 11}
+        config = write_config(out, name, body)
+        run(out, f"simulate/{name}", ["simulate", "--config", config])
+        run(out, f"estimate/{name}", ["estimate", "--config", config])
     # segments of 16384 to 65536 samples, transformed in two stages
     for model_name in ("geometric_gaussian", "state_space"):
         model, noise = MODELS[model_name]
