@@ -39,7 +39,7 @@ for segments in (8, 32, 128, 512):
     samples = (segments - 1) * hop + segment
     spec = Welch(segment, hop, "hann")
     params = certificate_params(spec, samples)
-    concentration = worst_case_error_bound(params.envelope, params.truncation, delta, ctx).value
+    concentration = worst_case_error_bound(params, delta, ctx).value
     bias = geometric_bias_bound(closed_form_bias(spec, samples), params.truncation, gamma, rho).value
     print(f"{segments:9d} {samples:8d} {concentration:14.3f} {bias:9.4f} {concentration + bias:18.3f}")
 
@@ -49,7 +49,7 @@ for segments in (512, 8192):
     spec = Welch(segment, hop, "hann")
     params = certificate_params(spec, samples)
     bias = geometric_bias_bound(closed_form_bias(spec, samples), params.truncation, gamma, rho).value
-    factor = data_driven_factor(params.envelope, params.truncation, delta, ctx)
+    factor = data_driven_factor(params, delta, ctx)
     estimate = evaluate_fast(spec, sample_geometric(rho, samples, seed=1), frequency_grid(101))
     print(f"  {segments} segments: factor a = {factor:.3f}, observed sup = {estimate.sup_norm():.3f}")
     certificate = data_driven_error_bound(factor, bias, estimate.sup_norm())

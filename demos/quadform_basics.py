@@ -3,8 +3,9 @@
 Every estimator here is the same object in disguise: a symmetric coefficient
 matrix A sandwiched between phase-rotated copies of the data.  This script
 builds A for each family at a small size, reads off the quantities the error
-certificates consume, and confirms that the fast evaluation paths agree with
-the dense quadratic form.
+certificates consume (the dense form's exact norms, and the closed-form
+bounds on them that each family gives in the same record), and confirms
+that the fast evaluation paths agree with the dense quadratic form.
 """
 
 import numpy as np
@@ -36,13 +37,13 @@ specs = {
 
 print(f"coefficient matrices at N = {N}\n")
 for name, spec in specs.items():
-    form = build_matrix(spec, N)
+    exact = build_matrix(spec, N).certificate_params
     params = certificate_params(spec, N)
-    line = f"{name:28s}  ||A||_2 = {form.spectral_norm:.4f}  ||A||_F^2 = {form.frobenius_norm**2:.4f}"
+    line = f"{name:28s}  ||A||_2 = {exact.spectral:.4f}  ||A||_F^2 = {exact.frobenius_sq:.4f}"
     if params is None:
         line += "  (no concentration certificate: envelope >= 1)"
     else:
-        line += f"  envelope g = {params.envelope:.4f}  truncation = {params.truncation}"
+        line += f"  closed form: xi <= {params.xi:.4f}, envelope <= {params.envelope:.4f}, truncation {params.truncation}"
     print(line)
 
 print("\nbartlett coefficient matrix (scaled by N):")

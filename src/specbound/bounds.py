@@ -34,6 +34,7 @@ from .estimators import closed_form_bias
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
+    CertificateParams,
     QuadraticForm,
     bias_coefficients,
     envelope_tail,
@@ -238,13 +239,7 @@ def _inputs(**kwargs) -> tuple:
 
 def envelope_from_form(form: QuadraticForm) -> float:
     """Envelope over ||A||_2, ||A||_F^2 and every per-diagonal norm pair."""
-    stats = form.diagonal_stats
-    return max(
-        form.spectral_norm,
-        form.frobenius_norm ** 2,
-        float(stats.sup_norms.max()),
-        float(stats.squared_l2_norms.max()),
-    )
+    return form.certificate_params.envelope
 
 
 def _conjunction(statement: str, first: Certificate, second: Certificate, eps: float, delta: float) -> Certificate:
@@ -267,58 +262,44 @@ def check_conditions(
     ctx: BoundContext,
     *,
     form: QuadraticForm | None = None,
-    xi: float | None = None,
-    envelope: float | None = None,
-    truncation: int | None = None,
+    params: CertificateParams | None = None,
     bias: BiasCoefficients | None = None,
 ) -> Certificate:
     """Verdict for one sufficient error condition of the general framework.
 
-    Parts: ``pointwise`` (concentration at a single frequency, needs ``xi``,
-    the dense form or an ``envelope``), ``worst_case`` (concentration uniform
-    over frequency, needs ``envelope``/``truncation`` or the dense form),
-    ``bias`` (diagonal sums close to one out to the tail cutoff), and the
-    conjunctions ``pointwise_total``/``worst_total`` whose conclusions hold at
-    accuracy 2 * eps with probability 1 - delta.
+    Parts: ``pointwise`` and ``worst_case`` (concentration at a single
+    frequency and uniform over it, on ``params`` or the dense form's record;
+    unavailable without one), ``bias`` (diagonal sums close to one out to the
+    tail cutoff), and the conjunctions ``pointwise_total``/``worst_total``
+    whose conclusions hold at accuracy 2 * eps with probability 1 - delta.
     """
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
     if part in _TOTALS:
-        first = check_conditions(
-            _TOTALS[part], eps, delta, ctx, form=form, xi=xi, envelope=envelope, truncation=truncation
-        )
+        first = check_conditions(_TOTALS[part], eps, delta, ctx, form=form, params=params)
         second = check_conditions("bias", eps, delta, ctx, form=form, bias=bias)
         return _conjunction(f"{part}_condition", first, second, eps, delta)
+    if part != "bias" and params is None:
+        if form is None:
+            return Certificate(f"{part}_condition", available=False, epsilon=eps, delta=delta, note=PERIODOGRAM_NOTE)
+        params = form.certificate_params
     if part == "pointwise":
-        name, value = "xi", xi
-        if xi is None and form is not None:
-            value = max(form.spectral_norm, form.frobenius_norm ** 2)
-        elif xi is None:
-            if envelope is None:
-                raise ValueError("pointwise check needs xi, the dense form or an envelope")
-            # the envelope dominates xi, so it can stand in for it
-            name, value = "envelope", envelope
         demand = ctx.assumption.demand(eps, ctx.phi_inf) * ctx.budget(delta)
         return Certificate(
             "pointwise_condition",
-            holds=bool(1.0 / value >= demand),
+            holds=bool(1.0 / params.xi >= demand),
             epsilon=eps,
             delta=delta,
-            inputs=((name, value), ("demand", demand)),
+            inputs=_inputs(xi=params.xi, demand=demand),
         )
     if part == "worst_case":
-        if envelope is None or truncation is None:
-            if form is None:
-                raise ValueError("worst-case check needs envelope and truncation or the dense form")
-            envelope = envelope_from_form(form)
-            truncation = form.truncation_width
-        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, truncation)
+        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, params.truncation)
         return Certificate(
             "worst_case_condition",
-            holds=bool(1.0 / envelope >= demand),
+            holds=bool(1.0 / params.envelope >= demand),
             epsilon=eps,
             delta=delta,
-            inputs=_inputs(envelope=envelope, truncation=truncation, demand=demand),
+            inputs=_inputs(envelope=params.envelope, truncation=params.truncation, demand=demand),
         )
     # bias
     if bias is None:
@@ -343,20 +324,24 @@ def check_conditions(
     )
 
 
-def pointwise_error_bound(xi: float, delta: float, ctx: BoundContext) -> Certificate:
-    """Deviation bound at a single frequency holding with probability 1 - delta."""
-    value = ctx.assumption.deviation(xi, ctx.budget(delta), ctx.phi_inf)
-    return Certificate("pointwise_bound", value=value, delta=delta, inputs=_inputs(xi=xi))
+def pointwise_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
+    """Deviation bound at a single frequency holding with probability 1 - delta; unavailable without a record."""
+    if params is None:
+        return Certificate("pointwise_bound", available=False, note=PERIODOGRAM_NOTE)
+    value = ctx.assumption.deviation(params.xi, ctx.budget(delta), ctx.phi_inf)
+    return Certificate("pointwise_bound", value=value, delta=delta, inputs=_inputs(xi=params.xi))
 
 
-def worst_case_error_bound(envelope: float, truncation, delta: float, ctx: BoundContext) -> Certificate:
-    """Deviation bound uniform over frequency holding with probability 1 - delta."""
-    value = 2.0 * ctx.assumption.deviation(envelope, ctx.budget(delta, truncation), ctx.phi_inf)
+def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
+    """Deviation bound uniform over frequency holding with probability 1 - delta; unavailable without a record."""
+    if params is None:
+        return Certificate("worst_case_bound", available=False, note=PERIODOGRAM_NOTE)
+    value = 2.0 * ctx.assumption.deviation(params.envelope, ctx.budget(delta, params.truncation), ctx.phi_inf)
     return Certificate(
         "worst_case_bound",
         value=value,
         delta=delta,
-        inputs=_inputs(envelope=envelope, truncation=truncation),
+        inputs=_inputs(envelope=params.envelope, truncation=params.truncation),
     )
 
 
@@ -391,9 +376,9 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
     )
 
 
-def data_driven_factor(envelope: float, truncation, delta: float, ctx: BoundContext) -> float:
+def data_driven_factor(params: CertificateParams, delta: float, ctx: BoundContext) -> float:
     """The multiplier of the self-referential worst-case bound (worst bound / phi_inf)."""
-    return 2.0 * ctx.assumption.deviation(envelope, ctx.budget(delta, truncation), 1.0)
+    return 2.0 * ctx.assumption.deviation(params.envelope, ctx.budget(delta, params.truncation), 1.0)
 
 
 def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) -> Certificate:
@@ -424,11 +409,10 @@ def check_estimator_conditions(
 ) -> Certificate:
     """Estimator-specific sufficient conditions on the closed-form quantities.
 
-    The bias part is the general bias test on ``closed_form_bias(spec, n)``
-    and the family's ``bias_condition``, what it asks beyond that test.  For
-    the periodogram variants only the bias condition is attainable (their
-    norm envelope never drops below one); concentration parts come back
-    unavailable.
+    The general condition on the family's ``certificate_params(n)`` and
+    ``closed_form_bias(spec, n)``; the bias part adds the family's
+    ``bias_condition``, what it asks beyond the general test.  For the
+    periodogram variants (no record) only the bias condition is attainable.
     """
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
@@ -439,17 +423,8 @@ def check_estimator_conditions(
         second = check_estimator_conditions(spec, n, "bias", eps, delta, ctx)
         return _conjunction(statement, first, second, eps, delta)
     params = spec.certificate_params(n)
-    if params is None and part != "bias":
-        return Certificate(
-            statement,
-            available=False,
-            epsilon=eps,
-            delta=delta,
-            note=PERIODOGRAM_NOTE,
-        )
     if part != "bias":
-        cert = check_conditions(part, eps, delta, ctx, envelope=params.envelope, truncation=params.truncation)
-        return replace(cert, statement=statement)
+        return replace(check_conditions(part, eps, delta, ctx, params=params), statement=statement)
     # the general test on the closed-form diagonal sums, and what the family asks beyond it
     general = check_conditions("bias", eps, delta, ctx, bias=closed_form_bias(spec, n))
     cutoff = dict(general.inputs)["cutoff"]
@@ -598,7 +573,7 @@ def optimize_bartlett_m(
         raise ValueError("sample count must be positive")
 
     def total(m: float) -> float:
-        concentration = worst_case_error_bound(m / n, m, delta, ctx).value
+        concentration = worst_case_error_bound(CertificateParams(m / n, m / n, m / n, m), delta, ctx).value
         return concentration + bartlett_bias_closed_form(gamma, rho, m)
 
     if divisors_only:

@@ -20,6 +20,20 @@ from . import experiments
 __all__ = ["main"]
 
 
+def _add_overrides(parser: argparse.ArgumentParser) -> None:
+    """The config overrides of the commands that write or read an estimate, whose config hash they change."""
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--grid", type=int, help="override the number of grid points")
+    parser.add_argument("--full-range", action="store_true", help="grid on [-1/2, 1/2] instead of [0, 1/2]")
+
+
+def _overridden_config(args) -> experiments.ExperimentConfig:
+    """The ``--config`` document with the options of ``_add_overrides`` folded in."""
+    config = experiments.load_config(args.config)
+    full_range = True if args.full_range else None
+    return experiments.apply_overrides(config, seed=args.seed, grid_points=args.grid, full_range=full_range)
+
+
 # building the parser costs about 20 times as much as one parse, so it is built once per process
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,15 +45,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate", help="estimate the spectrum of one sampled path")
     estimate.add_argument("--config", required=True, help="JSON experiment config")
-    estimate.add_argument("--seed", type=int, help="override the config seed")
+    _add_overrides(estimate)
     estimate.add_argument("--out", default=".", help="output directory")
     estimate.add_argument("--oracle", action="store_true", help="force the dense generic quadratic-form path")
-    estimate.add_argument("--grid", type=int, help="override the number of grid points")
-    estimate.add_argument("--full-range", action="store_true", help="grid on [-1/2, 1/2] instead of [0, 1/2]")
 
     certify = sub.add_parser("certify", help="evaluate the certificate table")
     certify.add_argument("--config", required=True)
-    certify.add_argument("--seed", type=int, help="override the config seed")
+    _add_overrides(certify)
     certify.add_argument("--out", default=".")
     certify.add_argument("--estimate", help="estimate CSV enabling the data-driven bound")
     certify.add_argument(
@@ -80,19 +92,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "estimate":
-            config = experiments.load_config(args.config)
-            config = experiments.apply_overrides(
-                config,
-                seed=args.seed,
-                grid_points=args.grid,
-                full_range=True if args.full_range else None,
-            )
-            path = experiments.run_estimate(config, args.out, oracle=args.oracle)
+            path = experiments.run_estimate(_overridden_config(args), args.out, oracle=args.oracle)
             print(path)
         elif args.command == "certify":
-            config = experiments.load_config(args.config)
-            config = experiments.apply_overrides(config, seed=args.seed)
-            path, certs = experiments.run_certify(config, args.out, estimate_path=args.estimate)
+            path, certs = experiments.run_certify(_overridden_config(args), args.out, estimate_path=args.estimate)
             print(path)
             if args.require_feasible and any(not cert.available for cert in certs):
                 print("infeasible certificate in the requested table", file=sys.stderr)

@@ -7,9 +7,9 @@ sum of shifted rank-one blocks, and Bartlett, the layout of contiguous
 untapered blocks, which takes every method from Welch).  Each spec class has
 a config ``kind`` and, for a sample count n, its dense coefficient matrix
 (``matrix(n)``), its closed-form diagonal sums b[k] at lags k = 0..n-1
-(``diagonal_sums(n)``; b is even), the norm envelope and truncation width
-feeding the worst-case certificates (``certificate_params(n)``, None when no
-concentration certificate exists), what its bias condition asks beyond the
+(``diagonal_sums(n)``; b is even), the ``CertificateParams`` norm bounds
+feeding the concentration certificates (``certificate_params(n)``, None when
+no concentration certificate exists), what its bias condition asks beyond the
 general test on those sums in ``bounds.check_conditions``
 (``bias_condition``), and a fast evaluation path (``evaluate(data, freqs)``)
 that matches the generic quadratic form to rounding error.  ``FAMILIES``
@@ -38,6 +38,7 @@ from .phases import _PHASE_BLOCK, WINDOW_KINDS, _phase_slabs, _phase_transform, 
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
+    CertificateParams,
     DataMatrix,
     QuadraticForm,
     SpectralEstimate,
@@ -215,8 +216,8 @@ class BlackmanTukey:
         # are at most sum w^2 / n
         self._check_fits(n)
         weights = self.weights()
-        bound = max(float(np.abs(weights).sum()), float(weights @ weights))
-        return CertificateParams(bound / n, self.half_width)
+        spectral, frobenius_sq = float(np.abs(weights).sum()) / n, float(weights @ weights) / n
+        return CertificateParams(spectral, frobenius_sq, max(spectral, frobenius_sq), self.half_width)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
@@ -285,19 +286,20 @@ class _SegmentAverage:
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
-        """Envelope (1 + 2 sum_{1 <= l < K, l hop < m} |c(l hop)|) / K and truncation m.
+        """Every norm bound (1 + 2 sum_{1 <= l < K, l hop < m} |c(l hop)|) / K, and truncation m.
 
         A is PSD with trace 1, so ||A||_F^2 <= ||A||_2 tr A, every ||d[k]||^2
         <= max_i A_ii tr A and every max|d[k]| <= max_i A_ii are at most
         ||A||_2 = ||V^T V||_2 / K.  The Gram matrix V^T V has entries
         c(|i - j| hop), and Gershgorin bounds its norm by its largest absolute
-        row sum.  Without overlap (Bartlett) the envelope is ||A||_2 = 1/K.
+        row sum.  Without overlap (Bartlett) the bound is ||A||_2 = 1/K.
         """
         segments = self.segments(n)
         m = self.segment_length
         lags = np.arange(self.hop, m, self.hop)[: segments - 1]
         overlap = float(np.abs(self._taper_correlation[lags]).sum())
-        return CertificateParams((1.0 + 2.0 * overlap) / segments, m)
+        bound = (1.0 + 2.0 * overlap) / segments
+        return CertificateParams(bound, bound, bound, m)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
@@ -379,16 +381,8 @@ def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
     return BiasCoefficients(spec.diagonal_sums(n))
 
 
-@dataclass(frozen=True)
-class CertificateParams:
-    """Envelope over all coefficient norms plus the diagonal truncation width."""
-
-    envelope: float
-    truncation: int
-
-
-def certificate_params(spec, num_samples: int):
-    """Closed-form (envelope, truncation) feeding the worst-case certificates.
+def certificate_params(spec, num_samples: int) -> CertificateParams | None:
+    """Closed-form norm bounds and truncation width feeding the concentration certificates.
 
     Returns None for the periodogram variants: their norm envelope never drops
     below one, so no concentration certificate exists.

@@ -560,15 +560,47 @@ def run_estimate(config: ExperimentConfig, out_dir, oracle: bool = False) -> Pat
     return write_csv(Path(out_dir) / "estimate.csv", _estimate_columns(n), rows, meta)
 
 
+def _read_text(path, first_line: bool = False) -> str:
+    """The text of a file, or its first line; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.readline() if first_line else handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+
+
 def read_estimate_csv(path) -> SpectralEstimate:
-    """Rebuild a Hermitian spectral estimate from an estimate CSV."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [line for line in lines if line and not line.startswith("#")]
-    header = body[0].split(",")
+    """Rebuild a Hermitian spectral estimate from an estimate CSV.
+
+    A file that cannot be read, has no estimate header or no rows, or holds
+    a row whose cell count differs from the header's or a cell that is not
+    a finite number is a ConfigError naming the file and the line.
+    """
+    numbered = enumerate(_read_text(path).splitlines(), 1)
+    lines = [(number, line) for number, line in numbered if line and not line.startswith("#")]
+    if not lines:
+        raise ConfigError(f"estimate {path} has no header")
+    number, line = lines[0]
+    header = line.split(",")
     pairs = (len(header) - 1) // 2
     channels = int((math.isqrt(8 * pairs + 1) - 1) // 2)
-    table = np.array([[float(cell) for cell in line.split(",")] for line in body[1:]])
-    table = table.reshape(len(body) - 1, len(header))
+    if channels < 1 or header != _estimate_columns(channels):
+        raise ConfigError(f"{path}:{number}: not an estimate header")
+    if len(lines) == 1:
+        raise ConfigError(f"estimate {path} has no rows")
+    table = np.empty((len(lines) - 1, len(header)))
+    for row, (number, line) in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}:{number}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            table[row] = [float(cell) for cell in cells]
+        except ValueError as err:
+            raise ConfigError(f"{path}:{number}: {err}") from err
+    if not np.all(np.isfinite(table)):
+        row, column = np.argwhere(~np.isfinite(table))[0]
+        number, line = lines[1 + row]
+        raise ConfigError(f"{path}:{number}: non-finite cell {line.split(',')[column]!r}")
     upper = table[:, 1:].copy().view(complex)
     i, j = np.triu_indices(channels)
     matrices = np.zeros((len(table), channels, channels), dtype=complex)
@@ -579,8 +611,7 @@ def read_estimate_csv(path) -> SpectralEstimate:
 
 def _meta(path) -> dict:
     """The ``key=value`` items of a CSV's first line, when it is a metadata comment."""
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
+    first = _read_text(path, first_line=True)
     return dict(item.partition("=")[::2] for item in first[2:].split()) if first.startswith("# ") else {}
 
 
@@ -617,13 +648,10 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
             )
     ctx = make_context(config)
     params = estimators.certificate_params(spec, num_samples)
-    certs: list[bounds.Certificate] = []
-    if params is None:
-        certs.append(bounds.Certificate("pointwise_bound", available=False, note=bounds.PERIODOGRAM_NOTE))
-        certs.append(bounds.Certificate("worst_case_bound", available=False, note=bounds.PERIODOGRAM_NOTE))
-    else:
-        certs.append(bounds.pointwise_error_bound(params.envelope, config.delta, ctx))
-        certs.append(bounds.worst_case_error_bound(params.envelope, params.truncation, config.delta, ctx))
+    certs = [
+        bounds.pointwise_error_bound(params, config.delta, ctx),
+        bounds.worst_case_error_bound(params, config.delta, ctx),
+    ]
     bias_cert = None
     if ctx.decay is not None:
         gamma, rho = ctx.decay
@@ -651,7 +679,7 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
                 )
             )
         else:
-            factor = bounds.data_driven_factor(params.envelope, params.truncation, config.delta, ctx)
+            factor = bounds.data_driven_factor(params, config.delta, ctx)
             estimate = read_estimate_csv(estimate_path)
             certs.append(bounds.data_driven_error_bound(factor, bias_cert.value, estimate.sup_norm()))
     if config.epsilon is not None:
@@ -728,9 +756,7 @@ def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
         exact_bias = exact_bias_sup(bias, model, grid)
         for noise_index, (noise, ctx) in enumerate(zip(noises, contexts)):
             gamma, rho = ctx.decay
-            concentration = bounds.worst_case_error_bound(
-                params.envelope, params.truncation, options.delta, ctx
-            ).value
+            concentration = bounds.worst_case_error_bound(params, options.delta, ctx).value
             bias_bound = bounds.geometric_bias_bound(bias, params.truncation, gamma, rho).value
             first = (noise_index * len(options.blocks) + sweep_index) * options.trials
             # no name outlives the comprehension, so the paths are freed once scored

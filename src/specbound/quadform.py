@@ -40,6 +40,7 @@ from .phases import lag_sum
 
 __all__ = [
     "BiasCoefficients",
+    "CertificateParams",
     "DataMatrix",
     "DiagonalProfile",
     "DiagonalStats",
@@ -124,6 +125,28 @@ class DataMatrix:
 
 
 @dataclass(frozen=True)
+class CertificateParams:
+    """Bounds on ||A||_2, ||A||_F^2 and every max|d[k]| and ||d[k]||^2, and a width past which d[k] = 0.
+
+    The pointwise tail reads ``xi``; the tail uniform over frequency reads
+    ``envelope`` and ``truncation``.
+    """
+
+    spectral: float
+    frobenius_sq: float
+    diagonal: float
+    truncation: int
+
+    @property
+    def xi(self) -> float:
+        return max(self.spectral, self.frobenius_sq)
+
+    @property
+    def envelope(self) -> float:
+        return max(self.xi, self.diagonal)
+
+
+@dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric coefficient matrix of a quadratic-form spectral estimator.
 
@@ -172,6 +195,13 @@ class QuadraticForm:
         """Smallest width beyond which every diagonal of the matrix vanishes."""
         nonzero = np.flatnonzero(self.diagonal_stats.sup_norms)
         return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+    @cached_property
+    def certificate_params(self) -> CertificateParams:
+        """The exact norms, in the record that the closed forms bound."""
+        stats = self.diagonal_stats
+        diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
+        return CertificateParams(self.spectral_norm, self.frobenius_norm ** 2, diagonal, self.truncation_width)
 
 
 # largest ||A - JAJ||_F / 2, as a multiple of ||A||_F, that still takes the

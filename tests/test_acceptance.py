@@ -109,7 +109,7 @@ def test_criterion_4_certificate_validity():
     spec = est.Bartlett(16)
     samples, delta, trials = 4096, 0.2, 300
     params = est.certificate_params(spec, samples)
-    concentration = bd.worst_case_error_bound(params.envelope, params.truncation, delta, ctx).value
+    concentration = bd.worst_case_error_bound(params, delta, ctx).value
     bias = bd.geometric_bias_bound(
         est.closed_form_bias(spec, samples), params.truncation, 1.0, 0.0
     ).value

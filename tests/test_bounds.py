@@ -20,6 +20,11 @@ def ctx_gauss(phi=1.0, r1=1.0, channels=1, decay=None, model=None):
     return bd.BoundContext(GAUSSIAN, phi, r1, channels, decay, model)
 
 
+def record(bound, truncation=1):
+    """A certificate record whose every norm bound is ``bound``: its xi and its envelope."""
+    return qf.CertificateParams(bound, bound, bound, truncation)
+
+
 @pytest.fixture(scope="module")
 def geometric_ctx():
     model = GeometricScalar(0.3)
@@ -94,9 +99,9 @@ def test_envelope_without_model_uses_decay():
 
 def test_pointwise_condition_threshold():
     ctx = ctx_gauss(phi=2.0)
-    ok = bd.check_conditions("pointwise", 1.0, 0.1, ctx, xi=4.0 / 4096.0)
+    ok = bd.check_conditions("pointwise", 1.0, 0.1, ctx, params=record(4.0 / 4096.0))
     assert ok.holds
-    no = bd.check_conditions("pointwise", 1.0, 0.1, ctx, xi=4.0 / 2048.0)
+    no = bd.check_conditions("pointwise", 1.0, 0.1, ctx, params=record(4.0 / 2048.0))
     assert not no.holds
 
 
@@ -137,7 +142,7 @@ def test_total_conditions_record_both_accuracies():
     ctx = ctx_gauss(decay=(1.0, 0.0))
     coeffs = qf.BiasCoefficients(np.ones(5))
     cert = bd.check_conditions(
-        "worst_total", 0.5, 0.1, ctx, envelope=1e-4, truncation=4, bias=coeffs
+        "worst_total", 0.5, 0.1, ctx, params=record(1e-4, 4), bias=coeffs
     )
     assert cert.holds
     recorded = dict(cert.inputs)
@@ -147,7 +152,7 @@ def test_total_conditions_record_both_accuracies():
 
 def test_unknown_part_rejected(geometric_ctx):
     with pytest.raises(ValueError):
-        bd.check_conditions("sideways", 0.1, 0.1, geometric_ctx, xi=0.1)
+        bd.check_conditions("sideways", 0.1, 0.1, geometric_ctx, params=record(0.1))
 
 
 # ---------------------------------------------------------------- bound evaluators
@@ -156,21 +161,21 @@ def test_unknown_part_rejected(geometric_ctx):
 def test_pointwise_bound_branches():
     ctx = ctx_gauss()
     level_one = 1.0 / ctx.budget(0.05)
-    assert bd.pointwise_error_bound(level_one, 0.05, ctx).value == pytest.approx(1.0, rel=1e-12)
-    small = bd.pointwise_error_bound(level_one / 4.0, 0.05, ctx)
+    assert bd.pointwise_error_bound(record(level_one), 0.05, ctx).value == pytest.approx(1.0, rel=1e-12)
+    small = bd.pointwise_error_bound(record(level_one / 4.0), 0.05, ctx)
     assert small.value == pytest.approx(0.5, rel=1e-12)  # square-root branch
-    frozen = bd.pointwise_error_bound(1.0 / 1024.0, 0.05, ctx)
+    frozen = bd.pointwise_error_bound(record(1.0 / 1024.0), 0.05, ctx)
     assert frozen.value == pytest.approx(0.5091061296558786, rel=1e-12)
 
 
 def test_worst_case_bound_value_and_scaling():
     ctx = ctx_gauss()
-    frozen = bd.worst_case_error_bound(1.0 / 1024.0, 8, 0.05, ctx)
+    frozen = bd.worst_case_error_bound(record(1.0 / 1024.0, 8), 0.05, ctx)
     assert frozen.value == pytest.approx(1.0704821840986267, rel=1e-12)
     # doubling the sample count at fixed truncation halves the level: sqrt(2) shrink
-    half = bd.worst_case_error_bound(1.0 / 2048.0, 8, 0.05, ctx)
+    half = bd.worst_case_error_bound(record(1.0 / 2048.0, 8), 0.05, ctx)
     assert frozen.value / half.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    single = bd.worst_case_error_bound(1e-4, 1, 0.05, ctx)
+    single = bd.worst_case_error_bound(record(1e-4), 0.05, ctx)
     level = 1e-4 * (math.log(5.0) + ctx.budget(0.025))
     assert single.value == pytest.approx(2.0 * math.sqrt(level), rel=1e-12)
 
@@ -242,8 +247,8 @@ def test_data_driven_bound_rules():
 
 def test_data_driven_factor_matches_worst_bound():
     ctx = ctx_gauss(phi=3.5)
-    factor = bd.data_driven_factor(1e-3, 16, 0.1, ctx)
-    bound = bd.worst_case_error_bound(1e-3, 16, 0.1, ctx).value
+    factor = bd.data_driven_factor(record(1e-3, 16), 0.1, ctx)
+    bound = bd.worst_case_error_bound(record(1e-3, 16), 0.1, ctx).value
     assert factor == pytest.approx(bound / 3.5, rel=1e-12)
 
 
@@ -257,7 +262,7 @@ def test_bound_condition_round_trip():
         )
         xi = 10.0 ** rng.uniform(-5, 1)
         delta = rng.uniform(0.01, 0.5)
-        eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
+        eps_star = bd.pointwise_error_bound(record(xi), delta, ctx).value
         product = ctx.assumption.demand(eps_star, ctx.phi_inf) * ctx.budget(delta)
         assert product * xi == pytest.approx(1.0, rel=1e-9)
 
@@ -280,7 +285,7 @@ def test_data_matrix_tail_inverts_pointwise_condition():
         ctx = bd.BoundContext(assumption, phi, 1.0, channels)
         xi = 10.0 ** rng.uniform(-5.0, 0.0)
         delta = rng.uniform(0.01, 0.5)
-        eps_star = bd.pointwise_error_bound(xi, delta, ctx).value
+        eps_star = bd.pointwise_error_bound(record(xi), delta, ctx).value
         tail = data_matrix_tail(eps_star, xi, math.sqrt(xi), phi, channels, assumption)
         assert tail == pytest.approx(delta, rel=1e-9)
         cover = COVER_BASE ** (2 * channels)
@@ -298,8 +303,8 @@ def test_gaussian_certificates_beat_subgaussian_at_unit_scale():
     for delta in np.linspace(0.01, 0.95, 25):
         assert gauss.budget(delta) < sub.budget(delta)
         assert (
-            bd.pointwise_error_bound(1e-3, delta, gauss).value
-            < bd.pointwise_error_bound(1e-3, delta, sub).value
+            bd.pointwise_error_bound(record(1e-3), delta, gauss).value
+            < bd.pointwise_error_bound(record(1e-3), delta, sub).value
         )
 
 
@@ -391,9 +396,7 @@ def test_estimator_concentration_conditions_are_the_general_conditions(kind, par
         if params is None:
             assert not cert.available
             continue
-        general = bd.check_conditions(
-            part, eps, delta, geometric_ctx, envelope=params.envelope, truncation=params.truncation
-        )
+        general = bd.check_conditions(part, eps, delta, geometric_ctx, params=params)
         assert dataclasses.replace(cert, statement=general.statement) == general
 
 
@@ -431,7 +434,7 @@ def test_optimizer_returns_best_divisor():
         assert n % selection.block_length == 0
         # exhaustive re-check against an independent evaluation of the objective
         def total(m):
-            conc = bd.worst_case_error_bound(m / n, m, 0.05, ctx).value
+            conc = bd.worst_case_error_bound(record(m / n, m), 0.05, ctx).value
             return conc + bd.bartlett_bias_closed_form(1.0, 0.3, m)
 
         values = {m: total(m) for m in range(1, n + 1) if n % m == 0}
@@ -577,7 +580,7 @@ def test_bounded_minimum_equals_scipy_on_bartlett_objective():
         for n in (64, 1000, 2064, 65536):
 
             def total(m):
-                conc = bd.worst_case_error_bound(m / n, m, 0.05, ctx).value
+                conc = bd.worst_case_error_bound(record(m / n, m), 0.05, ctx).value
                 return conc + bd.bartlett_bias_closed_form(1.0, rho, m)
 
             low, high = 1.0, float(n)

@@ -191,6 +191,69 @@ def test_certify_rejects_an_estimate_of_another_config(tmp_path, welch_config, c
         run_certify(load_config(welch_config), tmp_path / "d", estimate_path=bare)
 
 
+def _with_cell(lines, number, cell):
+    """The lines with the second cell of line ``number`` (counted from one) replaced by ``cell``."""
+    cells = lines[number - 1].split(",")
+    cells[1] = cell
+    return lines[: number - 1] + [",".join(cells)] + lines[number:]
+
+
+# name -> (the malformed file's lines, made from a good one-channel estimate's; the message after "config error: ")
+MALFORMED_ESTIMATES = {
+    "unreadable": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "no_header": (lambda lines: lines[:1], "estimate {path} has no header"),
+    "no_rows": (lambda lines: lines[:2], "estimate {path} has no rows"),
+    "not_an_estimate_header": (lambda lines: [lines[0], "frequency,re_1_1"] + lines[2:], "{path}:2: not an estimate header"),
+    "ragged_row": (lambda lines: lines[:2] + [lines[2].rpartition(",")[0]] + lines[3:], "{path}:3: 2 cells, the header has 3"),
+    "non_numeric_cell": (lambda lines: _with_cell(lines, 4, "abc"), "{path}:4: could not convert string to float: 'abc'"),
+    "non_finite_cell": (lambda lines: _with_cell(lines, 4, "nan"), "{path}:4: non-finite cell 'nan'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ESTIMATES))
+def test_certify_rejects_a_malformed_estimate_by_name(tmp_path, welch_config, capsys, case):
+    assert cli.main(["estimate", "--config", str(welch_config), "--out", str(tmp_path)]) == 0
+    edit, message = MALFORMED_ESTIMATES[case]
+    path = tmp_path / "malformed.csv"
+    if edit is not None:
+        path.write_text("\n".join(edit((tmp_path / "estimate.csv").read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    argv = ["certify", "--config", str(welch_config), "--out", str(tmp_path / "c"), "--estimate", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "config error: " + message.format(path=path) + "\n"
+    assert not (tmp_path / "c" / "certificates.csv").exists()
+
+
+def test_certify_takes_the_grid_overrides_of_its_estimate(tmp_path, welch_config):
+    overrides = ["--grid", "17", "--full-range"]
+    assert cli.main(["estimate", "--config", str(welch_config), "--out", str(tmp_path)] + overrides) == 0
+    argv = ["certify", "--config", str(welch_config), "--out", str(tmp_path), "--estimate", str(tmp_path / "estimate.csv")]
+    assert cli.main(argv + overrides) == 0
+    rows = (tmp_path / "certificates.csv").read_text().splitlines()
+    assert sum(row.startswith("data_driven_bound,") for row in rows) == 1
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        {"kind": "blackman_tukey", "half_width": 8, "window": "hann"},
+        {"kind": "bartlett", "block_length": 8},
+        {"kind": "welch", "segment_length": 16, "hop": 8},
+    ],
+    ids=lambda estimator: estimator["kind"],
+)
+def test_pointwise_bound_and_condition_name_one_xi(tmp_path, estimator):
+    config = {"model": {"kind": "geometric", "rho": 0.3}, "estimator": estimator, "num_samples": 136, "epsilon": 0.5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "certificates.csv").read_text().splitlines()[2:]
+    inputs = {row.split(",")[0]: row.split(",")[6] for row in rows}
+    bound_xi = inputs["pointwise_bound"]
+    assert bound_xi.startswith("xi=")
+    assert inputs[f"{estimator['kind']}.pointwise_condition"].split(";")[0] == bound_xi
+
+
 def test_certify_periodogram_unavailable_and_require_feasible(tmp_path):
     config = {
         "model": {"kind": "white"},

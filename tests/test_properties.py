@@ -7,8 +7,8 @@ ValueError or satisfies the closed-form bias identity (1e-12), the
 fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
 its geometric bias bound with the lag-by-lag sequential sum.  Two last
 strategies draw Blackman-Tukey windows and Welch tapers of any sign and size
-(Welch at any hop, Bartlett among them), whose closed-form envelopes must
-cover the dense form's.  For every family, custom Welch tapers (positive or
+(Welch at any hop, Bartlett among them), whose closed-form records must
+cover the dense form's field by field, and so must their envelopes.  For every family, custom Welch tapers (positive or
 signed) and Blackman-Tukey windows near [0, 1] among them, a bias verdict
 that holds implies the general check on the closed-form diagonal sums, and
 a segment average's verdict equals it.  A float table written as an array
@@ -128,6 +128,14 @@ def test_geometric_bias_bound_equals_sequential_sum(case, rho, extra):
     assert cert.value == sequential_geometric_bias_bound(bias, truncation, 1.3, rho)
 
 
+def _assert_record_covers_the_dense_record(spec, n):
+    """Each closed-form norm bound is at least the dense form's exact norm, and so is the truncation width."""
+    closed, dense = est.certificate_params(spec, n), est.build_matrix(spec, n).certificate_params
+    for name in ("spectral", "frobenius_sq", "diagonal"):
+        assert getattr(closed, name) * (1.0 + 1e-12) >= getattr(dense, name), name
+    assert closed.truncation >= dense.truncation
+
+
 @st.composite
 def signed_windows(draw):
     """A sample count and a Blackman-Tukey spec whose symmetric window takes any sign and size."""
@@ -143,6 +151,7 @@ def test_blackman_tukey_envelope_covers_the_dense_envelope(case):
     spec, n = case
     envelope = est.certificate_params(spec, n).envelope
     assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
+    _assert_record_covers_the_dense_record(spec, n)
 
 
 @st.composite
@@ -164,6 +173,7 @@ def test_welch_envelope_covers_the_dense_envelope(case):
     spec, n = case
     envelope = est.certificate_params(spec, n).envelope
     assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
+    _assert_record_covers_the_dense_record(spec, n)
 
 
 @st.composite

@@ -492,13 +492,12 @@ def test_family_spectral_norms_and_verdicts_match_the_dense_eigensolve(n):
         dense = _dense_spectral_norm(form.matrix)
         assert form.spectral_norm == pytest.approx(dense, rel=1e-13, abs=0.0)
         stats = form.diagonal_stats
-        xi = max(dense, form.frobenius_norm ** 2)
-        envelope = max(xi, float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
-        dense_inputs = {"xi": xi, "envelope": envelope, "truncation": form.truncation_width}
+        diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
+        dense_inputs = qf.CertificateParams(dense, form.frobenius_norm ** 2, diagonal, form.truncation_width)
         for eps in (0.05, 0.5, 5.0):
             for part in bd.CONDITION_PARTS:
                 split = bd.check_conditions(part, eps, 0.05, ctx, form=form)
-                oracle = bd.check_conditions(part, eps, 0.05, ctx, form=form, **dense_inputs)
+                oracle = bd.check_conditions(part, eps, 0.05, ctx, form=form, params=dense_inputs)
                 assert split.holds == oracle.holds, (spec, part, eps)
 
 

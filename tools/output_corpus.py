@@ -8,8 +8,10 @@ fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
 family at N = 528 and N = 2064, Welch with a positive and with a signed
 custom taper among them; an ``--oracle`` estimate of the three-channel
 state-space model at N = 528 on a 1025-point full-range grid, which spans
-several frequency slabs; ``simulate`` and ``estimate`` at
-N = 2064 for a state-space model with one output and five noise inputs;
+several frequency slabs; an ``estimate`` and a ``certify --estimate`` of
+one config, both with ``--grid 17 --full-range``; ``simulate`` and
+``estimate`` at N = 2064 for a state-space model with one output and five
+noise inputs;
 ``simulate`` at N = 65536 for the three-channel chain model and for a
 lightly damped resonant model, whose paths cross 255 boundaries of the
 sampler's 256-step chunks; ``simulate`` and a Welch ``estimate`` at
@@ -26,17 +28,23 @@ N = 2064, whose lag window reaches past 256 lags; a three-channel Welch
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model; a
-set of rejected configs; configs that only strict parsing rejects; a
+set of rejected configs; ``certify --estimate`` of malformed estimate files,
+made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--example 2`` with their defaults and with every option set; and
 ``verify-concentration`` at its smallest trial count and with a config that
 sets only the seed.  Each command gets a directory holding the
 files it wrote and a ``console.txt`` with its exit code (or the uncaught
-exception), stdout and stderr (the OUT prefix replaced by ``OUT``).
+exception), stdout and stderr (the OUT prefix replaced by ``OUT``).  An
+option that the parser does not know exits with argparse's code 2, which
+is recorded like any other, so the script runs on a checkout whose
+command line lacks an option it uses.
 
-A refactor that promises unchanged outputs runs this script on the parent
-checkout and on the change and compares the two directories with
-``diff -r``.  One-channel fast paths change their last bits with the BLAS
+A refactor that promises unchanged outputs runs this script against the
+parent checkout's ``src`` and against the change's (a copy of the script
+placed in the parent's ``tools`` directory reads the parent's ``src``) and
+compares the two directories with ``diff -r``.  One-channel fast paths
+change their last bits with the BLAS
 thread count, so the script pins OpenBLAS, OpenMP and MKL to one thread
 before numpy is imported, whatever the environment says; both runs of a
 comparison therefore use the same count.  Needs only the standard library
@@ -215,6 +223,27 @@ REJECTED = {
     ),
 }
 
+
+def _with_cell(lines: list[str], number: int, cell: str) -> list[str]:
+    """The lines with the second cell of line ``number`` (counted from one) replaced by ``cell``."""
+    cells = lines[number - 1].split(",")
+    cells[1] = cell
+    return lines[: number - 1] + [",".join(cells)] + lines[number:]
+
+
+# name -> the lines of a malformed estimate file, made from those of a good
+# one-channel estimate, or None for a file that does not exist; ``certify``
+# rejects each with exit code 2
+MALFORMED_ESTIMATES = {
+    "unreadable": None,
+    "no_header": lambda lines: lines[:1],
+    "no_rows": lambda lines: lines[:2],
+    "not_an_estimate_header": lambda lines: [lines[0], "frequency,re_1_1"] + lines[2:],
+    "ragged_row": lambda lines: lines[:2] + [lines[2].rpartition(",")[0]] + lines[3:],
+    "non_numeric_cell": lambda lines: _with_cell(lines, 4, "abc"),
+    "non_finite_cell": lambda lines: _with_cell(lines, 4, "nan"),
+}
+
 # name -> (command, config): accepted by a parser that ignores unknown keys
 # inside ``model``, ``estimator`` and ``context``, reads JSON booleans as
 # numbers and coerces ``context`` values, and rejected with exit code 2 by a
@@ -295,6 +324,8 @@ def run(out: Path, name: str, argv: list[str]) -> None:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv + ["--out", str(case)])
+        except SystemExit as stop:  # argparse rejected the command line
+            code = stop.code
         except Exception as err:  # an uncaught error is an outcome to compare too
             code = f"{type(err).__name__}: {err}"
     text = f"exit={code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
@@ -330,6 +361,13 @@ def main(argv=None) -> int:
     config = str(out / "configs" / "state_space_welch_hann_528.json")
     argv = ["estimate", "--config", config, "--oracle", "--grid", "1025", "--full-range"]
     run(out, "oracle/state_space_welch_hann_528_grid1025_full_range", argv)
+    # certify takes the grid overrides that changed its estimate's config hash
+    name = "geometric_gaussian_welch_hann_528_grid17_full_range"
+    config = str(out / "configs" / "geometric_gaussian_welch_hann_528.json")
+    overrides = ["--grid", "17", "--full-range"]
+    run(out, f"estimate/{name}", ["estimate", "--config", config] + overrides)
+    estimate = str(out / "estimate" / name / "estimate.csv")
+    run(out, f"certify/{name}", ["certify", "--config", config, "--estimate", estimate] + overrides)
     base = {"model": DENSE_STATE_SPACE, "num_samples": 2064, "seed": 11}
     run(out, "simulate/dense_state_space_2064", ["simulate", "--config", write_config(out, "dense_state_space_2064", base)])
     for est_name, estimator in ESTIMATORS.items():
@@ -383,6 +421,14 @@ def main(argv=None) -> int:
     run(out, "certify/resonant_welch_hann_2064", ["certify", "--config", write_config(out, "resonant_welch_hann_2064", body)])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
+    config = str(out / "configs" / "geometric_gaussian_welch_hann_528.json")
+    good = (out / "estimate" / "geometric_gaussian_welch_hann_528" / "estimate.csv").read_text().splitlines()
+    for name, edit in MALFORMED_ESTIMATES.items():
+        path = out / "malformed_estimates" / f"{name}.csv"
+        if edit is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(edit(good)) + "\n", encoding="utf-8")
+        run(out, f"rejected/estimate_{name}", ["certify", "--config", config, "--estimate", str(path)])
     for name, (command, body) in STRICT.items():
         run(out, f"strict/{name}", [command, "--config", write_config(out, f"strict_{name}", body)])
     # a periodogram has no concentration certificate, so this exits with 3
