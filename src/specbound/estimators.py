@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .phases import _PHASE_BLOCK, WINDOW_KINDS, _phase_slabs, _phase_transform, lag_sum, taper_window
 from .quadform import (
@@ -71,6 +70,19 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     return taper_window(kind, 2 * half_width - 1)
 
 
+def _segment_stack(values: np.ndarray, length: int, hop: int, segments: int) -> np.ndarray:
+    """Read-only (segments, channels, length) view of a (channels, samples) block; segment l starts at l hop.
+
+    One strided view of the C-contiguous block: 1.5 us at N = 144, where
+    ``sliding_window_view`` took 15 us, and a short path pays it per call.
+    """
+    values = np.ascontiguousarray(values)
+    row, column = values.strides
+    stack = np.ndarray((segments, values.shape[0], length), float, values, 0, (hop * column, row, column))
+    stack.flags.writeable = False  # its segments may overlap
+    return stack
+
+
 def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
     """sum_l X_l(s) X_l(s)^H / divisor on a grid, as (grid, channels, channels).
 
@@ -94,6 +106,27 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     product is one column wide either, which numpy would run as a
     matrix-vector product summing in another order.
 
+    Several channels reduce each slab with ``einsum``, which sums
+    x_i conj(x_j) over the segments in order, starting from zero.  One
+    channel takes a real reduction with the same bits, in about half the
+    time.  einsum's product x conj(x) has the real part re*re - im*(-im),
+    that is re^2 + im^2 with the same two roundings, and an imaginary part
+    that cancels to zero exactly.  So the (segments, 2 columns) real view of
+    the transform, re and im interleaved, is squared in place, each pair is
+    added into its re column, and the segments are summed.  They must be
+    summed in order.  numpy reduces an axis in order only when another axis
+    is its inner loop; a reduced axis that is the only one longer than one
+    becomes the inner loop, and numpy sums it pairwise, which changes the
+    bits from 9 segments on.  A one-point grid of re columns alone would be
+    that case, so the sum runs over both interleaved columns of every grid
+    point and reads only the re ones.  The one-stage transform is taken
+    with its zero pad columns, so that it is contiguous and the in-place
+    square runs at full speed.  numpy divides a complex number by a real one
+    as a product with the reciprocal, and the real path takes the same
+    product.  The same real formulation at three channels, four real
+    products per entry, measured 2-6 times slower than ``einsum``, so the
+    path is chosen by the channel count.
+
     OpenBLAS splits a product between threads at points set by its shape, so
     the bits are promised at a fixed thread count only, and the tests compare
     at one thread; no change was seen between one and four threads.
@@ -103,15 +136,27 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     # per grid column: the phase tables, then either the (segments, channels,
     # Q) partial products and the transform, or the transform and its conjugate
     rows = min(length, _PHASE_BLOCK) + blocks + segments * channels * (blocks + 1)
+    windows = np.ascontiguousarray(windows)  # so each slab's product flattens it without a copy
+    if channels == 1:
+        estimate = np.zeros((freqs.size, 1, 1), dtype=complex)
+        real = estimate.view(float)[:, 0, 0]
+        scale = 1.0 / divisor
+        for a, b in _phase_slabs(rows, freqs.size):
+            # the transform is a fresh array of this call's, so it is overwritten
+            squares = _phase_transform(windows, taper, freqs, slice(a, b), keep_padding=True).view(float)[:, 0]
+            np.square(squares, out=squares)
+            np.add(squares[:, 0::2], squares[:, 1::2], out=squares[:, 0::2])
+            np.multiply(np.add.reduce(squares, axis=0)[0 : 2 * (b - a) : 2], scale, out=real[a:b])
+        return estimate
     # the layout einsum gives its own output: the grid axis is contiguous
     estimate = np.empty((channels, channels, freqs.size), dtype=complex).transpose(2, 0, 1)
-    windows = np.ascontiguousarray(windows)  # so each slab's product flattens it without a copy
     for a, b in _phase_slabs(rows, freqs.size):
         # contiguous: the one-stage transform is a view of the padded product,
         # on which conj and einsum take a slow strided path (same bits)
         transform = np.ascontiguousarray(_phase_transform(windows, taper, freqs, slice(a, b)))
         np.einsum("lif,ljf->fij", transform, transform.conj(), out=estimate[a:b])
-    return estimate / divisor
+    estimate /= divisor
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -303,9 +348,9 @@ class _SegmentAverage:
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)
-        windows = sliding_window_view(data.values, self.segment_length, axis=1)[:, ::self.hop]
+        windows = _segment_stack(data.values, self.segment_length, self.hop, segments)
         taper = self.taper if isinstance(self.taper, str) else np.asarray(self.taper, dtype=float).tobytes()
-        return _segment_average(windows.transpose(1, 0, 2), taper, freqs, segments)
+        return _segment_average(windows, taper, freqs, segments)
 
     def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
         # the diagonal sums are c out to the segment length and zero past it,

@@ -634,11 +634,13 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
 
     Emits one row per statement; rows whose certificate does not exist are
     marked unavailable rather than omitted.  An ``estimate_path`` whose
-    ``config_hash`` differs from this config's is rejected.  Returns (path,
-    certificates).
+    ``config_hash`` differs from this config's, or that ``read_estimate_csv``
+    rejects, is rejected whether or not its row is available.  Returns
+    (path, certificates).
     """
     spec = _need(config, "estimator")
     num_samples = _need(config, "num_samples")
+    estimate = None
     if estimate_path is not None:
         found = _meta(estimate_path).get("config_hash")
         if found != config_digest(config):
@@ -646,6 +648,7 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
                 f"estimate {estimate_path} has config_hash={found}, not this config's {config_digest(config)}: "
                 "certify needs an estimate of the same config"
             )
+        estimate = read_estimate_csv(estimate_path)
     ctx = make_context(config)
     params = estimators.certificate_params(spec, num_samples)
     certs = [
@@ -669,7 +672,7 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
                 inputs=(("concentration", certs[1].value), ("bias", bias_cert.value)),
             )
         )
-    if estimate_path is not None:
+    if estimate is not None:
         if params is None or bias_cert is None:
             certs.append(
                 bounds.Certificate(
@@ -680,7 +683,6 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
             )
         else:
             factor = bounds.data_driven_factor(params, config.delta, ctx)
-            estimate = read_estimate_csv(estimate_path)
             certs.append(bounds.data_driven_error_bound(factor, bias_cert.value, estimate.sup_norm()))
     if config.epsilon is not None:
         certs += bounds.check_all_estimator_conditions(spec, num_samples, config.epsilon, config.delta, ctx)

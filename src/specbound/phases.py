@@ -147,18 +147,23 @@ def _segment_phases(length: int, taper, freqs: np.ndarray, columns: slice = slic
     return _cached_segment_phases(length, taper, freqs.tobytes())[:, start : start + _padded(stop - start)]
 
 
-def _times_phases(values: np.ndarray, phases: np.ndarray, width: int) -> np.ndarray:
+def _times_phases(values: np.ndarray, phases: np.ndarray, width: int | None) -> np.ndarray:
     """Real (..., length) stack times a padded (length, columns) phase table, as (..., width).
 
     One real GEMM (or, for one row, GEMV) of the flattened stack with the
     table read as (length, 2 columns) reals; the first ``width`` complex
-    columns of the product are a view.
+    columns of the product are a view.  A ``width`` of None keeps every
+    padded column: the product itself, contiguous.
     """
     product = (values.reshape(-1, values.shape[-1]) @ phases.view(float)).view(complex)
-    return product[:, :width].reshape(values.shape[:-1] + (width,))
+    if width is not None:
+        product = product[:, :width]
+    return product.reshape(values.shape[:-1] + product.shape[1:])
 
 
-def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+def _phase_transform(
+    values: np.ndarray, taper, freqs: np.ndarray, columns: slice = slice(None), keep_padding: bool = False
+) -> np.ndarray:
     """sum_t w[t] x[t] e^{-2 pi i s t} over the last axis of a real (..., length) stack, as (..., columns).
 
     w is the unit-norm ``taper``, or one when it is None.  Up to
@@ -171,11 +176,14 @@ def _phase_transform(values: np.ndarray, taper, freqs: np.ndarray, columns: slic
     length Q on the grid scaled by B.  Both tables come from
     ``_segment_phases``: (B + Q) exponentials per frequency instead of Q B.
     The data stays real: each product is one real GEMM by ``_times_phases``.
+    With ``keep_padding`` a one-stage transform keeps the product's zero
+    columns past the grid, up to a multiple of ``_PHASE_PAD``, and is
+    contiguous; a two-stage one is contiguous with the grid's columns only.
     """
     length = values.shape[-1]
     width = freqs[columns].size
     if length <= _PHASE_BLOCK:
-        return _times_phases(values, _segment_phases(length, taper, freqs, columns), width)
+        return _times_phases(values, _segment_phases(length, taper, freqs, columns), None if keep_padding else width)
     blocks = -(-length // _PHASE_BLOCK)
     padded = np.zeros(values.shape[:-1] + (blocks * _PHASE_BLOCK,))
     padded[..., :length] = values if taper is None else values * _unit_taper(taper, length)

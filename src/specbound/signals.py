@@ -452,8 +452,14 @@ def sample_geometric_paths(
         return np.array([values[burn + 1 :]])
     steps = drawn.T.copy()
     rows = list(steps)
+    # row += rho * prev in two ufunc calls on one buffer: the same IEEE
+    # operations without a temporary per step, and with rho as an array
+    # numpy does not convert a Python float on every call
+    factor, scaled = np.full(trials, rho), np.empty(trials)
+    multiply, add = np.multiply, np.add
     for prev, row in zip(rows, rows[1:]):
-        row += rho * prev
+        multiply(prev, factor, scaled)
+        add(row, scaled, row)
     return steps[burn + 1 :].T.copy()
 
 

@@ -224,6 +224,29 @@ def test_certify_rejects_a_malformed_estimate_by_name(tmp_path, welch_config, ca
     assert not (tmp_path / "c" / "certificates.csv").exists()
 
 
+def test_certify_rejects_a_malformed_estimate_without_a_data_driven_row(tmp_path, capsys):
+    # the periodogram has no concentration envelope, so no row reads the file
+    config = {
+        "model": {"kind": "geometric", "rho": 0.3},
+        "noise": "gaussian",
+        "estimator": {"kind": "biased_periodogram"},
+        "num_samples": 144,
+        "grid_points": 9,
+        "delta": 0.1,
+        "seed": 5,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["estimate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    path = tmp_path / "metadata_only.csv"
+    path.write_text((tmp_path / "estimate.csv").read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    argv = ["certify", "--config", str(config_path), "--out", str(tmp_path / "c"), "--estimate", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: estimate {path} has no header\n"
+    assert not (tmp_path / "c" / "certificates.csv").exists()
+
+
 def test_certify_takes_the_grid_overrides_of_its_estimate(tmp_path, welch_config):
     overrides = ["--grid", "17", "--full-range"]
     assert cli.main(["estimate", "--config", str(welch_config), "--out", str(tmp_path)] + overrides) == 0

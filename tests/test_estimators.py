@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from specbound import estimators as est
 from specbound import phases as ph
@@ -445,6 +446,48 @@ def test_welch_windows_match_stacked_segments(spec, num_samples):
     for _ in range(2):  # the second call reads the cached phases
         fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
         assert fast.matrices.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("length, hop", [(8, 3), (8, 8), (8, 11)], ids=["overlap", "contiguous", "gaps"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_segment_stack_is_the_sliding_window_stack(channels, length, hop, order):
+    segments = 6
+    values = np.random.default_rng(hop).standard_normal((channels, (segments - 1) * hop + length))
+    values = np.asarray(values, order=order)  # a Fortran-ordered block is copied, not misread
+    stack = est._segment_stack(values, length, hop, segments)
+    expected = sliding_window_view(values, length, axis=1)[:, ::hop].transpose(1, 0, 2)
+    assert stack.shape == expected.shape == (segments, channels, length)
+    assert stack.tobytes() == expected.tobytes()
+    assert not stack.flags.writeable
+    assert np.shares_memory(stack, values) == values.flags.c_contiguous
+
+
+def einsum_segment_average(windows, taper, freqs, divisor):
+    """The several-channel reduction of ``_segment_average``: einsum over the same slabs' transforms."""
+    segments, channels, length = windows.shape
+    blocks = -(-length // BLOCK)
+    rows = min(length, BLOCK) + blocks + segments * channels * (blocks + 1)
+    estimate = np.empty((channels, channels, freqs.size), dtype=complex).transpose(2, 0, 1)
+    for a, b in ph._phase_slabs(rows, freqs.size):
+        transform = np.ascontiguousarray(ph._phase_transform(windows, taper, freqs, slice(a, b)))
+        np.einsum("lif,ljf->fij", transform, transform.conj(), out=estimate[a:b])
+    return estimate / divisor
+
+
+# one-stage (Bartlett 16, Welch 32 hann) and two-stage (300 samples) segments
+@pytest.mark.parametrize("length, taper", [(16, "rectangular"), (32, "hann"), (300, "rectangular"), (300, "hann")])
+@pytest.mark.parametrize("full_range", [False, True], ids=["half_range", "full_range"])
+@pytest.mark.parametrize("points", [1, 2, 9, 101])
+@pytest.mark.parametrize("segments", [1, 2, 9, 128, 4095])
+def test_one_channel_segment_sum_keeps_the_einsum_bits(segments, points, full_range, length, taper):
+    # numpy sums a lone reduced axis pairwise, which from 9 segments on is
+    # another order than einsum's; with these draws a pairwise sum changes the
+    # bits of every one-point case from 9 segments on
+    windows = np.random.default_rng([37, segments, points, length]).standard_normal((segments, 1, length))
+    grid = qf.frequency_grid(points, full_range)
+    fast = est._segment_average(windows, taper, grid, segments)
+    assert fast.tobytes() == einsum_segment_average(windows, taper, grid, segments).tobytes()
 
 
 def test_welch_custom_tapers_of_equal_length_keep_their_own_phases():
