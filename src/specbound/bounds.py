@@ -76,6 +76,9 @@ PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
 # the furthest lag a covariance tail or decay envelope is searched to
 _LAG_BUDGET = 1_000_000
 
+# the width to which the continuous block-length search narrows its bracket
+_BLOCK_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -176,6 +179,9 @@ class BoundContext:
         (``worst_case_error_bound``, ``data_driven_factor`` and the
         ``worst_case`` condition) are unproven.
         """
+        # checked before the uniform budget halves delta, which would admit delta in [1, 2)
+        if not 0.0 < delta < 1.0:
+            raise ValueError("failure probability must lie in (0, 1)")
         cover = COVER_BASE ** (2 * self.channels)
         if truncation is None:
             return self.assumption.log_budget(delta, cover)
@@ -407,46 +413,37 @@ def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) ->
 def check_estimator_conditions(
     spec, num_samples: int, part: str, eps: float, delta: float, ctx: BoundContext
 ) -> Certificate:
-    """Estimator-specific sufficient conditions on the closed-form quantities.
+    """The row of ``check_all_estimator_conditions`` for one condition part."""
+    if part not in CONDITION_PARTS:
+        raise ValueError(f"unknown condition part {part!r}")
+    return check_all_estimator_conditions(spec, num_samples, eps, delta, ctx)[CONDITION_PARTS.index(part)]
+
+
+def check_all_estimator_conditions(
+    spec, num_samples: int, eps: float, delta: float, ctx: BoundContext
+) -> list[Certificate]:
+    """Estimator-specific sufficient conditions on the closed-form quantities, in ``CONDITION_PARTS`` order.
 
     The general condition on the family's ``certificate_params(n)`` and
     ``closed_form_bias(spec, n)``; the bias part adds the family's
     ``bias_condition``, what it asks beyond the general test.  For the
     periodogram variants (no record) only the bias condition is attainable.
+    Each total is the conjunction of the rows built for its two parts, so
+    the bias part is computed once.
     """
-    if part not in CONDITION_PARTS:
-        raise ValueError(f"unknown condition part {part!r}")
     n = int(num_samples)
-    statement = f"{spec.kind}.{part}_condition"
-    if part in _TOTALS:
-        first = check_estimator_conditions(spec, n, _TOTALS[part], eps, delta, ctx)
-        second = check_estimator_conditions(spec, n, "bias", eps, delta, ctx)
-        return _conjunction(statement, first, second, eps, delta)
     params = spec.certificate_params(n)
-    if part != "bias":
-        return replace(check_conditions(part, eps, delta, ctx, params=params), statement=statement)
+    rows = {
+        part: replace(check_conditions(part, eps, delta, ctx, params=params), statement=f"{spec.kind}.{part}_condition")
+        for part in ("pointwise", "worst_case")
+    }
     # the general test on the closed-form diagonal sums, and what the family asks beyond it
     general = check_conditions("bias", eps, delta, ctx, bias=closed_form_bias(spec, n))
     cutoff = dict(general.inputs)["cutoff"]
     holds = general.holds and spec.bias_condition(n, cutoff, eps, ctx.r1_norm)
     # a periodogram's own condition is stated in the cutoff alone, and its row records only that
     inputs = general.inputs[:1] if params is None else general.inputs
-    return replace(general, statement=statement, holds=bool(holds), inputs=inputs)
-
-
-def check_all_estimator_conditions(
-    spec, num_samples: int, eps: float, delta: float, ctx: BoundContext
-) -> list[Certificate]:
-    """``check_estimator_conditions`` for every part, in ``CONDITION_PARTS`` order.
-
-    Each total is the conjunction of the rows already built for its two
-    parts, so the bias part is computed once.
-    """
-    rows = {
-        part: check_estimator_conditions(spec, num_samples, part, eps, delta, ctx)
-        for part in CONDITION_PARTS
-        if part not in _TOTALS
-    }
+    rows["bias"] = replace(general, statement=f"{spec.kind}.bias_condition", holds=bool(holds), inputs=inputs)
     for part, base in _TOTALS.items():
         rows[part] = _conjunction(f"{spec.kind}.{part}_condition", rows[base], rows["bias"], eps, delta)
     return [rows[part] for part in CONDITION_PARTS]
@@ -475,84 +472,26 @@ class BartlettSelection:
     divisor_constrained: bool
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def _golden_minimum(func, low: float, high: float) -> float:
+    """Golden-section search (Kiefer 1953) for the minimum of a unimodal ``func`` on [low, high].
 
-
-def _bounded_minimum(func, low: float, high: float, xatol: float) -> float:
-    """Brent's bounded scalar minimizer (golden section with parabolic steps).
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
-    in the arrangement of scipy's ``minimize_scalar(method="bounded")``, so
-    it visits the same points and returns the same abscissa bit for bit.
-    Stops after 500 objective calls at the latest.
+    Shrinks the bracket by the golden ratio per call of ``func`` until it is
+    no wider than ``_BLOCK_TOLERANCE`` and returns the better of its two
+    inner points, which is nearer a kinked minimum than the midpoint.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = low, high
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    calls = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        calls += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    left, right = high - shrink * (high - low), low + shrink * (high - low)
+    f_left, f_right = func(left), func(right)
+    while high - low > _BLOCK_TOLERANCE:
+        if f_left <= f_right:
+            high, right, f_right = right, left, f_left
+            left = high - shrink * (high - low)
+            f_left = func(left)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if calls >= 500:
-            break
-    return xf
+            low, left, f_left = left, right, f_right
+            right = low + shrink * (high - low)
+            f_right = func(right)
+    return left if f_left <= f_right else right
 
 
 def optimize_bartlett_m(
@@ -562,8 +501,9 @@ def optimize_bartlett_m(
 
     With ``divisors_only`` the search is exhaustive over the divisors of the
     sample count, ties broken toward the smaller block; otherwise the block
-    length is optimized as a real number in [1, num_samples] (used to study
-    how the optimum scales with the sample count).
+    length is a real number in [1, num_samples], the best point of a
+    256-point geometric grid refined by golden section between its grid
+    neighbours (used to study how the optimum scales with the sample count).
     """
     if ctx.decay is None:
         raise ValueError("optimizer needs a decay envelope on the context")
@@ -577,17 +517,15 @@ def optimize_bartlett_m(
         return concentration + bartlett_bias_closed_form(gamma, rho, m)
 
     if divisors_only:
-        best_m, best_value = 1, total(1.0)
-        for m in _divisors(n)[1:]:
-            value = total(float(m))
-            if value < best_value:
-                best_m, best_value = m, value
-        return BartlettSelection(best_m, best_value, True)
+        # the divisors up to sqrt(n), then their cofactors, ascending, so ties go to the smaller
+        # block (a square's root comes twice, harmlessly); np.union1d would import numpy.ma
+        small = np.arange(1, math.isqrt(n) + 1)
+        small = small[n % small == 0]
+        best = min(np.concatenate((small, n // small[::-1])).tolist(), key=total)
+        return BartlettSelection(best, total(best), True)
     grid = np.geomspace(1.0, n, 256)
-    coarse = float(grid[np.argmin([total(m) for m in grid])])
-    low, high = max(1.0, coarse / 2.0), min(float(n), coarse * 2.0)
-    candidates = [1.0, coarse]
-    if high > low:
-        candidates.append(_bounded_minimum(total, low, high, xatol=1e-6))
-    best = min(candidates, key=total)
+    at = int(np.argmin([total(m) for m in grid]))
+    coarse = float(grid[at])
+    refined = _golden_minimum(total, float(grid[max(at - 1, 0)]), float(grid[min(at + 1, grid.size - 1)]))
+    best = min([coarse, refined], key=total)
     return BartlettSelection(best, total(best), False)

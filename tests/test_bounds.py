@@ -47,9 +47,14 @@ def test_budget_value_and_domain():
     assert ctx_gauss().budget(0.05) == pytest.approx(32.0 * math.log(4000.0), rel=1e-12)
     assert ctx_gauss().budget(0.05) == pytest.approx(265.4096, abs=1e-3)
     assert ctx_gauss().budget(0.025) > ctx_gauss().budget(0.05)
-    for bad in (0.0, 1.0, 200.0, -0.1):
+    for bad in (0.0, 1.0, 1.5, 200.0, -0.1):
         with pytest.raises(ValueError):
             ctx_gauss().budget(bad)
+        # the uniform budget halves delta, so it must check delta first
+        with pytest.raises(ValueError, match=r"failure probability must lie in \(0, 1\)"):
+            ctx_gauss().budget(bad, 8)
+    with pytest.raises(ValueError):
+        bd.worst_case_error_bound(record(0.01, 8), 1.0, ctx_gauss())
     # the frequency cover adds log(5 T^2) to the budget at delta / 2
     assert ctx_gauss().budget(0.05, 8) == math.log(5.0 * 64.0) + ctx_gauss().budget(0.025)
     with pytest.raises(ValueError):
@@ -558,22 +563,18 @@ def test_worst_total_condition_validated_by_simulation():
 
 
 @pytest.mark.parametrize(
-    "func, low, high",
+    "func, low, high, minimizer",
     [
-        (lambda x: (x - 2.3) ** 2 + 1.0, 0.0, 10.0),
-        (lambda x: math.exp(x) - x / 3.0, 1.0, 4.0),  # minimum at the lower bound
-        (lambda x: -math.log(x), 0.5, 7.0),  # minimum at the upper bound
+        (lambda x: (x - 2.3) ** 2 + 1.0, 0.0, 10.0, 2.3),
+        (lambda x: math.exp(x) - x / 3.0, 1.0, 4.0, 1.0),  # minimum at the lower bound
+        (lambda x: -math.log(x), 0.5, 7.0, 7.0),  # minimum at the upper bound
     ],
 )
-def test_bounded_minimum_equals_scipy_bounded_brent(func, low, high):
-    optimize = pytest.importorskip("scipy.optimize")
-    for xatol in (1e-5, 1e-6):
-        reference = optimize.minimize_scalar(func, bounds=(low, high), method="bounded", options={"xatol": xatol})
-        assert bd._bounded_minimum(func, low, high, xatol) == float(reference.x)
+def test_golden_minimum_finds_the_minimizer(func, low, high, minimizer):
+    assert abs(bd._golden_minimum(func, low, high) - minimizer) <= 1e-6
 
 
-def test_bounded_minimum_equals_scipy_on_bartlett_objective():
-    optimize = pytest.importorskip("scipy.optimize")
+def test_continuous_selection_beats_the_grid_and_its_bracket():
     for rho in (0.3, 0.7, 0.99):
         phi = (1.0 + rho) / (1.0 - rho)
         ctx = ctx_gauss(phi=phi, r1=phi, decay=(1.0, rho))
@@ -583,9 +584,13 @@ def test_bounded_minimum_equals_scipy_on_bartlett_objective():
                 conc = bd.worst_case_error_bound(record(m / n, m), 0.05, ctx).value
                 return conc + bd.bartlett_bias_closed_form(1.0, rho, m)
 
-            low, high = 1.0, float(n)
-            reference = optimize.minimize_scalar(total, bounds=(low, high), method="bounded", options={"xatol": 1e-6})
-            assert bd._bounded_minimum(total, low, high, 1e-6) == float(reference.x)
+            selection = bd.optimize_bartlett_m(n, 0.05, ctx, divisors_only=False)
+            grid = np.geomspace(1.0, n, 256)
+            values = [total(m) for m in grid]
+            assert all(selection.bound <= value for value in values)
+            at = int(np.argmin(values))
+            bracket = np.linspace(grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)], 4097)
+            assert all(selection.bound <= total(m) for m in bracket), (rho, n)
 
 
 def test_optimizer_needs_decay():

@@ -37,11 +37,36 @@ def run_cli(*args, cwd=None):
     )
 
 
-def test_import_loads_no_scipy():
-    probe = "import sys, specbound, specbound.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+# blocks scipy, so that an import of it anywhere on the path of the import,
+# of a command or of the continuous block-length search raises ImportError
+NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None
+from specbound import bounds, cli
+from specbound.constants import GAUSSIAN
+config, out = sys.argv[1:]
+for argv in (
+    ["estimate", "--config", config],
+    ["certify", "--config", config, "--estimate", out + "/estimate.csv"],
+    ["simulate", "--config", config],
+    ["reproduce", "--example", "2", "--trials", "2", "--grid", "9"],
+    ["verify-concentration", "--trials", "10000"],
+):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+ctx = bounds.BoundContext(GAUSSIAN, 13.0 / 7.0, 13.0 / 7.0, 1, (1.0, 0.3))
+bounds.optimize_bartlett_m(2064, 0.05, ctx, divisors_only=False)
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    config = {"model": {"kind": "geometric", "rho": 0.3}, "noise": "gaussian", "num_samples": 136, "grid_points": 9,
+              "estimator": {"kind": "welch", "segment_length": 16, "hop": 8}, "epsilon": 0.5, "seed": 77}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(path), str(tmp_path / "out")], capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture()
@@ -585,6 +610,14 @@ def test_reproduce_cli_roundtrip(tmp_path):
     assert result.returncode == 0
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == ["example2.csv", "example2.svg"]
+
+
+@pytest.mark.parametrize("delta", ["1.5", "1.0"])
+def test_reproduce_rejects_a_failure_probability_of_one_or_more(tmp_path, capsys, delta):
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", "--example", "1", "--delta", delta, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: failure probability must lie in (0, 1)\n"
+    assert not out.exists()
 
 
 def _required_fields(cls):

@@ -31,7 +31,8 @@ overriding a model's; a ``certify`` of a lightly damped resonant model; a
 set of rejected configs; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
-``--example 2`` with their defaults and with every option set; and
+``--example 2`` with their defaults and with every option set, and
+``--example 1`` at a failure probability above one, which is rejected; and
 ``verify-concentration`` at its smallest trial count and with a config that
 sets only the seed.  Each command gets a directory holding the
 files it wrote and a ``console.txt`` with its exit code (or the uncaught
@@ -313,6 +314,7 @@ REPRODUCE = {
     "2": ["--example", "2"],
     "1_options": ["--example", "1", "--trials", "3", "--seed", "5", "--delta", "0.2", "--grid", "11"],
     "2_options": ["--example", "2", "--trials", "2", "--rho-target", "0.6"],
+    "1_delta_1.5": ["--example", "1", "--delta", "1.5"],
 }
 
 
