@@ -14,6 +14,7 @@ from .bounds import (
     GAUSSIAN,
     NoiseAssumption,
     bartlett_bias_closed_form,
+    certificate_suite,
     check_conditions,
     check_estimator_conditions,
     data_driven_error_bound,

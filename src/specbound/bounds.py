@@ -30,7 +30,7 @@ from .constants import (
     NoiseAssumption,
     sub_gaussian,
 )
-from .estimators import closed_form_bias
+from .estimators import certificate_params, closed_form_bias
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
@@ -39,7 +39,6 @@ from .quadform import (
     bias_coefficients,
     envelope_tail,
 )
-from .signals import StateSpace, certify_decay, spectral_radius
 
 __all__ = [
     "BartlettSelection",
@@ -50,6 +49,7 @@ __all__ = [
     "NoiseAssumption",
     "PERIODOGRAM_NOTE",
     "bartlett_bias_closed_form",
+    "certificate_suite",
     "check_conditions",
     "check_all_estimator_conditions",
     "check_estimator_conditions",
@@ -120,9 +120,8 @@ class BoundContext:
         gamma rho^k from lag K = ceil(log(gamma_m / gamma) / log(rho / rho_m))
         on, so the direct check extends to lag K when K lies past 64.  No lag
         is late enough when rho_m > rho, or rho_m = rho and gamma_m > gamma.
-        A state-space model is certified at every rate above its spectral
-        radius, so when rho lies between that radius and rho_m, the pair
-        ``signals.certify_decay(model, rho)`` stands in for (gamma_m, rho_m).
+        When rho_m > rho, ``model.decay(rho)`` stands in for (gamma_m, rho_m):
+        a state-space model is certified at every rate above its spectral radius.
         """
 
         def check_lags(depth: int) -> None:
@@ -133,9 +132,8 @@ class BoundContext:
 
         check_lags(64)
         gamma_m, rho_m = self.model.decay()
-        if rho_m > rho and isinstance(self.model, StateSpace) and spectral_radius(self.model.a) < rho:
-            at_rate = certify_decay(self.model, rho)
-            gamma_m, rho_m = at_rate.gamma, at_rate.rho
+        if rho_m > rho:
+            gamma_m, rho_m = self.model.decay(rho)
         if rho_m > rho or (rho_m == rho and gamma_m > gamma):
             need = "rho must be at least" if rho_m > rho else f"gamma must be at least {gamma_m!r} at"
             raise ValueError(
@@ -447,6 +445,42 @@ def check_all_estimator_conditions(
     for part, base in _TOTALS.items():
         rows[part] = _conjunction(f"{spec.kind}.{part}_condition", rows[base], rows["bias"], eps, delta)
     return [rows[part] for part in CONDITION_PARTS]
+
+
+def certificate_suite(
+    spec, num_samples: int, delta: float, ctx: BoundContext, *, epsilon: float | None = None, estimate_sup=None
+) -> list[Certificate]:
+    """The certificate rows of one estimator, in the order ``certify`` writes them.
+
+    ``pointwise_bound`` and ``worst_case_bound`` are always present, and
+    unavailable (``PERIODOGRAM_NOTE``) for a periodogram, which has no norm
+    record.  With a decay pair on the context, ``bias_bound_geometric``
+    follows, summed to the record's truncation width or, without a record,
+    to N; with a record too, ``total_worst_bound``, their sum.  With
+    ``estimate_sup``, the estimate's observed sup, ``data_driven_bound``
+    follows: unavailable, with a note, without both the record and the decay
+    pair, or when its factor reaches one.  With ``epsilon``, the rows of
+    ``check_all_estimator_conditions`` close the table.  Any other row is
+    omitted, not marked unavailable.
+    """
+    params = certificate_params(spec, num_samples)
+    rows = [pointwise_error_bound(params, delta, ctx), worst_case_error_bound(params, delta, ctx)]
+    bias = None
+    if ctx.decay is not None:
+        truncation = num_samples if params is None else params.truncation
+        bias = geometric_bias_bound(closed_form_bias(spec, num_samples), truncation, *ctx.decay)
+        rows.append(bias)
+    if params is not None and bias is not None:
+        inputs = _inputs(concentration=rows[1].value, bias=bias.value)
+        rows.append(Certificate("total_worst_bound", value=rows[1].value + bias.value, delta=delta, inputs=inputs))
+        if estimate_sup is not None:
+            rows.append(data_driven_error_bound(data_driven_factor(params, delta, ctx), bias.value, estimate_sup))
+    elif estimate_sup is not None:
+        note = "needs a concentration envelope and a decay pair"
+        rows.append(Certificate("data_driven_bound", available=False, note=note))
+    if epsilon is not None:
+        rows += check_all_estimator_conditions(spec, num_samples, epsilon, delta, ctx)
+    return rows
 
 
 def bartlett_bias_closed_form(gamma: float, rho: float, block_length) -> float:

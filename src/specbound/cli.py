@@ -83,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _reproduce_options(args) -> experiments.ReproduceOptions:
+    if args.example == 1 and args.rho_target is not None:
+        raise experiments.ConfigError("--rho-target applies to example 2 only: example 1 has no state-space model")
     names = ("trials", "seed", "delta", "grid_points", "rho_target")
     changes = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     return replace(experiments.ReproduceOptions(), **changes)

@@ -440,8 +440,12 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+
+    def reject(literal):
+        raise ConfigError(f"{path}: non-finite literal {literal}; config numbers must be finite")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     return parse_config(data)
@@ -617,30 +621,21 @@ def _meta(path) -> dict:
 
 def _certificate_row(cert: bounds.Certificate) -> list:
     inputs = ";".join(f"{key}={format_number(value)}" for key, value in cert.inputs)
-    return [
-        cert.statement,
-        cert.available,
-        cert.holds,
-        cert.value,
-        cert.epsilon,
-        cert.delta,
-        inputs,
-        cert.note,
-    ]
+    return [inputs if f.name == "inputs" else getattr(cert, f.name) for f in fields(cert)]
 
 
 def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
-    """Evaluate the certificate suite for the configured estimator and context.
+    """Write ``bounds.certificate_suite`` for the configured estimator and context.
 
-    Emits one row per statement; rows whose certificate does not exist are
-    marked unavailable rather than omitted.  An ``estimate_path`` whose
-    ``config_hash`` differs from this config's, or that ``read_estimate_csv``
-    rejects, is rejected whether or not its row is available.  Returns
-    (path, certificates).
+    Rows follow the suite's rules: a periodogram's concentration rows are
+    unavailable, and the bias and total rows are omitted without a decay
+    pair.  An ``estimate_path`` whose ``config_hash`` differs from this
+    config's, or that ``read_estimate_csv`` rejects, is rejected whether or
+    not its row is available.  Returns (path, certificates).
     """
     spec = _need(config, "estimator")
     num_samples = _need(config, "num_samples")
-    estimate = None
+    estimate_sup = None
     if estimate_path is not None:
         found = _meta(estimate_path).get("config_hash")
         if found != config_digest(config):
@@ -648,45 +643,11 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
                 f"estimate {estimate_path} has config_hash={found}, not this config's {config_digest(config)}: "
                 "certify needs an estimate of the same config"
             )
-        estimate = read_estimate_csv(estimate_path)
-    ctx = make_context(config)
-    params = estimators.certificate_params(spec, num_samples)
-    certs = [
-        bounds.pointwise_error_bound(params, config.delta, ctx),
-        bounds.worst_case_error_bound(params, config.delta, ctx),
-    ]
-    bias_cert = None
-    if ctx.decay is not None:
-        gamma, rho = ctx.decay
-        bias = estimators.closed_form_bias(spec, num_samples)
-        truncation = params.truncation if params is not None else num_samples
-        bias_cert = bounds.geometric_bias_bound(bias, truncation, gamma, rho)
-        certs.append(bias_cert)
-    if params is not None and bias_cert is not None:
-        total = certs[1].value + bias_cert.value
-        certs.append(
-            bounds.Certificate(
-                "total_worst_bound",
-                value=total,
-                delta=config.delta,
-                inputs=(("concentration", certs[1].value), ("bias", bias_cert.value)),
-            )
-        )
-    if estimate is not None:
-        if params is None or bias_cert is None:
-            certs.append(
-                bounds.Certificate(
-                    "data_driven_bound",
-                    available=False,
-                    note="needs a concentration envelope and a decay pair",
-                )
-            )
-        else:
-            factor = bounds.data_driven_factor(params, config.delta, ctx)
-            certs.append(bounds.data_driven_error_bound(factor, bias_cert.value, estimate.sup_norm()))
-    if config.epsilon is not None:
-        certs += bounds.check_all_estimator_conditions(spec, num_samples, config.epsilon, config.delta, ctx)
-    columns = ["statement", "available", "holds", "value", "epsilon", "delta", "inputs", "note"]
+        estimate_sup = read_estimate_csv(estimate_path).sup_norm()
+    certs = bounds.certificate_suite(
+        spec, num_samples, config.delta, make_context(config), epsilon=config.epsilon, estimate_sup=estimate_sup
+    )
+    columns = [f.name for f in fields(bounds.Certificate)]
     meta = {"config_hash": config_digest(config), "seed": config.seed, "delta": config.delta}
     path = write_csv(Path(out_dir) / "certificates.csv", columns, [_certificate_row(c) for c in certs], meta)
     return path, certs
@@ -738,8 +699,8 @@ _SWEEP_COLUMNS = [
 def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
     """Per noise, one row per segment count: empirical worst-grid error vs certificates.
 
-    The estimator, its bias coefficients and the exact bias do not depend on
-    the noise, so each segment count builds them once for every noise.
+    The certificate cells come from one ``bounds.certificate_suite`` per segment
+    count and noise, and the exact bias, which no noise changes, once per count.
     """
     grid = frequency_grid(options.grid_points)
     truth = model.psd_grid(grid)
@@ -753,13 +714,10 @@ def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
     for sweep_index, blocks in enumerate(options.blocks):
         num_samples = (blocks - 1) * options.hop + options.segment_length
         spec = estimators.Welch(options.segment_length, options.hop, REPRODUCE_TAPER)
-        params = estimators.certificate_params(spec, num_samples)
-        bias = estimators.closed_form_bias(spec, num_samples)
-        exact_bias = exact_bias_sup(bias, model, grid)
+        exact_bias = exact_bias_sup(estimators.closed_form_bias(spec, num_samples), model, grid)
         for noise_index, (noise, ctx) in enumerate(zip(noises, contexts)):
-            gamma, rho = ctx.decay
-            concentration = bounds.worst_case_error_bound(params, options.delta, ctx).value
-            bias_bound = bounds.geometric_bias_bound(bias, params.truncation, gamma, rho).value
+            suite = bounds.certificate_suite(spec, num_samples, options.delta, ctx)
+            values = {cert.statement: cert.value for cert in suite}
             first = (noise_index * len(options.blocks) + sweep_index) * options.trials
             # no name outlives the comprehension, so the paths are freed once scored
             errors = np.array(
@@ -774,9 +732,9 @@ def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
                     num_samples,
                     float(errors.mean()),
                     float(errors.max()),
-                    concentration + bias_bound,
-                    concentration,
-                    bias_bound,
+                    values["total_worst_bound"],
+                    values["worst_case_bound"],
+                    values["bias_bound_geometric"],
                     exact_bias,
                 ]
             )

@@ -12,9 +12,10 @@ Three stationary zero-mean model families back the validation studies:
 
 Models expose the exact autocovariance R[0..K] as one stack
 (``autocov_stack``), the spectrum, its sup norm, the summed covariance norm
-and its first lag moment, a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|, and
-their sampler as ``sample_paths``; covariance tail sums follow from the decay
-pair (``quadform.envelope_tail``).  ``MODELS`` maps each config ``kind`` to
+and its first lag moment, a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|
+(``decay(rate)`` gives one at a faster rate where that is proven), and their sampler
+as ``sample_paths``; covariance tail sums follow from the decay pair
+(``quadform.envelope_tail``).  ``MODELS`` maps each config ``kind`` to
 its class, whose dataclass fields are the config keys.  Samplers draw from
 counter-based streams keyed by (seed, path index) so every path is bitwise
 reproducible independent of batching.
@@ -142,7 +143,7 @@ class GeometricScalar:
     def lag_moment(self) -> float:
         return 2.0 * self.rho / (1.0 - self.rho) ** 2
 
-    def decay(self) -> tuple[float, float]:
+    def decay(self, rate: float | None = None) -> tuple[float, float]:
         return (1.0, self.rho)
 
     def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
@@ -182,7 +183,7 @@ class WhiteNoise:
     def lag_moment(self) -> float:
         return 0.0
 
-    def decay(self) -> tuple[float, float]:
+    def decay(self, rate: float | None = None) -> tuple[float, float]:
         return (1.0, 0.0)
 
     def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
@@ -289,8 +290,11 @@ class StateSpace:
             target = 0.5 * (spectral_radius(self.a) + 1.0)
         return certify_decay(self, target)
 
-    def decay(self) -> tuple[float, float]:
+    def decay(self, rate: float | None = None) -> tuple[float, float]:
+        """The pair at ``rho_target``, or ``certify_decay``'s at a ``rate`` between the spectral radius and that."""
         cert = self.decay_certificate
+        if rate is not None and rate < cert.rho and spectral_radius(self.a) < rate:
+            cert = certify_decay(self, rate)
         return (cert.gamma, cert.rho)
 
     def psd(self, frequency: float) -> np.ndarray:

@@ -420,6 +420,67 @@ def test_all_estimator_conditions_are_the_parts_one_by_one(kind, geometric_ctx, 
         monkeypatch.undo()
 
 
+# ---------------------------------------------------------------- certificate suite
+
+
+@pytest.mark.parametrize("kind", list(est.FAMILIES))
+def test_certificate_suite_rows_follow_the_record_and_the_decay_pair(kind, geometric_ctx):
+    # without a decay pair the bias cutoff needs eps / 2 above r1, so that no tail is searched
+    n, eps, delta, sup = 136, 4.0, 0.1, 2.0
+    cls = est.FAMILIES[kind]
+    spec = cls(*(8 for field in dataclasses.fields(cls) if field.default is dataclasses.MISSING))
+    params = est.certificate_params(spec, n)
+    without_pair = ctx_gauss(geometric_ctx.phi_inf, geometric_ctx.r1_norm)
+    for ctx in (geometric_ctx, without_pair):
+        rows = bd.certificate_suite(spec, n, delta, ctx, epsilon=eps, estimate_sup=sup)
+        by_name = {row.statement: row for row in rows}
+        expected = ["pointwise_bound", "worst_case_bound"]
+        expected += ["bias_bound_geometric"] if ctx.decay is not None else []
+        expected += ["total_worst_bound"] if ctx.decay is not None and params is not None else []
+        expected += ["data_driven_bound"] + [f"{kind}.{part}_condition" for part in bd.CONDITION_PARTS]
+        assert list(by_name) == expected
+        assert by_name["pointwise_bound"] == bd.pointwise_error_bound(params, delta, ctx)
+        assert by_name["worst_case_bound"] == bd.worst_case_error_bound(params, delta, ctx)
+        assert by_name["pointwise_bound"].available == (params is not None)
+        assert rows[-5:] == bd.check_all_estimator_conditions(spec, n, eps, delta, ctx)
+        data_driven = by_name["data_driven_bound"]
+        if ctx.decay is None or params is None:
+            assert not data_driven.available
+            assert data_driven.note == "needs a concentration envelope and a decay pair"
+        if ctx.decay is None:
+            continue
+        # without a record the bias sum runs to N
+        truncation = n if params is None else params.truncation
+        bias = by_name["bias_bound_geometric"]
+        assert bias == bd.geometric_bias_bound(est.closed_form_bias(spec, n), truncation, *ctx.decay)
+        if params is None:
+            continue
+        worst = by_name["worst_case_bound"].value
+        total = by_name["total_worst_bound"]
+        assert (total.value, total.delta) == (worst + bias.value, delta)
+        assert total.inputs == (("concentration", worst), ("bias", bias.value))
+        assert data_driven == bd.data_driven_error_bound(bd.data_driven_factor(params, delta, ctx), bias.value, sup)
+    # no estimate and no accuracy target: no data-driven row and no condition rows
+    assert [row.statement for row in bd.certificate_suite(spec, n, delta, without_pair)] == expected[:2]
+
+
+def test_bounds_names_no_model_class():
+    from specbound import signals
+
+    assert [name for name, value in vars(bd).items() if getattr(value, "__module__", "") == signals.__name__] == []
+
+
+def test_models_give_their_decay_pair_at_a_faster_rate():
+    # spectral radius 0.3, certified at 0.5 by default
+    chain = example_state_space(0.5)
+    assert chain.decay(0.45) == (certify_decay(chain, 0.45).gamma, 0.45)
+    for rate in (None, 0.5, 0.7, 0.3, 0.2):
+        assert chain.decay(rate) == chain.decay()
+    # a model with one proven pair gives it at every rate
+    assert GeometricScalar(0.9).decay(0.85) == (1.0, 0.9)
+    assert WhiteNoise(2).decay(0.5) == (1.0, 0.0)
+
+
 # ---------------------------------------------------------------- block-length optimizer
 
 

@@ -620,6 +620,58 @@ def test_reproduce_rejects_a_failure_probability_of_one_or_more(tmp_path, capsys
     assert not out.exists()
 
 
+def test_reproduce_example_1_rejects_rho_target(tmp_path, capsys):
+    # example 1's model is scalar geometric; only example 2 reads the state-space rate
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", "--example", "1", "--rho-target", "0.7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --rho-target applies to example 2 only: example 1 has no state-space model\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise, stem", [("gaussian", "example1_gaussian"), ("uniform", "example1_subgaussian")])
+def test_reproduce_certificate_cells_are_certify_values(tmp_path, noise, stem):
+    # example 1's first row is Welch 32/16 hann at N = 144 on the geometric model with rho 0.3
+    out = tmp_path / "reproduce"
+    assert cli.main(["reproduce", "--example", "1", "--trials", "2", "--grid", "9", "--out", str(out)]) == 0
+    lines = (out / f"{stem}.csv").read_text().splitlines()
+    columns = lines[1].split(",")
+    row = dict(zip(columns, lines[2].split(",")))
+    assert row["num_samples"] == "144"
+    config = {
+        "model": {"kind": "geometric", "rho": experiments.EXAMPLE1_RHO},
+        "noise": noise,
+        "estimator": {"kind": "welch", "segment_length": 32, "hop": 16, "taper": "hann"},
+        "num_samples": 144,
+        "delta": ReproduceOptions().delta,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "certify")]) == 0
+    lines = (tmp_path / "certify" / "certificates.csv").read_text().splitlines()[2:]
+    values = {cells[0]: cells[3] for cells in (line.split(",") for line in lines)}
+    assert row["certificate"] == values["total_worst_bound"]
+    assert row["concentration_bound"] == values["worst_case_bound"]
+    assert row["bias_bound"] == values["bias_bound_geometric"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_finite_literals(tmp_path, capsys, literal):
+    context = {"phi_inf": 2.0, "r1": 2.5, "channels": 1}
+    config = {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16, "context": context}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config)[:-1] + f', "epsilon": {literal}}}')
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: non-finite literal {literal}; config numbers must be finite"
+    # certify used to print every condition row as holding at epsilon=inf
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+    assert not out.exists()
+
+
 def _required_fields(cls):
     return [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
 

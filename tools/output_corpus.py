@@ -32,7 +32,9 @@ set of rejected configs; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--example 2`` with their defaults and with every option set, and
-``--example 1`` at a failure probability above one, which is rejected; and
+``--example 1`` at a failure probability above one and with
+``--rho-target``, which it never reads, both rejected; a config whose
+``epsilon`` is JSON's ``Infinity`` literal, also rejected; and
 ``verify-concentration`` at its smallest trial count and with a config that
 sets only the seed.  Each command gets a directory holding the
 files it wrote and a ``console.txt`` with its exit code (or the uncaught
@@ -315,6 +317,7 @@ REPRODUCE = {
     "1_options": ["--example", "1", "--trials", "3", "--seed", "5", "--delta", "0.2", "--grid", "11"],
     "2_options": ["--example", "2", "--trials", "2", "--rho-target", "0.6"],
     "1_delta_1.5": ["--example", "1", "--delta", "1.5"],
+    "1_rho_target": ["--example", "1", "--rho-target", "0.7"],
 }
 
 
@@ -433,6 +436,9 @@ def main(argv=None) -> int:
         run(out, f"rejected/estimate_{name}", ["certify", "--config", config, "--estimate", str(path)])
     for name, (command, body) in STRICT.items():
         run(out, f"strict/{name}", [command, "--config", write_config(out, f"strict_{name}", body)])
+    # JSON's non-finite literals, which ``json.dumps`` writes for an infinite float
+    body = {"estimator": BARTLETT, "num_samples": 16, "epsilon": float("inf"), "context": CONTEXT}
+    run(out, "strict/epsilon_infinity", ["certify", "--config", write_config(out, "strict_epsilon_infinity", body)])
     # a periodogram has no concentration certificate, so this exits with 3
     config = write_config(out, "feasible_periodogram", {"estimator": ESTIMATORS["biased_periodogram"], "num_samples": 2064, "context": CONTEXT})
     run(out, "certify/require_feasible_periodogram", ["certify", "--config", config, "--require-feasible"])
