@@ -79,6 +79,9 @@ _LAG_BUDGET = 1_000_000
 # the width to which the continuous block-length search narrows its bracket
 _BLOCK_TOLERANCE = 1e-6
 
+# log of 2^-1080, a 32nd of the smallest subnormal: a power below it rounds to zero
+_UNDERFLOW_LOG = -1080.0 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -349,6 +352,13 @@ def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: 
     )
 
 
+def _power_width(rho: float, truncation: int) -> int:
+    """How many lags k >= 0, at most ``truncation``, have rho^k at or above 2^-1080; later powers round to zero."""
+    if rho == 0.0:
+        return 1
+    return min(truncation, int(_UNDERFLOW_LOG / math.log(rho)) + 1)
+
+
 def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, rho: float) -> Certificate:
     """Sure bias bound when ||R[k]|| <= gamma rho^|k| and b vanishes beyond ``truncation``."""
     if not 0.0 <= rho < 1.0:
@@ -360,16 +370,19 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
         raise ValueError("truncation width must be at least one")
     if np.any(bias.values[truncation:] != 0.0):
         raise ValueError("diagonal sums must vanish beyond the truncation width")
+    # the lags whose power rounds to zero add exact zeros, which leave a
+    # sequential sum's bits, so they are not summed
+    width = _power_width(rho, truncation)
     # the powers equal the scalar rho ** k of a per-lag sum: for one numpy
     # integer k numpy returns rho at k = 1 and rho * rho at k = 2, which its
     # array power loop need not
-    powers = rho ** np.arange(truncation, dtype=float)
-    powers[1:3] = [rho, rho * rho][: truncation - 1]
-    # |1 - b[k]| rho^|k| for k = -(truncation - 1) .. truncation - 1, built in place
-    terms = 1.0 - bias.on_lags(truncation)
+    powers = rho ** np.arange(width, dtype=float)
+    powers[1:3] = [rho, rho * rho][: width - 1]
+    # |1 - b[k]| rho^|k| for k = -(width - 1) .. width - 1, built in place
+    terms = 1.0 - bias.on_lags(width)
     np.abs(terms, out=terms)
-    terms[: truncation - 1] *= powers[:0:-1]
-    terms[truncation - 1 :] *= powers
+    terms[: width - 1] *= powers[:0:-1]
+    terms[width - 1 :] *= powers
     # accumulate adds left to right, in the order of a sequential sum; np.sum adds pairwise
     body = np.add.accumulate(terms, out=terms)[-1]
     value = gamma * body + envelope_tail(gamma, rho, truncation)

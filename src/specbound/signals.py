@@ -88,6 +88,32 @@ def solve_discrete_lyapunov(transition, forcing) -> np.ndarray:
 
 # points of the frequency grid on [-1/2, 1/2] behind ``grid_phi_inf``
 PHI_GRID_POINTS = 4096
+# the coarse pass of ``grid_phi_inf`` takes every PHI_COARSE_STRIDE-th grid point and the last
+PHI_COARSE_STRIDE = 16
+# relative slack on the bracket comparisons of ``grid_phi_inf``; rounding is far below it
+PHI_BRACKET_SLACK = 1e-9
+
+
+def _norm_brackets(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the spectral norm of each Hermitian matrix ``eigvalsh`` reads.
+
+    ``eigvalsh`` reads the lower triangle and the real diagonal.  Upper: that
+    matrix's Frobenius norm.  Lower: the Rayleigh quotient of one power step
+    from the column of the largest diagonal entry, at most ||H|| in modulus.
+    """
+    n = matrices.shape[-1]
+    strict = np.tril(matrices, -1)
+    herm = strict + strict.conj().swapaxes(-1, -2)
+    diag = matrices.real.diagonal(axis1=-2, axis2=-1)
+    herm.real[..., np.arange(n), np.arange(n)] = diag
+    power2 = herm.real**2 + herm.imag**2
+    upper = np.sqrt(power2.sum(axis=(-2, -1)))
+    start = np.take_along_axis(herm, diag.argmax(axis=-1)[:, None, None], axis=-1)
+    step = herm @ start
+    norm2 = (start.real**2 + start.imag**2).sum(axis=(-2, -1))
+    quotient = np.abs((start.conj() * step).sum(axis=(-2, -1)).real)
+    lower = np.divide(quotient, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
+    return lower, upper
 
 
 def grid_phi_inf(model) -> float:
@@ -96,11 +122,44 @@ def grid_phi_inf(model) -> float:
     ||Phi(s)|| <= sum_k ||R[k]|| = r1 at every s.  Phi is Lipschitz with
     ||dPhi/ds|| <= 2 pi L, where L = sum_k |k| ||R[k]|| (``lag_moment``), and
     every frequency lies within h/2 of a point of the grid of spacing h.
+
+    The grid max is that of all ``PHI_GRID_POINTS`` points, bit for bit, but
+    the spectrum is evaluated only where it can lie.  A coarse pass takes
+    every ``PHI_COARSE_STRIDE``-th point and the last, and brackets each
+    matrix's norm without an eigensolve (``_norm_brackets``); the largest
+    lower bracket is a floor under the grid max.  A fine point i between
+    coarse neighbours j has ||Phi|| <= upper[j] + 2 pi L h |i - j| for each
+    of them, so only points where both reach the floor are evaluated, and
+    their brackets raise it.  Every evaluated matrix whose upper bracket
+    reaches the floor goes to one ``hermitian_spectral_norms`` call.  Each
+    comparison gives way by ``PHI_BRACKET_SLACK`` of the floor.  The point
+    holding the maximum is among those sent, and ``psd_grid`` and
+    ``eigvalsh`` treat each matrix apart from the batch around it, so its
+    norm has the bits of a full-grid evaluation.
     """
     freqs = np.linspace(-0.5, 0.5, PHI_GRID_POINTS)
-    grid_max = float(hermitian_spectral_norms(model.psd_grid(freqs)).max())
     spacing = 1.0 / (PHI_GRID_POINTS - 1)
-    return min(model.r1_norm(), grid_max + math.pi * spacing * model.lag_moment())
+    lag_moment = model.lag_moment()
+    last = PHI_GRID_POINTS - 1
+    coarse = np.append(np.arange(0, last, PHI_COARSE_STRIDE), last)
+    coarse_psd = model.psd_grid(freqs[coarse])
+    coarse_lower, coarse_upper = _norm_brackets(coarse_psd)
+    threshold = coarse_lower.max() * (1.0 - PHI_BRACKET_SLACK)
+    # fine points with their right coarse neighbour's slot; the left one is the slot before
+    fine = np.arange(1, last)
+    fine = fine[fine % PHI_COARSE_STRIDE != 0]
+    right = fine // PHI_COARSE_STRIDE + 1
+    rate = 2.0 * math.pi * lag_moment * spacing
+    reach = np.minimum(
+        coarse_upper[right - 1] + rate * (fine - coarse[right - 1]),
+        coarse_upper[right] + rate * (coarse[right] - fine),
+    )
+    fine_psd = model.psd_grid(freqs[fine[reach >= threshold]])
+    fine_lower, fine_upper = _norm_brackets(fine_psd)
+    threshold = max(coarse_lower.max(), fine_lower.max(initial=0.0)) * (1.0 - PHI_BRACKET_SLACK)
+    candidates = np.concatenate([coarse_psd[coarse_upper >= threshold], fine_psd[fine_upper >= threshold]])
+    grid_max = float(hermitian_spectral_norms(candidates).max())
+    return min(model.r1_norm(), grid_max + math.pi * spacing * lag_moment)
 
 
 @dataclass(frozen=True)

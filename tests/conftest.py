@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from specbound import estimators
-from specbound.quadform import envelope_tail
+from specbound.quadform import envelope_tail, hermitian_spectral_norms
+from specbound.signals import PHI_GRID_POINTS
 
 
 def random_estimator_spec(rng: np.random.Generator, max_samples: int = 128):
@@ -43,3 +46,11 @@ def sequential_geometric_bias_bound(bias, truncation, gamma, rho):
     # numpy integer lags, so rho ** |k| is numpy's scalar power
     lags = np.arange(-(truncation - 1), truncation)
     return float(gamma * sum(abs(1.0 - at(k)) * rho ** abs(k) for k in lags) + envelope_tail(gamma, rho, truncation))
+
+
+def full_grid_phi_inf(model):
+    """``grid_phi_inf``'s bound with the spectrum and its norm evaluated at every grid point."""
+    freqs = np.linspace(-0.5, 0.5, PHI_GRID_POINTS)
+    grid_max = float(hermitian_spectral_norms(model.psd_grid(freqs)).max())
+    spacing = 1.0 / (PHI_GRID_POINTS - 1)
+    return min(model.r1_norm(), grid_max + math.pi * spacing * model.lag_moment())

@@ -227,6 +227,29 @@ def test_long_periodogram_bias_bound_equals_sequential_sum():
     assert cert.value == sequential_geometric_bias_bound(bias, 65536, 1.0, 0.95)
 
 
+UNDERFLOW_RHOS = (0.0, 1e-300, 0.3, 0.5, 0.9, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 3, 2064, 65536])
+def test_bias_bound_stopped_at_the_underflow_equals_sequential_sum(truncation):
+    bias = est.closed_form_bias(est.BiasedPeriodogram(), truncation)
+    for rho in UNDERFLOW_RHOS:
+        cert = bd.geometric_bias_bound(bias, truncation, 1.0, rho)
+        assert cert.value == sequential_geometric_bias_bound(bias, truncation, 1.0, rho), rho
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 3, 2064, 65536])
+def test_powers_past_the_underflow_are_zero(truncation):
+    for rho in UNDERFLOW_RHOS:
+        width = bd._power_width(rho, truncation)
+        full = rho ** np.arange(truncation, dtype=float)
+        short = rho ** np.arange(width, dtype=float)
+        assert 1 <= width <= truncation and short.tobytes() == full[:width].tobytes(), rho
+        assert not np.any(full[width:]), rho
+    # the summed lags stop where the power underflows
+    assert bd._power_width(0.3, 65536) < 700 and bd._power_width(1.0 - 1e-6, 65536) == 65536
+
+
 def test_bias_bounds_dominate_exact_bias():
     # both the generic sum and the closed form upper-bound the exact bias
     model = GeometricScalar(0.3)

@@ -14,7 +14,8 @@ that holds implies the general check on the closed-form diagonal sums, and
 a segment average's verdict equals it.  A float table written as an array
 has the bytes of the same table written row by row, rounding ties, cells
 next to a power of ten and uniform tables of every shape included, and a
-rounding tie is formatted by the scalar formatter.
+rounding tie is formatted by the scalar formatter.  Over stable state-space
+models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.
 """
 
 import math
@@ -37,7 +38,7 @@ from specbound import signals
 from specbound import experiments
 from specbound.experiments import write_csv
 
-from conftest import sequential_geometric_bias_bound
+from conftest import full_grid_phi_inf, sequential_geometric_bias_bound
 
 MAX_SAMPLES = 64
 windows = st.sampled_from(est.WINDOW_KINDS)
@@ -126,6 +127,25 @@ def test_geometric_bias_bound_equals_sequential_sum(case, rho, extra):
     truncation = bias.half_width + extra
     cert = bd.geometric_bias_bound(bias, truncation, 1.3, rho)
     assert cert.value == sequential_geometric_bias_bound(bias, truncation, 1.3, rho)
+
+
+@st.composite
+def stable_state_spaces(draw):
+    """A state-space model with 1-8 states, 1-6 channels and inputs, spectral radius up to 0.995, D zero or not."""
+    states, channels, inputs = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    radius = draw(st.floats(0.0, 0.995))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((states, states))
+    a *= radius / signals.spectral_radius(a)
+    b, c = rng.standard_normal((states, inputs)), rng.standard_normal((channels, states))
+    d = rng.standard_normal((channels, inputs)) if draw(st.booleans()) else np.zeros((channels, inputs))
+    return signals.StateSpace(a, b, c, d)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(stable_state_spaces())
+def test_grid_phi_inf_equals_the_full_grid(model):
+    assert signals.grid_phi_inf(model) == full_grid_phi_inf(model)
 
 
 def _assert_record_covers_the_dense_record(spec, n):

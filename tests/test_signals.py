@@ -11,6 +11,8 @@ from specbound import signals as sig
 from specbound.experiments import example_state_space
 from specbound.streams import rng_stream
 
+from conftest import full_grid_phi_inf
+
 
 @pytest.fixture(scope="module")
 def chain():
@@ -412,3 +414,104 @@ def test_model_sample_paths_equal_the_samplers_bitwise(chain, trials):
 
 def test_module_level_delegates(chain):
     np.testing.assert_array_equal(sig.psd(chain, 0.1), chain.psd(0.1))
+
+
+# ---------------------------------------------------------------- grid phi_inf
+# a coarse pass, its norm brackets and a Lipschitz reach pick the grid points
+# that can hold the maximum; the maximum keeps the full grid's bits only if a
+# matrix's spectrum and norm do not depend on the batch around it
+
+PHI_MODELS = ["chain", "resonant"] + STATE_SPACE_SHAPES
+PHI_FREQS = np.linspace(-0.5, 0.5, sig.PHI_GRID_POINTS)
+
+
+def _index_sets():
+    scattered = np.sort(np.random.default_rng(3).choice(sig.PHI_GRID_POINTS, 97, replace=False))
+    return {
+        "scattered": scattered,
+        "unsorted": scattered[::-1].copy(),
+        "contiguous": np.arange(1000, 1168),
+        "one": np.array([2049]),
+        "last": np.array([sig.PHI_GRID_POINTS - 1]),
+    }
+
+
+@pytest.mark.parametrize("name", PHI_MODELS, ids=_model_id)
+def test_psd_grid_and_norms_of_a_subset_keep_their_bits(chain, name):
+    model = _sampler_model(chain, name)
+    full = model.psd_grid(PHI_FREQS)
+    norms = qf.hermitian_spectral_norms(full)
+    for label, idx in _index_sets().items():
+        subset = model.psd_grid(PHI_FREQS[idx])
+        assert subset.tobytes() == full[idx].tobytes(), label
+        assert qf.hermitian_spectral_norms(subset).tobytes() == norms[idx].tobytes(), label
+        assert qf.hermitian_spectral_norms(full[idx]).tobytes() == norms[idx].tobytes(), label
+
+
+@pytest.mark.parametrize("name", PHI_MODELS, ids=_model_id)
+def test_grid_phi_inf_equals_the_full_grid(chain, name):
+    model = _sampler_model(chain, name)
+    assert sig.grid_phi_inf(model) == full_grid_phi_inf(model)
+
+
+def test_grid_phi_inf_of_scalar_models_equals_the_full_grid():
+    for model in (sig.GeometricScalar(0.0), sig.GeometricScalar(0.3), sig.GeometricScalar(0.99), sig.WhiteNoise(2)):
+        assert sig.grid_phi_inf(model) == full_grid_phi_inf(model)
+
+
+class _ZeroSpectrum:
+    """A model stub whose spectrum vanishes: every bracket is zero, so no grid point can be dropped."""
+
+    def psd_grid(self, frequencies):
+        return np.zeros((np.size(frequencies), 2, 2), dtype=complex)
+
+    def r1_norm(self):
+        return 1.0
+
+    def lag_moment(self):
+        return 0.0
+
+
+def test_grid_phi_inf_of_a_zero_spectrum():
+    assert sig.grid_phi_inf(_ZeroSpectrum()) == full_grid_phi_inf(_ZeroSpectrum()) == 0.0
+
+
+def test_grid_phi_inf_makes_one_eigensolve_and_skips_most_of_the_grid(monkeypatch):
+    model = example_state_space(0.5)
+    model.lag_moment()
+    calls, points = [], []
+    norms, psd_grid = sig.hermitian_spectral_norms, sig.StateSpace.psd_grid
+
+    def counted_norms(matrices):
+        calls.append(len(matrices))
+        return norms(matrices)
+
+    def counted_psd_grid(self, frequencies):
+        points.append(np.size(frequencies))
+        return psd_grid(self, frequencies)
+
+    monkeypatch.setattr(sig, "hermitian_spectral_norms", counted_norms)
+    monkeypatch.setattr(sig.StateSpace, "psd_grid", counted_psd_grid)
+    sig.grid_phi_inf(model)
+    assert len(calls) == 1 and 1 <= calls[0] <= sum(points)
+    # the coarse pass takes every 16th point and the last
+    assert points[0] == sig.PHI_GRID_POINTS // sig.PHI_COARSE_STRIDE + 1
+    assert sum(points) <= sig.PHI_GRID_POINTS // 8
+
+
+def test_norm_brackets_hold_the_spectral_norm():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 6):
+        raw = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        # positive semidefinite, indefinite, rank one and zero; the upper
+        # triangles are noise that eigvalsh does not read
+        gram = raw @ raw.conj().swapaxes(-1, -2)
+        indefinite = qf.hermitian_part(raw)
+        rank_one = raw[:, :, :1] @ raw[:, :, :1].conj().swapaxes(-1, -2)
+        stack = np.concatenate([gram, indefinite, rank_one, np.zeros((1, n, n))])
+        noisy = stack + np.triu(rng.standard_normal(stack.shape), 1)
+        noisy[..., np.arange(n), np.arange(n)] += 1j
+        lower, upper = sig._norm_brackets(noisy)
+        norms = qf.hermitian_spectral_norms(noisy)
+        assert np.all(lower <= norms * (1.0 + 1e-12)) and np.all(norms <= upper * (1.0 + 1e-12))
+        assert np.array_equal(norms, qf.hermitian_spectral_norms(stack))

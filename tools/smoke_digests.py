@@ -1,13 +1,16 @@
-"""Print the perfbench ``--smoke`` output digest of every workload BENCHMARK.json declares.
+"""Print the perfbench ``--smoke`` output digest of every workload BENCHMARK.json declares, and of ``state_space_sweep``.
 
 Usage: python tools/smoke_digests.py [ROOT]
 
 Runs ``perfbench/run.py --workload W --seed 911 --seconds 1 --trace 0
 --smoke`` in ROOT (default: the checkout holding this script), so ROOT's
 ``perfbench`` and ``src`` run, for each workload that this checkout's
-``BENCHMARK.json`` declares.  The digest hashes what every op of the smoke
-cycle returned, so a change that keeps every output byte keeps every
-digest.  Prints one line per workload, its name and digest, or ``failed``
+``BENCHMARK.json`` declares, and then for the undeclared
+``state_space_sweep``, whose ``reproduce --example 2`` is the only run of
+``grid_phi_inf`` and of the state-space sampler.  The digest hashes what
+every op of the smoke cycle returned, so a change that keeps every output
+byte keeps every digest.  Prints one line per workload, its name (followed
+by ``(undeclared)`` for ``state_space_sweep``) and digest, or ``failed``
 and the exit status; exits 1 when any run failed.
 """
 
@@ -20,6 +23,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 911
+# workloads perfbench runs that BENCHMARK.json does not declare
+UNDECLARED = ("state_space_sweep",)
 
 
 def smoke_digest(root: Path, workload: str) -> str:
@@ -38,10 +43,11 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve() if argv else HERE
     workloads = [entry["name"] for entry in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
     failed = False
-    for workload in workloads:
+    for workload in workloads + [name for name in UNDECLARED if name not in workloads]:
         digest = smoke_digest(root, workload)
         failed |= digest.startswith("failed")
-        print(workload, digest, flush=True)
+        label = workload if workload in workloads else f"{workload} (undeclared)"
+        print(label, digest, flush=True)
     return 1 if failed else 0
 
 
