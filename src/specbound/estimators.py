@@ -450,6 +450,17 @@ def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:
 
     Algebraically identical to ``evaluate_generic`` with the dense matrix;
     agreement holds to rounding error and is enforced by the test suite.
+
+    The estimate is made exactly Hermitian, and its fresh stack is handed
+    over, not copied.  A 1 x 1 estimate keeps its real part and takes +0 as
+    its imaginary part, the bits ``hermitian_part`` gives it: 0.5 (re + re)
+    is re and 0.5 (im - im) is +0 for any estimate below half the largest
+    double.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    return SpectralEstimate(freqs, hermitian_part(spec.evaluate(data, freqs)))
+    raw = spec.evaluate(data, freqs)
+    if raw.shape[-1] == 1:
+        raw.imag = 0.0
+    else:
+        raw = hermitian_part(raw)
+    return SpectralEstimate.owning(freqs, raw)

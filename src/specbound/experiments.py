@@ -706,8 +706,8 @@ def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
     truth = model.psd_grid(grid)
     contexts = [bounds.BoundContext.from_model(model, _assumption_for(noise)) for noise in noises]
 
-    def grid_error(spec, path):
-        estimate = estimators.evaluate_fast(spec, DataMatrix(path), grid)
+    def grid_error(spec, data):
+        estimate = estimators.evaluate_fast(spec, data, grid)
         return float(hermitian_spectral_norms(estimate.matrices - truth).max())
 
     rows = [[] for _ in noises]
@@ -722,8 +722,10 @@ def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
             # no name outlives the comprehension, so the paths are freed once scored
             errors = np.array(
                 [
-                    grid_error(spec, path)
-                    for path in model.sample_paths(num_samples, options.trials, noise, options.seed, first)
+                    grid_error(spec, data)
+                    for data in DataMatrix.batch(
+                        model.sample_paths(num_samples, options.trials, noise, options.seed, first)
+                    )
                 ]
             )
             rows[noise_index].append(

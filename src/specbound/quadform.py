@@ -30,6 +30,7 @@ batched product.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,6 +115,24 @@ class DataMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("data contains non-finite entries")
         object.__setattr__(self, "values", _frozen_array(arr))
+
+    @classmethod
+    def batch(cls, paths: np.ndarray) -> Iterator[DataMatrix]:
+        """Each (channels, samples) block of a (trials, channels, samples) batch, checked once for the batch.
+
+        The batch is frozen in place, not copied, and every block is a
+        read-only row view of it.
+        """
+        arr = np.asarray(paths, dtype=float)
+        if arr.ndim != 3 or arr.size == 0:
+            raise ValueError("a batch must form a non-empty (trials, channels, samples) array")
+        if not np.isfinite(arr).all():
+            raise ValueError("data contains non-finite entries")
+        arr.setflags(write=False)
+        for block in arr:
+            data = object.__new__(cls)
+            object.__setattr__(data, "values", block)
+            yield data
 
     @property
     def channels(self) -> int:
@@ -390,13 +409,25 @@ class SpectralEstimate:
     matrices: np.ndarray
 
     def __post_init__(self):
-        freqs = _frozen_array(np.atleast_1d(self.frequencies))
-        mats = np.array(self.matrices, dtype=complex)
+        self._freeze(self.frequencies, np.array(self.matrices, dtype=complex))
+
+    def _freeze(self, frequencies, mats: np.ndarray) -> None:
+        freqs = _frozen_array(np.atleast_1d(frequencies))
         if mats.ndim != 3 or mats.shape[0] != freqs.size or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must form a (grid, n, n) stack matching the frequencies")
         mats.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "matrices", mats)
+
+    @classmethod
+    def owning(cls, frequencies, matrices: np.ndarray) -> SpectralEstimate:
+        """An estimate that takes over ``matrices``, a fresh complex stack nothing else holds.
+
+        The stack is checked and frozen, not copied; the grid is copied.
+        """
+        estimate = object.__new__(cls)
+        estimate._freeze(frequencies, np.asarray(matrices, dtype=complex))
+        return estimate
 
     @property
     def channels(self) -> int:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadform import DataMatrix, envelope_tail, hermitian_spectral_norms
-from .streams import rng_stream
+from .streams import trial_streams
 
 __all__ = [
     "DecayCertificate",
@@ -378,7 +378,8 @@ class StateSpace:
     @cached_property
     def _norm_sums(self) -> tuple[float, float, float]:
         gamma, rho = self.decay()
-        if rho == 0.0:
+        if rho == 0.0 or gamma == 0.0:
+            # the remainders past depth 1 are exact zeros
             depth = 1
         else:
             # pick a depth at which the certified remainder is negligible
@@ -496,34 +497,38 @@ def sample_geometric_paths(
     burn = 0
     if noise == "uniform" and rho != 0.0:
         burn = int(math.ceil(math.log(1e-12) / math.log(rho)))
-    # column 0 holds y[-1]: the stationary start (gaussian) or zero (uniform)
-    drawn = np.zeros((trials, burn + num_samples + 1))
-    for t in range(trials):
-        rng = rng_stream(seed, first_trial + t)
+    # column 0 of ``head`` holds y[-1]: the stationary start (gaussian) or
+    # zero (uniform); its other columns hold the burn-in
+    head, out = np.zeros((trials, burn + 1)), np.empty((trials, num_samples))
+    for t, rng in enumerate(trial_streams(seed, first_trial, trials)):
         if noise == "gaussian":
-            drawn[t, 0] = rng.standard_normal()
-        drawn[t, 1:] = _draw_noise(rng, noise, burn + num_samples)
-    drawn[:, 1:] *= gain
+            head[t, 0] = rng.standard_normal()
+        shocks = _draw_noise(rng, noise, burn + num_samples)
+        head[t, 1:], out[t] = shocks[:burn], shocks[burn:]
+    head[:, 1:] *= gain
+    out *= gain
     # y[k] = gain x[k] + rho y[k-1] are the IEEE operations of an order-one
     # direct-form IIR filter, so the paths equal such a filter's bit for bit
     if trials == 1:
-        values = drawn[0].tolist()
-        prev = values[0]
-        for k in range(1, len(values)):
+        burn_in, values = head[0].tolist(), out[0].tolist()
+        prev = burn_in[0]
+        for value in burn_in[1:]:
+            prev = value + rho * prev
+        for k in range(num_samples):
             prev = values[k] + rho * prev
             values[k] = prev
-        return np.array([values[burn + 1 :]])
-    steps = drawn.T.copy()
-    rows = list(steps)
-    # row += rho * prev in two ufunc calls on one buffer: the same IEEE
+        return np.array([values])
+    # the time columns, as row views of the transposed buffers, are scanned
+    # in place: column += rho * prev in two ufunc calls, the same IEEE
     # operations without a temporary per step, and with rho as an array
     # numpy does not convert a Python float on every call
+    columns = list(head.T) + list(out.T)
     factor, scaled = np.full(trials, rho), np.empty(trials)
     multiply, add = np.multiply, np.add
-    for prev, row in zip(rows, rows[1:]):
+    for prev, column in zip(columns, columns[1:]):
         multiply(prev, factor, scaled)
-        add(row, scaled, row)
-    return steps[burn + 1 :].T.copy()
+        add(column, scaled, column)
+    return out
 
 
 def sample_geometric(
@@ -547,8 +552,7 @@ def sample_white_paths(
     if channels < 1 or num_samples < 1 or trials < 1:
         raise ValueError("channels, num_samples and trials must be positive")
     out = np.empty((trials, channels, num_samples))
-    for t in range(trials):
-        rng = rng_stream(seed, first_trial + t)
+    for t, rng in enumerate(trial_streams(seed, first_trial, trials)):
         out[t] = _draw_noise(rng, noise, (channels, num_samples))
     return out
 
@@ -669,8 +673,7 @@ def sample_state_space_paths(
     first = np.empty((trials, model.state_dim))
     # shocks[t, :, k] is z[k], zero past N to fill the last chunk
     shocks = np.zeros((trials, model.noise_dim, -(-n // length) * length))
-    for t in range(trials):
-        rng = rng_stream(seed, first_trial + t)
+    for t, rng in enumerate(trial_streams(seed, first_trial, trials)):
         first[t] = root @ rng.standard_normal(model.state_dim)
         shocks[t, :, :n] = rng.standard_normal((model.noise_dim, n))
     states = _scan_states(model.a, model.b, first, shocks, length)

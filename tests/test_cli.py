@@ -473,6 +473,12 @@ CONTEXT_CASES = {
         "context: decay envelope falls below the model's certified envelope (1.0, 0.9) at large lags: "
         "rho must be at least the certified rate 0.9",
     ),
+    # no forcing (b and d zero): the decay pair's gamma is 0, the spectrum is
+    # zero and no positive phi_inf exists
+    "zero-forcing": (
+        dict(WHITE, model={"kind": "state_space", "a": [[0.5]], "b": [[0.0]], "c": [[1.0]], "d": [[0.0]]}),
+        "context: phi_inf must be positive and finite",
+    ),
 }
 
 

@@ -575,3 +575,43 @@ def test_welch_norm_envelopes(rng):
             profile = qf.diagonal_profile(form, offset)
             assert profile.sup_norm <= params.envelope + 1e-9
             assert profile.l2_norm ** 2 <= params.envelope + 1e-9
+
+
+class _TiltedWelch(est.Welch):
+    """Welch with a rounding-size imaginary part added, and a negative-zero one at every other point."""
+
+    def evaluate(self, data, freqs):
+        raw = super().evaluate(data, freqs)
+        raw.imag = np.where((np.arange(freqs.size) % 2)[:, None, None] == 1, 1e-17 * raw.real, -0.0)
+        return raw
+
+
+ONE_CHANNEL_SPECS = [
+    est.BiasedPeriodogram(),
+    est.UnbiasedPeriodogram(),
+    est.BlackmanTukey(16, "hann"),
+    est.Bartlett(16),
+    est.Welch(32, 16),
+    _TiltedWelch(32, 16),
+]
+
+
+@pytest.mark.parametrize("spec", ONE_CHANNEL_SPECS, ids=lambda spec: type(spec).__name__)
+def test_one_channel_fast_estimate_has_the_bits_of_its_hermitian_part(spec):
+    # a 1 x 1 estimate skips hermitian_part and takes +0 as its imaginary part
+    data = qf.DataMatrix(sample_geometric_paths(0.3, 144, 1, seed=7))
+    freqs = np.linspace(0.0, 0.5, 33)
+    reference = qf.SpectralEstimate(freqs, qf.hermitian_part(spec.evaluate(data, freqs)))
+    estimate = est.evaluate_fast(spec, data, freqs)
+    assert estimate.matrices.tobytes() == reference.matrices.tobytes()
+    assert not np.signbit(estimate.matrices.imag).any()
+    assert estimate.frequencies.tobytes() == reference.frequencies.tobytes()
+    assert not estimate.matrices.flags.writeable and not estimate.frequencies.flags.writeable
+    assert not np.shares_memory(estimate.frequencies, freqs)
+
+
+def test_owning_estimate_checks_its_shapes():
+    with pytest.raises(ValueError, match="stack matching the frequencies"):
+        qf.SpectralEstimate.owning(np.zeros(3), np.zeros((2, 1, 1), dtype=complex))
+    with pytest.raises(ValueError, match="stack matching the frequencies"):
+        qf.SpectralEstimate.owning(np.zeros(2), np.zeros((2, 1, 2), dtype=complex))

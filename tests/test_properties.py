@@ -15,7 +15,10 @@ a segment average's verdict equals it.  A float table written as an array
 has the bytes of the same table written row by row, rounding ties, cells
 next to a power of ten and uniform tables of every shape included, and a
 rounding tie is formatted by the scalar formatter.  Over stable state-space
-models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.
+models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
+seeds below 2^200 and trial indices on both sides of 2^32, the batch key
+pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
+generator draws what ``rng_stream`` draws.
 """
 
 import math
@@ -36,6 +39,7 @@ from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals
 from specbound import experiments
+from specbound import streams
 from specbound.experiments import write_csv
 
 from conftest import full_grid_phi_inf, sequential_geometric_bias_bound
@@ -407,3 +411,25 @@ def test_import_builds_no_digit_table():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**200 - 1),
+    st.one_of(st.integers(0, 2**32 - 8), st.integers(2**32 - 8, 2**32 + 8), st.integers(2**32, 2**70)),
+    st.integers(1, 9),
+)
+def test_batch_keys_are_seed_sequence_keys(seed, first, trials):
+    # the suite turns a RuntimeWarning, a uint32 wraparound on numpy scalars among them, into an error
+    expected = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(first + t,)).generate_state(2, np.uint64) for t in range(trials)
+    ]
+    if trials > 1:
+        low, high = streams._spawn_keys(np.random.SeedSequence(seed), first, trials)
+        assert low.dtype == high.dtype == np.uint64
+        np.testing.assert_array_equal(np.stack([low, high], axis=1), expected)
+    for t, rng in enumerate(streams.trial_streams(seed, first, trials)):
+        reference = streams.rng_stream(seed, first + t)
+        np.testing.assert_array_equal(rng.bit_generator.state["state"]["key"], expected[t])
+        assert rng.standard_normal(5).tobytes() == reference.standard_normal(5).tobytes()
+        assert rng.uniform(-1.0, 1.0, 3).tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()

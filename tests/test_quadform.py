@@ -103,6 +103,32 @@ def test_dimension_mismatch_and_bad_data_raise(rng):
         qf.QuadraticForm(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("trial", [0, 2])
+def test_batch_data_rejects_a_non_finite_entry_in_any_trial(bad, trial):
+    paths = np.ones((3, 2, 5))
+    paths[trial, 1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        list(qf.DataMatrix.batch(paths))
+
+
+def test_batch_data_blocks_are_read_only_views_of_the_frozen_batch(rng):
+    paths = rng.standard_normal((4, 2, 7))
+    expected = paths.copy()
+    blocks = list(qf.DataMatrix.batch(paths))
+    assert not paths.flags.writeable
+    assert len(blocks) == 4
+    for data, path in zip(blocks, expected):
+        assert isinstance(data, qf.DataMatrix)
+        assert (data.channels, data.samples) == (2, 7)
+        assert not data.values.flags.writeable
+        assert np.shares_memory(data.values, paths)
+        assert data.values.tobytes() == path.tobytes()
+    for shape in [(2, 7), (0, 2, 7), (4, 2, 7, 1)]:
+        with pytest.raises(ValueError):
+            list(qf.DataMatrix.batch(np.ones(shape)))
+
+
 def test_quadratic_form_symmetrizes_and_bounds_norms(rng):
     raw = rng.standard_normal((7, 7))
     form = qf.QuadraticForm(raw)

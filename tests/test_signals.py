@@ -303,6 +303,30 @@ def test_streams_are_reproducible_and_distinct():
     assert not np.array_equal(one.values, other.values)
 
 
+# three uint32 words, and trial indices across 2^32, where an index gains a word
+BATCH_SEED, BATCH_FIRST = 2**64 + 5, 2**32 - 2
+
+
+def _batch_sampler(kind, noise):
+    """A sampler of 40 samples at ``BATCH_SEED`` as a function of (trials, first trial)."""
+    if kind == "geometric":
+        return lambda trials, first: sig.sample_geometric_paths(0.3, 40, trials, noise, BATCH_SEED, first)
+    if kind == "white":
+        return lambda trials, first: sig.sample_white_paths(2, 40, trials, noise, BATCH_SEED, first)
+    return lambda trials, first: sig.sample_state_space_paths(example_state_space(0.5), 40, trials, BATCH_SEED, first)
+
+
+# the state-space sampler draws gaussian noise only
+@pytest.mark.parametrize(
+    "kind, noise", [(kind, noise) for kind in ("geometric", "white") for noise in sig.NOISE_KINDS] + [("state_space", "gaussian")]
+)
+def test_batched_rows_equal_one_trial_calls(kind, noise):
+    sampler = _batch_sampler(kind, noise)
+    batch = sampler(5, BATCH_FIRST)
+    for t, row in enumerate(batch):
+        assert row.tobytes() == sampler(1, BATCH_FIRST + t)[0].tobytes()
+
+
 def test_state_space_stream_consistency(chain):
     one = sig.sample_state_space(chain, 32, seed=9, trial=2)
     batch = sig.sample_state_space_paths(chain, 32, 4, seed=9)

@@ -36,7 +36,10 @@ periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--rho-target``, which it never reads, both rejected; a config whose
 ``epsilon`` is JSON's ``Infinity`` literal, also rejected; and
 ``verify-concentration`` at its smallest trial count and with a config that
-sets only the seed.  Each command gets a directory holding the
+sets only the seed; ``certify`` of a state-space model with no forcing,
+rejected; and ``simulate`` of every model and small ``reproduce --example 1``
+and ``--example 2`` runs at the seeds 2^32 + 5 and 2^64 + 5, which take two
+and three uint32 words.  Each command gets a directory holding the
 files it wrote and a ``console.txt`` with its exit code (or the uncaught
 exception), stdout and stderr (the OUT prefix replaced by ``OUT``).  An
 option that the parser does not know exits with argparse's code 2, which
@@ -310,6 +313,10 @@ STRICT = {
     "simulate_context_bool_channels": ("simulate", {"model": {"kind": "white"}, "num_samples": 16, "context": {"channels": True}}),
 }
 
+# seeds of two and three uint32 words, through the one-trial streams of
+# ``simulate`` and the batch key pass of ``reproduce``, which hashes every seed word
+WIDE_SEEDS = {"seed_2p32_5": 2**32 + 5, "seed_2p64_5": 2**64 + 5}
+
 # every option of ``reproduce`` set once, next to the defaults
 REPRODUCE = {
     "1": ["--example", "1"],
@@ -439,11 +446,22 @@ def main(argv=None) -> int:
     # JSON's non-finite literals, which ``json.dumps`` writes for an infinite float
     body = {"estimator": BARTLETT, "num_samples": 16, "epsilon": float("inf"), "context": CONTEXT}
     run(out, "strict/epsilon_infinity", ["certify", "--config", write_config(out, "strict_epsilon_infinity", body)])
+    # no forcing: the spectrum is zero, so no positive phi_inf exists
+    unforced = {"kind": "state_space", "a": [[0.5]], "b": [[0.0]], "c": [[1.0]], "d": [[0.0]]}
+    body = {"model": unforced, "estimator": BARTLETT, "num_samples": 16}
+    run(out, "strict/state_space_zero_forcing", ["certify", "--config", write_config(out, "strict_state_space_zero_forcing", body)])
     # a periodogram has no concentration certificate, so this exits with 3
     config = write_config(out, "feasible_periodogram", {"estimator": ESTIMATORS["biased_periodogram"], "num_samples": 2064, "context": CONTEXT})
     run(out, "certify/require_feasible_periodogram", ["certify", "--config", config, "--require-feasible"])
     for name, argv in REPRODUCE.items():
         run(out, f"reproduce/{name}", ["reproduce"] + argv)
+    for seed_name, seed in WIDE_SEEDS.items():
+        for model_name in MODELS:
+            config = str(out / "configs" / f"{model_name}_528.json")
+            run(out, f"simulate/{model_name}_528_{seed_name}", ["simulate", "--config", config, "--seed", str(seed)])
+        for example in ("1", "2"):
+            argv = ["reproduce", "--example", example, "--trials", "3", "--grid", "9", "--seed", str(seed)]
+            run(out, f"reproduce/{example}_{seed_name}", argv)
     run(out, "verify_concentration", ["verify-concentration", "--trials", "10000", "--seed", "5"])
     # the trial count comes from the command's own default
     config = write_config(out, "verify_seed_only", {"seed": 5})
