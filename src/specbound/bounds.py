@@ -443,13 +443,19 @@ def check_all_estimator_conditions(
     the bias part is computed once.
     """
     n = int(num_samples)
-    params = spec.certificate_params(n)
+    return _estimator_conditions(spec, n, spec.certificate_params(n), closed_form_bias(spec, n), eps, delta, ctx)
+
+
+def _estimator_conditions(
+    spec, n: int, params: CertificateParams | None, sums: BiasCoefficients, eps: float, delta: float, ctx: BoundContext
+) -> list[Certificate]:
+    """``check_all_estimator_conditions`` on the family's record and closed-form sums at n, built by the caller."""
     rows = {
         part: replace(check_conditions(part, eps, delta, ctx, params=params), statement=f"{spec.kind}.{part}_condition")
         for part in ("pointwise", "worst_case")
     }
     # the general test on the closed-form diagonal sums, and what the family asks beyond it
-    general = check_conditions("bias", eps, delta, ctx, bias=closed_form_bias(spec, n))
+    general = check_conditions("bias", eps, delta, ctx, bias=sums)
     cutoff = dict(general.inputs)["cutoff"]
     holds = general.holds and spec.bias_condition(n, cutoff, eps, ctx.r1_norm)
     # a periodogram's own condition is stated in the cutoff alone, and its row records only that
@@ -478,10 +484,11 @@ def certificate_suite(
     """
     params = certificate_params(spec, num_samples)
     rows = [pointwise_error_bound(params, delta, ctx), worst_case_error_bound(params, delta, ctx)]
-    bias = None
+    bias = sums = None
     if ctx.decay is not None:
         truncation = num_samples if params is None else params.truncation
-        bias = geometric_bias_bound(closed_form_bias(spec, num_samples), truncation, *ctx.decay)
+        sums = closed_form_bias(spec, num_samples)
+        bias = geometric_bias_bound(sums, truncation, *ctx.decay)
         rows.append(bias)
     if params is not None and bias is not None:
         inputs = _inputs(concentration=rows[1].value, bias=bias.value)
@@ -492,7 +499,8 @@ def certificate_suite(
         note = "needs a concentration envelope and a decay pair"
         rows.append(Certificate("data_driven_bound", available=False, note=note))
     if epsilon is not None:
-        rows += check_all_estimator_conditions(spec, num_samples, epsilon, delta, ctx)
+        sums = closed_form_bias(spec, num_samples) if sums is None else sums
+        rows += _estimator_conditions(spec, int(num_samples), params, sums, epsilon, delta, ctx)
     return rows
 
 

@@ -6,10 +6,13 @@ banded Toeplitz coefficient matrix), and tapered segment averages (Welch, a
 sum of shifted rank-one blocks, and Bartlett, the layout of contiguous
 untapered blocks, which takes every method from Welch).  Each spec class has
 a config ``kind`` and, for a sample count n, its dense coefficient matrix
-(``matrix(n)``), its closed-form diagonal sums b[k] at lags k = 0..n-1
-(``diagonal_sums(n)``; b is even), the ``CertificateParams`` norm bounds
-feeding the concentration certificates (``certificate_params(n)``, None when
-no concentration certificate exists), what its bias condition asks beyond the
+(``matrix(n)``: for the Toeplitz families, the periodograms and
+Blackman-Tukey, a read-only view of one vector of 2n - 1 lag entries, so
+only ``QuadraticForm``'s copy writes n x n entries), its closed-form
+diagonal sums b[k] at lags k = 0..n-1 (``diagonal_sums(n)``; b is even),
+the ``CertificateParams`` norm bounds feeding the concentration
+certificates (``certificate_params(n)``, None when no concentration
+certificate exists), what its bias condition asks beyond the
 general test on those sums in ``bounds.check_conditions``
 (``bias_condition``), and a fast evaluation path (``evaluate(data, freqs)``)
 that matches the generic quadratic form to rounding error.  ``FAMILIES``
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .phases import _PHASE_BLOCK, WINDOW_KINDS, _phase_slabs, _phase_transform, lag_sum, taper_window
 from .quadform import (
@@ -68,6 +72,16 @@ def lag_window(kind: str, half_width: int) -> np.ndarray:
     Same shapes as the tapers, re-centered so the peak weight sits at lag 0.
     """
     return taper_window(kind, 2 * half_width - 1)
+
+
+def _toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Read-only n x n view M[i, j] = lags[i - j + n - 1] of a vector of 2n - 1 lag entries.
+
+    Row i is the window lags[i : i + n] read backwards, so the view reads
+    every entry with i - j as the index and never transposes the vector:
+    a named lag window need not be symmetric in its last bit.
+    """
+    return sliding_window_view(lags, (lags.size + 1) // 2)[:, ::-1]
 
 
 def _segment_stack(values: np.ndarray, length: int, hop: int, segments: int) -> np.ndarray:
@@ -166,7 +180,7 @@ class BiasedPeriodogram:
     kind = "biased_periodogram"
 
     def matrix(self, n: int) -> np.ndarray:
-        return np.full((n, n), 1.0 / n)
+        return np.broadcast_to(1.0 / n, (n, n))
 
     def diagonal_sums(self, n: int) -> np.ndarray:
         return 1.0 - np.arange(n) / n
@@ -188,8 +202,7 @@ class UnbiasedPeriodogram:
     kind = "unbiased_periodogram"
 
     def matrix(self, n: int) -> np.ndarray:
-        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        return 1.0 / (n - lags)
+        return _toeplitz(1.0 / (n - np.abs(np.arange(1 - n, n))))
 
     def diagonal_sums(self, n: int) -> np.ndarray:
         return np.ones(n)
@@ -245,8 +258,7 @@ class BlackmanTukey:
         self._check_fits(n)
         wide = np.zeros(2 * n - 1)
         wide[n - m : n + m - 1] = self.weights()
-        diff = np.subtract.outer(np.arange(n), np.arange(n))
-        return wide[diff + n - 1] / n
+        return _toeplitz(wide / n)
 
     def diagonal_sums(self, n: int) -> np.ndarray:
         m = self.half_width

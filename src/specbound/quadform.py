@@ -102,6 +102,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, not copied if it is one; a complex input is an error, not a truncation."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} must be real, not complex")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Real sample block with one row per channel and one column per sample."""
@@ -109,7 +117,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.values, dtype=float))
+        arr = np.atleast_2d(_real_array(self.values, "data"))
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("data must form a non-empty two-dimensional array")
         if not np.all(np.isfinite(arr)):
@@ -123,7 +131,7 @@ class DataMatrix:
         The batch is frozen in place, not copied, and every block is a
         read-only row view of it.
         """
-        arr = np.asarray(paths, dtype=float)
+        arr = _real_array(paths, "data")
         if arr.ndim != 3 or arr.size == 0:
             raise ValueError("a batch must form a non-empty (trials, channels, samples) array")
         if not np.isfinite(arr).all():
@@ -169,23 +177,24 @@ class CertificateParams:
 class QuadraticForm:
     """Symmetric coefficient matrix of a quadratic-form spectral estimator.
 
-    The matrix is symmetrized on construction; rounding noise in upstream
-    builders is the only asymmetry this ever removes.  Norms are computed
-    lazily and cached.  The spectral norm of a centrosymmetric matrix, which
-    every estimator family builds, is an upper bound from two half-size
-    eigensolves (see ``_spectral_norm``); any other matrix takes a dense
-    symmetric eigensolve.
+    The matrix is symmetrized on construction into one fresh, read-only,
+    C-contiguous copy of 0.5 (A + A^T), written tile by tile (see
+    ``_symmetric_copy``); rounding noise in upstream builders is the only
+    asymmetry this ever removes.  Norms are computed lazily and cached.  The
+    spectral norm of a centrosymmetric matrix, which every estimator family
+    builds, is an upper bound from two half-size eigensolves (see
+    ``_spectral_norm``); any other matrix takes a dense symmetric eigensolve.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
+        arr = _real_array(self.matrix, "coefficient matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("coefficient matrix must be square and non-empty")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficient matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", _frozen_array(0.5 * (arr + arr.T)))
+        object.__setattr__(self, "matrix", _symmetric_copy(arr))
 
     @property
     def size(self) -> int:
@@ -221,6 +230,36 @@ class QuadraticForm:
         stats = self.diagonal_stats
         diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
         return CertificateParams(self.spectral_norm, self.frobenius_norm ** 2, diagonal, self.truncation_width)
+
+
+# side of the square tiles of ``_symmetric_copy``: a tile and its mirror,
+# 128 KiB each, stay in cache while the mirror is read transposed
+_SYMMETRIC_TILE = 128
+
+
+def _symmetric_copy(matrix: np.ndarray) -> np.ndarray:
+    """0.5 (A + A^T) as one fresh, read-only, C-contiguous array, written tile by tile.
+
+    ``np.add`` writes A[I, J] + A[J, I]^T into each tile I, J on or above
+    the diagonal; the tile below it takes the transpose of that sum, which
+    has the same bits, since a + b rounds as b + a.  So the transposed
+    operand is read only within a tile that stays in cache: read across the
+    whole matrix, each of its entries lies a row's length from the last.
+    The copy is then halved in place.  Any input, a strided or broadcast
+    view too, takes this one path.
+    """
+    size = matrix.shape[0]
+    out = np.empty((size, size))
+    for i in range(0, size, _SYMMETRIC_TILE):
+        rows = slice(i, i + _SYMMETRIC_TILE)
+        for j in range(i, size, _SYMMETRIC_TILE):
+            columns = slice(j, j + _SYMMETRIC_TILE)
+            tile = np.add(matrix[rows, columns], matrix[columns, rows].T, out=out[rows, columns])
+            if j != i:
+                out[columns, rows] = tile.T
+    out *= 0.5
+    out.setflags(write=False)
+    return out
 
 
 # largest ||A - JAJ||_F / 2, as a multiple of ||A||_F, that still takes the

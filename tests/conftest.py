@@ -54,3 +54,20 @@ def full_grid_phi_inf(model):
     grid_max = float(hermitian_spectral_norms(model.psd_grid(freqs)).max())
     spacing = 1.0 / (PHI_GRID_POINTS - 1)
     return min(model.r1_norm(), grid_max + math.pi * spacing * model.lag_moment())
+
+
+def index_arithmetic_matrix(spec, n):
+    """A Toeplitz family's dense coefficient matrix, every entry indexed by N^2 integer lag arithmetic.
+
+    The reference for the lag-vector views of ``matrix(n)``: the same IEEE
+    operation per entry, entry (i, j) read at lag i - j.
+    """
+    if isinstance(spec, estimators.BiasedPeriodogram):
+        return np.full((n, n), 1.0 / n)
+    diff = np.subtract.outer(np.arange(n), np.arange(n))
+    if isinstance(spec, estimators.UnbiasedPeriodogram):
+        return 1.0 / (n - np.abs(diff))
+    m = spec.half_width
+    wide = np.zeros(2 * n - 1)
+    wide[n - m : n + m - 1] = spec.weights()
+    return wide[diff + n - 1] / n

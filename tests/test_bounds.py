@@ -447,6 +447,22 @@ def test_all_estimator_conditions_are_the_parts_one_by_one(kind, geometric_ctx, 
 
 
 @pytest.mark.parametrize("kind", list(est.FAMILIES))
+def test_certificate_suite_builds_the_record_and_the_sums_once(kind, geometric_ctx, monkeypatch):
+    n = 136
+    cls = est.FAMILIES[kind]
+    spec = cls(*(8 for field in dataclasses.fields(cls) if field.default is dataclasses.MISSING))
+    record = cls.certificate_params
+    for ctx in (geometric_ctx, ctx_gauss(geometric_ctx.phi_inf, geometric_ctx.r1_norm)):
+        expected = bd.certificate_suite(spec, n, 0.1, ctx, epsilon=4.0, estimate_sup=2.0)
+        calls = []
+        monkeypatch.setattr(cls, "certificate_params", lambda self, size: calls.append("record") or record(self, size))
+        monkeypatch.setattr(bd, "closed_form_bias", lambda *args: calls.append("sums") or est.closed_form_bias(*args))
+        assert bd.certificate_suite(spec, n, 0.1, ctx, epsilon=4.0, estimate_sup=2.0) == expected
+        assert sorted(calls) == ["record", "sums"]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", list(est.FAMILIES))
 def test_certificate_suite_rows_follow_the_record_and_the_decay_pair(kind, geometric_ctx):
     # without a decay pair the bias cutoff needs eps / 2 above r1, so that no tail is searched
     n, eps, delta, sup = 136, 4.0, 0.1, 2.0

@@ -17,7 +17,7 @@ from specbound import quadform as qf
 from specbound.bounds import envelope_from_form
 from specbound.signals import sample_geometric_paths
 
-from conftest import random_estimator_spec
+from conftest import index_arithmetic_matrix, random_estimator_spec
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,59 @@ def test_rectangular_non_overlapping_welch_equals_block_average():
     welch = est.build_matrix(est.Welch(4, 4, "rectangular"), 12)
     bartlett = est.build_matrix(est.Bartlett(4), 12)
     np.testing.assert_allclose(welch.matrix, bartlett.matrix, atol=1e-15)
+
+
+DENSE_SIZES = [1, 2, 3, 127, 128, 129, 259, 1024]
+
+
+def toeplitz_specs(n):
+    """The three Toeplitz families at n samples: every named lag window and a custom one at several widths."""
+    specs = [est.BiasedPeriodogram(), est.UnbiasedPeriodogram()]
+    for m in sorted({1, min(n, 2), (n + 1) // 2, n}):
+        specs += [est.BlackmanTukey(m, kind) for kind in est.WINDOW_KINDS]
+        half = np.random.default_rng(m).uniform(-1.0, 1.0, 2 * m - 1)
+        # a + b rounds as b + a, so the custom window is symmetric in every bit
+        specs.append(est.BlackmanTukey(m, half + half[::-1]))
+    return specs
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_toeplitz_matrices_are_read_only_views_with_the_index_arithmetic_bits(n):
+    for spec in toeplitz_specs(n):
+        matrix = spec.matrix(n)
+        assert matrix.shape == (n, n)
+        # the named lag windows are not symmetric in their last bit, so a
+        # transposed view, reading entry (i, j) at lag j - i, fails here
+        assert matrix.tobytes() == index_arithmetic_matrix(spec, n).tobytes(), spec
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[n - 1, 0] = 1.0
+        reference = qf.QuadraticForm(index_arithmetic_matrix(spec, n))
+        assert est.build_matrix(spec, n).matrix.tobytes() == reference.matrix.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, copies",
+    [
+        (est.BiasedPeriodogram(), 1.05),
+        (est.UnbiasedPeriodogram(), 1.05),
+        (est.BlackmanTukey(32, "hann"), 1.05),
+        (est.Bartlett(16), 2.05),
+        (est.Welch(32, 16, "hann"), 2.05),
+    ],
+    ids=lambda value: getattr(value, "kind", str(value)),
+)
+def test_build_matrix_writes_one_dense_copy(spec, copies):
+    # a Toeplitz family's matrix is a view of its lag vector, and the form
+    # holds the one dense copy; a segment average builds its matrix densely
+    # and the form copies it once more
+    n = 1024
+    tracemalloc.start()
+    try:
+        est.build_matrix(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copies * (8 * n * n)
 
 
 def test_build_matrix_size_errors():

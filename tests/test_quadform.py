@@ -129,6 +129,62 @@ def test_batch_data_blocks_are_read_only_views_of_the_frozen_batch(rng):
             list(qf.DataMatrix.batch(np.ones(shape)))
 
 
+def test_complex_input_is_rejected_not_truncated():
+    # spectral norm 3; truncated to its real part it was the identity, norm 1
+    hermitian = np.array([[1, 2j], [-2j, 1]])
+    assert np.abs(np.linalg.eigvalsh(hermitian)).max() == pytest.approx(3.0)
+    # a complex dtype is rejected even with every imaginary part zero
+    for values in (hermitian, hermitian.real.astype(complex), hermitian.tolist()):
+        with pytest.raises(ValueError, match="coefficient matrix must be real"):
+            qf.QuadraticForm(values)
+        with pytest.raises(ValueError, match="data must be real"):
+            qf.DataMatrix(values)
+        with pytest.raises(ValueError, match="data must be real"):
+            next(qf.DataMatrix.batch(np.asarray(values)[None]))
+
+
+def _layouts(a):
+    """``a`` as C, Fortran, strided, reversed, read-only and broadcast inputs of one shape."""
+    n = a.shape[0]
+    padded = np.zeros((2 * n, 3 * n))
+    padded[::2, ::3] = a
+    read_only = a.view()
+    read_only.flags.writeable = False
+    return {
+        "c_order": a,
+        "fortran_order": np.asfortranarray(a),
+        "strided": padded[::2, ::3],
+        "reversed": a[::-1, ::-1],
+        "read_only": read_only,
+        "broadcast": np.broadcast_to(a[0], (n, n)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 259, 1024])
+def test_quadratic_form_copy_has_the_bits_of_the_whole_matrix_sum(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    for layout, values in _layouts(a).items():
+        form = qf.QuadraticForm(values)
+        expected = 0.5 * (values + values.T)
+        assert form.matrix.tobytes() == expected.tobytes(), layout
+        assert form.matrix.flags.c_contiguous and not form.matrix.flags.writeable
+        assert not np.shares_memory(form.matrix, values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadratic_form_rejects_a_non_finite_entry_in_any_view(bad):
+    n = 129
+    a = np.ones((n, n))
+    a[n - 1, 5] = bad
+    views = _layouts(a)
+    del views["broadcast"]  # its one row holds no bad entry
+    views["broadcast_row"] = np.broadcast_to(a[n - 1], (n, n))
+    views["toeplitz"] = est._toeplitz(np.concatenate([a[n - 1], a[0, 1:]]))
+    for layout, values in views.items():
+        with pytest.raises(ValueError, match="non-finite"):
+            qf.QuadraticForm(values)
+
+
 def test_quadratic_form_symmetrizes_and_bounds_norms(rng):
     raw = rng.standard_normal((7, 7))
     form = qf.QuadraticForm(raw)
