@@ -294,7 +294,8 @@ def check_conditions(
         demand = ctx.assumption.demand(eps, ctx.phi_inf) * ctx.budget(delta)
         return Certificate(
             "pointwise_condition",
-            holds=bool(1.0 / params.xi >= demand),
+            # a zero form (an all-zero custom lag window) estimates exactly zero
+            holds=bool(params.xi == 0.0 or 1.0 / params.xi >= demand),
             epsilon=eps,
             delta=delta,
             inputs=_inputs(xi=params.xi, demand=demand),
@@ -303,7 +304,7 @@ def check_conditions(
         demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, params.truncation)
         return Certificate(
             "worst_case_condition",
-            holds=bool(1.0 / params.envelope >= demand),
+            holds=bool(params.envelope == 0.0 or 1.0 / params.envelope >= demand),
             epsilon=eps,
             delta=delta,
             inputs=_inputs(envelope=params.envelope, truncation=params.truncation, demand=demand),

@@ -27,6 +27,22 @@ Blackman-Tukey sum their lag products (``_acs_head``) through
 ``phases.lag_sum``, the sum that ``quadform``'s exact mean and bias take
 too.  The phase tables, their cache and the exact reduction of the phase
 argument live in ``phases``.
+
+Every estimate is one quadratic form, which can be summed in the transform
+domain or in the lag domain to the same rounding at very different costs,
+so two kernels build a lag head for ``lag_sum`` where that is cheaper, each
+chosen by a cost rule fitted to measured timings:
+
+- ``_acs_head`` takes FFT lag products (``_fft_is_cheaper``) instead of its
+  loop of one BLAS product per lag when the lag window is long: the
+  unbiased periodogram at 3 x 2064 samples in 1.0 ms instead of 10.9 ms,
+  while Blackman-Tukey 32 at 3 x 65536 keeps its 4.4 ms loop (40 ms by FFT).
+- Several channels of many short segments (``_gram_is_cheaper``) take the
+  lag head of one segment Gram (``_segment_gram``) instead of the segment
+  transforms and ``einsum``: three channels of 2048 Hann segments of 32 on
+  101 points in 1.9 ms instead of 21 ms.  One channel, one segment (the
+  biased periodogram) and segments longer than 256 samples always keep the
+  transforms, few segments and narrow grids by the rule.
 """
 
 from __future__ import annotations
@@ -37,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phases import _PHASE_BLOCK, WINDOW_KINDS, _phase_slabs, _phase_transform, lag_sum, taper_window
+from .phases import _PHASE_BLOCK, WINDOW_KINDS, _padded, _phase_slabs, _phase_transform, _unit_taper, lag_sum, taper_window
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
@@ -67,19 +83,24 @@ __all__ = [
 
 
 def lag_window(kind: str, half_width: int) -> np.ndarray:
-    """Symmetric lag weights w[k] for |k| < half_width, stored at index k + half_width - 1.
+    """Even lag weights w[k] = w[-k] for |k| < half_width, stored at index k + half_width - 1.
 
     Same shapes as the tapers, re-centered so the peak weight sits at lag 0.
+    A named taper's two halves can differ in the last bit, because
+    cos(2 pi k / (L - 1)) and cos(2 pi (L - 1 - k) / (L - 1)) round apart,
+    so the lags k >= 0, the half the fast path reads, are mirrored onto the
+    negative ones: the window, the dense form and b[k] are exactly even.
     """
-    return taper_window(kind, 2 * half_width - 1)
+    weights = taper_window(kind, 2 * half_width - 1)
+    weights[: half_width - 1] = weights[: half_width - 1 : -1]
+    return weights
 
 
 def _toeplitz(lags: np.ndarray) -> np.ndarray:
     """Read-only n x n view M[i, j] = lags[i - j + n - 1] of a vector of 2n - 1 lag entries.
 
     Row i is the window lags[i : i + n] read backwards, so the view reads
-    every entry with i - j as the index and never transposes the vector:
-    a named lag window need not be symmetric in its last bit.
+    every entry with i - j as the index and never transposes the vector.
     """
     return sliding_window_view(lags, (lags.size + 1) // 2)[:, ::-1]
 
@@ -95,6 +116,91 @@ def _segment_stack(values: np.ndarray, length: int, hop: int, segments: int) -> 
     stack = np.ndarray((segments, values.shape[0], length), float, values, 0, (hop * column, row, column))
     stack.flags.writeable = False  # its segments may overlap
     return stack
+
+
+# Costs of the two several-channel segment kernels, in ns, fitted by least
+# squares to best-of-7 timings of both kernels over 2, 3 and 5 channels,
+# segment lengths 8..256, 2..2048 segments and 17 and 101 grid points (one
+# BLAS thread, 2-vCPU Xeon, numpy 2.4 with OpenBLAS 0.3.31): the Gram's
+# fixed cost, per entry of its c^2 m^2 diagonal terms, per segment and Gram
+# entry and per segment and stacked sample; the transform's fixed cost, per
+# segment, channel, padded grid column and sample, and per segment, channel
+# pair and padded grid column (the ``einsum`` reduction)
+_GRAM_CALL_NS = 60_000
+_GRAM_TERM_NS = 7.0
+_GRAM_PRODUCT_NS = 0.034
+_GRAM_STACK_NS = 3.0
+_TRANSFORM_CALL_NS = 23_000
+_TRANSFORM_PRODUCT_NS = 0.13
+_TRANSFORM_REDUCE_NS = 5.8
+
+
+def _gram_is_cheaper(segments: int, channels: int, length: int, points: int) -> bool:
+    """Whether ``_segment_gram`` is predicted faster than the segment transforms, by the fitted costs above.
+
+    One channel keeps its real transform path, one segment (the biased
+    periodogram) its transform and a segment longer than ``_PHASE_BLOCK``
+    its two-stage transform.  Otherwise, for K segments of m samples, c
+    channels and P padded grid columns, the transforms cost K c P m
+    multiply-adds and K c^2 P ``einsum`` terms, the Gram K (c m)^2 / 2
+    multiply-adds and a fixed c^2 m^2 diagonal terms and lag transform.  So
+    the Gram wins for many short segments on a wide grid and loses for few
+    or long ones.  Measured at
+    three channels, m = 32 and 101 points, Gram against transforms: 0.11
+    against 0.09 ms at K = 16, 0.11 against 0.33 at K = 64, 0.51 against 4.7
+    at K = 512 and 1.9 against 21 at K = 2048; at 17 points the transforms
+    still win at K = 64 (0.11 against 0.08 ms).  At m = 256 the transforms
+    win at every K measured (17 against 8.9 ms at K = 512).
+    """
+    if channels == 1 or segments == 1 or length > _PHASE_BLOCK:
+        return False
+    width = channels * length
+    gram = (
+        _GRAM_CALL_NS
+        + _GRAM_TERM_NS * width * width
+        + segments * width * (_GRAM_PRODUCT_NS * width + _GRAM_STACK_NS)
+    )
+    columns = _padded(points)
+    transform = _TRANSFORM_CALL_NS + segments * channels * columns * (
+        _TRANSFORM_PRODUCT_NS * length + _TRANSFORM_REDUCE_NS * channels
+    )
+    return gram < transform
+
+
+def _segment_gram(windows: np.ndarray, taper, freqs: np.ndarray) -> np.ndarray:
+    """sum_l X_l(s) X_l(s)^H on a grid, as (grid, channels, channels), from the lag head of one segment Gram.
+
+    S is the (segments, channels * length) stack of the segments times the
+    unit-norm taper q, and its Gram S^T S one BLAS ``syrk`` (numpy runs
+    a.T @ a so).  Block (i, j) of the Gram holds sum_l q[t] q[t'] y_i[lh + t]
+    y_j[lh + t'], so its k-th subdiagonal sums to
+    head[k][i, j] = sum_l sum_t q[t + k] q[t] y_i[lh + t + k] y_j[lh + t]
+    for k < m, and sum_l X_l X_l^H is the lag sum of that head with unit
+    weights, head[-k] = head[k]^T, by ``lag_sum``: the same quadratic form,
+    evaluated in the lag domain.  The subdiagonals are read through one
+    strided view of the Gram and summed in two numpy calls, with no loop
+    over k.
+    """
+    segments, channels, length = windows.shape
+    width = channels * length
+    # written in C order: numpy would lay out the product of an overlapping
+    # view in that view's stride order, and the reshape would then copy it
+    # (5.5 against 0.7 ms for Welch 32/16 on 3 x 65536 samples)
+    stack = np.multiply(windows, _unit_taper(taper, length), out=np.empty(windows.shape)).reshape(segments, width)
+    # the Gram followed by m - 1 rows of zeros, so that entry
+    # (i m + t + k, j m + t) lies in the array for every t, k < m
+    rows = np.empty((width + length - 1, width))
+    rows[width:] = 0.0
+    np.matmul(stack.T, stack, out=rows[:width])
+    row, column = rows.strides
+    diagonals = np.ndarray((channels, channels, length, length), float, rows, 0, (length * row, length * column, row, row + column))
+    # entry [i, j, k, t] of the diagonals is a term of head[k][i, j] while
+    # t + k < m; each diagonal is copied into a contiguous row, zeros last,
+    # which numpy sums pairwise
+    terms = np.zeros(diagonals.shape)
+    np.copyto(terms, diagonals, where=np.tri(length, dtype=bool)[::-1])
+    head = terms.sum(axis=-1)
+    return lag_sum(head.transpose(2, 0, 1), np.ones(length), freqs)
 
 
 def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> np.ndarray:
@@ -144,8 +250,17 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     OpenBLAS splits a product between threads at points set by its shape, so
     the bits are promised at a fixed thread count only, and the tests compare
     at one thread; no change was seen between one and four threads.
+
+    Several channels of short segments that ``_gram_is_cheaper`` predicts
+    faster take ``_segment_gram`` instead, the same form in the lag domain;
+    its bits were the same at one and two BLAS threads in every case tried
+    (two, three and five channels, 128 to 4095 segments).
     """
     segments, channels, length = windows.shape
+    if _gram_is_cheaper(segments, channels, length, freqs.size):
+        estimate = _segment_gram(windows, taper, freqs)
+        estimate /= divisor
+        return estimate
     blocks = -(-length // _PHASE_BLOCK)
     # per grid column: the phase tables, then either the (segments, channels,
     # Q) partial products and the transform, or the transform and its conjugate
@@ -447,14 +562,79 @@ def certificate_params(spec, num_samples: int) -> CertificateParams | None:
     return spec.certificate_params(int(num_samples))
 
 
+# Costs of the two lag-product kernels, in ns, fitted by least squares to
+# best-of-5 timings of both over 1, 2, 3 and 5 channels, N = 16..65536 and
+# 2..N lags (one BLAS thread, 2-vCPU Xeon, numpy 2.4): the FFT's fixed cost
+# and its cost per transform and point, times log2 of the length; the
+# loop's fixed cost, its cost per lag and per lag and multiply-add
+_FFT_CALL_NS = 46_000
+_FFT_POINT_NS = 1.2
+_LOOP_CALL_NS = 6_000
+_LOOP_LAG_NS = 3_500
+_LOOP_PRODUCT_NS = 0.14
+
+
+def _fft_size(samples: int, lags: int) -> int:
+    """The least power of two of at least samples + lags - 1, so that no circular product wraps onto a kept lag."""
+    return 1 << (samples + lags - 2).bit_length()
+
+
+def _fft_is_cheaper(channels: int, samples: int, lags: int) -> bool:
+    """Whether ``_acs_head`` is predicted faster through FFTs than through its loop, by the fitted costs above.
+
+    The loop costs one BLAS product of c^2 (N - k) multiply-adds per lag; the
+    FFTs c forward and c (c + 1) / 2 inverse transforms of L log2 L, for L
+    from ``_fft_size``, whatever the lag count.  So short lag windows keep
+    the loop and long ones take the FFTs.  Measured, loop against FFT: the
+    unbiased periodogram at 3 x 2064 samples 10.9 against 0.99 ms and at
+    1 x 16384 103 against 2.7 ms; Blackman-Tukey 300 at 3 x 2064 1.9 against
+    0.45 ms, while Blackman-Tukey 32 keeps the loop, 0.22 against 0.46 ms at
+    3 x 2064 and 4.4 against 40 ms at 3 x 65536.  Short records switch
+    early: 32 lags of 1 x 144 samples take 0.12 ms on the loop and 0.05 ms
+    through the FFT.
+    """
+    size = _fft_size(samples, lags)
+    transforms = channels + channels * (channels + 1) // 2
+    fft = _FFT_CALL_NS + _FFT_POINT_NS * transforms * size * (size.bit_length() - 1)
+    loop = _LOOP_CALL_NS + lags * (_LOOP_LAG_NS + _LOOP_PRODUCT_NS * channels * channels * samples)
+    return fft < loop
+
+
 def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
-    """Lag products for k = 0..max_lag, divided by N (biased) or N - k."""
+    """Lag products R[k][i, j] = sum_t y_i[t + k] y_j[t] for k = 0..max_lag, divided by N (biased) or N - k.
+
+    By ``_fft_is_cheaper`` either a loop of one BLAS product per lag or FFT
+    lag products: a zero-padded ``np.fft.rfft`` of each channel, the
+    c (c + 1) / 2 cross-spectra Y_i conj(Y_j) for i <= j, and one batched
+    ``irfft`` of them all, whose product (i, j) is the circular
+    correlation sum_t y_i[t + k] y_j[t].  The padding to at least
+    N + max_lag points keeps every kept lag free of wrapped terms; lag k of
+    product (i, j) is R[k][i, j], and its lag -k, at index L - k, is
+    R[k][j, i].  numpy's FFT does not call BLAS, so the FFT products keep
+    their bits at any BLAS thread count; the loop's one-channel products
+    are ``ddot`` calls that OpenBLAS splits between threads at long lengths.
+    Against a long-double lag sum, the one-channel unbiased periodogram
+    through the FFT is 5e-15 (N = 2064) and 2e-14 (N = 16384) of its largest
+    value off, through the loop 9e-16 and 7e-16.
+    """
     y = data.values
-    n, total = y.shape
-    out = np.empty((max_lag + 1, n, n))
-    for k in range(max_lag + 1):
-        out[k] = (y[:, k:] @ y[:, : total - k].T) / (total if biased else total - k)
-    return out
+    channels, total = y.shape
+    lags = max_lag + 1
+    head = np.empty((lags, channels, channels))
+    if _fft_is_cheaper(channels, total, lags):
+        size = _fft_size(total, lags)
+        spectra = np.fft.rfft(y, size)
+        first, second = np.array([(i, j) for i in range(channels) for j in range(i, channels)]).T
+        products = np.fft.irfft(spectra[first] * spectra[second].conj(), size)
+        # product (i, j) holds lag k at index k and lag -k, R[k][j, i], at
+        # size - k; a diagonal pair takes its positive lags
+        head[:, second, first] = np.concatenate([products[:, :1], products[:, : size - lags : -1]], axis=1).T
+        head[:, first, second] = products[:, :lags].T
+    else:
+        for k in range(lags):
+            np.matmul(y[:, k:], y[:, : total - k].T, out=head[k])
+    head /= total if biased else (total - np.arange(lags))[:, None, None]
+    return head
 
 
 def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:

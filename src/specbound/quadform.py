@@ -192,8 +192,6 @@ class QuadraticForm:
         arr = _real_array(self.matrix, "coefficient matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("coefficient matrix must be square and non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficient matrix contains non-finite entries")
         object.__setattr__(self, "matrix", _symmetric_copy(arr))
 
     @property
@@ -247,16 +245,26 @@ def _symmetric_copy(matrix: np.ndarray) -> np.ndarray:
     whole matrix, each of its entries lies a row's length from the last.
     The copy is then halved in place.  Any input, a strided or broadcast
     view too, takes this one path.
+
+    Each sum tile is checked for finiteness while it is in cache, which
+    covers every input entry and every sum that overflows: a non-finite
+    input raises as before, and a finite one whose a_ij + a_ji passes the
+    largest double raises too, instead of giving a form of inf entries.
     """
     size = matrix.shape[0]
     out = np.empty((size, size))
-    for i in range(0, size, _SYMMETRIC_TILE):
-        rows = slice(i, i + _SYMMETRIC_TILE)
-        for j in range(i, size, _SYMMETRIC_TILE):
-            columns = slice(j, j + _SYMMETRIC_TILE)
-            tile = np.add(matrix[rows, columns], matrix[columns, rows].T, out=out[rows, columns])
-            if j != i:
-                out[columns, rows] = tile.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, size, _SYMMETRIC_TILE):
+            rows = slice(i, i + _SYMMETRIC_TILE)
+            for j in range(i, size, _SYMMETRIC_TILE):
+                columns = slice(j, j + _SYMMETRIC_TILE)
+                tile = np.add(matrix[rows, columns], matrix[columns, rows].T, out=out[rows, columns])
+                if not np.isfinite(tile).all():
+                    if np.isfinite(matrix).all():
+                        raise ValueError("coefficient matrix overflows when symmetrized")
+                    raise ValueError("coefficient matrix contains non-finite entries")
+                if j != i:
+                    out[columns, rows] = tile.T
     out *= 0.5
     out.setflags(write=False)
     return out

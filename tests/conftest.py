@@ -71,3 +71,18 @@ def index_arithmetic_matrix(spec, n):
     wide = np.zeros(2 * n - 1)
     wide[n - m : n + m - 1] = spec.weights()
     return wide[diff + n - 1] / n
+
+
+def longdouble_lag_sum(head, weights, freqs):
+    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] from one-sided R[0..H-1] and w[0..H-1], the phases and sums in long double, one frequency at a time."""
+    half = head.shape[0]
+    head = head.astype(np.longdouble)
+    stack = np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])  # R[-k] = R[k]^T
+    weights = weights.astype(np.longdouble)
+    weighted = stack * np.concatenate([weights[:0:-1], weights])[:, None, None]  # w[-k] = w[k]
+    lags = np.arange(1 - half, half).astype(np.longdouble)
+    sums = []
+    for s in freqs:
+        angle = -2 * np.pi * ((lags * np.longdouble(s)) % 1)
+        sums.append(np.einsum("k,kij->ij", np.cos(angle), weighted) + 1j * np.einsum("k,kij->ij", np.sin(angle), weighted))
+    return np.array(sums)

@@ -110,6 +110,16 @@ def test_pointwise_condition_threshold():
     assert not no.holds
 
 
+@pytest.mark.parametrize("window", [[0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
+def test_an_all_zero_lag_window_meets_the_concentration_conditions(window):
+    # the zero estimator has zero norm bounds; the conditions divided by them
+    spec = est.BlackmanTukey((len(window) + 1) // 2, window)
+    ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
+    for part in ("pointwise", "worst_case"):
+        assert bd.check_estimator_conditions(spec, 8, part, 1.0, 0.1, ctx).holds
+    assert bd.check_conditions("pointwise", 1.0, 0.1, ctx, form=est.build_matrix(spec, 8)).holds
+
+
 def test_pointwise_condition_from_dense_form():
     ctx = ctx_gauss(phi=2.0)
     form = est.build_matrix(est.Bartlett(4), 4096)

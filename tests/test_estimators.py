@@ -1,5 +1,6 @@
 """Tests for the structured estimator constructors and fast paths."""
 
+import functools
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from specbound import quadform as qf
 from specbound.bounds import envelope_from_form
 from specbound.signals import sample_geometric_paths
 
-from conftest import index_arithmetic_matrix, random_estimator_spec
+from conftest import index_arithmetic_matrix, longdouble_lag_sum, random_estimator_spec
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,23 @@ def test_lag_window_peaks_at_zero_lag():
         assert weights.shape == (9,)
         assert weights[4] == pytest.approx(1.0)
         np.testing.assert_allclose(weights, weights[::-1], atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", est.WINDOW_KINDS)
+def test_named_lag_windows_are_exactly_even(kind):
+    for half_width in range(1, 1001):
+        weights = est.lag_window(kind, half_width)
+        assert np.array_equal(weights, weights[::-1]), half_width
+        # the non-negative lags, which the fast path reads, are the taper's own
+        assert weights[half_width - 1 :].tobytes() == est.taper_window(kind, 2 * half_width - 1)[half_width - 1 :].tobytes()
+
+
+@pytest.mark.parametrize("kind", est.WINDOW_KINDS)
+def test_named_lag_window_forms_are_their_own_transpose(kind):
+    spec = est.BlackmanTukey(40, kind)
+    matrix = spec.matrix(100)
+    assert np.array_equal(matrix, matrix.T)
+    assert est.build_matrix(spec, 100).matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()
 
 
 def test_unknown_window_kind_raises():
@@ -118,8 +136,6 @@ def test_toeplitz_matrices_are_read_only_views_with_the_index_arithmetic_bits(n)
     for spec in toeplitz_specs(n):
         matrix = spec.matrix(n)
         assert matrix.shape == (n, n)
-        # the named lag windows are not symmetric in their last bit, so a
-        # transposed view, reading entry (i, j) at lag j - i, fails here
         assert matrix.tobytes() == index_arithmetic_matrix(spec, n).tobytes(), spec
         with pytest.raises(ValueError, match="read-only"):
             matrix[n - 1, 0] = 1.0
@@ -316,6 +332,26 @@ def real_transform(windows, phases, points):
     return product[:, :points].reshape(windows.shape[:-1] + (points,))
 
 
+def stacked_gram_estimate(windows, taper, grid, divisor):
+    """The segment average from the lag head of the stacked segments' Gram, each subdiagonal summed on its own.
+
+    The reference for the several-channel short-segment path: diagonal -k
+    of each (i, j) block of the Gram, followed by k zeros, is one numpy sum
+    (pairwise, in the estimator's order), and the head's lag sum is
+    divided by ``divisor``.
+    """
+    segments, channels, length = windows.shape
+    stack = (windows * taper).reshape(segments, channels * length)
+    gram = stack.T @ stack
+    head = np.empty((length, channels, channels))
+    for k in range(length):
+        for i in range(channels):
+            for j in range(channels):
+                block = gram[i * length : (i + 1) * length, j * length : (j + 1) * length]
+                head[k, i, j] = np.concatenate([np.diagonal(block, -k), np.zeros(k)]).sum()
+    return qf.hermitian_part(ph.lag_sum(head, np.ones(length), grid) / divisor)
+
+
 def whole_matrix_estimate(spec, values, grid):
     """The estimate from unslabbed products over the whole grid.
 
@@ -323,7 +359,8 @@ def whole_matrix_estimate(spec, values, grid):
     whole padded (segment length, grid) phase matrix.  A longer one is
     zero-padded to Q whole blocks and takes one real product with the padded
     (BLOCK, grid) inner phases and one contraction of Q with the (Q, grid)
-    outer phases.
+    outer phases.  Several channels of short segments that the estimator's
+    cost rule gives the segment Gram take ``stacked_gram_estimate``.
     """
     num_samples = values.shape[1]
     if isinstance(spec, est.BiasedPeriodogram) and num_samples <= BLOCK:
@@ -336,6 +373,8 @@ def whole_matrix_estimate(spec, values, grid):
         length, hop, divisor = spec.segment_length, spec.hop, spec.segments(num_samples)
         taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
     windows = np.stack([values[:, start : start + length] for start in range(0, num_samples - length + 1, hop)])
+    if est._gram_is_cheaper(*windows.shape, grid.size):
+        return stacked_gram_estimate(windows, taper, grid, divisor)
     if length <= BLOCK:
         transform = real_transform(windows, padded_phases(length, grid, taper), grid.size)
     else:
@@ -494,8 +533,11 @@ def test_welch_windows_match_stacked_segments(spec, num_samples):
     segments, length, hop = spec.segments(num_samples), spec.segment_length, spec.hop
     windows = np.stack([values[:, i * hop : i * hop + length] for i in range(segments)])
     taper = spec.taper_values() / np.linalg.norm(spec.taper_values())
-    transform = real_transform(windows, padded_phases(length, grid, taper), grid.size)
-    expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / segments)
+    if est._gram_is_cheaper(segments, 2, length, grid.size):
+        expected = stacked_gram_estimate(windows, taper, grid, segments)
+    else:
+        transform = real_transform(windows, padded_phases(length, grid, taper), grid.size)
+        expected = qf.hermitian_part(np.einsum("lif,ljf->fij", transform, transform.conj()) / segments)
     for _ in range(2):  # the second call reads the cached phases
         fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid)
         assert fast.matrices.tobytes() == expected.tobytes()
@@ -570,7 +612,114 @@ def test_segment_phases_are_read_only(length, points):
         phases[0, 0] = 0.0
 
 
+# ---------------------------------------------------------------- segment Gram
+
+# overlapping, contiguous and gapped segments; named, positive custom and
+# signed custom tapers
+GRAM_SPECS = {
+    "overlap_hann": est.Welch(32, 16, "hann"),
+    "contiguous": est.Bartlett(16),
+    "gaps_hamming": est.Welch(24, 40, "hamming"),
+    "custom": est.Welch(48, 24, [1.0 + (k % 5) for k in range(48)]),
+    "signed": est.Welch(48, 16, [(k % 7) - 3.0 for k in range(48)]),
+}
+
+
+@pytest.mark.parametrize("segments", [4, 200], ids=["transform_side", "gram_side"])
+@pytest.mark.parametrize("channels", [2, 3, 5])
+@pytest.mark.parametrize("name", list(GRAM_SPECS))
+def test_segment_gram_matches_a_long_double_sum_and_the_transforms(name, channels, segments, monkeypatch):
+    spec = GRAM_SPECS[name]
+    num_samples = (segments - 1) * spec.hop + spec.segment_length
+    grid = qf.frequency_grid(101)
+    # the cost rule's own choice, then each kernel forced in turn
+    assert est._gram_is_cheaper(segments, channels, spec.segment_length, grid.size) == (segments == 200)
+    data = qf.DataMatrix(np.random.default_rng([channels, segments]).standard_normal((channels, num_samples)))
+    estimates = {}
+    for gram in (True, False):
+        monkeypatch.setattr(est, "_gram_is_cheaper", lambda *args, gram=gram: gram)
+        estimates[gram] = est.evaluate_fast(spec, data, grid).matrices
+    picks = [0, 1, 37, 99, 100]
+    reference = longdouble_estimate(spec, data.values, grid[picks])
+    assert float(np.abs(estimates[True][picks] - reference).max()) <= 1e-13 * float(np.abs(reference).max())
+    assert float(np.abs(estimates[True] - estimates[False]).max()) <= 1e-13 * float(np.abs(estimates[False]).max())
+
+
+def test_one_channel_and_long_segments_keep_the_transforms():
+    assert not est._gram_is_cheaper(4095, 1, 32, 101)
+    assert not est._gram_is_cheaper(4095, 3, BLOCK + 1, 101)
+    assert not est._gram_is_cheaper(1, 2, 8, 100_001)  # a short biased periodogram, even on a wide grid
+    assert est._gram_is_cheaper(4095, 3, 32, 101) and est._gram_is_cheaper(4096, 3, 16, 101)
+
+
 # ---------------------------------------------------------------- autocovariance
+
+
+@functools.lru_cache(maxsize=None)
+def longdouble_lag_products(channels, num_samples):
+    """The data of the lag-product tests and its sum_t y_i[t + k] y_j[t] at every lag k, in long double."""
+    values = np.random.default_rng([channels, num_samples]).standard_normal((channels, num_samples))
+    y = values.astype(np.longdouble)
+    return values, np.array([y[:, k:] @ y[:, : num_samples - k].T for k in range(num_samples)])
+
+
+LAG_PRODUCT_SIZES = [(c, n) for n in (1, 2, 3, 255, 256, 257, 2064) for c in (1, 2, 3)] + [(1, 16384)]
+
+
+@pytest.mark.parametrize("path", ["fft", "rule"])
+@pytest.mark.parametrize("family", ["unbiased", "biased_all_lags", "biased_32_lags"])
+@pytest.mark.parametrize("channels, num_samples", LAG_PRODUCT_SIZES, ids=lambda value: str(value))
+def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family, path, monkeypatch):
+    # "fft" forces the FFT lag products on both sides of the cost rule, and
+    # "rule" takes the rule's own choice: the loop for the short records and
+    # the 32-lag window, the FFT for the long ones
+    values, products = longdouble_lag_products(channels, num_samples)
+    if family == "unbiased":
+        spec, weights = est.UnbiasedPeriodogram(), np.ones(num_samples)
+        head = products / (num_samples - np.arange(num_samples)).astype(np.longdouble)[:, None, None]
+    else:
+        half_width = num_samples if family == "biased_all_lags" else min(32, num_samples)
+        spec = est.BlackmanTukey(half_width, "rectangular" if family == "biased_all_lags" else "hann")
+        weights = spec.weights()[half_width - 1 :]
+        head = products[:half_width] / num_samples
+    if path == "fft":
+        monkeypatch.setattr(est, "_fft_is_cheaper", lambda *args: True)
+    grid = qf.frequency_grid(37, full_range=True)
+    picks = [0, 1, 18, 25, 36]
+    fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
+    reference = longdouble_lag_sum(head, weights, grid[picks])
+    assert float(np.abs(fast - reference).max()) <= 1e-12 * float(np.abs(reference).max())
+
+
+def test_lag_product_rule_sides():
+    for channels in (1, 2, 3):
+        assert not est._fft_is_cheaper(channels, 3, 3)
+        assert not est._fft_is_cheaper(channels, 65536, 32)  # Blackman-Tukey 32
+        assert est._fft_is_cheaper(channels, 2064, 300)  # Blackman-Tukey 300
+        for num_samples in (255, 256, 257, 2064, 16384, 65536):
+            assert est._fft_is_cheaper(channels, num_samples, num_samples)  # the unbiased periodogram
+
+
+def test_one_channel_unbiased_periodogram_keeps_its_bits_at_two_blas_threads():
+    # the FFT lag products call no BLAS, and the lag sum's products keep
+    # their bits at one and two threads
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import hashlib, numpy as np\n"
+        "from specbound import estimators as est, quadform as qf\n"
+        "data = qf.DataMatrix(np.random.default_rng(15).standard_normal((1, 16384)))\n"
+        "estimate = est.evaluate_fast(est.UnbiasedPeriodogram(), data, qf.frequency_grid(101))\n"
+        "print(hashlib.sha256(estimate.matrices.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
 
 
 def test_unbiased_acs_is_unbiased_monte_carlo():

@@ -13,6 +13,8 @@ from specbound.constants import GAUSSIAN
 from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
+from conftest import longdouble_lag_sum
+
 
 @pytest.fixture(scope="module")
 def rng():
@@ -183,6 +185,19 @@ def test_quadratic_form_rejects_a_non_finite_entry_in_any_view(bad):
     for layout, values in views.items():
         with pytest.raises(ValueError, match="non-finite"):
             qf.QuadraticForm(values)
+
+
+@pytest.mark.parametrize("n, i, j", [(2, 0, 1), (129, 5, 128)], ids=["one_tile", "off_diagonal_tile"])
+def test_quadratic_form_rejects_a_symmetric_sum_that_overflows(n, i, j):
+    # every entry is finite, but a_ij + a_ji passes the largest double
+    a = np.ones((n, n))
+    a[i, j] = a[j, i] = 1.7e308
+    with pytest.raises(ValueError, match="overflows when symmetrized"):
+        qf.QuadraticForm(a)
+    with pytest.raises(ValueError, match="overflows when symmetrized"):
+        qf.QuadraticForm(np.full((n, n), 1.7e308))
+    a[i, j] = a[j, i] = 0.8e308  # a sum of 1.6e308 is finite, and so is its half
+    assert qf.QuadraticForm(a).matrix[i, j] == 0.8e308
 
 
 def test_quadratic_form_symmetrizes_and_bounds_norms(rng):
@@ -452,21 +467,6 @@ def test_exact_bias_sup_single_point_white_noise():
     coeffs = qf.BiasCoefficients(np.array([0.25, 0.0]))
     value = qf.exact_bias_sup(coeffs, WhiteNoise(1), np.array([0.0]))
     assert value == pytest.approx(0.75)
-
-
-def longdouble_lag_sum(head, weights, freqs):
-    """sum_{|k| < H} e^{-2 pi i s k} w[k] R[k] from one-sided R[0..H-1] and w[0..H-1], the phases and sums in long double, one frequency at a time."""
-    half = head.shape[0]
-    head = head.astype(np.longdouble)
-    stack = np.concatenate([head[1:][::-1].transpose(0, 2, 1), head])  # R[-k] = R[k]^T
-    weights = weights.astype(np.longdouble)
-    weighted = stack * np.concatenate([weights[:0:-1], weights])[:, None, None]  # w[-k] = w[k]
-    lags = np.arange(1 - half, half).astype(np.longdouble)
-    sums = []
-    for s in freqs:
-        angle = -2 * np.pi * ((lags * np.longdouble(s)) % 1)
-        sums.append(np.einsum("k,kij->ij", np.cos(angle), weighted) + 1j * np.einsum("k,kij->ij", np.sin(angle), weighted))
-    return np.array(sums)
 
 
 # Welch 32/16 at the first study's sizes (H = N), the three-channel chain at
