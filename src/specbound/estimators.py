@@ -30,19 +30,22 @@ argument live in ``phases``.
 
 Every estimate is one quadratic form, which can be summed in the transform
 domain or in the lag domain to the same rounding at very different costs,
-so two kernels build a lag head for ``lag_sum`` where that is cheaper, each
-chosen by a cost rule fitted to measured timings:
+so two kernels build a lag head for ``lag_sum`` where that is cheaper:
 
-- ``_acs_head`` takes FFT lag products (``_fft_is_cheaper``) instead of its
-  loop of one BLAS product per lag when the lag window is long: the
-  unbiased periodogram at 3 x 2064 samples in 1.0 ms instead of 10.9 ms,
-  while Blackman-Tukey 32 at 3 x 65536 keeps its 4.4 ms loop (40 ms by FFT).
-- Several channels of many short segments (``_gram_is_cheaper``) take the
-  lag head of one segment Gram (``_segment_gram``) instead of the segment
-  transforms and ``einsum``: three channels of 2048 Hann segments of 32 on
-  101 points in 1.9 ms instead of 21 ms.  One channel, one segment (the
-  biased periodogram) and segments longer than 256 samples always keep the
-  transforms, few segments and narrow grids by the rule.
+- ``_acs_head`` takes FFT lag products instead of its loop of one BLAS
+  product per lag when a cost rule fitted to measured timings
+  (``_fft_is_cheaper``) predicts them faster, that is when the lag window
+  is long: the unbiased periodogram at 3 x 2064 samples in 1.0 ms instead
+  of 10.9 ms, while Blackman-Tukey 32 at 3 x 65536 keeps its 4.4 ms loop
+  (40 ms by FFT).
+- Several channels of many short segments take the lag head of one segment
+  Gram (``_segment_gram``) instead of the segment transforms and
+  ``einsum``, chosen by the shapes alone (``_gram_is_cheaper``): at least
+  as many segments as the stacked segment has samples, a segment no longer
+  than the padded grid and a Gram no larger than one phase slab.  Three
+  channels of 4095 Hann segments of 32 on 101 points take 3.5 ms instead of
+  51 ms.  One channel, one segment (the biased periodogram) and segments
+  longer than 256 samples always keep the transforms.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phases import _PHASE_BLOCK, WINDOW_KINDS, _padded, _phase_slabs, _phase_transform, _unit_taper, lag_sum, taper_window
+from .phases import _PHASE_BLOCK, _PHASE_SLAB_BYTES, WINDOW_KINDS, _padded, _phase_slabs, _phase_transform, _unit_taper, lag_sum, taper_window
 from .quadform import (
     _RANGE_SLACK,
     BiasCoefficients,
@@ -118,53 +121,40 @@ def _segment_stack(values: np.ndarray, length: int, hop: int, segments: int) -> 
     return stack
 
 
-# Costs of the two several-channel segment kernels, in ns, fitted by least
-# squares to best-of-7 timings of both kernels over 2, 3 and 5 channels,
-# segment lengths 8..256, 2..2048 segments and 17 and 101 grid points (one
-# BLAS thread, 2-vCPU Xeon, numpy 2.4 with OpenBLAS 0.3.31): the Gram's
-# fixed cost, per entry of its c^2 m^2 diagonal terms, per segment and Gram
-# entry and per segment and stacked sample; the transform's fixed cost, per
-# segment, channel, padded grid column and sample, and per segment, channel
-# pair and padded grid column (the ``einsum`` reduction)
-_GRAM_CALL_NS = 60_000
-_GRAM_TERM_NS = 7.0
-_GRAM_PRODUCT_NS = 0.034
-_GRAM_STACK_NS = 3.0
-_TRANSFORM_CALL_NS = 23_000
-_TRANSFORM_PRODUCT_NS = 0.13
-_TRANSFORM_REDUCE_NS = 5.8
-
-
 def _gram_is_cheaper(segments: int, channels: int, length: int, points: int) -> bool:
-    """Whether ``_segment_gram`` is predicted faster than the segment transforms, by the fitted costs above.
+    """Whether ``_segment_gram`` takes the place of the segment transforms, by the shapes alone.
 
-    One channel keeps its real transform path, one segment (the biased
-    periodogram) its transform and a segment longer than ``_PHASE_BLOCK``
-    its two-stage transform.  Otherwise, for K segments of m samples, c
-    channels and P padded grid columns, the transforms cost K c P m
-    multiply-adds and K c^2 P ``einsum`` terms, the Gram K (c m)^2 / 2
-    multiply-adds and a fixed c^2 m^2 diagonal terms and lag transform.  So
-    the Gram wins for many short segments on a wide grid and loses for few
-    or long ones.  Measured at
-    three channels, m = 32 and 101 points, Gram against transforms: 0.11
-    against 0.09 ms at K = 16, 0.11 against 0.33 at K = 64, 0.51 against 4.7
-    at K = 512 and 1.9 against 21 at K = 2048; at 17 points the transforms
-    still win at K = 64 (0.11 against 0.08 ms).  At m = 256 the transforms
-    win at every K measured (17 against 8.9 ms at K = 512).
+    For K segments of m samples, c channels and P padded grid columns, the
+    transforms take K c m P multiply-adds and K c^2 P ``einsum`` terms, the
+    Gram K (c m)^2 / 2 multiply-adds and a fixed c^2 m^2 diagonal terms.
+    So the Gram is taken when
+    - there are several channels: one keeps its real transform path;
+    - the segment stack is at least as tall as it is wide, K >= c m, so that
+      its fixed cost is spread over as many segments as the Gram has rows.
+      This keeps the one segment of the biased periodogram on its transform;
+    - a segment is no longer than the padded grid, m <= P, since the Gram's
+      work per segment grows with m^2 and the transforms' with m P;
+    - a segment is one block, m <= ``_PHASE_BLOCK``: a longer one keeps its
+      two-stage transform;
+    - the Gram is no larger than one phase slab, 8 (c m)^2 bytes at most
+      ``_PHASE_SLAB_BYTES``, as the Gram and its diagonals are two arrays of
+      that size where the transforms keep to their slabs.
+    Timed against the transforms over 2, 3, 5 and 8 channels, m = 8..256,
+    K = 2..4095 and 1, 17, 101 and 1001 points (one BLAS thread, 2-vCPU
+    Xeon), the Gram so taken was slower in 16 of 456 cases, by 0.7 ms in
+    all, the most 2.4 times on a 0.03 ms estimate (two channels, 32
+    segments of 8, one point).  Three channels of 4095 Hann segments of 32
+    on 101 points take 3.5 instead of 51 ms.  Bartlett 64 on 17 x 69632
+    samples, too wide a Gram, keeps its transforms: 15 MiB of scratch where
+    the Gram takes 30 MiB, though 250 ms where the Gram takes 60.
     """
-    if channels == 1 or segments == 1 or length > _PHASE_BLOCK:
-        return False
     width = channels * length
-    gram = (
-        _GRAM_CALL_NS
-        + _GRAM_TERM_NS * width * width
-        + segments * width * (_GRAM_PRODUCT_NS * width + _GRAM_STACK_NS)
+    return (
+        channels > 1
+        and segments >= width
+        and length <= min(_padded(points), _PHASE_BLOCK)
+        and 8 * width * width <= _PHASE_SLAB_BYTES
     )
-    columns = _padded(points)
-    transform = _TRANSFORM_CALL_NS + segments * channels * columns * (
-        _TRANSFORM_PRODUCT_NS * length + _TRANSFORM_REDUCE_NS * channels
-    )
-    return gram < transform
 
 
 def _segment_gram(windows: np.ndarray, taper, freqs: np.ndarray) -> np.ndarray:
@@ -251,8 +241,8 @@ def _segment_average(windows: np.ndarray, taper, freqs: np.ndarray, divisor) -> 
     the bits are promised at a fixed thread count only, and the tests compare
     at one thread; no change was seen between one and four threads.
 
-    Several channels of short segments that ``_gram_is_cheaper`` predicts
-    faster take ``_segment_gram`` instead, the same form in the lag domain;
+    Several channels of short segments that ``_gram_is_cheaper`` picks
+    take ``_segment_gram`` instead, the same form in the lag domain;
     its bits were the same at one and two BLAS threads in every case tried
     (two, three and five channels, 128 to 4095 segments).
     """

@@ -291,9 +291,12 @@ SEGMENT_SLAB_SPECS = {
     "welch32": est.Welch(32, 16),
     "bartlett16": est.Bartlett(16),
     "welch512": est.Welch(512, 64),
+    "welch256": est.Welch(256, 64),
 }
 # welch512 at 201 points: several slabs, each reading its columns of both
-# cached two-stage tables
+# cached two-stage tables; welch256, whose segments are longer than the
+# padded grid, and welch32 at 17 points keep the one-stage transforms and
+# reduce them with einsum over several slabs from three channels on
 SEGMENT_SLAB_CASES = [(name, 65536, 101) for name in SEGMENT_SLAB_SPECS] + [
     ("bartlett8192", 65536, 257),
     ("welch32", 65536, 17),
@@ -360,7 +363,7 @@ def whole_matrix_estimate(spec, values, grid):
     zero-padded to Q whole blocks and takes one real product with the padded
     (BLOCK, grid) inner phases and one contraction of Q with the (Q, grid)
     outer phases.  Several channels of short segments that the estimator's
-    cost rule gives the segment Gram take ``stacked_gram_estimate``.
+    rule gives the segment Gram take ``stacked_gram_estimate``.
     """
     num_samples = values.shape[1]
     if isinstance(spec, est.BiasedPeriodogram) and num_samples <= BLOCK:
@@ -625,15 +628,15 @@ GRAM_SPECS = {
 }
 
 
-@pytest.mark.parametrize("segments", [4, 200], ids=["transform_side", "gram_side"])
+@pytest.mark.parametrize("segments", [4, 256], ids=["transform_side", "gram_side"])
 @pytest.mark.parametrize("channels", [2, 3, 5])
 @pytest.mark.parametrize("name", list(GRAM_SPECS))
 def test_segment_gram_matches_a_long_double_sum_and_the_transforms(name, channels, segments, monkeypatch):
     spec = GRAM_SPECS[name]
     num_samples = (segments - 1) * spec.hop + spec.segment_length
     grid = qf.frequency_grid(101)
-    # the cost rule's own choice, then each kernel forced in turn
-    assert est._gram_is_cheaper(segments, channels, spec.segment_length, grid.size) == (segments == 200)
+    # the rule's own choice, then each kernel forced in turn
+    assert est._gram_is_cheaper(segments, channels, spec.segment_length, grid.size) == (segments == 256)
     data = qf.DataMatrix(np.random.default_rng([channels, segments]).standard_normal((channels, num_samples)))
     estimates = {}
     for gram in (True, False):
@@ -645,11 +648,33 @@ def test_segment_gram_matches_a_long_double_sum_and_the_transforms(name, channel
     assert float(np.abs(estimates[True] - estimates[False]).max()) <= 1e-13 * float(np.abs(estimates[False]).max())
 
 
-def test_one_channel_and_long_segments_keep_the_transforms():
+def test_the_gram_rule_reads_the_shapes():
+    # one channel, one segment (the biased periodogram, even on a wide grid)
+    # and two-stage segments keep the transforms
     assert not est._gram_is_cheaper(4095, 1, 32, 101)
-    assert not est._gram_is_cheaper(4095, 3, BLOCK + 1, 101)
-    assert not est._gram_is_cheaper(1, 2, 8, 100_001)  # a short biased periodogram, even on a wide grid
+    assert not est._gram_is_cheaper(1, 2, 8, 100_001)
+    assert not est._gram_is_cheaper(4095, 3, BLOCK + 1, 1001)
     assert est._gram_is_cheaper(4095, 3, 32, 101) and est._gram_is_cheaper(4096, 3, 16, 101)
+    # fewer segments than stacked samples, and segments longer than the padded grid
+    assert est._gram_is_cheaper(96, 3, 32, 101) and not est._gram_is_cheaper(95, 3, 32, 101)
+    assert est._gram_is_cheaper(4095, 3, 24, 17) and not est._gram_is_cheaper(4095, 3, 32, 17)
+    # a Gram of at most one 8 MiB phase slab
+    assert est._gram_is_cheaper(1088, 16, 64, 101) and not est._gram_is_cheaper(1088, 17, 64, 101)
+
+
+def test_a_gram_wider_than_a_slab_keeps_the_transforms():
+    # 17 channels of 1088 blocks of 64 would take a 9.5 MB Gram and as large a
+    # copy of its diagonals (30 MiB at the peak); the transforms keep to one
+    # 8 MiB phase slab beside the 9.5 MB segment stack
+    data = qf.DataMatrix(np.random.default_rng(7).standard_normal((17, 1088 * 64)))
+    grid = qf.frequency_grid(101)
+    tracemalloc.start()
+    try:
+        est.evaluate_fast(est.Bartlett(64), data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
 
 
 # ---------------------------------------------------------------- autocovariance
