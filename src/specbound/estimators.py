@@ -32,12 +32,11 @@ Every estimate is one quadratic form, which can be summed in the transform
 domain or in the lag domain to the same rounding at very different costs,
 so two kernels build a lag head for ``lag_sum`` where that is cheaper:
 
-- ``_acs_head`` takes FFT lag products instead of its loop of one BLAS
-  product per lag when a cost rule fitted to measured timings
-  (``_fft_is_cheaper``) predicts them faster, that is when the lag window
-  is long: the unbiased periodogram at 3 x 2064 samples in 1.0 ms instead
-  of 10.9 ms, while Blackman-Tukey 32 at 3 x 65536 keeps its 4.4 ms loop
-  (40 ms by FFT).
+- ``_acs_head`` takes FFT lag products in blocks instead of its loop of one
+  BLAS product per lag unless the window has at most 64 lags and the record
+  spans more than one block (``_loop_is_cheaper``, by the shapes alone):
+  Blackman-Tukey 300 at 3 x 65536 samples takes 7.0 ms instead of 28 ms by
+  one whole FFT, while Blackman-Tukey 32 there keeps its 3.5 ms loop.
 - Several channels of many short segments take the lag head of one segment
   Gram (``_segment_gram``) instead of the segment transforms and
   ``einsum``, chosen by the shapes alone (``_gram_is_cheaper``): at least
@@ -352,6 +351,8 @@ class BlackmanTukey:
             raise ValueError("lag window contains non-finite entries")
         if not np.array_equal(values, values[::-1]):
             raise ValueError("lag window must satisfy w[k] = w[-k]")
+        if not np.any(values):
+            raise ValueError("lag window must have a nonzero weight")
         return values
 
     def _check_fits(self, n: int) -> None:
@@ -552,55 +553,47 @@ def certificate_params(spec, num_samples: int) -> CertificateParams | None:
     return spec.certificate_params(int(num_samples))
 
 
-# Costs of the two lag-product kernels, in ns, fitted by least squares to
-# best-of-5 timings of both over 1, 2, 3 and 5 channels, N = 16..65536 and
-# 2..N lags (one BLAS thread, 2-vCPU Xeon, numpy 2.4): the FFT's fixed cost
-# and its cost per transform and point, times log2 of the length; the
-# loop's fixed cost, its cost per lag and per lag and multiply-add
-_FFT_CALL_NS = 46_000
-_FFT_POINT_NS = 1.2
-_LOOP_CALL_NS = 6_000
-_LOOP_LAG_NS = 3_500
-_LOOP_PRODUCT_NS = 0.14
-
-
 def _fft_size(samples: int, lags: int) -> int:
     """The least power of two of at least samples + lags - 1, so that no circular product wraps onto a kept lag."""
     return 1 << (samples + lags - 2).bit_length()
 
 
-def _fft_is_cheaper(channels: int, samples: int, lags: int) -> bool:
-    """Whether ``_acs_head`` is predicted faster through FFTs than through its loop, by the fitted costs above.
+def _lag_block(samples: int, lags: int) -> int:
+    """The FFT lag products' block: 4 times the least power of two of at least ``lags``, at least 2048 points and at most ``_fft_size``."""
+    return min(max(2048, 4 << (lags - 1).bit_length()), _fft_size(samples, lags))
 
-    The loop costs one BLAS product of c^2 (N - k) multiply-adds per lag; the
-    FFTs c forward and c (c + 1) / 2 inverse transforms of L log2 L, for L
-    from ``_fft_size``, whatever the lag count.  So short lag windows keep
-    the loop and long ones take the FFTs.  Measured, loop against FFT: the
-    unbiased periodogram at 3 x 2064 samples 10.9 against 0.99 ms and at
-    1 x 16384 103 against 2.7 ms; Blackman-Tukey 300 at 3 x 2064 1.9 against
-    0.45 ms, while Blackman-Tukey 32 keeps the loop, 0.22 against 0.46 ms at
-    3 x 2064 and 4.4 against 40 ms at 3 x 65536.  Short records switch
-    early: 32 lags of 1 x 144 samples take 0.12 ms on the loop and 0.05 ms
-    through the FFT.
-    """
-    size = _fft_size(samples, lags)
-    transforms = channels + channels * (channels + 1) // 2
-    fft = _FFT_CALL_NS + _FFT_POINT_NS * transforms * size * (size.bit_length() - 1)
-    loop = _LOOP_CALL_NS + lags * (_LOOP_LAG_NS + _LOOP_PRODUCT_NS * channels * channels * samples)
-    return fft < loop
+
+def _loop_is_cheaper(samples: int, lags: int) -> bool:
+    """Whether ``_acs_head`` takes its loop: at most 64 lags of a record longer than one block."""
+    return lags <= 64 and _lag_block(samples, lags) < _fft_size(samples, lags)
 
 
 def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     """Lag products R[k][i, j] = sum_t y_i[t + k] y_j[t] for k = 0..max_lag, divided by N (biased) or N - k.
 
-    By ``_fft_is_cheaper`` either a loop of one BLAS product per lag or FFT
-    lag products: a zero-padded ``np.fft.rfft`` of each channel, the
-    c (c + 1) / 2 cross-spectra Y_i conj(Y_j) for i <= j, and one batched
-    ``irfft`` of them all, whose product (i, j) is the circular
-    correlation sum_t y_i[t + k] y_j[t].  The padding to at least
-    N + max_lag points keeps every kept lag free of wrapped terms; lag k of
-    product (i, j) is R[k][i, j], and its lag -k, at index L - k, is
-    R[k][j, i].  numpy's FFT does not call BLAS, so the FFT products keep
+    By ``_loop_is_cheaper`` either a loop of one BLAS product per lag or FFT
+    lag products in blocks of F = ``_lag_block`` points (overlap-save,
+    Stockham 1966): the record is cut into spans of F - max_lag samples, the
+    F samples from each span's start are correlated with the span alone, so
+    that each product y_i[t + k] y_j[t] is counted once and none wraps, and
+    the c^2 cross-spectra X_i conj(Z_j) are summed over the blocks before one
+    batched ``irfft``.  A record that fits one block takes one zero-padded
+    ``np.fft.rfft`` Y of each channel and the c (c + 1) / 2 cross-spectra
+    Y_i conj(Y_j) for i <= j: lag k of product (i, j) is R[k][i, j], and its
+    lag -k, at index F - k, is R[k][j, i].  The blocks' work grows like
+    c^2 N log F and the loop's like c^2 N H for H = max_lag + 1, so the
+    crossover is a window length, nearly free of N and c.  Loop / blocks in
+    ms at c x N samples and H = 32, 64, 96, 128 and 256 lags, best of 15 and
+    least of three runs, one BLAS thread, 2-vCPU Xeon:
+
+        1 x 16384  0.22/0.38  0.32/0.26  0.48/0.27  0.64/0.26  1.28/0.29
+        2 x 16384  0.29/0.63  0.54/0.61  0.85/0.63  1.03/0.60  2.13/0.68
+        3 x 16384  0.80/1.06  1.49/1.03  2.18/1.05  2.90/1.44  5.50/1.14
+        1 x 65536  0.47/0.91  0.94/0.94  1.36/0.92  1.80/0.96  3.64/1.04
+        2 x 65536  0.99/2.29  1.79/2.19  2.70/2.17  3.33/2.29  6.93/3.41
+        3 x 65536  3.56/5.91  6.78/6.38  10.0/6.16  12.0/5.86  24.5/6.91
+
+    numpy's FFT and ``einsum`` do not call BLAS, so the FFT products keep
     their bits at any BLAS thread count; the loop's one-channel products
     are ``ddot`` calls that OpenBLAS splits between threads at long lengths.
     Against a long-double lag sum, the one-channel unbiased periodogram
@@ -611,8 +604,11 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     channels, total = y.shape
     lags = max_lag + 1
     head = np.empty((lags, channels, channels))
-    if _fft_is_cheaper(channels, total, lags):
-        size = _fft_size(total, lags)
+    size = _lag_block(total, lags)
+    if _loop_is_cheaper(total, lags):
+        for k in range(lags):
+            np.matmul(y[:, k:], y[:, : total - k].T, out=head[k])
+    elif size == _fft_size(total, lags):
         spectra = np.fft.rfft(y, size)
         first, second = np.array([(i, j) for i in range(channels) for j in range(i, channels)]).T
         products = np.fft.irfft(spectra[first] * spectra[second].conj(), size)
@@ -621,8 +617,10 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
         head[:, second, first] = np.concatenate([products[:, :1], products[:, : size - lags : -1]], axis=1).T
         head[:, first, second] = products[:, :lags].T
     else:
-        for k in range(lags):
-            np.matmul(y[:, k:], y[:, : total - k].T, out=head[k])
+        span = size - max_lag
+        windows = sliding_window_view(np.pad(y, ((0, 0), (0, -total % span + max_lag))), size, axis=1)[:, ::span]
+        cross = np.einsum("ibf,jbf->ijf", np.fft.rfft(windows), np.fft.rfft(windows[..., :span], size).conj())
+        head[:] = np.fft.irfft(cross, size)[..., :lags].transpose(2, 0, 1)
     head /= total if biased else (total - np.arange(lags))[:, None, None]
     return head
 

@@ -111,13 +111,15 @@ def test_pointwise_condition_threshold():
 
 
 @pytest.mark.parametrize("window", [[0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
-def test_an_all_zero_lag_window_meets_the_concentration_conditions(window):
-    # the zero estimator has zero norm bounds; the conditions divided by them
-    spec = est.BlackmanTukey((len(window) + 1) // 2, window)
+def test_an_all_zero_lag_window_is_rejected_and_zero_norm_bounds_meet_the_conditions(window):
+    # the zero estimator is rejected when its spec is built; zero norm bounds,
+    # which the conditions divide by, still meet them
+    with pytest.raises(ValueError, match="lag window must have a nonzero weight"):
+        est.BlackmanTukey((len(window) + 1) // 2, window)
     ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
     for part in ("pointwise", "worst_case"):
-        assert bd.check_estimator_conditions(spec, 8, part, 1.0, 0.1, ctx).holds
-    assert bd.check_conditions("pointwise", 1.0, 0.1, ctx, form=est.build_matrix(spec, 8)).holds
+        assert bd.check_conditions(part, 1.0, 0.1, ctx, params=record(0.0)).holds
+    assert bd.check_conditions("pointwise", 1.0, 0.1, ctx, form=qf.QuadraticForm(np.zeros((8, 8)))).holds
 
 
 def test_pointwise_condition_from_dense_form():

@@ -782,6 +782,22 @@ def test_zero_taper_is_a_config_error(tmp_path):
     assert not (tmp_path / "certificates.csv").exists()
 
 
+def test_zero_lag_window_is_a_config_error(tmp_path, capsys):
+    # every weight zero: rejected when the spec is built, before the norm
+    # envelope (zero) or the truncation width (zero) is reached
+    config = {
+        "estimator": {"kind": "blackman_tukey", "half_width": 3, "window": [0, 0, 0, 0, 0]},
+        "num_samples": 16,
+        "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 1},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: estimator: lag window must have a nonzero weight\n"
+    assert not out.exists()
+
+
 def test_config_error_type_is_value_error():
     with pytest.raises(ConfigError):
         parse_config({"noise": "pink"})

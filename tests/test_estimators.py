@@ -681,34 +681,46 @@ def test_a_gram_wider_than_a_slab_keeps_the_transforms():
 
 
 @functools.lru_cache(maxsize=None)
-def longdouble_lag_products(channels, num_samples):
-    """The data of the lag-product tests and its sum_t y_i[t + k] y_j[t] at every lag k, in long double."""
+def longdouble_lag_products(channels, num_samples, lags):
+    """The data of the lag-product tests and its sum_t y_i[t + k] y_j[t] at lags k < ``lags``, in long double."""
     values = np.random.default_rng([channels, num_samples]).standard_normal((channels, num_samples))
     y = values.astype(np.longdouble)
-    return values, np.array([y[:, k:] @ y[:, : num_samples - k].T for k in range(num_samples)])
+    return values, np.array([y[:, k:] @ y[:, : num_samples - k].T for k in range(lags)])
 
 
 LAG_PRODUCT_SIZES = [(c, n) for n in (1, 2, 3, 255, 256, 257, 2064) for c in (1, 2, 3)] + [(1, 16384)]
+# records longer than one FFT block: 300 lags in blocks of 2048 points and
+# spans of 1749 samples, the last span partial but at 3498 samples, and 64
+# and 65 lags, the two sides of the loop rule, in spans of 1985 and 1984;
+# rectangular windows, so that a wrapped product at the last lag would count
+LAG_PRODUCT_BLOCKS = [(c, n, 300) for n in (2064, 16384) for c in (1, 2, 3)] + [(2, 3498, 300), (2, 5000, 300)]
+LAG_PRODUCT_BLOCKS += [(c, 4100, lags) for lags in (64, 65) for c in (1, 3)]
+LAG_PRODUCT_CASES = [(c, n, family) for c, n in LAG_PRODUCT_SIZES for family in ("unbiased", "biased_all_lags", "biased_32_lags")]
+LAG_PRODUCT_CASES += [(c, n, f"rectangular_{lags}") for c, n, lags in LAG_PRODUCT_BLOCKS]
 
 
-@pytest.mark.parametrize("path", ["fft", "rule"])
-@pytest.mark.parametrize("family", ["unbiased", "biased_all_lags", "biased_32_lags"])
-@pytest.mark.parametrize("channels, num_samples", LAG_PRODUCT_SIZES, ids=lambda value: str(value))
+@pytest.mark.parametrize("path", ["loop", "fft"])
+@pytest.mark.parametrize("channels, num_samples, family", LAG_PRODUCT_CASES, ids=lambda value: str(value))
 def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family, path, monkeypatch):
-    # "fft" forces the FFT lag products on both sides of the cost rule, and
-    # "rule" takes the rule's own choice: the loop for the short records and
-    # the 32-lag window, the FFT for the long ones
-    values, products = longdouble_lag_products(channels, num_samples)
+    # each kernel is forced through the rule at every size: the loop, and the
+    # FFT lag products, one whole transform or blocks by the record's length
     if family == "unbiased":
-        spec, weights = est.UnbiasedPeriodogram(), np.ones(num_samples)
+        spec = est.UnbiasedPeriodogram()
+    elif family == "biased_all_lags":
+        spec = est.BlackmanTukey(num_samples, "rectangular")
+    elif family == "biased_32_lags":
+        spec = est.BlackmanTukey(min(32, num_samples), "hann")
+    else:
+        spec = est.BlackmanTukey(int(family.split("_")[1]), "rectangular")
+    lags = num_samples if family == "unbiased" else spec.half_width
+    values, products = longdouble_lag_products(channels, num_samples, lags)
+    if family == "unbiased":
+        weights = np.ones(num_samples)
         head = products / (num_samples - np.arange(num_samples)).astype(np.longdouble)[:, None, None]
     else:
-        half_width = num_samples if family == "biased_all_lags" else min(32, num_samples)
-        spec = est.BlackmanTukey(half_width, "rectangular" if family == "biased_all_lags" else "hann")
-        weights = spec.weights()[half_width - 1 :]
-        head = products[:half_width] / num_samples
-    if path == "fft":
-        monkeypatch.setattr(est, "_fft_is_cheaper", lambda *args: True)
+        weights = spec.weights()[lags - 1 :]
+        head = products / num_samples
+    monkeypatch.setattr(est, "_loop_is_cheaper", lambda *args: path == "loop")
     grid = qf.frequency_grid(37, full_range=True)
     picks = [0, 1, 18, 25, 36]
     fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
@@ -717,25 +729,36 @@ def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family,
 
 
 def test_lag_product_rule_sides():
-    for channels in (1, 2, 3):
-        assert not est._fft_is_cheaper(channels, 3, 3)
-        assert not est._fft_is_cheaper(channels, 65536, 32)  # Blackman-Tukey 32
-        assert est._fft_is_cheaper(channels, 2064, 300)  # Blackman-Tukey 300
-        for num_samples in (255, 256, 257, 2064, 16384, 65536):
-            assert est._fft_is_cheaper(channels, num_samples, num_samples)  # the unbiased periodogram
+    # queries: Blackman-Tukey 32 at 2064 and 65536 samples keeps the loop
+    assert est._loop_is_cheaper(2064, 32) and est._loop_is_cheaper(65536, 32)
+    # one whole transform: the unbiased periodogram of queries (2064 samples)
+    # and of validation, Blackman-Tukey 32 of validation and of the smoke
+    # queries; the 2048-point least block keeps 1024 samples on it
+    for num_samples, lags in [(2064, 2064), (256, 256), (512, 512), (1024, 1024), (256, 32), (512, 32), (1024, 32), (528, 32)]:
+        assert not est._loop_is_cheaper(num_samples, lags)
+        assert est._lag_block(num_samples, lags) == est._fft_size(num_samples, lags)
+    # one block holds N + 63 <= 2048 samples at 64 lags
+    assert not est._loop_is_cheaper(1985, 64) and est._loop_is_cheaper(1986, 64)
+    # past one block, 64 lags keep the loop and 65 take blocks of 2048 points
+    assert est._loop_is_cheaper(4100, 64) and not est._loop_is_cheaper(4100, 65)
+    assert est._lag_block(4100, 65) == est._lag_block(65536, 300) == 2048
+    # the block is four times the least power of two of at least the lags
+    assert est._lag_block(65536, 513) == 4096 and est._lag_block(1000, 513) == 2048 == est._fft_size(1000, 513)
 
 
 def test_one_channel_unbiased_periodogram_keeps_its_bits_at_two_blas_threads():
-    # the FFT lag products call no BLAS, and the lag sum's products keep
-    # their bits at one and two threads
+    # the FFT lag products, one whole transform (the unbiased periodogram) or
+    # blocks (Blackman-Tukey hann 300), call no BLAS, and the lag sum's
+    # products keep their bits at one and two threads
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
     probe = (
         "import hashlib, numpy as np\n"
         "from specbound import estimators as est, quadform as qf\n"
         "data = qf.DataMatrix(np.random.default_rng(15).standard_normal((1, 16384)))\n"
-        "estimate = est.evaluate_fast(est.UnbiasedPeriodogram(), data, qf.frequency_grid(101))\n"
-        "print(hashlib.sha256(estimate.matrices.tobytes()).hexdigest())\n"
+        "for spec in (est.UnbiasedPeriodogram(), est.BlackmanTukey(300, 'hann')):\n"
+        "    estimate = est.evaluate_fast(spec, data, qf.frequency_grid(101))\n"
+        "    print(hashlib.sha256(estimate.matrices.tobytes()).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
@@ -744,7 +767,6 @@ def test_one_channel_unbiased_periodogram_keeps_its_bits_at_two_blas_threads():
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout)
     assert digests[0] == digests[1]
-
 
 
 def test_unbiased_acs_is_unbiased_monte_carlo():

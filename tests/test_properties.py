@@ -18,7 +18,11 @@ rounding tie is formatted by the scalar formatter.  Over stable state-space
 models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
 seeds below 2^200 and trial indices on both sides of 2^32, the batch key
 pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
-generator draws what ``rng_stream`` draws.
+generator draws what ``rng_stream`` draws.  Hypothesis also draws the
+numeric literals of the source, so the examples change with them; edge cases
+are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
+rejected at construction, and 64 and 65 lags of 2064 samples, the two sides
+of the lag-product rule.
 """
 
 import math
@@ -31,7 +35,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from specbound import bounds as bd
@@ -108,6 +112,10 @@ def test_closed_form_bias_matches_dense_diagonal_sums(case):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(SPECS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+# both sides of the lag-product rule over a record longer than one FFT block:
+# 64 lags keep the loop, 65 take the blocked FFT lag products
+@example((lambda: est.BlackmanTukey(64, "hann"), 2064), 2, 7)
+@example((lambda: est.BlackmanTukey(65, "hann"), 2064), 2, 7)
 def test_fast_path_matches_generic_oracle(case, channels, seed):
     build, n = case
     spec = _construct(build)
@@ -165,7 +173,8 @@ def signed_windows(draw):
     """A sample count and a Blackman-Tukey spec whose symmetric window takes any sign and size."""
     n = draw(st.integers(1, MAX_SAMPLES))
     half_width = draw(st.integers(1, n))
-    half = draw(st.lists(st.floats(-10.0, 10.0), min_size=half_width, max_size=half_width))
+    # an all-zero window is rejected at construction
+    half = draw(st.lists(st.floats(-10.0, 10.0), min_size=half_width, max_size=half_width).filter(any))
     return est.BlackmanTukey(half_width, half[:0:-1] + half), n
 
 
@@ -223,6 +232,8 @@ def near_unit_windows(draw):
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(st.one_of(SPECS, custom_taper_welches(), near_unit_windows()), st.floats(0.0, 0.9), st.floats(0.05, 8.0))
+# an all-zero custom window, rejected at construction
+@example((lambda: est.BlackmanTukey(3, [0.0] * 5), 16), 0.5, 1.0)
 def test_every_family_bias_verdict_implies_the_general_check(case, rho, eps):
     build, n = case
     spec = _construct(build)

@@ -24,7 +24,11 @@ three-channel model, each with the default grid, 17 and 257 points and the
 full range; an unbiased-periodogram ``estimate`` at N = 16384; a
 three-channel Blackman-Tukey (hann, half width 300) ``estimate`` at
 N = 2064, whose lag window reaches past 256 lags; a three-channel Welch
-(segment length 32, hop 16) ``estimate`` at N = 65536;
+(segment length 32, hop 16) ``estimate`` at N = 65536; one-channel
+Blackman-Tukey (hann, half widths 32 and 300) ``estimate`` runs at
+N = 16384, a short window whose lag products take the loop and a long one
+whose lag products take FFT blocks, and a three-channel Blackman-Tukey
+(hann, half width 300) ``estimate`` at N = 65536, over many blocks;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model; a
@@ -147,8 +151,9 @@ OVERRIDES = {
 }
 
 # name -> (command, config): every one of these is rejected with exit code 2.
-# Window and taper errors, the all-zero length-two hann taper included, are
-# caught when the spec is constructed, before the missing context is noticed.
+# Window and taper errors, the all-zero length-two hann taper and the
+# all-zero lag window included, are caught when the spec is constructed,
+# before the missing context is noticed.
 REJECTED = {
     "unknown_key": ("estimate", {"bogus": 1}),
     "unknown_noise": ("simulate", {"model": {"kind": "white"}, "noise": "pink", "num_samples": 8}),
@@ -193,6 +198,10 @@ REJECTED = {
             "num_samples": 8,
             "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 2},
         },
+    ),
+    "blackman_tukey_zero_window": (
+        "certify",
+        {"estimator": {"kind": "blackman_tukey", "half_width": 3, "window": [0, 0, 0, 0, 0]}, "num_samples": 16, "context": CONTEXT},
     ),
     "blackman_tukey_asymmetric_window": (
         "certify",
@@ -407,11 +416,17 @@ def main(argv=None) -> int:
             for suffix, options in LONG_GRIDS.items():
                 run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
     # the two-stage lag sums of the unbiased periodogram and of a lag window
-    # over 256 lags, and a many-segment Welch transform that spans several slabs
+    # over 256 lags, a many-segment Welch transform that spans several slabs,
+    # and lag products of long records: a short window on the loop and long
+    # ones in FFT blocks
+    hann_300 = {"kind": "blackman_tukey", "half_width": 300, "window": "hann"}
     for model_name, est_name, estimator, n in (
         ("geometric_gaussian", "unbiased_periodogram", ESTIMATORS["unbiased_periodogram"], 16384),
-        ("state_space", "blackman_tukey_hann_300", {"kind": "blackman_tukey", "half_width": 300, "window": "hann"}, 2064),
+        ("state_space", "blackman_tukey_hann_300", hann_300, 2064),
         ("state_space", "welch_hann", ESTIMATORS["welch_hann"], 65536),
+        ("geometric_gaussian", "blackman_tukey_hann", ESTIMATORS["blackman_tukey_hann"], 16384),
+        ("geometric_gaussian", "blackman_tukey_hann_300", hann_300, 16384),
+        ("state_space", "blackman_tukey_hann_300", hann_300, 65536),
     ):
         model, noise = MODELS[model_name]
         name = f"{model_name}_{est_name}_{n}"
