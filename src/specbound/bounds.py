@@ -301,7 +301,10 @@ def check_conditions(
             inputs=_inputs(xi=params.xi, demand=demand),
         )
     if part == "worst_case":
-        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, params.truncation)
+        # a zero form estimates exactly zero at every frequency, so it needs no
+        # frequency cover, and a dense one has no truncation width to cover
+        truncation = params.truncation if params.envelope > 0.0 else None
+        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, truncation)
         return Certificate(
             "worst_case_condition",
             holds=bool(params.envelope == 0.0 or 1.0 / params.envelope >= demand),

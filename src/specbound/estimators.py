@@ -28,23 +28,21 @@ Blackman-Tukey sum their lag products (``_acs_head``) through
 too.  The phase tables, their cache and the exact reduction of the phase
 argument live in ``phases``.
 
-Every estimate is one quadratic form, which can be summed in the transform
-domain or in the lag domain to the same rounding at very different costs,
-so two kernels build a lag head for ``lag_sum`` where that is cheaper:
+``_acs_head`` takes every lag head from FFT lag products in blocks
+(overlap-save), whatever the window and the record length.  No lag product
+calls BLAS, so these two families' estimates have the same bits at any BLAS
+thread count.
 
-- ``_acs_head`` takes FFT lag products in blocks instead of its loop of one
-  BLAS product per lag unless the window has at most 64 lags and the record
-  spans more than one block (``_loop_is_cheaper``, by the shapes alone):
-  Blackman-Tukey 300 at 3 x 65536 samples takes 7.0 ms instead of 28 ms by
-  one whole FFT, while Blackman-Tukey 32 there keeps its 3.5 ms loop.
-- Several channels of many short segments take the lag head of one segment
-  Gram (``_segment_gram``) instead of the segment transforms and
-  ``einsum``, chosen by the shapes alone (``_gram_is_cheaper``): at least
-  as many segments as the stacked segment has samples, a segment no longer
-  than the padded grid and a Gram no larger than one phase slab.  Three
-  channels of 4095 Hann segments of 32 on 101 points take 3.5 ms instead of
-  51 ms.  One channel, one segment (the biased periodogram) and segments
-  longer than 256 samples always keep the transforms.
+Every estimate is one quadratic form, which can be summed in the transform
+domain or in the lag domain to the same rounding at very different costs.
+Several channels of many short segments take the lag head of one segment
+Gram (``_segment_gram``) instead of the segment transforms and ``einsum``,
+chosen by the shapes alone (``_gram_is_cheaper``): at least as many
+segments as the stacked segment has samples, a segment no longer than the
+padded grid and a Gram no larger than one phase slab.  Three channels of
+4095 Hann segments of 32 on 101 points take 3.5 ms instead of 51 ms.  One
+channel, one segment (the biased periodogram) and segments longer than 256
+samples always keep the transforms.
 """
 
 from __future__ import annotations
@@ -563,66 +561,30 @@ def _lag_block(samples: int, lags: int) -> int:
     return min(max(2048, 4 << (lags - 1).bit_length()), _fft_size(samples, lags))
 
 
-def _loop_is_cheaper(samples: int, lags: int) -> bool:
-    """Whether ``_acs_head`` takes its loop: at most 64 lags of a record longer than one block."""
-    return lags <= 64 and _lag_block(samples, lags) < _fft_size(samples, lags)
-
-
 def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     """Lag products R[k][i, j] = sum_t y_i[t + k] y_j[t] for k = 0..max_lag, divided by N (biased) or N - k.
 
-    By ``_loop_is_cheaper`` either a loop of one BLAS product per lag or FFT
-    lag products in blocks of F = ``_lag_block`` points (overlap-save,
+    FFT lag products in blocks of F = ``_lag_block`` points (overlap-save,
     Stockham 1966): the record is cut into spans of F - max_lag samples, the
     F samples from each span's start are correlated with the span alone, so
     that each product y_i[t + k] y_j[t] is counted once and none wraps, and
     the c^2 cross-spectra X_i conj(Z_j) are summed over the blocks before one
-    batched ``irfft``.  A record that fits one block takes one zero-padded
-    ``np.fft.rfft`` Y of each channel and the c (c + 1) / 2 cross-spectra
-    Y_i conj(Y_j) for i <= j: lag k of product (i, j) is R[k][i, j], and its
-    lag -k, at index F - k, is R[k][j, i].  The blocks' work grows like
-    c^2 N log F and the loop's like c^2 N H for H = max_lag + 1, so the
-    crossover is a window length, nearly free of N and c.  Loop / blocks in
-    ms at c x N samples and H = 32, 64, 96, 128 and 256 lags, best of 15 and
-    least of three runs, one BLAS thread, 2-vCPU Xeon:
-
-        1 x 16384  0.22/0.38  0.32/0.26  0.48/0.27  0.64/0.26  1.28/0.29
-        2 x 16384  0.29/0.63  0.54/0.61  0.85/0.63  1.03/0.60  2.13/0.68
-        3 x 16384  0.80/1.06  1.49/1.03  2.18/1.05  2.90/1.44  5.50/1.14
-        1 x 65536  0.47/0.91  0.94/0.94  1.36/0.92  1.80/0.96  3.64/1.04
-        2 x 65536  0.99/2.29  1.79/2.19  2.70/2.17  3.33/2.29  6.93/3.41
-        3 x 65536  3.56/5.91  6.78/6.38  10.0/6.16  12.0/5.86  24.5/6.91
-
-    numpy's FFT and ``einsum`` do not call BLAS, so the FFT products keep
-    their bits at any BLAS thread count; the loop's one-channel products
-    are ``ddot`` calls that OpenBLAS splits between threads at long lengths.
-    Against a long-double lag sum, the one-channel unbiased periodogram
-    through the FFT is 5e-15 (N = 2064) and 2e-14 (N = 16384) of its largest
-    value off, through the loop 9e-16 and 7e-16.
+    batched ``irfft``.  A record of at most F - max_lag samples is the case
+    of one block.  numpy's FFT and ``einsum`` do not call BLAS, so the head
+    has the same bits at any BLAS thread count.  Against a long-double lag
+    sum on one channel, the unbiased periodogram is 9e-15 (N = 2064) and
+    2e-14 (N = 16384) of its largest value off, Blackman-Tukey hann 32 7e-16
+    and 4e-16.
     """
     y = data.values
-    channels, total = y.shape
+    total = data.samples
     lags = max_lag + 1
-    head = np.empty((lags, channels, channels))
     size = _lag_block(total, lags)
-    if _loop_is_cheaper(total, lags):
-        for k in range(lags):
-            np.matmul(y[:, k:], y[:, : total - k].T, out=head[k])
-    elif size == _fft_size(total, lags):
-        spectra = np.fft.rfft(y, size)
-        first, second = np.array([(i, j) for i in range(channels) for j in range(i, channels)]).T
-        products = np.fft.irfft(spectra[first] * spectra[second].conj(), size)
-        # product (i, j) holds lag k at index k and lag -k, R[k][j, i], at
-        # size - k; a diagonal pair takes its positive lags
-        head[:, second, first] = np.concatenate([products[:, :1], products[:, : size - lags : -1]], axis=1).T
-        head[:, first, second] = products[:, :lags].T
-    else:
-        span = size - max_lag
-        windows = sliding_window_view(np.pad(y, ((0, 0), (0, -total % span + max_lag))), size, axis=1)[:, ::span]
-        cross = np.einsum("ibf,jbf->ijf", np.fft.rfft(windows), np.fft.rfft(windows[..., :span], size).conj())
-        head[:] = np.fft.irfft(cross, size)[..., :lags].transpose(2, 0, 1)
-    head /= total if biased else (total - np.arange(lags))[:, None, None]
-    return head
+    span = size - max_lag
+    windows = sliding_window_view(np.pad(y, ((0, 0), (0, -total % span + max_lag))), size, axis=1)[:, ::span]
+    cross = np.einsum("ibf,jbf->ijf", np.fft.rfft(windows), np.fft.rfft(windows[..., :span], size).conj())
+    head = np.fft.irfft(cross, size)[..., :lags].transpose(2, 0, 1)
+    return head / (total if biased else (total - np.arange(lags))[:, None, None])
 
 
 def evaluate_fast(spec, data: DataMatrix, frequencies) -> SpectralEstimate:

@@ -119,7 +119,18 @@ def test_an_all_zero_lag_window_is_rejected_and_zero_norm_bounds_meet_the_condit
     ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
     for part in ("pointwise", "worst_case"):
         assert bd.check_conditions(part, 1.0, 0.1, ctx, params=record(0.0)).holds
-    assert bd.check_conditions("pointwise", 1.0, 0.1, ctx, form=qf.QuadraticForm(np.zeros((8, 8)))).holds
+
+
+def test_a_zero_dense_form_meets_the_concentration_conditions():
+    # a zero form has a zero envelope and truncation width 0, which no
+    # frequency cover takes; its diagonal sums are zero, far from one, so the
+    # bias part and both conjunctions fail
+    ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
+    form = qf.QuadraticForm(np.zeros((8, 8)))
+    assert form.certificate_params.truncation == 0
+    verdicts = {part: bd.check_conditions(part, 1.0, 0.1, ctx, form=form) for part in bd.CONDITION_PARTS}
+    assert all(verdict.available for verdict in verdicts.values())
+    assert [part for part, verdict in verdicts.items() if verdict.holds] == ["pointwise", "worst_case"]
 
 
 def test_pointwise_condition_from_dense_form():

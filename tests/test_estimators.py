@@ -690,20 +690,19 @@ def longdouble_lag_products(channels, num_samples, lags):
 
 LAG_PRODUCT_SIZES = [(c, n) for n in (1, 2, 3, 255, 256, 257, 2064) for c in (1, 2, 3)] + [(1, 16384)]
 # records longer than one FFT block: 300 lags in blocks of 2048 points and
-# spans of 1749 samples, the last span partial but at 3498 samples, and 64
-# and 65 lags, the two sides of the loop rule, in spans of 1985 and 1984;
-# rectangular windows, so that a wrapped product at the last lag would count
+# spans of 1749 samples, the last span partial but at 3498 samples, 64 and
+# 65 lags in spans of 1985 and 1984, and 32 lags at the one-block edge,
+# 2017 samples in one block and 2018 in two; rectangular windows, so that a
+# wrapped product at the last lag would count
 LAG_PRODUCT_BLOCKS = [(c, n, 300) for n in (2064, 16384) for c in (1, 2, 3)] + [(2, 3498, 300), (2, 5000, 300)]
 LAG_PRODUCT_BLOCKS += [(c, 4100, lags) for lags in (64, 65) for c in (1, 3)]
+LAG_PRODUCT_BLOCKS += [(c, n, 32) for n in (2017, 2018) for c in (1, 3)]
 LAG_PRODUCT_CASES = [(c, n, family) for c, n in LAG_PRODUCT_SIZES for family in ("unbiased", "biased_all_lags", "biased_32_lags")]
 LAG_PRODUCT_CASES += [(c, n, f"rectangular_{lags}") for c, n, lags in LAG_PRODUCT_BLOCKS]
 
 
-@pytest.mark.parametrize("path", ["loop", "fft"])
 @pytest.mark.parametrize("channels, num_samples, family", LAG_PRODUCT_CASES, ids=lambda value: str(value))
-def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family, path, monkeypatch):
-    # each kernel is forced through the rule at every size: the loop, and the
-    # FFT lag products, one whole transform or blocks by the record's length
+def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family):
     if family == "unbiased":
         spec = est.UnbiasedPeriodogram()
     elif family == "biased_all_lags":
@@ -720,7 +719,6 @@ def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family,
     else:
         weights = spec.weights()[lags - 1 :]
         head = products / num_samples
-    monkeypatch.setattr(est, "_loop_is_cheaper", lambda *args: path == "loop")
     grid = qf.frequency_grid(37, full_range=True)
     picks = [0, 1, 18, 25, 36]
     fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
@@ -728,27 +726,32 @@ def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family,
     assert float(np.abs(fast - reference).max()) <= 1e-12 * float(np.abs(reference).max())
 
 
-def test_lag_product_rule_sides():
-    # queries: Blackman-Tukey 32 at 2064 and 65536 samples keeps the loop
-    assert est._loop_is_cheaper(2064, 32) and est._loop_is_cheaper(65536, 32)
-    # one whole transform: the unbiased periodogram of queries (2064 samples)
-    # and of validation, Blackman-Tukey 32 of validation and of the smoke
-    # queries; the 2048-point least block keeps 1024 samples on it
-    for num_samples, lags in [(2064, 2064), (256, 256), (512, 512), (1024, 1024), (256, 32), (512, 32), (1024, 32), (528, 32)]:
-        assert not est._loop_is_cheaper(num_samples, lags)
-        assert est._lag_block(num_samples, lags) == est._fft_size(num_samples, lags)
-    # one block holds N + 63 <= 2048 samples at 64 lags
-    assert not est._loop_is_cheaper(1985, 64) and est._loop_is_cheaper(1986, 64)
-    # past one block, 64 lags keep the loop and 65 take blocks of 2048 points
-    assert est._loop_is_cheaper(4100, 64) and not est._loop_is_cheaper(4100, 65)
-    assert est._lag_block(4100, 65) == est._lag_block(65536, 300) == 2048
-    # the block is four times the least power of two of at least the lags
-    assert est._lag_block(65536, 513) == 4096 and est._lag_block(1000, 513) == 2048 == est._fft_size(1000, 513)
+def lag_blocks(num_samples, lags):
+    """``_acs_head``'s block size and block count: spans of F - H + 1 samples cover the record."""
+    size = est._lag_block(num_samples, lags)
+    return size, -(-num_samples // (size - lags + 1))
 
 
-def test_one_channel_unbiased_periodogram_keeps_its_bits_at_two_blas_threads():
-    # the FFT lag products, one whole transform (the unbiased periodogram) or
-    # blocks (Blackman-Tukey hann 300), call no BLAS, and the lag sum's
+def test_lag_block_edges():
+    # one block while N + H - 1 <= F, two from one more sample
+    assert lag_blocks(2017, 32) == (2048, 1) and lag_blocks(2018, 32) == (2048, 2)
+    assert lag_blocks(1985, 64) == (2048, 1) and lag_blocks(1986, 64) == (2048, 2)
+    # a record that fits one block takes its own least transform
+    assert lag_blocks(256, 32) == (512, 1) and lag_blocks(1, 1) == (1, 1)
+    # the unbiased periodogram always fits one block
+    for num_samples in (1, 2, 255, 256, 257, 2064, 16384):
+        assert lag_blocks(num_samples, num_samples) == (est._fft_size(num_samples, num_samples), 1)
+    # the 2048-point floor holds up to 512 lags
+    assert est._lag_block(65536, 1) == est._lag_block(65536, 300) == est._lag_block(65536, 512) == 2048
+    # past it, four times the least power of two of at least the lags
+    assert est._lag_block(65536, 513) == est._lag_block(65536, 1024) == 4096
+    assert est._lag_block(65536, 1025) == 8192
+    assert est._lag_block(1000, 513) == 2048 == est._fft_size(1000, 513)
+
+
+def test_every_lag_product_estimate_keeps_its_bits_at_two_blas_threads():
+    # the FFT lag products call no BLAS, one block (the unbiased periodogram)
+    # or many (Blackman-Tukey hann 16, 32 and 300), and the lag sum's
     # products keep their bits at one and two threads
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
@@ -756,7 +759,8 @@ def test_one_channel_unbiased_periodogram_keeps_its_bits_at_two_blas_threads():
         "import hashlib, numpy as np\n"
         "from specbound import estimators as est, quadform as qf\n"
         "data = qf.DataMatrix(np.random.default_rng(15).standard_normal((1, 16384)))\n"
-        "for spec in (est.UnbiasedPeriodogram(), est.BlackmanTukey(300, 'hann')):\n"
+        "specs = [est.UnbiasedPeriodogram()] + [est.BlackmanTukey(m, 'hann') for m in (16, 32, 300)]\n"
+        "for spec in specs:\n"
         "    estimate = est.evaluate_fast(spec, data, qf.frequency_grid(101))\n"
         "    print(hashlib.sha256(estimate.matrices.tobytes()).hexdigest())\n"
     )

@@ -21,8 +21,8 @@ pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
 generator draws what ``rng_stream`` draws.  Hypothesis also draws the
 numeric literals of the source, so the examples change with them; edge cases
 are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
-rejected at construction, and 64 and 65 lags of 2064 samples, the two sides
-of the lag-product rule.
+rejected at construction, and Blackman-Tukey hann 32 at 2017 and 2018
+samples, the two sides of the lag products' one-block edge.
 """
 
 import math
@@ -112,10 +112,10 @@ def test_closed_form_bias_matches_dense_diagonal_sums(case):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(SPECS, st.integers(1, 3), st.integers(0, 2**32 - 1))
-# both sides of the lag-product rule over a record longer than one FFT block:
-# 64 lags keep the loop, 65 take the blocked FFT lag products
-@example((lambda: est.BlackmanTukey(64, "hann"), 2064), 2, 7)
-@example((lambda: est.BlackmanTukey(65, "hann"), 2064), 2, 7)
+# both sides of the lag products' one-block edge: 2017 samples and 31 more
+# fill one block of 2048 points, 2018 take two
+@example((lambda: est.BlackmanTukey(32, "hann"), 2017), 2, 7)
+@example((lambda: est.BlackmanTukey(32, "hann"), 2018), 2, 7)
 def test_fast_path_matches_generic_oracle(case, channels, seed):
     build, n = case
     spec = _construct(build)

@@ -26,9 +26,11 @@ three-channel Blackman-Tukey (hann, half width 300) ``estimate`` at
 N = 2064, whose lag window reaches past 256 lags; a three-channel Welch
 (segment length 32, hop 16) ``estimate`` at N = 65536; one-channel
 Blackman-Tukey (hann, half widths 32 and 300) ``estimate`` runs at
-N = 16384, a short window whose lag products take the loop and a long one
-whose lag products take FFT blocks, and a three-channel Blackman-Tukey
-(hann, half width 300) ``estimate`` at N = 65536, over many blocks;
+N = 16384, whose lag products take several FFT blocks, and a three-channel
+Blackman-Tukey (hann, half width 300) ``estimate`` at N = 65536, over many
+blocks; Blackman-Tukey (hann, half width 32) ``estimate`` runs on one and
+three channels at N = 2017 and 2018, the last record that fits one lag
+product block and the first that takes two;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model; a
@@ -53,11 +55,11 @@ command line lacks an option it uses.
 A refactor that promises unchanged outputs runs this script against the
 parent checkout's ``src`` and against the change's (a copy of the script
 placed in the parent's ``tools`` directory reads the parent's ``src``) and
-compares the two directories with ``diff -r``.  One-channel fast paths
-change their last bits with the BLAS
-thread count, so the script pins OpenBLAS, OpenMP and MKL to one thread
-before numpy is imported, whatever the environment says; both runs of a
-comparison therefore use the same count.  Needs only the standard library
+compares the two directories with ``diff -r``.  The ``--oracle`` dense
+product and the two-stage segment transforms change their last bits with
+the BLAS thread count, so the script pins OpenBLAS, OpenMP and MKL to one
+thread before numpy is imported, whatever the environment says; both runs
+of a comparison therefore use the same count.  Needs only the standard library
 and numpy.
 """
 
@@ -417,16 +419,22 @@ def main(argv=None) -> int:
                 run(out, f"estimate/{name}{suffix}", ["estimate", "--config", config] + options)
     # the two-stage lag sums of the unbiased periodogram and of a lag window
     # over 256 lags, a many-segment Welch transform that spans several slabs,
-    # and lag products of long records: a short window on the loop and long
-    # ones in FFT blocks
+    # lag products of long records in FFT blocks, short and long windows,
+    # and a short window on both sides of the one-block edge (2017 samples
+    # and 31 lags fill one block of 2048 points, 2018 take two)
     hann_300 = {"kind": "blackman_tukey", "half_width": 300, "window": "hann"}
+    hann_32 = ESTIMATORS["blackman_tukey_hann"]
     for model_name, est_name, estimator, n in (
         ("geometric_gaussian", "unbiased_periodogram", ESTIMATORS["unbiased_periodogram"], 16384),
         ("state_space", "blackman_tukey_hann_300", hann_300, 2064),
         ("state_space", "welch_hann", ESTIMATORS["welch_hann"], 65536),
-        ("geometric_gaussian", "blackman_tukey_hann", ESTIMATORS["blackman_tukey_hann"], 16384),
+        ("geometric_gaussian", "blackman_tukey_hann", hann_32, 16384),
         ("geometric_gaussian", "blackman_tukey_hann_300", hann_300, 16384),
         ("state_space", "blackman_tukey_hann_300", hann_300, 65536),
+        ("geometric_gaussian", "blackman_tukey_hann", hann_32, 2017),
+        ("geometric_gaussian", "blackman_tukey_hann", hann_32, 2018),
+        ("state_space", "blackman_tukey_hann", hann_32, 2017),
+        ("state_space", "blackman_tukey_hann", hann_32, 2018),
     ):
         model, noise = MODELS[model_name]
         name = f"{model_name}_{est_name}_{n}"
