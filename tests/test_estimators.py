@@ -701,8 +701,12 @@ LAG_PRODUCT_CASES = [(c, n, family) for c, n in LAG_PRODUCT_SIZES for family in 
 LAG_PRODUCT_CASES += [(c, n, f"rectangular_{lags}") for c, n, lags in LAG_PRODUCT_BLOCKS]
 
 
+@pytest.mark.parametrize("block", ["chosen", "least"])
 @pytest.mark.parametrize("channels, num_samples, family", LAG_PRODUCT_CASES, ids=lambda value: str(value))
-def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family):
+def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family, block, monkeypatch):
+    # each size runs in the block ``_lag_block`` chooses, and in the least
+    # block whose span holds the lags, so that records which fit one chosen
+    # block also cross the block edges in many spans, the last one partial
     if family == "unbiased":
         spec = est.UnbiasedPeriodogram()
     elif family == "biased_all_lags":
@@ -719,6 +723,8 @@ def test_lag_products_match_a_long_double_lag_sum(channels, num_samples, family)
     else:
         weights = spec.weights()[lags - 1 :]
         head = products / num_samples
+    if block == "least":
+        monkeypatch.setattr(est, "_lag_block", lambda samples, lags: min(est._fft_size(lags, lags), est._fft_size(samples, lags)))
     grid = qf.frequency_grid(37, full_range=True)
     picks = [0, 1, 18, 25, 36]
     fast = est.evaluate_fast(spec, qf.DataMatrix(values), grid).matrices[picks]
