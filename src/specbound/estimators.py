@@ -570,11 +570,12 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     that each product y_i[t + k] y_j[t] is counted once and none wraps, and
     the c^2 cross-spectra X_i conj(Z_j) are summed over the blocks before one
     batched ``irfft``.  A record of at most F - max_lag samples is the case
-    of one block.  numpy's FFT and ``einsum`` do not call BLAS, so the head
-    has the same bits at any BLAS thread count.  Against a long-double lag
-    sum on one channel, the unbiased periodogram is 9e-15 (N = 2064) and
-    2e-14 (N = 16384) of its largest value off, Blackman-Tukey hann 32 7e-16
-    and 4e-16.
+    of one block, whose window and span have the same zero-padded input, so
+    one transform serves both.  numpy's FFT and ``einsum`` do not call BLAS,
+    so the head has the same bits at any BLAS thread count.  Against a
+    long-double lag sum on one channel, the unbiased periodogram is 9e-15
+    (N = 2064) and 2e-14 (N = 16384) of its largest value off,
+    Blackman-Tukey hann 32 7e-16 and 4e-16.
     """
     y = data.values
     total = data.samples
@@ -582,7 +583,9 @@ def _acs_head(data: DataMatrix, max_lag: int, biased: bool) -> np.ndarray:
     size = _lag_block(total, lags)
     span = size - max_lag
     windows = sliding_window_view(np.pad(y, ((0, 0), (0, -total % span + max_lag))), size, axis=1)[:, ::span]
-    cross = np.einsum("ibf,jbf->ijf", np.fft.rfft(windows), np.fft.rfft(windows[..., :span], size).conj())
+    spectra = np.fft.rfft(windows)
+    heads = spectra if total <= span else np.fft.rfft(windows[..., :span], size)
+    cross = np.einsum("ibf,jbf->ijf", spectra, heads.conj())
     head = np.fft.irfft(cross, size)[..., :lags].transpose(2, 0, 1)
     return head / (total if biased else (total - np.arange(lags))[:, None, None])
 

@@ -569,68 +569,139 @@ def _covariance_root(covariance: np.ndarray) -> np.ndarray:
 
 
 def _power_table(matrix: np.ndarray, length: int) -> np.ndarray:
-    """The powers A^0 .. A^length of a square matrix, stacked, each one product from the last."""
-    table = np.empty((length + 1,) + matrix.shape)
+    """The powers A^0 .. A^length of a square matrix, stacked in its dtype, each one product from the last."""
+    table = np.empty((length + 1,) + matrix.shape, dtype=matrix.dtype)
     table[0] = np.eye(matrix.shape[0])
     for prev, power in zip(table, table[1:]):
         np.matmul(matrix, prev, out=power)
     return table
 
 
-# entries of the scratch term of one slab of ``_add_products`` (512 KiB)
+# entries of a run of ``_add_entry_products`` and of a slab of ``_add_products`` (512 KiB)
 _TERM_ENTRIES = 1 << 16
 
 
-def _add_products(out: np.ndarray, columns, vectors) -> np.ndarray:
-    """Add sum_i columns[i] * vectors[i] into ``out``, one broadcast product per term, in index order.
+def _add_entry_products(out: np.ndarray, matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Add matrix @ vectors into ``out`` (rows, V), one product per nonzero matrix entry, in index order.
 
-    Each entry is rounded on its own, so no entry depends on the batch
-    around it, as one of a BLAS product over a stacked batch may.  The sum
-    runs over slabs of the first axis, so its scratch term stays small;
-    an operand without that axis is broadcast over every slab.
+    Row r adds M[r, i] * vectors[i] for every i with M[r, i] != 0, each a
+    scalar times a contiguous run of a row.  Skipping a zero entry keeps
+    the bits: a sum that starts at +0 never changes when a +0 or -0 term is
+    added to it.  The rows run in runs of ``_TERM_ENTRIES`` entries, so a
+    run of a row and its scratch term stay in cache while its terms are added.
+    The sampler forms ``B z``, ``C x`` and ``D z`` this way, whose rows hold
+    every sample; the scan's rows are short and its matrices dense, and
+    there the outer products of ``_add_products`` take fewer calls.
     """
-    rows = max(1, _TERM_ENTRIES // max(1, math.prod(out.shape[1:])))
-    for start in range(0, len(out), rows):
-        part = slice(start, start + rows)
-        slab = out[part]
-        term = np.empty(slab.shape)
-        for column, vector in zip(columns, vectors):
-            column = column[part] if column.ndim == out.ndim and len(column) > 1 else column
-            vector = vector[part] if vector.ndim == out.ndim and len(vector) > 1 else vector
-            slab += np.multiply(column, vector, out=term)
+    width = out.shape[-1]
+    entries = [(r, [(i, float(row[i])) for i in np.flatnonzero(row)]) for r, row in enumerate(matrix)]
+    scratch = np.empty(min(width, _TERM_ENTRIES))
+    for start in range(0, width, _TERM_ENTRIES):
+        cut = slice(start, start + _TERM_ENTRIES)
+        term = scratch[: min(_TERM_ENTRIES, width - start)]
+        for r, terms in entries:
+            target = out[r, cut]
+            for i, value in terms:
+                np.multiply(vectors[i, cut], value, out=term)
+                np.add(target, term, out=target)
     return out
 
 
-def _scan_states(a: np.ndarray, b: np.ndarray, first: np.ndarray, shocks: np.ndarray, length: int) -> np.ndarray:
-    """States x[0 .. CL - 1] of x[k + 1] = A x[k] + B z[k] from x[0] = ``first``, as (trials, states, CL).
+def _column_spans(matrix: np.ndarray) -> list[tuple[int, slice]]:
+    """Each column of a matrix (or of any in a stack) with a nonzero entry, and the least row range holding them."""
+    nonzero = (matrix != 0.0).reshape((-1,) + matrix.shape[-2:]).any(axis=0)
+    spans = []
+    for column, mask in enumerate(nonzero.T):
+        rows = np.flatnonzero(mask)
+        if rows.size:
+            spans.append((column, slice(rows[0], rows[-1] + 1)))
+    return spans
 
-    ``shocks`` (trials, inputs, CL) holds z over C chunks of L = ``length``
-    samples; ``sample_state_space_paths`` gives the three steps.  The scan
-    buffers are freed on return, before the caller forms the outputs.
+
+def _add_products(out: np.ndarray, matrix: np.ndarray, vectors: np.ndarray, spans) -> np.ndarray:
+    """Add matrix @ vectors into ``out`` as elementwise products, column by column, in index order.
+
+    ``out`` is (rows, V) or a stack (J, rows, V), ``matrix`` (rows, cols) or
+    a stack (J, rows, cols) and ``vectors`` (cols, V).  Column i adds the
+    outer product of matrix[..., i] and vectors[i] to the rows of its span
+    in ``spans``, ``_column_spans(matrix)``; the rows of a span without a
+    nonzero entry in that column add +-0, which leaves the bits alone (see
+    ``_add_entry_products``).  Each entry is rounded on its own, so no
+    entry depends on the batch around it, as one of a BLAS product over a
+    stacked batch may.  A stack runs in slabs of whole (rows, V) blocks,
+    about ``_TERM_ENTRIES`` entries or one block, so a slab and its scratch
+    term stay in cache while every column is added.
     """
-    trials, inputs, total = shocks.shape
-    chunks = total // length
-    # steps[j, t, :, c] is x[cL + j]; the scan leaves w[c, j] there first,
-    # and w[c, L] at j = L
-    steps = np.zeros((length + 1, trials, a.shape[0], chunks))
-    # each product's terms: a matrix column, and the matching entry of every
-    # vector, both shaped to broadcast against the output
-    chunked = shocks.reshape(trials, inputs, chunks, length).transpose(1, 3, 0, 2)
-    _add_products(steps[1:], b.T[:, :, None], chunked[:, :, :, None])
-    for prev, step in zip(steps[1:], steps[2:]):
-        _add_products(step, a.T[:, :, None], prev.transpose(1, 0, 2)[:, :, None])
+    stack = out if out.ndim == 3 else out[None]
+    matrices = matrix if matrix.ndim == 3 else matrix[None]
+    block = stack.shape[1:]
+    runs = -(-len(stack) * math.prod(block) // _TERM_ENTRIES)
+    run = -(-len(stack) // runs)
+    scratch = np.empty((run,) + block)
+    for start in range(0, len(stack), run):
+        slab = stack[start : start + run]
+        factors = matrices[start : start + run] if len(matrices) > 1 else matrices
+        for column, span in spans:
+            target = slab[:, span]
+            term = scratch[: len(slab), span]
+            np.multiply(factors[:, span, column, None], vectors[column], out=term)
+            np.add(target, term, out=target)
+    return out
+
+
+def _scan_states(a: np.ndarray, path: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
+    """Overwrite ``path`` (states, trials, M), holding u[0 .. M - 1], with the states x[0 .. M - 1].
+
+    x[0] = ``first`` (states, trials) and x[k + 1] = A x[k] + u[k]; u[M - 1]
+    is not read.  ``sample_state_space_paths`` gives the steps: chunks of
+    L = ``length`` samples, or one chunk of M samples when M <= 2L, whose
+    starts this function scans with A^L in place of A.  The products use
+    ``a`` rounded to float64; its powers are formed in its own dtype (long
+    double from the sampler) and rounded only for the products, so A^L
+    passes to the next level unrounded.  The scan buffer is freed on return.
+    """
+    states, trials, total = path.shape
+    if total == 1:
+        path[:, :, 0] = first
+        return path
+    if total <= 2 * length:
+        length = total
+    chunks = -(-total // length)
+    full, rest = divmod(total, length)
+    # steps[j, :, t, c] holds u[cL + j], then w[c, j + 1], and in the end
+    # x[cL + j + 1]; steps[L - 1] takes the chunk starts x[cL] in place
+    steps = np.empty((length, states, trials, chunks))
+    blocked = steps.transpose(1, 2, 3, 0)
+    blocked[:, :, :full] = path[:, :, : full * length].reshape(states, trials, full, length)
+    if rest:
+        blocked[:, :, full, :rest] = path[:, :, full * length :]
+        blocked[:, :, full, rest:] = 0.0
+    flat = steps.reshape(length, states, trials * chunks)
+    rounded = a.astype(float)
+    spans = _column_spans(rounded)
+    for prev, step in zip(flat, flat[1:]):
+        _add_products(step, rounded, prev, spans)
     powers = _power_table(a, length)
-    firsts, ends = steps[0], steps[length]
-    firsts[:, :, 0] = first
-    for c in range(chunks - 1):
-        _add_products(ends[:, :, c], powers[length].T, firsts[:, :, c].T[:, :, None])
-        firsts[:, :, c + 1] = ends[:, :, c]
-    _add_products(
-        steps[1:length],
-        powers[1:length].transpose(2, 0, 1)[:, :, None, :, None],
-        firsts.transpose(1, 0, 2)[:, None, :, None, :],
-    )
-    return steps[:length].transpose(1, 2, 3, 0).reshape(trials, a.shape[0], total)
+    starts = _scan_states(powers[length], steps[-1], first, length)
+    fill = powers[1:length].astype(float)
+    _add_products(flat[:-1], fill, flat[-1], _column_spans(fill))
+    chunked = path[:, :, : full * length].reshape(states, trials, full, length)
+    chunked[..., 0] = starts[..., :full]
+    chunked[..., 1:] = blocked[:, :, :full, :-1]
+    if rest:
+        path[:, :, full * length] = starts[..., full]
+        path[:, :, full * length + 1 :] = blocked[:, :, full, : rest - 1]
+    return path
+
+
+def _chunk_length(num_samples: int) -> int:
+    """The least L with L^3 >= N: then N / L^2 <= L chunk starts are left after two levels, and fit one chunk."""
+    root = round(num_samples ** (1.0 / 3.0))
+    while root**3 < num_samples:
+        root += 1
+    while (root - 1) ** 3 >= num_samples:
+        root -= 1
+    return root
 
 
 def sample_state_space_paths(
@@ -641,45 +712,64 @@ def sample_state_space_paths(
     The state starts from its exact stationary law.  Trial t draws its start
     and then its shocks from its own stream.
 
-    The recursion x[k + 1] = A x[k] + B z[k] runs as a blocked scan (Blelloch
-    1990) over C = ceil(N / L) chunks of L = isqrt(N) samples, so a path
-    takes about 2 sqrt(N) Python steps, not N:
+    The recursion x[k + 1] = A x[k] + u[k], with u = B z, runs as a blocked
+    scan (Blelloch 1990) over chunks of L samples, the least L with
+    L^3 >= N, applied again to its own chunk starts.  A recursion of M
+    states is one chunk when M <= 2L, and otherwise C = ceil(M / L) chunks:
 
     1. in every chunk at once, the recursion from a zero start,
-       w[c, j + 1] = A w[c, j] + B z[cL + j] with w[c, 0] = 0 (L - 1 steps);
-    2. the chunk starts in turn, x[(c + 1) L] = w[c, L] + A^L x[cL]
-       (C - 1 steps);
+       w[c, j + 1] = A w[c, j] + u[cL + j] with w[c, 0] = 0 (L - 1 steps);
+    2. the chunk starts x[(c + 1) L] = A^L x[cL] + w[c, L], a recursion of
+       C states, by the same scan with A^L in place of A;
     3. every other state in one pass, x[cL + j] = w[c, j] + A^j x[cL], from
        a table of the powers A^0 .. A^L.
 
-    Every product, ``C x`` and ``D z`` included, is a sum of elementwise
-    products of a matrix column and a vector entry, added in index order, so
-    each entry of a path is rounded alone and never inside a BLAS call over
-    a batch.  Which products a state goes through depends on the chunk
-    layout, and the layout depends on N only.  So path t is bitwise
-    identical however trials are batched or scheduled.  Against the per-step
-    recursion in long double, the paths of the test models (up to 40
-    states, a lightly damped resonance among them, N up to 4099) came within
-    1.1e-15 of each path's largest value, and a float64 per-step loop within
-    8.3e-16.  The elementwise products take about 2 s^2 operations per
-    sample for s states, so with tens of states a per-step loop over BLAS
-    products is faster.
+    Two levels leave at most N / L^2 <= L chunk starts, one chunk, so a
+    path takes at most three levels and about 3 N^(1/3) Python steps, not
+    N.  At N = 65536 (L = 41) the levels hold 65536 samples in 1599 chunks,
+    1599 starts in 39 chunks and 39 starts in one: 40 + 40 + 38 steps and
+    three passes.  At N = 2064 (L = 13) they take 12 + 12 + 12 steps.
+
+    ``B z``, ``C x`` and ``D z`` are formed once each, as a scalar times a
+    contiguous row per nonzero matrix entry (``_add_entry_products``); the
+    scan's products are outer products of a matrix column and a row
+    (``_add_products``).  Both add in index order and skip exact-zero
+    matrix entries, so each entry of a path is rounded alone and never
+    inside a BLAS call over a batch.  Which products a state goes through
+    depends on the chunk layout, and the layout depends on N only.  So
+    path t is bitwise identical however trials are batched or scheduled.
+
+    The powers A^j, (A^L)^j and (A^(L^2))^j reach A^N, whose float64
+    rounding error grows with the exponent, so the tables are formed in
+    long double from A and rounded once.  Against the per-step recursion
+    in long double, the paths of the test models (up to 40 states, a lightly
+    damped resonance of radius 0.995 among them, N up to 65536) come within
+    2.8e-15 of each path's largest value, about as close as the old
+    two-level scan; resonances of radius 0.9999 within 1.3e-15, where
+    float64 tables reached 3.3e-14.  The elementwise products take about
+    2 s^2 operations per sample for s states, fewer where the matrices have
+    zeros, plus about 3 N^(1/3) long-double products of s x s matrices per
+    path (46 ms of 0.5 s for 40 states at N = 65536); so with tens of
+    states a per-step loop over BLAS products is faster.
     """
     if num_samples < 1 or trials < 1:
         raise ValueError("num_samples and trials must be positive")
     n = num_samples
-    length = math.isqrt(n)
     root = _covariance_root(model.state_covariance)
-    first = np.empty((trials, model.state_dim))
-    # shocks[t, :, k] is z[k], zero past N to fill the last chunk
-    shocks = np.zeros((trials, model.noise_dim, -(-n // length) * length))
+    first = np.empty((model.state_dim, trials))
+    # shocks[:, t, k] is z[k] of trial t
+    shocks = np.empty((model.noise_dim, trials, n))
     for t, rng in enumerate(trial_streams(seed, first_trial, trials)):
-        first[t] = root @ rng.standard_normal(model.state_dim)
-        shocks[t, :, :n] = rng.standard_normal((model.noise_dim, n))
-    states = _scan_states(model.a, model.b, first, shocks, length)
-    out = np.zeros((trials, model.channels, n))
-    _add_products(out, model.c.T[:, :, None], states[:, :, None, :n].transpose(1, 0, 2, 3))
-    return _add_products(out, model.d.T[:, :, None], shocks[:, :, None, :n].transpose(1, 0, 2, 3))
+        first[:, t] = root @ rng.standard_normal(model.state_dim)
+        for row in shocks[:, t]:
+            rng.standard_normal(out=row)
+    states = np.zeros((model.state_dim, trials, n))
+    _add_entry_products(states.reshape(model.state_dim, -1), model.b, shocks.reshape(model.noise_dim, -1))
+    _scan_states(model.a.astype(np.longdouble), states, first, _chunk_length(n))
+    out = np.zeros((model.channels, trials * n))
+    _add_entry_products(out, model.c, states.reshape(model.state_dim, -1))
+    _add_entry_products(out, model.d, shocks.reshape(model.noise_dim, -1))
+    return np.ascontiguousarray(out.reshape(model.channels, trials, n).transpose(1, 0, 2))
 
 
 def sample_state_space(model: StateSpace, num_samples: int, seed: int = 0, trial: int = 0) -> DataMatrix:

@@ -1,6 +1,12 @@
 """Tests for the analytic models, decay certificates, and samplers."""
 
+import hashlib
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,8 +369,45 @@ def _dense_state_space(states, inputs, channels):
 # (states, noise inputs, channels)
 STATE_SPACE_SHAPES = [(1, 1, 1), (1, 2, 3), (3, 1, 3), (2, 5, 1), (6, 7, 1), (8, 1, 5), (16, 6, 4), (40, 16, 1)]
 SAMPLER_MODELS = ["chain", "resonant"] + STATE_SPACE_SHAPES
-# 4099 is no square, so its last chunk is partial
-SAMPLER_CASES = [(n, trials) for n in (1, 2, 9, 2064, 4099) for trials in (1, 7)]
+# 19 is the least N whose chunk starts are scanned in chunks of their own, a
+# third level, and 20 the next; 4099 leaves a partial last chunk at every
+# level (test_scan_levels_of_the_sampler_cases)
+SAMPLER_CASES = [(n, trials) for n in (1, 2, 9, 19, 20, 2064, 4099) for trials in (1, 7)]
+# one long path where A^L matters most: the resonant model has radius 0.995
+LONG_SAMPLER_CASES = {"chain": [(65536, 1)], "resonant": [(65536, 1)]}
+
+
+def _scan_levels(monkeypatch, model, num_samples):
+    """The recursion lengths of one sampler call, level by level, and its number of ``_add_products`` calls."""
+    lengths, products = [], [0]
+    scan, add = sig._scan_states, sig._add_products
+
+    def recording_scan(a, path, first, length):
+        lengths.append(path.shape[-1])
+        return scan(a, path, first, length)
+
+    def counting_add(*args):
+        products[0] += 1
+        return add(*args)
+
+    monkeypatch.setattr(sig, "_scan_states", recording_scan)
+    monkeypatch.setattr(sig, "_add_products", counting_add)
+    sig.sample_state_space_paths(model, num_samples, 1)
+    monkeypatch.undo()
+    return lengths, products[0]
+
+
+def test_scan_levels_of_the_sampler_cases(chain, monkeypatch):
+    # 18 samples: chunks of L = 3, and their 6 starts in one chunk
+    assert _scan_levels(monkeypatch, chain, 18)[0] == [18, 6, 1]
+    # 19 and 20: the 7 chunk starts take chunks of their own, a third level
+    assert _scan_levels(monkeypatch, chain, 19)[0] == [19, 7, 3, 1]
+    assert _scan_levels(monkeypatch, chain, 20)[0] == [20, 7, 3, 1]
+    # 4099 = 241 * 17 + 2 and 242 = 14 * 17 + 4: a partial last chunk at every
+    # level, and the last level's one chunk is shorter than L = 17
+    assert _scan_levels(monkeypatch, chain, 4099)[0] == [4099, 242, 15, 1]
+    # L = 41: 40 + 40 + 38 in-chunk steps and three fills
+    assert _scan_levels(monkeypatch, chain, 65536) == ([65536, 1599, 39, 1], 121)
 
 
 def _sampler_model(chain, name):
@@ -380,7 +423,7 @@ def _model_id(name):
 @pytest.mark.parametrize("name", SAMPLER_MODELS, ids=_model_id)
 def test_state_space_sampler_matches_long_double_recursion(chain, name):
     model = _sampler_model(chain, name)
-    for num_samples, trials in SAMPLER_CASES:
+    for num_samples, trials in SAMPLER_CASES + LONG_SAMPLER_CASES.get(name, []):
         reference = _long_double_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
         paths = sig.sample_state_space_paths(model, num_samples, trials, seed=23, first_trial=4)
         assert paths.flags.c_contiguous and paths.shape == reference.shape
@@ -388,14 +431,49 @@ def test_state_space_sampler_matches_long_double_recursion(chain, name):
         assert np.all(error <= 1e-14 * np.abs(reference).max(axis=(1, 2))), (num_samples, trials)
 
 
+def test_sampler_keeps_a_slow_resonance_accurate():
+    # radius 0.9999: the powers reach A^N with little decay, so they are
+    # formed in long double; float64 tables come 2e-14 off at N = 2064
+    model = sig.StateSpace(a=[[0.0, -0.9999], [1.0, 0.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+    for num_samples in (2064, 4099):
+        reference = _long_double_state_space_paths(model, num_samples, 1, seed=23, first_trial=4)
+        paths = sig.sample_state_space_paths(model, num_samples, 1, seed=23, first_trial=4)
+        assert np.abs(paths - reference).max() <= 1e-14 * np.abs(reference).max(), num_samples
+
+
 @pytest.mark.parametrize("name", SAMPLER_MODELS, ids=_model_id)
 def test_state_space_sampler_batching_is_bitwise(chain, name):
     model = _sampler_model(chain, name)
-    for num_samples in sorted({n for n, _ in SAMPLER_CASES}):
+    for num_samples in sorted({n for n, _ in SAMPLER_CASES + LONG_SAMPLER_CASES.get(name, [])}):
         batch = sig.sample_state_space_paths(model, num_samples, 7, seed=23, first_trial=4)
         for t in range(7):
             alone = sig.sample_state_space_paths(model, num_samples, 1, seed=23, first_trial=4 + t)
             assert alone[0].tobytes() == batch[t].tobytes(), (num_samples, t)
+
+
+def test_sampler_keeps_its_bits_at_two_blas_threads():
+    # no path product calls BLAS: the chain model's long path and a dense
+    # 16 x 6 x 4 model's batch hash the same at one and two threads
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import hashlib, numpy as np\n"
+        "from specbound import signals as sig\n"
+        "from specbound.experiments import example_state_space\n"
+        + inspect.getsource(_dense_state_space)
+        + "for model, n, trials in ((example_state_space(0.5), 65536, 1), (_dense_state_space(16, 6, 4), 2064, 7)):\n"
+        "    paths = sig.sample_state_space_paths(model, n, trials, seed=23, first_trial=4)\n"
+        "    print(hashlib.sha256(paths.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+    paths = sig.sample_state_space_paths(_dense_state_space(16, 6, 4), 2064, 7, seed=23, first_trial=4)
+    assert digests[0].split()[1] == hashlib.sha256(paths.tobytes()).hexdigest()
 
 
 def test_resonant_autocov_stack_matches_long_double():

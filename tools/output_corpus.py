@@ -13,8 +13,9 @@ one config, both with ``--grid 17 --full-range``; ``simulate`` and
 ``estimate`` at N = 2064 for a state-space model with one output and five
 noise inputs;
 ``simulate`` at N = 65536 for the three-channel chain model and for a
-lightly damped resonant model, whose paths cross 255 boundaries of the
-sampler's 256-step chunks; ``simulate`` and a Welch ``estimate`` at
+lightly damped resonant model, whose paths cross the chunk boundaries of
+all three levels of the sampler's scan (1599 chunks of 41 samples, their
+starts in 39 chunks, and those in one); ``simulate`` and a Welch ``estimate`` at
 N = 65536 for the chain model at a high gain (d = 1e5 I), whose cells
 straddle 1e4 or are scientific, and at a low gain (c and d scaled by 1e-3),
 whose cells straddle 1e-3 or are scientific;

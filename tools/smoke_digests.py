@@ -6,8 +6,9 @@ Runs ``perfbench/run.py --workload W --seed 911 --seconds 1 --trace 0
 --smoke`` in ROOT (default: the checkout holding this script), so ROOT's
 ``perfbench`` and ``src`` run, for each workload that this checkout's
 ``BENCHMARK.json`` declares, and then for the undeclared
-``state_space_sweep``, whose ``reproduce --example 2`` is the only run of
-``grid_phi_inf`` and of the state-space sampler.  The digest hashes what
+``state_space_sweep``, whose ``reproduce --example 2`` runs
+``grid_phi_inf`` and the state-space sampler on batches of trials
+(``queries`` runs both too, on one path per call).  The digest hashes what
 every op of the smoke cycle returned, so a change that keeps every output
 byte keeps every digest.  Prints one line per workload, its name (followed
 by ``(undeclared)`` for ``state_space_sweep``) and digest, or ``failed``
