@@ -3,9 +3,11 @@
 Subcommands: ``estimate`` (spectrum of one sampled path over a grid),
 ``certify`` (certificate table for the configured estimator), ``reproduce``
 (the bundled sweep studies), ``verify-concentration`` (Monte Carlo tail
-validation), and ``simulate`` (path export).  Exit codes: 0 success, 1
-``verify-concentration`` flagged a row, 2 config error, 3 an infeasible
-certificate was requested as a hard requirement.
+validation), and ``simulate`` (path export).  Exit codes: 0 success; 1
+``verify-concentration`` flagged a row, or an unexpected error, whose
+traceback goes to stderr; 2 a config error (``experiments.ConfigError``,
+raised while parsing and before any path is sampled, or for values that
+overflow), with its message on stderr; 3 an infeasible certificate was requested as a hard requirement.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 from dataclasses import replace
 
 from . import experiments
@@ -122,10 +125,13 @@ def main(argv=None) -> int:
             config = experiments.load_config(args.config)
             config = experiments.apply_overrides(config, seed=args.seed)
             print(experiments.run_simulate(config, args.out))
-    except (experiments.ConfigError, ValueError) as err:
-        # size mismatches surface as ValueError from the estimator builders
+    except experiments.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except Exception:
+        # not a config the runners reject: a fault, reported with its traceback
+        traceback.print_exc()
+        return 1
     return 0
 
 

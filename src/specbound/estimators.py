@@ -5,7 +5,8 @@ autocovariance transforms), windowed-autocovariance estimates (Blackman-Tukey,
 banded Toeplitz coefficient matrix), and tapered segment averages (Welch, a
 sum of shifted rank-one blocks, and Bartlett, the layout of contiguous
 untapered blocks, which takes every method from Welch).  Each spec class has
-a config ``kind`` and, for a sample count n, its dense coefficient matrix
+a config ``kind`` and, for a sample count n, a check that its layout fits n
+(``check_fits(n)``, a ValueError naming the mismatch), its dense coefficient matrix
 (``matrix(n)``: for the Toeplitz families, the periodograms and
 Blackman-Tukey, a read-only view of one vector of 2n - 1 lag entries, so
 only ``QuadraticForm``'s copy writes n x n entries), its closed-form
@@ -281,6 +282,9 @@ class BiasedPeriodogram:
 
     kind = "biased_periodogram"
 
+    def check_fits(self, n: int) -> None:
+        """Every sample count fits."""
+
     def matrix(self, n: int) -> np.ndarray:
         return np.broadcast_to(1.0 / n, (n, n))
 
@@ -302,6 +306,9 @@ class UnbiasedPeriodogram:
     """Transform of the unbiased autocovariance estimate; Toeplitz entries 1/(N-|k|)."""
 
     kind = "unbiased_periodogram"
+
+    def check_fits(self, n: int) -> None:
+        """Every sample count fits."""
 
     def matrix(self, n: int) -> np.ndarray:
         return _toeplitz(1.0 / (n - np.abs(np.arange(1 - n, n))))
@@ -353,20 +360,20 @@ class BlackmanTukey:
             raise ValueError("lag window must have a nonzero weight")
         return values
 
-    def _check_fits(self, n: int) -> None:
+    def check_fits(self, n: int) -> None:
         if self.half_width > n:
             raise ValueError("lag cutoff cannot exceed the sample count")
 
     def matrix(self, n: int) -> np.ndarray:
         m = self.half_width
-        self._check_fits(n)
+        self.check_fits(n)
         wide = np.zeros(2 * n - 1)
         wide[n - m : n + m - 1] = self.weights()
         return _toeplitz(wide / n)
 
     def diagonal_sums(self, n: int) -> np.ndarray:
         m = self.half_width
-        self._check_fits(n)
+        self.check_fits(n)
         values = np.zeros(n)
         values[:m] = (n - np.arange(m)) * self.weights()[m - 1 :] / n
         return values
@@ -375,14 +382,14 @@ class BlackmanTukey:
         # A[i, j] = w[i - j] / n: the row-sum bound gives ||A||_2 <= sum|w| / n,
         # every max |d[k]| is at most that, and ||A||_F^2 and every ||d[k]||^2
         # are at most sum w^2 / n
-        self._check_fits(n)
+        self.check_fits(n)
         weights = self.weights()
         spectral, frobenius_sq = float(np.abs(weights).sum()) / n, float(weights @ weights) / n
         return CertificateParams(spectral, frobenius_sq, max(spectral, frobenius_sq), self.half_width)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
-        self._check_fits(data.samples)
+        self.check_fits(data.samples)
         return lag_sum(_acs_head(data, m - 1, biased=True), self.weights()[m - 1 :], freqs)
 
     def bias_condition(self, n: int, cutoff: int, eps: float, r1: float) -> bool:
@@ -428,6 +435,9 @@ class _SegmentAverage:
         correlation = one_sided / one_sided[0]
         correlation.setflags(write=False)
         return correlation
+
+    def check_fits(self, n: int) -> None:
+        self.segments(n)
 
     def matrix(self, n: int) -> np.ndarray:
         segments = self.segments(n)

@@ -10,6 +10,7 @@ total certificate, bias curve) as CSV plus a log-scale SVG plot.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -51,6 +52,7 @@ __all__ = [
     "run_reproduce",
     "run_simulate",
     "run_verify_concentration",
+    "trial_errors",
     "write_csv",
 ]
 
@@ -507,8 +509,19 @@ def make_context(config: ExperimentConfig) -> bounds.BoundContext:
 
 
 def sample_model(model, noise: str, num_samples: int, seed: int, trial: int = 0) -> DataMatrix:
-    """Draw one path from the configured model with the matching sampler."""
-    return DataMatrix(model.sample_paths(num_samples, 1, noise, seed, trial)[0])
+    """Draw one path from the configured model; a non-finite path, from gains that overflow, is a ConfigError."""
+    path = model.sample_paths(num_samples, 1, noise, seed, trial)[0]
+    with _config_errors():
+        return DataMatrix(path)
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Raise a ValueError of the block, which checks values of the config or options, as a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _need(config: ExperimentConfig, what: str):
@@ -522,6 +535,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Export one sampled path as CSV with columns t, y1..yn."""
     model = _need(config, "model")
     num_samples = _need(config, "num_samples")
+    with _config_errors():
+        signals.check_noise(model, config.noise)
     data = sample_model(model, config.noise, num_samples, config.seed, trial=0)
     columns = ["t"] + [f"y{i + 1}" for i in range(data.channels)]
     meta = {"config_hash": config_digest(config), "seed": config.seed}
@@ -545,9 +560,14 @@ def run_estimate(config: ExperimentConfig, out_dir, oracle: bool = False) -> Pat
     spec = _need(config, "estimator")
     num_samples = _need(config, "num_samples")
     grid = frequency_grid(config.grid_points, config.full_range)
+    with _config_errors():
+        signals.check_noise(model, config.noise)
+        spec.check_fits(num_samples)
     data = sample_model(model, config.noise, num_samples, config.seed, trial=0)
     if oracle:
-        estimate = evaluate_generic_grid(data, estimators.build_matrix(spec, num_samples), grid)
+        with _config_errors():
+            matrix = estimators.build_matrix(spec, num_samples)
+        estimate = evaluate_generic_grid(data, matrix, grid)
     else:
         estimate = estimators.evaluate_fast(spec, data, grid)
     n = estimate.channels
@@ -644,9 +664,11 @@ def run_certify(config: ExperimentConfig, out_dir, estimate_path=None):
                 "certify needs an estimate of the same config"
             )
         estimate_sup = read_estimate_csv(estimate_path).sup_norm()
-    certs = bounds.certificate_suite(
-        spec, num_samples, config.delta, make_context(config), epsilon=config.epsilon, estimate_sup=estimate_sup
-    )
+    # certify samples nothing, so whatever the suite rejects is a value of the config
+    with _config_errors():
+        certs = bounds.certificate_suite(
+            spec, num_samples, config.delta, make_context(config), epsilon=config.epsilon, estimate_sup=estimate_sup
+        )
     columns = [f.name for f in fields(bounds.Certificate)]
     meta = {"config_hash": config_digest(config), "seed": config.seed, "delta": config.delta}
     path = write_csv(Path(out_dir) / "certificates.csv", columns, [_certificate_row(c) for c in certs], meta)
@@ -696,44 +718,55 @@ _SWEEP_COLUMNS = [
 ]
 
 
+def trial_errors(
+    model, noise: str, spec, num_samples: int, grid, trials: int, seed: int, first_trial: int, truth=None
+) -> np.ndarray:
+    """The (trials, grid) array of ||Phi_hat(s) - Phi(s)||_2 for the paths first_trial .. first_trial + trials - 1.
+
+    The paths come from one ``model.sample_paths`` call and one
+    ``DataMatrix.batch`` check; each is estimated by one ``evaluate_fast``
+    call and scored against the model's spectrum ``truth`` over the grid
+    (``model.psd_grid(grid)`` when not given) by one
+    ``hermitian_spectral_norms`` call.  A path's row does not depend on the
+    batch around it, so a batch's rows equal one-trial calls bit for bit.
+    """
+    truth = model.psd_grid(grid) if truth is None else truth
+    errors = np.empty((trials, len(grid)))
+    paths = DataMatrix.batch(model.sample_paths(num_samples, trials, noise, seed, first_trial))
+    for row, data in zip(errors, paths):
+        row[:] = hermitian_spectral_norms(estimators.evaluate_fast(spec, data, grid).matrices - truth)
+    return errors
+
+
 def _sweep_rows(model, noises: tuple, options: ReproduceOptions):
     """Per noise, one row per segment count: empirical worst-grid error vs certificates.
 
-    The certificate cells come from one ``bounds.certificate_suite`` per segment
-    count and noise, and the exact bias, which no noise changes, once per count.
+    The empirical cells are the mean and the maximum over the trials of each
+    path's worst grid error, from one ``trial_errors`` call per segment count
+    and noise.  The certificate cells come from one ``bounds.certificate_suite``
+    per segment count and noise, and the exact bias, which no noise changes,
+    once per count.
     """
     grid = frequency_grid(options.grid_points)
     truth = model.psd_grid(grid)
     contexts = [bounds.BoundContext.from_model(model, _assumption_for(noise)) for noise in noises]
-
-    def grid_error(spec, data):
-        estimate = estimators.evaluate_fast(spec, data, grid)
-        return float(hermitian_spectral_norms(estimate.matrices - truth).max())
-
+    spec = estimators.Welch(options.segment_length, options.hop, REPRODUCE_TAPER)
     rows = [[] for _ in noises]
     for sweep_index, blocks in enumerate(options.blocks):
         num_samples = (blocks - 1) * options.hop + options.segment_length
-        spec = estimators.Welch(options.segment_length, options.hop, REPRODUCE_TAPER)
         exact_bias = exact_bias_sup(estimators.closed_form_bias(spec, num_samples), model, grid)
         for noise_index, (noise, ctx) in enumerate(zip(noises, contexts)):
             suite = bounds.certificate_suite(spec, num_samples, options.delta, ctx)
             values = {cert.statement: cert.value for cert in suite}
             first = (noise_index * len(options.blocks) + sweep_index) * options.trials
-            # no name outlives the comprehension, so the paths are freed once scored
-            errors = np.array(
-                [
-                    grid_error(spec, data)
-                    for data in DataMatrix.batch(
-                        model.sample_paths(num_samples, options.trials, noise, options.seed, first)
-                    )
-                ]
-            )
+            errors = trial_errors(model, noise, spec, num_samples, grid, options.trials, options.seed, first, truth)
+            worst = errors.max(axis=1)
             rows[noise_index].append(
                 [
                     blocks,
                     num_samples,
-                    float(errors.mean()),
-                    float(errors.max()),
+                    float(worst.mean()),
+                    float(worst.max()),
                     values["total_worst_bound"],
                     values["worst_case_bound"],
                     values["bias_bound_geometric"],
@@ -767,14 +800,38 @@ def _sweep_report(rows, out_dir, stem: str, meta: dict, bias_series: str) -> lis
     return [csv_path, svg_path]
 
 
+# example -> (its model for the options, the file stem of each noise, the
+# model field its files record, its bias curve)
+_STUDIES = {
+    1: (
+        lambda options: signals.GeometricScalar(EXAMPLE1_RHO),
+        {"gaussian": "example1_gaussian", "uniform": "example1_subgaussian"},
+        "rho",
+        "exact_bias",
+    ),
+    2: (lambda options: example_state_space(options.rho_target), {"gaussian": "example2"}, "rho_target", "bias_bound"),
+}
+
+
 def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOptions()) -> list[Path]:
     """Run one of the bundled studies; returns the emitted file paths.
 
     Study 1 sweeps the tapered-segment estimator on the scalar geometric
     process under Gaussian and scaled-uniform noise; study 2 does the same for
     the three-channel state-space process, with the certified decay envelope
-    standing in for the exact bias curve.
+    standing in for the exact bias curve.  A model or option that cannot run
+    is a ConfigError raised before any path is drawn.
     """
+    if example not in _STUDIES:
+        raise ConfigError("example must be 1 or 2")
+    make_model, stems, field_name, bias_series = _STUDIES[example]
+    with _config_errors():
+        model = make_model(options)
+        # the sweep's own checks of the options, in the order it meets them before its first path
+        frequency_grid(options.grid_points)
+        GAUSSIAN.log_budget(options.delta, 1.0)
+        signals.check_counts(options.segment_length, options.trials)
+        np.random.SeedSequence(options.seed)
     base_meta = {
         "trials": options.trials,
         "delta": options.delta,
@@ -784,23 +841,13 @@ def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOp
         "taper": REPRODUCE_TAPER,
         "grid_points": options.grid_points,
     }
-    if example == 1:
-        model = signals.GeometricScalar(EXAMPLE1_RHO)
-        noises = ("gaussian", "uniform")
-        paths = []
-        for noise, rows in zip(noises, _sweep_rows(model, noises, options)):
-            stem = "example1_gaussian" if noise == "gaussian" else "example1_subgaussian"
-            meta = dict(base_meta, example=1, noise=noise, rho=EXAMPLE1_RHO)
-            meta["config_hash"] = _options_digest(meta)
-            paths += _sweep_report(rows, out_dir, stem, meta, "exact_bias")
-        return paths
-    if example == 2:
-        model = example_state_space(options.rho_target)
-        (rows,) = _sweep_rows(model, ("gaussian",), options)
-        meta = dict(base_meta, example=2, noise="gaussian", rho_target=options.rho_target)
+    paths = []
+    for (noise, stem), rows in zip(stems.items(), _sweep_rows(model, tuple(stems), options)):
+        meta = dict(base_meta, example=example, noise=noise)
+        meta[field_name] = getattr(model, field_name)
         meta["config_hash"] = _options_digest(meta)
-        return _sweep_report(rows, out_dir, "example2", meta, "bias_bound")
-    raise ConfigError("example must be 1 or 2")
+        paths += _sweep_report(rows, out_dir, stem, meta, bias_series)
+    return paths
 
 
 def _options_digest(meta: dict) -> str:
@@ -823,6 +870,8 @@ def run_verify_concentration(out_dir, trials: int = 100_000, seed: int = 9876543
     """
     if trials < 10_000:
         raise ConfigError("verify-concentration needs trials >= 10000")
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     dims = (4, 16)
     uniform_tail = hanson_wright(2.0 * signals.UNIFORM_SIGMA)
     rows = []

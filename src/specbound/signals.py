@@ -14,7 +14,8 @@ Models expose the exact autocovariance R[0..K] as one stack
 (``autocov_stack``), the spectrum, its sup norm, the summed covariance norm
 and its first lag moment, a geometric decay pair (gamma, rho) with ||R[k]||_2 <= gamma * rho^|k|
 (``decay(rate)`` gives one at a faster rate where that is proven), and their sampler
-as ``sample_paths``; covariance tail sums follow from the decay pair
+as ``sample_paths``, with the noise kinds it draws as ``noises``
+(``check_noise``); covariance tail sums follow from the decay pair
 (``quadform.envelope_tail``).  ``MODELS`` maps each config ``kind`` to
 its class, whose dataclass fields are the config keys.  Samplers draw from
 counter-based streams keyed by (seed, path index) so every path is bitwise
@@ -42,6 +43,8 @@ __all__ = [
     "UNIFORM_SIGMA",
     "WhiteNoise",
     "certify_decay",
+    "check_counts",
+    "check_noise",
     "covariance_norm_sums",
     "grid_phi_inf",
     "psd",
@@ -171,6 +174,7 @@ class GeometricScalar:
     """
 
     kind = "geometric"
+    noises = NOISE_KINDS
     rho: float
 
     def __post_init__(self):
@@ -215,6 +219,7 @@ class WhiteNoise:
     """Independent unit-variance channels: R[k] = delta[k] I and a flat unit spectrum."""
 
     kind = "white"
+    noises = NOISE_KINDS
     channels: int = 1
 
     def __post_init__(self):
@@ -271,6 +276,7 @@ class StateSpace:
     """
 
     kind = "state_space"
+    noises = ("gaussian",)
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -395,8 +401,7 @@ class StateSpace:
 
     def sample_paths(self, num_samples: int, trials: int, noise: str, seed: int, first_trial: int) -> np.ndarray:
         """Stationary paths (trials, channels, samples); only gaussian noise drives the system."""
-        if noise != "gaussian":
-            raise ValueError("state-space sampling supports gaussian noise only")
+        check_noise(self, noise)
         return sample_state_space_paths(self, num_samples, trials, seed, first_trial)
 
 
@@ -464,9 +469,17 @@ def psd(model, frequency: float) -> np.ndarray:
     return model.psd(frequency)
 
 
-def _check_noise(noise: str) -> None:
-    if noise not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {noise!r}")
+def check_noise(model, noise: str) -> None:
+    """Reject a noise kind that a model (or model class) does not draw, one outside the class's ``noises``."""
+    if noise not in model.noises:
+        name = model.kind.replace("_", "-")
+        raise ValueError(f"{name} sampling supports {' and '.join(model.noises)} noise only")
+
+
+def check_counts(num_samples: int, trials: int) -> None:
+    """Reject a path length or a trial count below one."""
+    if num_samples < 1 or trials < 1:
+        raise ValueError("num_samples and trials must be positive")
 
 
 def _draw_noise(rng: np.random.Generator, noise: str, shape) -> np.ndarray:
@@ -490,9 +503,8 @@ def sample_geometric_paths(
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    _check_noise(noise)
-    if num_samples < 1 or trials < 1:
-        raise ValueError("num_samples and trials must be positive")
+    check_noise(GeometricScalar, noise)
+    check_counts(num_samples, trials)
     gain = math.sqrt(1.0 - rho * rho)
     burn = 0
     if noise == "uniform" and rho != 0.0:
@@ -548,7 +560,7 @@ def sample_white_paths(
     first_trial: int = 0,
 ) -> np.ndarray:
     """Independent unit-variance noise blocks, one stream per trial."""
-    _check_noise(noise)
+    check_noise(WhiteNoise, noise)
     if channels < 1 or num_samples < 1 or trials < 1:
         raise ValueError("channels, num_samples and trials must be positive")
     out = np.empty((trials, channels, num_samples))
@@ -752,8 +764,7 @@ def sample_state_space_paths(
     path (46 ms of 0.5 s for 40 states at N = 65536); so with tens of
     states a per-step loop over BLAS products is faster.
     """
-    if num_samples < 1 or trials < 1:
-        raise ValueError("num_samples and trials must be positive")
+    check_counts(num_samples, trials)
     n = num_samples
     root = _covariance_root(model.state_covariance)
     first = np.empty((model.state_dim, trials))

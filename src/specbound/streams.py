@@ -104,11 +104,11 @@ def trial_streams(seed: int, first_trial: int, trials: int) -> Iterator[np.rando
     it gets ``rng_stream``'s own generator.
     """
     seed, first_trial = int(seed), int(first_trial)
+    if first_trial < 0:
+        raise ValueError("trial indices must be non-negative")
     if trials == 1:
         yield rng_stream(seed, first_trial)
         return
-    if first_trial < 0:
-        raise ValueError("trial indices must be non-negative")
     sequence = np.random.SeedSequence(seed)
     low, high = _spawn_keys(sequence, first_trial, trials)
     bits = np.random.Philox(sequence)

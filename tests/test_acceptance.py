@@ -16,7 +16,7 @@ from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals as sig
 from specbound.constants import GAUSSIAN, sub_gaussian
-from specbound.experiments import ReproduceOptions, run_reproduce, run_verify_concentration
+from specbound.experiments import ReproduceOptions, run_reproduce, run_verify_concentration, trial_errors
 
 from conftest import random_estimator_spec
 
@@ -114,14 +114,8 @@ def test_criterion_4_certificate_validity():
         est.closed_form_bias(spec, samples), params.truncation, 1.0, 0.0
     ).value
     total = concentration + bias
-    grid = qf.frequency_grid(101)
-    truth = model.psd_grid(grid)
-    exceedances = 0
-    for trial in range(trials):
-        data = qf.DataMatrix(sig.sample_white_paths(1, samples, 1, "gaussian", 5150, trial)[0])
-        estimate = est.evaluate_fast(spec, data, grid)
-        sup_error = float(qf.hermitian_spectral_norms(estimate.matrices - truth).max())
-        exceedances += sup_error > total
+    errors = trial_errors(model, "gaussian", spec, samples, qf.frequency_grid(101), trials, 5150, 0)
+    exceedances = int((errors.max(axis=1) > total).sum())
     frequency = exceedances / trials
     allowed = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     assert frequency <= allowed, f"exceedance {frequency:.3f} above {allowed:.3f}"

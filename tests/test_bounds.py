@@ -10,7 +10,7 @@ from specbound import bounds as bd
 from specbound import estimators as est
 from specbound import quadform as qf
 from specbound.constants import COVER_BASE, GAUSSIAN, sub_gaussian
-from specbound.experiments import example_state_space
+from specbound.experiments import example_state_space, trial_errors
 from specbound.signals import GeometricScalar, WhiteNoise, certify_decay
 
 from conftest import sequential_geometric_bias_bound
@@ -665,24 +665,14 @@ def test_decay_check_on_the_models_own_pair_reads_64_lags_once(monkeypatch):
 def test_worst_total_condition_validated_by_simulation():
     # when the conjunction holds at (eps, delta), the doubled-accuracy event
     # {sup error > 2 eps} may occur with frequency at most delta (plus slack)
-    from specbound.signals import WhiteNoise as White, sample_white_paths
-
-    model = White(1)
+    model = WhiteNoise(1)
     ctx = bd.BoundContext.from_model(model, GAUSSIAN)
     spec, samples, eps, delta, trials = est.Bartlett(16), 4096, 2.0, 0.2, 200
     cert = bd.check_estimator_conditions(spec, samples, "worst_total", eps, delta, ctx)
     assert cert.holds
-    grid = qf.frequency_grid(101)
-    truth = model.psd_grid(grid)
-    exceedances = 0
-    for trial in range(trials):
-        data = qf.DataMatrix(sample_white_paths(1, samples, 1, "gaussian", 777, trial)[0])
-        estimate = est.evaluate_fast(spec, data, grid)
-        sup_error = float(qf.hermitian_spectral_norms(estimate.matrices - truth).max())
-        exceedances += sup_error > 2.0 * eps
-    import math as _math
-
-    assert exceedances / trials <= delta + 3.0 * _math.sqrt(delta * (1.0 - delta) / trials)
+    errors = trial_errors(model, "gaussian", spec, samples, qf.frequency_grid(101), trials, 777, 0)
+    exceedances = int((errors.max(axis=1) > 2.0 * eps).sum())
+    assert exceedances / trials <= delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -801,3 +802,189 @@ def test_zero_lag_window_is_a_config_error(tmp_path, capsys):
 def test_config_error_type_is_value_error():
     with pytest.raises(ConfigError):
         parse_config({"noise": "pink"})
+
+
+# (model, noise): the three model families, one of them on both noises
+ENGINE_MODELS = [
+    (signals.GeometricScalar(0.3), "uniform"),
+    (signals.WhiteNoise(2), "gaussian"),
+    (example_state_space(0.5), "gaussian"),
+]
+
+
+@pytest.mark.parametrize("model, noise", ENGINE_MODELS, ids=["geometric", "white", "state_space"])
+def test_trial_errors_rows_equal_one_trial_calls(model, noise):
+    grid = experiments.frequency_grid(17)
+    spec = estimators.Welch(16, 8, "hann")
+    batch = experiments.trial_errors(model, noise, spec, 72, grid, 5, 2**32 + 5, 3)
+    assert batch.shape == (5, 17)
+    for t, row in enumerate(batch):
+        assert row.tobytes() == experiments.trial_errors(model, noise, spec, 72, grid, 1, 2**32 + 5, 3 + t)[0].tobytes()
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_sweep_cells_are_the_trial_error_reductions(example):
+    options = ReproduceOptions(trials=3, seed=9, grid_points=9, blocks=(2, 5))
+    make_model, stems, _, _ = experiments._STUDIES[example]
+    model, noises = make_model(options), tuple(stems)
+    rows = experiments._sweep_rows(model, noises, options)
+    grid = experiments.frequency_grid(options.grid_points)
+    spec = estimators.Welch(options.segment_length, options.hop, experiments.REPRODUCE_TAPER)
+    for noise_index, noise in enumerate(noises):
+        for sweep_index, (row, blocks) in enumerate(zip(rows[noise_index], options.blocks, strict=True)):
+            first = (noise_index * len(options.blocks) + sweep_index) * options.trials
+            errors = experiments.trial_errors(model, noise, spec, row[1], grid, options.trials, options.seed, first)
+            worst = errors.max(axis=1)
+            assert row[:2] == [blocks, (blocks - 1) * options.hop + options.segment_length]
+            assert np.float64(row[2]).tobytes() == worst.mean().tobytes()
+            assert np.float64(row[3]).tobytes() == worst.max().tobytes()
+
+
+def test_an_unexpected_error_exits_one_with_its_traceback(tmp_path, capsys, monkeypatch, welch_config):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside the estimator")
+
+    monkeypatch.setattr(estimators, "evaluate_fast", broken)
+    assert cli.main(["estimate", "--config", str(welch_config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ValueError: a fault inside the estimator\n")
+    assert "config error" not in err
+
+
+SCALAR_STATE_SPACE = {"kind": "state_space", "a": [[0.5]], "b": [[1.0]], "c": [[1.0]], "d": [[0.0]]}
+
+# case -> (command, config, message): rejected before any path is sampled
+PRE_SAMPLING = {
+    "blackman_tukey_too_wide": (
+        "certify",
+        {"model": {"kind": "white"}, "estimator": {"kind": "blackman_tukey", "half_width": 9}, "num_samples": 8},
+        "lag cutoff cannot exceed the sample count",
+    ),
+    "bartlett_not_a_multiple": (
+        "certify",
+        {"model": {"kind": "white"}, "estimator": {"kind": "bartlett", "block_length": 3}, "num_samples": 10},
+        "sample count must be a positive multiple of the block length",
+    ),
+    "welch_bad_size": (
+        "estimate",
+        {"model": {"kind": "white"}, "estimator": {"kind": "welch", "segment_length": 8, "hop": 4}, "num_samples": 13},
+        "sample count must equal (segments - 1) * hop + segment_length",
+    ),
+    "state_space_uniform_simulate": (
+        "simulate",
+        {"model": SCALAR_STATE_SPACE, "noise": "uniform", "num_samples": 8},
+        "state-space sampling supports gaussian noise only",
+    ),
+    "state_space_uniform_estimate": (
+        "estimate",
+        {"model": SCALAR_STATE_SPACE, "noise": "uniform", "estimator": {"kind": "biased_periodogram"}, "num_samples": 8},
+        "state-space sampling supports gaussian noise only",
+    ),
+    "accuracy_target_without_a_tail": (
+        "certify",
+        {
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 0.5,
+            "context": {"phi_inf": 2, "r1": 2.5, "channels": 1},
+        },
+        "context carries neither a model tail nor a decay envelope",
+    ),
+    "accuracy_target_past_the_lag_budget": (
+        "certify",
+        {
+            "model": dict(SCALAR_STATE_SPACE, a=[[0.999999]], d=[[1.0]], rho_target=0.9999999),
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 1e-3,
+        },
+        "covariance tail does not reach eps / 2 within the lag budget",
+    ),
+}
+
+
+def _no_sampling(monkeypatch):
+    """Make every model's sampler fail the test when it is called."""
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    for cls in (signals.GeometricScalar, signals.WhiteNoise, signals.StateSpace):
+        monkeypatch.setattr(cls, "sample_paths", sampled)
+
+
+@pytest.mark.parametrize("case", list(PRE_SAMPLING))
+def test_configs_the_library_rejects_are_config_errors_before_sampling(tmp_path, capsys, monkeypatch, case):
+    command, config, message = PRE_SAMPLING[case]
+    _no_sampling(monkeypatch)
+    runner = {"certify": run_certify, "estimate": run_estimate, "simulate": run_simulate}[command]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        runner(parse_config(config), tmp_path / "direct")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# gains whose products overflow: the state-space paths, or the oracle's coefficient matrix, are not finite
+OVERFLOWING_MODEL = {"model": dict(SCALAR_STATE_SPACE, d=[[1e308]]), "num_samples": 16}
+OVERFLOWING_TAPER = {"kind": "welch", "segment_length": 4, "hop": 2, "taper": [1e300] * 4}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate"], OVERFLOWING_MODEL, "data contains non-finite entries"),
+        (["estimate"], dict(OVERFLOWING_MODEL, estimator={"kind": "biased_periodogram"}), "data contains non-finite entries"),
+        (["certify"], dict(OVERFLOWING_MODEL, estimator={"kind": "biased_periodogram"}), None),
+        (
+            ["estimate", "--oracle"],
+            {"model": {"kind": "white"}, "estimator": OVERFLOWING_TAPER, "num_samples": 16},
+            "coefficient matrix contains non-finite entries",
+        ),
+    ],
+    ids=["simulate", "estimate", "certify", "oracle"],
+)
+def test_values_that_overflow_are_config_errors(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message is None or err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+BAD_RHO_TARGET = "rho_target must lie strictly between the spectral radius and one"
+
+
+# the messages the parent printed; with two bad options, the one the sweep met first
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--example", "1", "--trials", "0"], "num_samples and trials must be positive"),
+        (["--example", "2", "--seed", "-1"], "expected non-negative integer"),
+        (["--example", "1", "--grid", "0"], "frequency grid needs at least one point"),
+        (["--example", "2", "--delta", "0"], "failure probability must lie in (0, 1)"),
+        (["--example", "2", "--rho-target", "0.2"], BAD_RHO_TARGET),
+        (["--example", "2", "--rho-target", "0.2", "--trials", "0"], BAD_RHO_TARGET),
+        (["--example", "1", "--delta", "1.5", "--trials", "0"], "failure probability must lie in (0, 1)"),
+    ],
+)
+def test_bad_reproduce_options_are_config_errors_before_sampling(tmp_path, capsys, monkeypatch, argv, message):
+    _no_sampling(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_concentration_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["verify-concentration", "--trials", "10000", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
+    assert not out.exists()

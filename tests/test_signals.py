@@ -15,7 +15,7 @@ from specbound import quadform as qf
 from specbound.bounds import GAUSSIAN, BoundContext, covariance_tail
 from specbound import signals as sig
 from specbound.experiments import example_state_space
-from specbound.streams import rng_stream
+from specbound.streams import rng_stream, trial_streams
 
 from conftest import full_grid_phi_inf
 
@@ -331,6 +331,22 @@ def test_batched_rows_equal_one_trial_calls(kind, noise):
     batch = sampler(5, BATCH_FIRST)
     for t, row in enumerate(batch):
         assert row.tobytes() == sampler(1, BATCH_FIRST + t)[0].tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_a_negative_first_trial_is_rejected_for_one_trial_and_for_a_batch(trials):
+    with pytest.raises(ValueError, match="^trial indices must be non-negative$"):
+        next(trial_streams(5, -1, trials))
+
+
+def test_state_space_declares_the_noises_it_draws(chain):
+    assert sig.GeometricScalar.noises == sig.WhiteNoise.noises == sig.NOISE_KINDS
+    assert chain.noises == ("gaussian",)
+    sig.check_noise(chain, "gaussian")
+    with pytest.raises(ValueError, match="^state-space sampling supports gaussian noise only$"):
+        sig.check_noise(chain, "uniform")
+    with pytest.raises(ValueError, match="^state-space sampling supports gaussian noise only$"):
+        chain.sample_paths(8, 1, "uniform", 0, 0)
 
 
 def test_state_space_stream_consistency(chain):

@@ -1,6 +1,6 @@
 """Write a corpus of specbound command-line outputs into a directory.
 
-Usage: python tools/output_corpus.py OUT
+Usage: python tools/output_corpus.py OUT [THREADS]
 
 Runs ``specbound.cli.main`` from the ``src`` tree next to this script over a
 fixed set of commands: ``estimate`` (fast and ``--oracle``), ``certify
@@ -58,10 +58,12 @@ parent checkout's ``src`` and against the change's (a copy of the script
 placed in the parent's ``tools`` directory reads the parent's ``src``) and
 compares the two directories with ``diff -r``.  The ``--oracle`` dense
 product and the two-stage segment transforms change their last bits with
-the BLAS thread count, so the script pins OpenBLAS, OpenMP and MKL to one
-thread before numpy is imported, whatever the environment says; both runs
-of a comparison therefore use the same count.  Needs only the standard library
-and numpy.
+the BLAS thread count, so the script pins OpenBLAS, OpenMP and MKL to
+THREADS threads (default 1) before numpy is imported, whatever the
+environment says; both runs of a comparison therefore use the same count.
+A corpus built at two threads differs from the one-thread corpus only in
+the files that ``tools/thread_dependent_outputs.txt`` lists.  Needs only
+the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ import os
 import sys
 from pathlib import Path
 
-# one BLAS thread, set before numpy is imported
+# the BLAS thread count, set before numpy is imported
+_THREADS = sys.argv[2] if len(sys.argv) > 2 else "1"
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ[_var] = _THREADS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -365,7 +368,7 @@ def write_config(out: Path, name: str, config: dict) -> str:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    if len(args) not in (1, 2) or not _THREADS.isdigit() or int(_THREADS) < 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out = Path(args[0]).resolve()
