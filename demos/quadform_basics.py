@@ -50,9 +50,10 @@ print("\nbartlett coefficient matrix (scaled by N):")
 print((build_matrix(Bartlett(4), N).matrix * N).astype(int))
 
 print("\ndiagonal profile of the bartlett matrix at lag 1:")
-profile = diagonal_profile(build_matrix(Bartlett(4), N), 1)
-print("  entries:", np.round(profile.entries, 4))
-print(f"  sup norm {profile.sup_norm:.4f} (= ||B[1]||_2), l2 norm {profile.l2_norm:.4f} (= ||B[1]||_F)")
+form = build_matrix(Bartlett(4), N)
+stats = form.diagonal_stats
+print("  entries:", np.round(diagonal_profile(form, 1), 4))
+print(f"  sup norm {stats.sup_norms[1]:.4f} (= ||B[1]||_2), l2 norm {np.sqrt(stats.squared_l2_norms[1]):.4f} (= ||B[1]||_F)")
 
 print("\ndiagonal sums b[k] determine the estimator mean; bartlett gives 1 - |k|/M:")
 lags = bias_coefficients(build_matrix(Bartlett(4), N)).on_lags(5)

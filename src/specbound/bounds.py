@@ -51,7 +51,6 @@ __all__ = [
     "bartlett_bias_closed_form",
     "certificate_suite",
     "check_conditions",
-    "check_all_estimator_conditions",
     "check_estimator_conditions",
     "covariance_tail",
     "data_driven_error_bound",
@@ -107,6 +106,10 @@ class BoundContext:
             raise ValueError("r1_norm must be positive and finite")
         if self.channels < 1:
             raise ValueError("channel count must be positive")
+        try:
+            COVER_BASE ** (2 * self.channels)
+        except OverflowError:
+            raise ValueError(f"channel count {self.channels} overflows the cover size {COVER_BASE:g}^(2 channels)") from None
         if self.decay is not None:
             gamma, rho = self.decay
             if not gamma > 0.0 or not 0.0 <= rho < 1.0:
@@ -428,32 +431,24 @@ def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) ->
 def check_estimator_conditions(
     spec, num_samples: int, part: str, eps: float, delta: float, ctx: BoundContext
 ) -> Certificate:
-    """The row of ``check_all_estimator_conditions`` for one condition part."""
-    if part not in CONDITION_PARTS:
-        raise ValueError(f"unknown condition part {part!r}")
-    return check_all_estimator_conditions(spec, num_samples, eps, delta, ctx)[CONDITION_PARTS.index(part)]
-
-
-def check_all_estimator_conditions(
-    spec, num_samples: int, eps: float, delta: float, ctx: BoundContext
-) -> list[Certificate]:
-    """Estimator-specific sufficient conditions on the closed-form quantities, in ``CONDITION_PARTS`` order.
+    """Estimator-specific sufficient condition for one of the ``CONDITION_PARTS``.
 
     The general condition on the family's ``certificate_params(n)`` and
     ``closed_form_bias(spec, n)``; the bias part adds the family's
     ``bias_condition``, what it asks beyond the general test.  For the
     periodogram variants (no record) only the bias condition is attainable.
-    Each total is the conjunction of the rows built for its two parts, so
-    the bias part is computed once.
     """
+    if part not in CONDITION_PARTS:
+        raise ValueError(f"unknown condition part {part!r}")
     n = int(num_samples)
-    return _estimator_conditions(spec, n, spec.certificate_params(n), closed_form_bias(spec, n), eps, delta, ctx)
+    rows = _estimator_conditions(spec, n, spec.certificate_params(n), closed_form_bias(spec, n), eps, delta, ctx)
+    return rows[CONDITION_PARTS.index(part)]
 
 
 def _estimator_conditions(
     spec, n: int, params: CertificateParams | None, sums: BiasCoefficients, eps: float, delta: float, ctx: BoundContext
 ) -> list[Certificate]:
-    """``check_all_estimator_conditions`` on the family's record and closed-form sums at n, built by the caller."""
+    """Every part's row, in ``CONDITION_PARTS`` order, on the record and sums at n built by the caller."""
     rows = {
         part: replace(check_conditions(part, eps, delta, ctx, params=params), statement=f"{spec.kind}.{part}_condition")
         for part in ("pointwise", "worst_case")
@@ -482,9 +477,9 @@ def certificate_suite(
     to N; with a record too, ``total_worst_bound``, their sum.  With
     ``estimate_sup``, the estimate's observed sup, ``data_driven_bound``
     follows: unavailable, with a note, without both the record and the decay
-    pair, or when its factor reaches one.  With ``epsilon``, the rows of
-    ``check_all_estimator_conditions`` close the table.  Any other row is
-    omitted, not marked unavailable.
+    pair, or when its factor reaches one.  With ``epsilon``, the
+    ``check_estimator_conditions`` rows of every part close the table.  Any
+    other row is omitted, not marked unavailable.
     """
     params = certificate_params(spec, num_samples)
     rows = [pointwise_error_bound(params, delta, ctx), worst_case_error_bound(params, delta, ctx)]

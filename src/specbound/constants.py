@@ -67,6 +67,8 @@ class NoiseAssumption:
         """Demand placed on the reciprocal norm envelope by the accuracy target eps."""
         if not eps > 0.0:
             raise ValueError("accuracy target must be positive")
+        if not eps ** 2 > 0.0:
+            raise ValueError(f"accuracy target {eps!r} is too small: its square underflows to zero")
         scale = self.scale
         return max(scale ** 4 * phi ** 2 / eps ** 2, scale ** 2 * phi / eps)
 

@@ -420,6 +420,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     full_range = data.get("full_range", False)
     if not isinstance(full_range, bool):
         raise ConfigError("full_range must be a boolean")
+    if model is not None:
+        with _config_errors():
+            signals.check_noise(model, noise)
     return ExperimentConfig(
         raw=data,
         model=model,
@@ -535,8 +538,6 @@ def run_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Export one sampled path as CSV with columns t, y1..yn."""
     model = _need(config, "model")
     num_samples = _need(config, "num_samples")
-    with _config_errors():
-        signals.check_noise(model, config.noise)
     data = sample_model(model, config.noise, num_samples, config.seed, trial=0)
     columns = ["t"] + [f"y{i + 1}" for i in range(data.channels)]
     meta = {"config_hash": config_digest(config), "seed": config.seed}
@@ -561,7 +562,6 @@ def run_estimate(config: ExperimentConfig, out_dir, oracle: bool = False) -> Pat
     num_samples = _need(config, "num_samples")
     grid = frequency_grid(config.grid_points, config.full_range)
     with _config_errors():
-        signals.check_noise(model, config.noise)
         spec.check_fits(num_samples)
     data = sample_model(model, config.noise, num_samples, config.seed, trial=0)
     if oracle:

@@ -7,9 +7,9 @@ on [-1/2, 1/2], the Hermitian matrix
 
 for a real symmetric N x N coefficient matrix ``A``.  This module holds the
 dense representation of ``A`` together with the derived quantities consumed by
-the error certificates: the per-diagonal profiles d[k] (whose sup and
-Euclidean norms are exactly the spectral and Frobenius norms of the
-single-diagonal matrices B[k]), the diagonal sums b[k] that determine the
+the error certificates: the sup and Euclidean norms of each diagonal d[k]
+(exactly the spectral and Frobenius norms of the single-diagonal matrix
+B[k]), the diagonal sums b[k] that determine the
 estimator mean (even in k, so stored for k >= 0 only), the generic
 evaluation path used as the correctness oracle for the fast structured
 paths, and exact bias evaluation against analytic process models, whose lag
@@ -43,7 +43,6 @@ __all__ = [
     "BiasCoefficients",
     "CertificateParams",
     "DataMatrix",
-    "DiagonalProfile",
     "DiagonalStats",
     "QuadraticForm",
     "SpectralEstimate",
@@ -197,12 +196,6 @@ class QuadraticForm:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def diagonal(self, offset: int) -> np.ndarray:
-        """Entries d[k] of the ``offset``-th diagonal (positive offsets below the main one)."""
-        if abs(offset) >= self.size:
-            raise ValueError(f"|offset| must be smaller than the size {self.size}")
-        return np.diagonal(self.matrix, offset=-offset)
 
     @cached_property
     def spectral_norm(self) -> float:
@@ -361,46 +354,11 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
     return DiagonalStats(sums, sups, squares)
 
 
-@dataclass(frozen=True)
-class DiagonalProfile:
-    """One diagonal of a coefficient matrix together with its induced norms.
-
-    Embedding ``entries`` back at ``offset`` in a zero matrix yields the
-    single-diagonal matrix B[k]; its spectral norm is ``sup_norm`` and its
-    Frobenius norm is ``l2_norm``, both readable off the entries directly.
-    """
-
-    offset: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_array(np.atleast_1d(self.entries)))
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.entries).max())
-
-    @property
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def embed(self, size: int) -> np.ndarray:
-        """Dense B[k]: the entries placed on the ``offset`` diagonal of zeros."""
-        length = self.entries.size
-        if length != size - abs(self.offset):
-            raise ValueError("profile length does not match the requested size")
-        dense = np.zeros((size, size))
-        idx = np.arange(length)
-        if self.offset >= 0:
-            dense[idx + self.offset, idx] = self.entries
-        else:
-            dense[idx, idx - self.offset] = self.entries
-        return dense
-
-
-def diagonal_profile(form: QuadraticForm, offset: int) -> DiagonalProfile:
-    """Extract d[k] for the requested diagonal of ``form``."""
-    return DiagonalProfile(offset, form.diagonal(offset))
+def diagonal_profile(form: QuadraticForm, offset: int) -> np.ndarray:
+    """Read-only view of d[k], the ``offset``-th diagonal of ``form`` (positive offsets below the main one)."""
+    if abs(offset) >= form.size:
+        raise ValueError(f"|offset| must be smaller than the size {form.size}")
+    return np.diagonal(form.matrix, offset=-offset)
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,9 @@ def test_criterion_3_norm_envelopes():
         else:
             assert form.spectral_norm <= params.envelope + 1e-9
             assert form.frobenius_norm ** 2 <= params.envelope + 1e-9
-        for offset in range(params.truncation):
-            profile = qf.diagonal_profile(form, offset)
-            assert profile.sup_norm <= params.envelope + 1e-9
-            assert profile.l2_norm ** 2 <= params.envelope + 1e-9
+        stats = form.diagonal_stats
+        assert stats.sup_norms.max() <= params.envelope + 1e-9
+        assert stats.squared_l2_norms.max() <= params.envelope + 1e-9
     _report(3, "norm envelopes", started, 30.0)
 
 

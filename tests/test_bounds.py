@@ -452,18 +452,13 @@ def test_estimator_concentration_conditions_are_the_general_conditions(kind, par
 
 
 @pytest.mark.parametrize("kind", list(est.FAMILIES))
-def test_all_estimator_conditions_are_the_parts_one_by_one(kind, geometric_ctx, monkeypatch):
+def test_all_estimator_conditions_are_the_parts_one_by_one(kind, geometric_ctx):
     n = 136
     cls = est.FAMILIES[kind]
     spec = cls(*(8 for field in dataclasses.fields(cls) if field.default is dataclasses.MISSING))
     for eps, delta in [(0.05, 0.1), (0.5, 0.1), (8.0, 0.05), (64.0, 0.2), (1e3, 0.1)]:
         parts = [bd.check_estimator_conditions(spec, n, part, eps, delta, geometric_ctx) for part in bd.CONDITION_PARTS]
-        calls = []
-        monkeypatch.setattr(bd, "closed_form_bias", lambda *args: calls.append(args) or est.closed_form_bias(*args))
-        assert bd.check_all_estimator_conditions(spec, n, eps, delta, geometric_ctx) == parts
-        # the bias part is built once for all three rows that need it
-        assert len(calls) == 1
-        monkeypatch.undo()
+        assert bd.certificate_suite(spec, n, delta, geometric_ctx, epsilon=eps)[-5:] == parts
 
 
 # ---------------------------------------------------------------- certificate suite
@@ -504,7 +499,7 @@ def test_certificate_suite_rows_follow_the_record_and_the_decay_pair(kind, geome
         assert by_name["pointwise_bound"] == bd.pointwise_error_bound(params, delta, ctx)
         assert by_name["worst_case_bound"] == bd.worst_case_error_bound(params, delta, ctx)
         assert by_name["pointwise_bound"].available == (params is not None)
-        assert rows[-5:] == bd.check_all_estimator_conditions(spec, n, eps, delta, ctx)
+        assert rows[-5:] == [bd.check_estimator_conditions(spec, n, part, eps, delta, ctx) for part in bd.CONDITION_PARTS]
         data_driven = by_name["data_driven_bound"]
         if ctx.decay is None or params is None:
             assert not data_driven.available

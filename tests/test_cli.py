@@ -881,6 +881,32 @@ PRE_SAMPLING = {
         {"model": SCALAR_STATE_SPACE, "noise": "uniform", "estimator": {"kind": "biased_periodogram"}, "num_samples": 8},
         "state-space sampling supports gaussian noise only",
     ),
+    "state_space_uniform_certify": (
+        "certify",
+        {"model": SCALAR_STATE_SPACE, "noise": "uniform", "estimator": {"kind": "biased_periodogram"}, "num_samples": 8},
+        "state-space sampling supports gaussian noise only",
+    ),
+    # the square of the accuracy target underflows to zero in the concentration demand
+    "accuracy_target_too_small": (
+        "certify",
+        {
+            "model": {"kind": "geometric", "rho": 0.3},
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 1e-300,
+        },
+        "accuracy target 1e-300 is too small: its square underflows to zero",
+    ),
+    # the cover size 10^(2 channels) passes the largest double
+    "context_channels_overflow": (
+        "certify",
+        {
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
+        },
+        "context: channel count 100000 overflows the cover size 10^(2 channels)",
+    ),
     "accuracy_target_without_a_tail": (
         "certify",
         {

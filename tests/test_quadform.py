@@ -27,7 +27,7 @@ def _brute_expansion(data, form, frequency):
     y = data.values
     total = np.zeros((data.channels, data.channels), dtype=complex)
     for k in range(-(n - 1), n):
-        dense = qf.diagonal_profile(form, k).embed(n)
+        dense = np.diag(np.diagonal(form.matrix, -k), -k)
         total += np.exp(-2j * np.pi * frequency * k) * (y @ dense @ y.T)
     return total
 
@@ -210,11 +210,11 @@ def test_quadratic_form_symmetrizes_and_bounds_norms(rng):
 def test_diagonal_profile_constant_matrix():
     n = 6
     form = qf.QuadraticForm(np.full((n, n), 1.0 / n))
+    stats = form.diagonal_stats
     for k in range(-(n - 1), n):
-        profile = qf.diagonal_profile(form, k)
-        np.testing.assert_allclose(profile.entries, np.full(n - abs(k), 1.0 / n))
-        assert profile.sup_norm == pytest.approx(1.0 / n)
-        assert profile.l2_norm ** 2 == pytest.approx((n - abs(k)) / n ** 2)
+        np.testing.assert_allclose(qf.diagonal_profile(form, k), np.full(n - abs(k), 1.0 / n))
+        assert stats.sup_norms[abs(k)] == pytest.approx(1.0 / n)
+        assert stats.squared_l2_norms[abs(k)] == pytest.approx((n - abs(k)) / n ** 2)
 
 
 def test_diagonal_profile_block_diagonal_example():
@@ -222,33 +222,37 @@ def test_diagonal_profile_block_diagonal_example():
     block = np.ones((2, 2))
     matrix = 0.25 * np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
     form = qf.QuadraticForm(matrix)
-    profile = qf.diagonal_profile(form, 1)
-    np.testing.assert_array_equal(profile.entries, [0.25, 0.0, 0.25])
-    assert profile.sup_norm == 0.25
-    assert profile.l2_norm ** 2 == pytest.approx(2.0 / 16.0)
+    np.testing.assert_array_equal(qf.diagonal_profile(form, 1), [0.25, 0.0, 0.25])
+    assert form.diagonal_stats.sup_norms[1] == 0.25
+    assert form.diagonal_stats.squared_l2_norms[1] == pytest.approx(2.0 / 16.0)
+
+
+def _assert_stats_are_the_embedding_norms(form):
+    """||B[k]||_2 = sup_norms[|k|] and ||B[k]||_F^2 = squared_l2_norms[|k|], B[k] holding d[k] alone."""
+    n = form.size
+    stats = form.diagonal_stats
+    for k in range(-(n - 1), n):
+        dense = np.diag(np.diagonal(form.matrix, -k), -k)
+        assert stats.sup_norms[abs(k)] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-13, abs=0.0)
+        assert stats.squared_l2_norms[abs(k)] == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-13, abs=0.0)
 
 
 def test_profile_norms_match_dense_embedding(rng):
-    form = qf.QuadraticForm(rng.standard_normal((8, 8)))
-    for k in range(-7, 8):
-        profile = qf.diagonal_profile(form, k)
-        dense = profile.embed(8)
-        assert profile.sup_norm == pytest.approx(np.linalg.norm(dense, 2), abs=1e-13)
-        assert profile.l2_norm == pytest.approx(np.linalg.norm(dense), abs=1e-13)
-        sym = qf.diagonal_profile(form, -k)
-        assert profile.sup_norm == pytest.approx(sym.sup_norm)
+    _assert_stats_are_the_embedding_norms(qf.QuadraticForm(rng.standard_normal((8, 8))))
 
 
 def test_profiles_reassemble_the_matrix(rng):
     form = qf.QuadraticForm(rng.standard_normal((9, 9)))
-    total = sum(qf.diagonal_profile(form, k).embed(9) for k in range(-8, 9))
+    total = sum(np.diag(qf.diagonal_profile(form, k), -k) for k in range(-8, 9))
     np.testing.assert_array_equal(total, form.matrix)
+    assert not qf.diagonal_profile(form, 2).flags.writeable
 
 
 def test_out_of_range_offset_raises():
     form = qf.QuadraticForm(np.eye(3))
-    with pytest.raises(ValueError):
-        qf.diagonal_profile(form, 3)
+    for offset in (3, -3):
+        with pytest.raises(ValueError, match="smaller than the size 3"):
+            qf.diagonal_profile(form, offset)
 
 
 def test_truncation_width_values():
@@ -326,16 +330,19 @@ def _assert_diagonal_statistics_match(form):
     lags = np.arange(-(n - 1), n)
     expected = np.array([np.trace(form.matrix, offset=-k) for k in lags])
     assert np.all(np.abs(qf.bias_coefficients(form).on_lags(n) - expected) <= 1e-13 * l1[np.abs(lags)])
-    envelope = max(form.spectral_norm, form.frobenius_norm ** 2)
-    for k in range(n):
-        profile = qf.diagonal_profile(form, k)
-        envelope = max(envelope, profile.sup_norm, profile.l2_norm ** 2)
+    envelope = max(form.spectral_norm, form.frobenius_norm ** 2, sups.max(), squares.max())
     assert envelope_from_form(form) == pytest.approx(envelope, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("spec,n", FAMILY_FORMS)
 def test_diagonal_statistics_of_every_family_match_per_offset_loops(spec, n):
     _assert_diagonal_statistics_match(est.build_matrix(spec, n))
+
+
+# a dense 2-norm per offset: the sizes up to 64 keep its cost small
+@pytest.mark.parametrize("spec,n", [form for form in FAMILY_FORMS if form.values[1] <= 64])
+def test_diagonal_stats_of_every_family_are_the_embedding_norms(spec, n):
+    _assert_stats_are_the_embedding_norms(est.build_matrix(spec, n))
 
 
 @pytest.mark.parametrize(
@@ -385,7 +392,7 @@ def test_bias_equals_sum_of_profile_and_is_even(rng):
     coeffs = qf.bias_coefficients(form)
     lags = coeffs.on_lags(7)
     for k in range(-6, 7):
-        assert lags[k + 6] == pytest.approx(qf.diagonal_profile(form, k).entries.sum(), abs=1e-13)
+        assert lags[k + 6] == pytest.approx(np.diagonal(form.matrix, -k).sum(), abs=1e-13)
         assert lags[k + 6] == pytest.approx(lags[-k + 6])
 
 

@@ -35,7 +35,10 @@ product block and the first that takes two;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model; a
-set of rejected configs; ``certify --estimate`` of malformed estimate files,
+set of rejected configs, among them three ``certify`` configs: an
+``epsilon`` of 1e-300, whose square underflows, a context with 100000
+channels, whose cover size overflows, and a state-space model with uniform
+noise; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--example 2`` with their defaults and with every option set, and
@@ -241,6 +244,27 @@ REJECTED = {
             "num_samples": 16,
             "context": {"gamma": 30.0, "rho": 0.3},
         },
+    ),
+    "certify_tiny_epsilon": (
+        "certify",
+        {
+            "model": {"kind": "geometric", "rho": 0.3},
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 1e-300,
+        },
+    ),
+    "certify_channels_overflow": (
+        "certify",
+        {
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
+        },
+    ),
+    "certify_state_space_uniform": (
+        "certify",
+        {"model": STATE_SPACE, "noise": "uniform", "estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16},
     ),
 }
 
