@@ -61,7 +61,13 @@ class NoiseAssumption:
         """The exponent the tail must reach for failure probability delta under ``cover``."""
         if not 0.0 < delta < 1.0:
             raise ValueError("failure probability must lie in (0, 1)")
-        return math.log(cover * self.multiplier / delta) / self.rate
+        ratio = cover * self.multiplier / delta
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"tail bound overflows: cover size {cover:g} * multiplier {self.multiplier:g} "
+                f"/ failure probability {delta!r} passes the largest double"
+            )
+        return math.log(ratio) / self.rate
 
     def demand(self, eps: float, phi: float) -> float:
         """Demand placed on the reciprocal norm envelope by the accuracy target eps."""

@@ -17,11 +17,13 @@ sums go through ``phases.lag_sum`` like the estimators'.
 
 Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
 ``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
-its diagonals, cached on the form.  Every estimator family builds a
-centrosymmetric form (``A = J A J``, J reversing the index order; Welch up to
-rounding), whose spectral norm comes from two half-size eigensolves instead
-of one dense one (Cantoni & Butler, 1976); any other form takes the dense
-eigensolve.  The generic path rotates the data for a
+its diagonals, cached on the form.  The spectral norm of a form of low rank
+(the biased periodogram, Bartlett and Welch, all ``V V^T / K``) comes from a
+pivoted Cholesky factor and one small eigensolve (Higham, 1990); every other
+estimator family builds a centrosymmetric form (``A = J A J``, J reversing
+the index order), whose spectral norm comes from two half-size eigensolves
+instead of one dense one (Cantoni & Butler, 1976); any other form takes the
+dense eigensolve.  The generic path rotates the data for a
 slab of frequencies at once, multiplies the stacked real and imaginary parts
 by the real ``A`` in one real GEMM, and finishes each frequency with one small
 batched product.
@@ -180,9 +182,20 @@ class QuadraticForm:
     C-contiguous copy of 0.5 (A + A^T), written tile by tile (see
     ``_symmetric_copy``); rounding noise in upstream builders is the only
     asymmetry this ever removes.  Norms are computed lazily and cached.  The
-    spectral norm of a centrosymmetric matrix, which every estimator family
-    builds, is an upper bound from two half-size eigensolves (see
-    ``_spectral_norm``); any other matrix takes a dense symmetric eigensolve.
+    spectral norm takes the first of three routes that applies (see
+    ``_spectral_norm``):
+
+    - a positive semi-definite matrix of rank at most N/8 (the biased
+      periodogram, Bartlett, Welch): max eig(G G^T) of a pivoted Cholesky
+      factor G plus ||A - G^T G||_F;
+    - a centrosymmetric matrix (Blackman-Tukey, the unbiased periodogram):
+      two half-size eigensolves plus ||A - JAJ||_F / 2;
+    - any other matrix: one dense symmetric eigensolve, exact.
+
+    The first two are upper bounds, above the exact norm by at most twice a
+    residual of at most 1e-12 ||A||_F; on the estimator forms the residual is
+    a few ulps.  The rank cap N/8 keeps the first route's O(N^2 r) flops
+    below the split's N^3 / 3.
     """
 
     matrix: np.ndarray
@@ -263,13 +276,127 @@ def _symmetric_copy(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-# largest ||A - JAJ||_F / 2, as a multiple of ||A||_F, that still takes the
-# centrosymmetric split: builders leave a few ulps, a generic matrix is far above
-_CENTRO_GATE = 1e-12
+# largest scratch slab of the low-rank residual, the diagonal pass and the
+# generic grid evaluation
+_SLAB_BYTES = 8 << 20
+
+# largest residual, as a multiple of ||A||_F, that still takes the low-rank
+# route (||A - G^T G||_F) or the split (||A - JAJ||_F / 2): builders leave a
+# few ulps, a generic matrix is far above
+_RESIDUAL_GATE = 1e-12
 
 
 def _spectral_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
-    """Spectral norm of a symmetric matrix, an upper bound when it is split.
+    """Spectral norm of a symmetric matrix, an upper bound when a route adds its residual.
+
+    Three routes, tried in this order, each read off the matrix itself:
+
+    - low rank (``_low_rank_norm``): a pivoted Cholesky factor G of at most
+      N/8 rows gives max eig(G G^T) + ||A - G^T G||_F; the biased
+      periodogram (rank 1), Bartlett and Welch (rank K, the segment count)
+      take it;
+    - split (``_centrosymmetric_norm``): two half-size eigensolves of the
+      centrosymmetric part plus ||A - JAJ||_F / 2; Blackman-Tukey and the
+      unbiased periodogram, indefinite and of full rank, take it;
+    - dense: one eigensolve, for any other matrix.
+
+    By Weyl's inequality each residual, a Frobenius norm and so at least the
+    spectral norm of what the route leaves out, bounds the error of the
+    route's small eigenproblem; it is computed in floating point, and a
+    route whose residual is above the gate falls through to the next one.
+    """
+    low_rank = _low_rank_norm(matrix, frobenius_norm)
+    if low_rank is not None:
+        return low_rank
+    return _centrosymmetric_norm(matrix, frobenius_norm)
+
+
+def _pivoted_cholesky(matrix: np.ndarray, limit: float) -> np.ndarray | None:
+    """Rows G of a pivoted Cholesky factor of a symmetric matrix (Higham, 1990), at most N/8 of them, or None.
+
+    Each step takes the largest diagonal entry of the Schur complement
+    R = A - G^T G as its pivot p and appends the row R[p] / sqrt(R[p, p]).
+    It stops once sum |diag R| is at most ``limit``: for a positive
+    semi-definite R, ||R||_F <= trace R.  It refuses when no pivot can go
+    on, or when R cannot get that small within N/8 rows:
+
+    - a diagonal entry below -``limit``: no positive semi-definite Schur
+      complement has one, later steps only lower it, and |R[i, i]| <= ||R||_F;
+    - a pivot that is not positive;
+    - N/8 rows that leave the diagonal above ``limit``.
+
+    Where overflow is ignored, a row that overflows makes its square, and so
+    some diagonal entry, -inf or NaN, which the first test refuses.
+    """
+    size = matrix.shape[0]
+    cap = size // 8
+    schur = np.diagonal(matrix).copy()
+    factor = np.empty((cap, size))
+    for rank in range(cap + 1):
+        if not schur.min() >= -limit:
+            return None
+        if np.abs(schur).sum() <= limit:
+            return factor[:rank]
+        pivot = int(schur.argmax())
+        if rank == cap or not schur[pivot] > 0.0:
+            return None
+        row = factor[rank]
+        np.matmul(factor[:rank, pivot], factor[:rank], out=row)
+        np.subtract(matrix[pivot], row, out=row)
+        row /= math.sqrt(schur[pivot])
+        schur -= row * row
+
+
+def _low_rank_norm(matrix: np.ndarray, frobenius_norm: float) -> float | None:
+    """max eig(G G^T) + ||A - G^T G||_F from a pivoted Cholesky factor G, or None when the route does not apply.
+
+    G G^T has the nonzero spectrum of G^T G, and ||A||_2 <= ||G^T G||_2 +
+    ||A - G^T G||_2 (Weyl).  Since ||A||_F - ||G G^T||_F is at most the
+    residual, a Frobenius gap above the gate refuses the factor before the
+    O(N^2 r) residual pass.  With r <= N/8 rows the factor (N r^2 flops),
+    that pass (2 N^2 r <= N^3 / 4 flops of GEMM) and the r x r eigensolve
+    cost less than the split's two half-size eigensolves, about N^3 / 3
+    flops: the two meet near r = 0.15 N, and the cap stays below it.  A
+    zero or an overflowing ||A||_F leaves no gate to test, and the route
+    does not apply.
+    """
+    if not 0.0 < frobenius_norm < math.inf:
+        return None
+    limit = _RESIDUAL_GATE * frobenius_norm
+    # an overflow anywhere leaves an inf or NaN that a test below refuses
+    with np.errstate(over="ignore"):
+        factor = _pivoted_cholesky(matrix, limit)
+        if factor is None:
+            return None
+        gram = factor @ factor.T
+        if not abs(float(np.linalg.norm(gram)) - frobenius_norm) <= limit:
+            return None
+        residual = _factor_residual(matrix, factor)
+    if not residual <= limit:
+        return None
+    return float(np.linalg.eigvalsh(gram).max()) + residual
+
+
+def _factor_residual(matrix: np.ndarray, factor: np.ndarray) -> float:
+    """||A - G^T G||_F, in row slabs of at most half the matrix and at most ``_SLAB_BYTES``.
+
+    One slab buffer serves every slab, so the scratch, with G, stays below
+    the split's half-size copy of the matrix.
+    """
+    size = matrix.shape[0]
+    rows = max(1, min((size + 1) // 2, _SLAB_BYTES // (8 * size)))
+    slab = np.empty((rows, size))
+    total = 0.0
+    for start in range(0, size, rows):
+        part = slab[: min(rows, size - start)]
+        np.matmul(factor[:, start : start + rows].T, factor, out=part)
+        np.subtract(matrix[start : start + rows], part, out=part)
+        total += float(np.vdot(part, part))
+    return math.sqrt(total)
+
+
+def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
+    """Spectral norm of a symmetric matrix by the centrosymmetric split, or by the dense eigensolve.
 
     With J the index reversal, C = (A + JAJ)/2 is centrosymmetric, and an
     orthogonal similarity splits its spectrum into those of two half-size
@@ -286,7 +413,7 @@ def _spectral_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     skew = top - mirrored
     residual = 0.5 * math.sqrt(2.0 * np.vdot(skew[:half], skew[:half]) + np.vdot(skew[half:], skew[half:]))
     del skew
-    if residual > _CENTRO_GATE * frobenius_norm:
+    if residual > _RESIDUAL_GATE * frobenius_norm:
         return float(np.abs(np.linalg.eigvalsh(matrix)).max())
     # top rows of C, a fresh array: the second block overwrites its corner,
     # so the scratch stays at half the matrix, as much as one dense eigensolve
@@ -316,10 +443,6 @@ class DiagonalStats:
     def __post_init__(self):
         for name in ("sums", "sup_norms", "squared_l2_norms"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-
-# largest scratch slab of the diagonal pass and of the generic grid evaluation
-_SLAB_BYTES = 8 << 20
 
 
 def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:

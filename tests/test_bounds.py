@@ -61,6 +61,15 @@ def test_budget_value_and_domain():
         ctx_gauss().budget(0.05, 0)
 
 
+def test_budget_rejects_a_cover_whose_tail_ratio_overflows():
+    # 10^306 * 2 / 0.05 is finite; 10^308 * 2 / 0.05, past the largest double, is not
+    assert ctx_gauss(channels=153).budget(0.05) == math.log(COVER_BASE ** 306 * 2.0 / 0.05) / GAUSSIAN.rate
+    overflow = r"^tail bound overflows: cover size 1e\+308 \* multiplier 2 / failure probability "
+    for truncation in (None, 8):
+        with pytest.raises(ValueError, match=overflow):
+            ctx_gauss(channels=154).budget(0.05, truncation)
+
+
 def test_factor_monotonicity(geometric_ctx):
     eps_grid = np.linspace(0.05, 3.0, 20)
     alphas = [geometric_ctx.assumption.demand(e, geometric_ctx.phi_inf) for e in eps_grid]

@@ -907,6 +907,18 @@ PRE_SAMPLING = {
         },
         "context: channel count 100000 overflows the cover size 10^(2 channels)",
     ),
+    # the cover size 10^308 is finite, but the tail bound's cover * multiplier / delta is not
+    "context_channels_154": (
+        "certify",
+        {
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 0.5,
+            "delta": 0.05,
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
+        },
+        "tail bound overflows: cover size 1e+308 * multiplier 2 / failure probability 0.05 passes the largest double",
+    ),
     "accuracy_target_without_a_tail": (
         "certify",
         {

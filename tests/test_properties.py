@@ -14,15 +14,23 @@ that holds implies the general check on the closed-form diagonal sums, and
 a segment average's verdict equals it.  A float table written as an array
 has the bytes of the same table written row by row, rounding ties, cells
 next to a power of ten and uniform tables of every shape included, and a
-rounding tie is formatted by the scalar formatter.  Over stable state-space
+rounding tie is formatted by the scalar formatter.  A positive
+semi-definite W W^T of rank at most N/8 takes the low-rank spectral-norm
+route and matches the dense eigensolve to 1e-13; under a perturbation
+below the gate it stays above the dense norm and within twice the route's
+residual of it; an indefinite W diag(+-1) W^T keeps the split or dense
+norm bit for bit.  Over stable state-space
 models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
 seeds below 2^200 and trial indices on both sides of 2^32, the batch key
 pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
 generator draws what ``rng_stream`` draws.  Hypothesis also draws the
 numeric literals of the source, so the examples change with them; edge cases
 are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
-rejected at construction, and Blackman-Tukey hann 32 at 2017 and 2018
-samples, the two sides of the lag products' one-block edge.
+rejected at construction, Blackman-Tukey hann 32 at 2017 and 2018
+samples, the two sides of the lag products' one-block edge, and, for the
+spectral norm, ranks at the cap N/8, the zero and a 1 x 1 matrix, a signed
+Blackman-Tukey window with a subnormal centre and a matrix whose first
+factor row squares past the largest double.
 """
 
 import math
@@ -281,7 +289,7 @@ def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, 
     scale = np.linalg.norm(skew)
     if scale > 0.0:
         # ||A - JAJ||_F / 2 = ||perturbation||_F, a fraction of the gate
-        matrix = matrix + skew * (fraction * qf._CENTRO_GATE * np.linalg.norm(matrix) / scale)
+        matrix = matrix + skew * (fraction * qf._RESIDUAL_GATE * np.linalg.norm(matrix) / scale)
     form = qf.QuadraticForm(matrix)
     dense = _dense_spectral_norm(form.matrix)
     residual = 0.5 * np.linalg.norm(form.matrix - form.matrix[::-1, ::-1])
@@ -294,6 +302,85 @@ def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, 
 def test_generic_symmetric_norm_is_the_dense_expression_bit_for_bit(n, seed):
     form = qf.QuadraticForm(np.random.default_rng(seed).standard_normal((n, n)))
     assert form.spectral_norm == _dense_spectral_norm(form.matrix)
+
+
+def _psd_of_rank(n, rank, seed, exponent):
+    """W W^T for a Gaussian n x rank matrix W scaled by 10^exponent."""
+    w = np.random.default_rng(seed).standard_normal((n, rank)) * 10.0 ** exponent
+    return w @ w.T
+
+
+@st.composite
+def low_rank_psd_matrices(draw):
+    """A positive semi-definite W W^T of size 8 to 64 and rank 1 to N/8, and the generator of its draw."""
+    n = draw(st.integers(8, 64))
+    rank = draw(st.integers(1, n // 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _psd_of_rank(n, rank, seed, draw(st.integers(-6, 6))), np.random.default_rng(seed + 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(low_rank_psd_matrices())
+# ranks at the cap N/8
+@example((_psd_of_rank(16, 2, 16, 0), None))
+@example((_psd_of_rank(64, 8, 64, -6), None))
+def test_low_rank_route_matches_the_dense_eigensolve(case):
+    matrix, _ = case
+    form = qf.QuadraticForm(matrix)
+    assert qf._low_rank_norm(form.matrix, form.frobenius_norm) == form.spectral_norm
+    assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(low_rank_psd_matrices(), st.floats(0.01, 0.9))
+def test_low_rank_route_of_a_perturbed_matrix_stays_an_upper_bound(case, fraction):
+    matrix, rng = case
+    raw = rng.standard_normal(matrix.shape)
+    symmetric = raw + raw.T
+    # ||perturbation||_F, a fraction of the gate
+    scale = fraction * qf._RESIDUAL_GATE * np.linalg.norm(matrix) / np.linalg.norm(symmetric)
+    form = qf.QuadraticForm(matrix + scale * symmetric)
+    factor = qf._pivoted_cholesky(form.matrix, qf._RESIDUAL_GATE * form.frobenius_norm)
+    residual = 0.0 if factor is None else np.linalg.norm(form.matrix - factor.T @ factor)
+    dense = _dense_spectral_norm(form.matrix)
+    assert form.spectral_norm >= dense * (1.0 - 1e-13)
+    assert form.spectral_norm <= dense * (1.0 + 1e-13) + 2.0 * residual
+
+
+@st.composite
+def indefinite_low_rank_matrices(draw):
+    """W diag(s) W^T, s of both signs, for a Gaussian W of size N = 2 to 64 by 2 to max(2, N/8), scaled by 10^k."""
+    n = draw(st.integers(2, 64))
+    rank = draw(st.integers(2, max(2, n // 8)))
+    signs = np.ones(rank)
+    signs[: draw(st.integers(1, rank - 1))] = -1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((n, rank)) * 10.0 ** draw(st.integers(-6, 6))
+    return (w * signs) @ w.T
+
+
+def _pivot_overflow_matrix():
+    """A subnormal first pivot over small negative diagonal entries: its factor row squares past the largest double."""
+    matrix = np.diag([1e-310] + [-0.5e-12] * 15)
+    matrix[0, 1] = matrix[1, 0] = 1.0
+    return matrix
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(indefinite_low_rank_matrices())
+@example(np.zeros((16, 16)))
+@example(np.array([[2.5]]))
+# a signed Blackman-Tukey window whose centre, and so every first Schur pivot, is subnormal
+@example(est.build_matrix(est.BlackmanTukey(2, [-10.0, 1.6e-309, -10.0]), 16).matrix)
+@example(_pivot_overflow_matrix())
+def test_forms_off_the_low_rank_route_keep_the_split_or_dense_norm_bit_for_bit(matrix):
+    """The split, or the dense eigensolve behind it.
+
+    Random full-rank matrices are ``test_generic_symmetric_norm_is_the_dense_expression_bit_for_bit``'s.
+    """
+    form = qf.QuadraticForm(matrix)
+    assert qf._low_rank_norm(form.matrix, form.frobenius_norm) is None
+    assert form.spectral_norm == qf._centrosymmetric_norm(form.matrix, form.frobenius_norm)
 
 
 # zeros, the edges of the plain range, the subnormal and largest doubles and the non-finite values

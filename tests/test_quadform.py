@@ -601,7 +601,7 @@ def test_split_adds_the_mirror_residual_to_the_centrosymmetric_norm(rng, n, cros
         mask[n // 2] = mask[:, n // 2] = True
         skew = np.where(mask, skew, 0.0)
     # half the gate: ||A - JAJ||_F / 2 = ||perturbation||_F
-    scale = 0.5 * qf._CENTRO_GATE * np.linalg.norm(centro) / np.linalg.norm(skew)
+    scale = 0.5 * qf._RESIDUAL_GATE * np.linalg.norm(centro) / np.linalg.norm(skew)
     form = qf.QuadraticForm(centro + scale * skew)
     mirrored = form.matrix[::-1, ::-1]
     residual = 0.5 * np.linalg.norm(form.matrix - mirrored)
@@ -609,7 +609,7 @@ def test_split_adds_the_mirror_residual_to_the_centrosymmetric_norm(rng, n, cros
     assert gap == pytest.approx(residual, rel=1e-2)
 
 
-def test_family_forms_take_two_half_size_eigensolves(monkeypatch):
+def test_family_forms_take_their_spectral_norm_route(monkeypatch):
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -618,11 +618,35 @@ def test_family_forms_take_two_half_size_eigensolves(monkeypatch):
         return eigvalsh(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    for n in (255, 256):
+    for n in (255, 256, 1024):
         for spec in _family_specs(n):
             sizes.clear()
             est.build_matrix(spec, n).spectral_norm
-            assert sorted(sizes) == [n // 2, n - n // 2], spec
+            if isinstance(spec, est.BiasedPeriodogram):
+                assert sizes == [1], spec  # rank one: one 1 x 1 eigensolve
+            elif isinstance(spec, (est.Bartlett, est.Welch)):
+                assert sizes == [spec.segments(n)], spec  # rank K <= N/8: one K x K eigensolve
+            else:
+                assert sorted(sizes) == [n // 2, n - n // 2], spec  # indefinite: the centrosymmetric split
     sizes.clear()
     qf.QuadraticForm(np.random.default_rng(5).standard_normal((9, 9))).spectral_norm
     assert sizes == [9]
+
+
+def _traced_peak(compute) -> int:
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [est.Bartlett(16), est.Welch(32, 16, "hann")])
+def test_low_rank_route_allocates_no_more_than_the_split(spec):
+    form = est.build_matrix(spec, 1024)
+    matrix, frobenius = form.matrix, form.frobenius_norm
+    split = _traced_peak(lambda: qf._centrosymmetric_norm(matrix, frobenius))
+    low_rank = _traced_peak(lambda: form.spectral_norm)
+    assert qf._low_rank_norm(matrix, frobenius) == form.spectral_norm
+    assert low_rank <= split, (low_rank, split)

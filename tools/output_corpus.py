@@ -35,10 +35,11 @@ product block and the first that takes two;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model; a
-set of rejected configs, among them three ``certify`` configs: an
+set of rejected configs, among them four ``certify`` configs: an
 ``epsilon`` of 1e-300, whose square underflows, a context with 100000
-channels, whose cover size overflows, and a state-space model with uniform
-noise; ``certify --estimate`` of malformed estimate files,
+channels, whose cover size overflows, a context with 154 channels, whose
+cover size times the tail multiplier over ``delta`` overflows, and a
+state-space model with uniform noise; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--example 2`` with their defaults and with every option set, and
@@ -260,6 +261,16 @@ REJECTED = {
             "estimator": {"kind": "bartlett", "block_length": 4},
             "num_samples": 16,
             "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
+        },
+    ),
+    "certify_channels_154": (
+        "certify",
+        {
+            "estimator": {"kind": "bartlett", "block_length": 4},
+            "num_samples": 16,
+            "epsilon": 0.5,
+            "delta": 0.05,
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
         },
     ),
     "certify_state_space_uniform": (
