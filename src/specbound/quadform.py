@@ -21,9 +21,11 @@ its diagonals, cached on the form.  The spectral norm of a form of low rank
 (the biased periodogram, Bartlett and Welch, all ``V V^T / K``) comes from a
 pivoted Cholesky factor and one small eigensolve (Higham, 1990); every other
 estimator family builds a centrosymmetric form (``A = J A J``, J reversing
-the index order), whose spectral norm comes from two half-size eigensolves
-instead of one dense one (Cantoni & Butler, 1976); any other form takes the
-dense eigensolve.  The generic path rotates the data for a
+the index order), whose spectral norm comes from half-size eigensolves
+instead of one dense one (Cantoni & Butler, 1976): one when the form is
+entrywise nonnegative (Perron-Frobenius), as Blackman-Tukey's and the
+unbiased periodogram's are, two otherwise; any other form takes the dense
+eigensolve.  The generic path rotates the data for a
 slab of frequencies at once, multiplies the stacked real and imaginary parts
 by the real ``A`` in one real GEMM, and finishes each frequency with one small
 batched product.
@@ -189,13 +191,19 @@ class QuadraticForm:
       periodogram, Bartlett, Welch): max eig(G G^T) of a pivoted Cholesky
       factor G plus ||A - G^T G||_F;
     - a centrosymmetric matrix (Blackman-Tukey, the unbiased periodogram):
-      two half-size eigensolves plus ||A - JAJ||_F / 2;
+      half-size eigensolves plus ||A - JAJ||_F / 2, one when C = (A + JAJ)/2
+      is entrywise nonnegative (every named Blackman-Tukey window and the
+      unbiased periodogram), since its Perron eigenvector is J-even, two
+      otherwise (a signed custom window);
     - any other matrix: one dense symmetric eigensolve, exact.
 
     The first two are upper bounds, above the exact norm by at most twice a
     residual of at most 1e-12 ||A||_F; on the estimator forms the residual is
     a few ulps.  The rank cap N/8 keeps the first route's O(N^2 r) flops
-    below the split's N^3 / 3.
+    below the split's N^3 / 3.  A finite form whose squares pass the largest
+    double keeps a finite ``frobenius_norm``, computed scaled by a power of
+    two; ``certificate_params`` then reads ``frobenius_sq`` and ``diagonal``
+    as inf.
     """
 
     matrix: np.ndarray
@@ -216,7 +224,7 @@ class QuadraticForm:
 
     @cached_property
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _frobenius_norm(self.matrix)
 
     @cached_property
     def diagonal_stats(self) -> DiagonalStats:
@@ -233,7 +241,24 @@ class QuadraticForm:
         """The exact norms, in the record that the closed forms bound."""
         stats = self.diagonal_stats
         diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
-        return CertificateParams(self.spectral_norm, self.frobenius_norm ** 2, diagonal, self.truncation_width)
+        # f * f reads inf past the largest double, where f ** 2 raises
+        frobenius = self.frobenius_norm
+        return CertificateParams(self.spectral_norm, frobenius * frobenius, diagonal, self.truncation_width)
+
+
+def _frobenius_norm(matrix: np.ndarray) -> float:
+    """||A||_F; when the squares of the entries overflow, from A scaled by a power of two.
+
+    The scaling is exact, so any norm whose sum of squares stays finite keeps
+    its bits; a norm that itself passes the largest double reads inf.
+    """
+    # a sum of squares past the largest double reads inf and is redone scaled
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(matrix))
+        if math.isfinite(norm):
+            return norm
+        exponent = math.frexp(float(np.abs(matrix).max()))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(matrix, -exponent)), exponent))
 
 
 # side of the square tiles of ``_symmetric_copy``: a tile and its mirror,
@@ -295,9 +320,12 @@ def _spectral_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
       N/8 rows gives max eig(G G^T) + ||A - G^T G||_F; the biased
       periodogram (rank 1), Bartlett and Welch (rank K, the segment count)
       take it;
-    - split (``_centrosymmetric_norm``): two half-size eigensolves of the
-      centrosymmetric part plus ||A - JAJ||_F / 2; Blackman-Tukey and the
-      unbiased periodogram, indefinite and of full rank, take it;
+    - split (``_centrosymmetric_norm``): half-size eigensolves of the
+      centrosymmetric part C plus ||A - JAJ||_F / 2; Blackman-Tukey and the
+      unbiased periodogram, indefinite and of full rank, take it.  When C is
+      entrywise nonnegative, as theirs is for every named window, the
+      Perron-Frobenius theorem puts ||C||_2 in the first block, and the
+      second eigensolve is skipped;
     - dense: one eigensolve, for any other matrix.
 
     By Weyl's inequality each residual, a Frobenius norm and so at least the
@@ -357,8 +385,11 @@ def _low_rank_norm(matrix: np.ndarray, frobenius_norm: float) -> float | None:
     that pass (2 N^2 r <= N^3 / 4 flops of GEMM) and the r x r eigensolve
     cost less than the split's two half-size eigensolves, about N^3 / 3
     flops: the two meet near r = 0.15 N, and the cap stays below it.  A
-    zero or an overflowing ||A||_F leaves no gate to test, and the route
-    does not apply.
+    nonnegative form, whose split takes one eigensolve, still gains at the
+    cap, since the pass runs at GEMM speed: Bartlett 8 at N = 1024, rank
+    N/8, takes 11.3 ms by the factor and 14.1 ms by the split (one BLAS
+    thread, 2-vCPU Xeon).  A zero or an overflowing ||A||_F leaves no gate
+    to test, and the route does not apply.
     """
     if not 0.0 < frobenius_norm < math.inf:
         return None
@@ -402,10 +433,22 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     orthogonal similarity splits its spectrum into those of two half-size
     blocks (Cantoni & Butler, 1976): for N = 2m, C11 + C12 J and C11 - C12 J;
     for N = 2m + 1 the first is bordered by sqrt(2) times the middle column
-    and the middle entry.  D = A - JAJ has JDJ = -D, so rows i and N - 1 - i
-    of D have one norm and the top half gives R = ||D||_F / 2.  Since
-    ||A||_2 <= ||C||_2 + R, the split returns max|eig| + R.  A matrix with R
-    above the gate takes the dense eigensolve.
+    and the middle entry.  The first block holds the J-even eigenvectors
+    (Jv = v), the second the J-odd ones (Jv = -v).  D = A - JAJ has JDJ = -D,
+    so rows i and N - 1 - i of D have one norm and the top half gives
+    R = ||D||_F / 2.  Since ||A||_2 <= ||C||_2 + R, the split returns
+    max|eig| + R.  A matrix with R above the gate takes the dense eigensolve.
+
+    When C is entrywise nonnegative (every named Blackman-Tukey window, whose
+    taper is clipped to [0, 1], and the unbiased periodogram, 1/(N - |k|)),
+    the first block alone gives ||C||_2 (Perron-Frobenius).  C is symmetric
+    and nonnegative, so ||C||_2 = rho(C) is an eigenvalue with an eigenvector
+    v >= 0; JCJ = C makes Jv one for the same eigenvalue, and u = v + Jv is
+    nonzero and J-even, so rho(C) is an eigenvalue of the first block.  Every
+    eigenvalue of either block is one of C, at most rho(C) in magnitude, so
+    max|eig| of the first block is ||C||_2 and the second eigensolve is
+    skipped.  The test reads C, not the estimator family: a signed custom
+    window keeps both.
     """
     half, odd = divmod(matrix.shape[0], 2)
     top = matrix[: half + odd]
@@ -423,6 +466,9 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     if odd:
         border = math.sqrt(2.0) * centro[:half, half : half + 1]
         first = np.block([[first, border], [border.T, centro[half:, half : half + 1]]])
+    # the top rows hold every entry of C, whose bottom rows mirror them
+    if centro.min() >= 0.0:
+        return float(np.abs(np.linalg.eigvalsh(first)).max()) + residual
     second = np.subtract(corner, flipped, out=corner)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(first), np.linalg.eigvalsh(second)])
     return float(np.abs(eigenvalues).max()) + residual
@@ -457,8 +503,11 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
     size = matrix.shape[0]
     main = np.diagonal(matrix)
     sums, sups, squares = np.empty(size), np.empty(size), np.empty(size)
-    sums[0], sups[0], squares[0] = main.sum(), np.abs(main).max(), main @ main
+    sums[0], sups[0] = main.sum(), np.abs(main).max()
     width = size - 1
+    # a ||d[k]||^2 past the largest double reads inf, its true value too
+    with np.errstate(over="ignore"):
+        squares[0] = main @ main
     if width:
         # a symmetric matrix reads the same in either memory order, so this is a view
         flat = matrix.ravel(order="K")
@@ -472,8 +521,9 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
             sums[1 + start : 1 + stop] = heads.sum(axis=1)
             np.abs(heads, out=heads)
             sups[1 + start : 1 + stop] = heads.max(axis=1)
-            np.square(heads, out=heads)
-            squares[1 + start : 1 + stop] = heads.sum(axis=1)
+            with np.errstate(over="ignore"):
+                np.square(heads, out=heads)
+                squares[1 + start : 1 + stop] = heads.sum(axis=1)
     return DiagonalStats(sums, sups, squares)
 
 

@@ -48,6 +48,23 @@ def sequential_geometric_bias_bound(bias, truncation, gamma, rho):
     return float(gamma * sum(abs(1.0 - at(k)) * rho ** abs(k) for k in lags) + envelope_tail(gamma, rho, truncation))
 
 
+def centrosymmetric_blocks(matrix):
+    """The two half-size blocks (Cantoni & Butler, 1976) of an exactly centrosymmetric matrix, built apart from ``quadform``.
+
+    For N = 2m, C11 + C12 J (the J-even eigenvectors) and C11 - C12 J (the
+    J-odd ones); for N = 2m + 1 the first is bordered by sqrt(2) times the
+    middle column and the middle entry.
+    """
+    half, odd = divmod(matrix.shape[0], 2)
+    corner = matrix[:half, :half]
+    flipped = matrix[:half, ::-1][:, :half]
+    first = corner + flipped
+    if odd:
+        border = math.sqrt(2.0) * matrix[:half, half : half + 1]
+        first = np.block([[first, border], [border.T, matrix[half : half + 1, half : half + 1]]])
+    return first, corner - flipped
+
+
 def full_grid_phi_inf(model):
     """``grid_phi_inf``'s bound with the spectrum and its norm evaluated at every grid point."""
     freqs = np.linspace(-0.5, 0.5, PHI_GRID_POINTS)

@@ -19,7 +19,11 @@ semi-definite W W^T of rank at most N/8 takes the low-rank spectral-norm
 route and matches the dense eigensolve to 1e-13; under a perturbation
 below the gate it stays above the dense norm and within twice the route's
 residual of it; an indefinite W diag(+-1) W^T keeps the split or dense
-norm bit for bit.  Over stable state-space
+norm bit for bit.  A nonnegative centrosymmetric matrix takes the first
+half-size block alone (Perron-Frobenius), matches the dense eigensolve to
+1e-13, and no eigenvalue of its second block passes the first block's
+largest by more than 1e-13 of it; under a J-odd perturbation below the
+gate it stays within the same bounds as the low-rank route.  Over stable state-space
 models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
 seeds below 2^200 and trial indices on both sides of 2^32, the batch key
 pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
@@ -30,7 +34,10 @@ rejected at construction, Blackman-Tukey hann 32 at 2017 and 2018
 samples, the two sides of the lag products' one-block edge, and, for the
 spectral norm, ranks at the cap N/8, the zero and a 1 x 1 matrix, a signed
 Blackman-Tukey window with a subnormal centre and a matrix whose first
-factor row squares past the largest double.
+factor row squares past the largest double; for the first-block branch,
+N = 1 and 2, the zero matrix, the exchange matrix J, a reducible matrix,
+-0.0 entries, a subnormal entry and one negative entry, which takes both
+blocks.
 """
 
 import math
@@ -54,7 +61,7 @@ from specbound import experiments
 from specbound import streams
 from specbound.experiments import write_csv
 
-from conftest import full_grid_phi_inf, sequential_geometric_bias_bound
+from conftest import centrosymmetric_blocks, full_grid_phi_inf, sequential_geometric_bias_bound
 
 MAX_SAMPLES = 64
 windows = st.sampled_from(est.WINDOW_KINDS)
@@ -279,10 +286,8 @@ def test_centrosymmetric_split_matches_the_dense_eigensolve(case):
     assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13, abs=0.0)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(centrosymmetric_matrices(), st.floats(0.01, 0.9))
-def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, fraction):
-    matrix, rng = case
+def _assert_perturbed_split_stays_an_upper_bound(matrix, rng, fraction):
+    """Perturb a centrosymmetric matrix by a J-odd matrix below the gate; the split stays within twice its residual of the dense norm."""
     raw = rng.standard_normal(matrix.shape)
     symmetric = raw + raw.T
     skew = symmetric - symmetric[::-1, ::-1]  # J skew J = -skew
@@ -295,6 +300,79 @@ def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, 
     residual = 0.5 * np.linalg.norm(form.matrix - form.matrix[::-1, ::-1])
     assert form.spectral_norm >= dense * (1.0 - 1e-13)
     assert form.spectral_norm <= dense * (1.0 + 1e-13) + 2.0 * residual
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(centrosymmetric_matrices(), st.floats(0.01, 0.9))
+def test_split_of_a_perturbed_centrosymmetric_matrix_stays_an_upper_bound(case, fraction):
+    _assert_perturbed_split_stays_an_upper_bound(*case, fraction)
+
+
+@st.composite
+def nonnegative_centrosymmetric_matrices(draw):
+    """S + JSJ for a nonnegative symmetric S of size 1 to 40, some of its entries zero, scaled by 10^k, |k| <= 6."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = np.abs(rng.standard_normal((n, n))) * (rng.random((n, n)) < draw(st.floats(0.05, 1.0)))
+    symmetric = (raw + raw.T) * 10.0 ** draw(st.integers(-6, 6))
+    return symmetric + symmetric[::-1, ::-1]
+
+
+def _reducible_matrix():
+    """Two mirrored 2 x 2 blocks around a middle entry: the largest eigenvalue is in both half-size blocks."""
+    matrix = np.zeros((5, 5))
+    matrix[:2, :2] = [[2.0, 1.0], [1.0, 0.0]]
+    matrix[3:, 3:] = matrix[:2, :2][::-1, ::-1]
+    matrix[2, 2] = 0.5
+    return matrix
+
+
+def _one_negative_entry_matrix():
+    """All ones but a negative middle entry, its own mirror and transpose."""
+    matrix = np.ones((7, 7))
+    matrix[3, 3] = -4.0
+    return matrix
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonnegative_centrosymmetric_matrices())
+@example(np.array([[3.0]]))
+@example(np.array([[1.0, 2.0], [2.0, 1.0]]))
+@example(np.zeros((6, 6)))
+# the exchange matrix J, eigenvalues +1 and -1
+@example(np.eye(8)[::-1])
+@example(np.eye(9)[::-1])
+@example(_reducible_matrix())
+# -0.0 off a band of ones
+@example(np.where(np.abs(np.subtract.outer(np.arange(9), np.arange(9))) < 3, 1.0, -0.0))
+# a nonnegative window with a subnormal centre
+@example(est.build_matrix(est.BlackmanTukey(2, [1.0, 1.6e-309, 1.0]), 16).matrix)
+@example(_one_negative_entry_matrix())
+def test_nonnegative_centrosymmetric_norm_takes_the_first_block_alone(matrix):
+    """Perron-Frobenius: a nonnegative C has its norm in the first block, and a negative entry takes both."""
+    form = qf.QuadraticForm(matrix)
+    n = form.size
+    assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13, abs=0.0)
+    first, second = centrosymmetric_blocks(form.matrix)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        value = qf._centrosymmetric_norm(form.matrix, form.frobenius_norm)
+    sizes = [call.args[0].shape[-1] for call in eigvalsh.call_args_list]
+    if form.matrix.min() >= 0.0:
+        assert sizes == [n - n // 2]
+        eigenvalues = np.linalg.eigvalsh(first)
+        assert value == float(np.abs(eigenvalues).max())
+        assert float(np.abs(np.linalg.eigvalsh(second)).max(initial=0.0)) <= eigenvalues.max() * (1.0 + 1e-13)
+    else:
+        assert sizes == [n - n // 2, n // 2]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonnegative_centrosymmetric_matrices(), st.integers(0, 2**32 - 1), st.floats(0.01, 0.9))
+# the largest eigenvalue in both blocks: the perturbation moves it at first order, by up to the residual
+@example(_reducible_matrix(), 0, 0.9)
+def test_first_block_norm_of_a_perturbed_matrix_stays_an_upper_bound(matrix, seed, fraction):
+    """A J-odd perturbation leaves C = (A + JAJ)/2 nonnegative, so the first block and the residual bound ||A||_2."""
+    _assert_perturbed_split_stays_an_upper_bound(matrix, np.random.default_rng(seed), fraction)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -1,6 +1,8 @@
 """Tests for the generic quadratic-form machinery."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from specbound.constants import GAUSSIAN
 from specbound.experiments import example_state_space
 from specbound.signals import GeometricScalar, WhiteNoise
 
-from conftest import longdouble_lag_sum
+from conftest import centrosymmetric_blocks, longdouble_lag_sum
 
 
 @pytest.fixture(scope="module")
@@ -627,10 +629,40 @@ def test_family_forms_take_their_spectral_norm_route(monkeypatch):
             elif isinstance(spec, (est.Bartlett, est.Welch)):
                 assert sizes == [spec.segments(n)], spec  # rank K <= N/8: one K x K eigensolve
             else:
-                assert sorted(sizes) == [n // 2, n - n // 2], spec  # indefinite: the centrosymmetric split
+                assert sizes == [n - n // 2], spec  # nonnegative centrosymmetric: the first half-size block
+        sizes.clear()
+        # a signed window leaves the centrosymmetric part with negative entries: both blocks
+        est.build_matrix(est.BlackmanTukey(3, [0.2, -0.5, 1.0, -0.5, 0.2]), n).spectral_norm
+        assert sorted(sizes) == [n // 2, n - n // 2]
     sizes.clear()
     qf.QuadraticForm(np.random.default_rng(5).standard_normal((9, 9))).spectral_norm
     assert sizes == [9]
+
+
+@pytest.mark.parametrize("n", [255, 256, 1024, 1025])
+def test_first_block_norm_of_the_estimator_forms_equals_the_two_block_norm(n):
+    specs = [est.UnbiasedPeriodogram()]
+    specs += [est.BlackmanTukey(width, kind) for kind in est.WINDOW_KINDS for width in (8, 32)]
+    for spec in specs:
+        form = est.build_matrix(spec, n)
+        assert np.array_equal(form.matrix, form.matrix[::-1, ::-1]), spec  # no mirror residual
+        first, second = centrosymmetric_blocks(form.matrix)
+        both = np.concatenate([np.linalg.eigvalsh(first), np.linalg.eigvalsh(second)])
+        assert form.spectral_norm == float(np.abs(both).max()), spec
+
+
+def test_a_form_whose_squares_pass_the_largest_double_keeps_finite_norms():
+    form = est.build_matrix(est.BlackmanTukey(2, [1e160] * 3), 16)  # 46 entries of 6.25e158
+    ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert form.frobenius_norm == pytest.approx(6.25e158 * math.sqrt(46.0), rel=1e-15)
+        assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13)
+        params = form.certificate_params
+        # the squares themselves pass the largest double
+        assert params.frobenius_sq == math.inf and params.diagonal == math.inf
+        verdicts = [bd.check_conditions(part, 0.5, 0.05, ctx, form=form).holds for part in bd.CONDITION_PARTS]
+    assert len(verdicts) == 5 and all(type(holds) is bool for holds in verdicts), verdicts
 
 
 def _traced_peak(compute) -> int:
