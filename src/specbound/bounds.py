@@ -19,6 +19,7 @@ never raised, so callers can tabulate feasibility frontiers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,10 +107,8 @@ class BoundContext:
             raise ValueError("r1_norm must be positive and finite")
         if self.channels < 1:
             raise ValueError("channel count must be positive")
-        try:
-            COVER_BASE ** (2 * self.channels)
-        except OverflowError:
-            raise ValueError(f"channel count {self.channels} overflows the cover size {COVER_BASE:g}^(2 channels)") from None
+        if self.channels > sys.float_info.max:
+            raise ValueError("channel count passes the largest double")
         if self.decay is not None:
             gamma, rho = self.decay
             if not gamma > 0.0 or not 0.0 <= rho < 1.0:
@@ -167,13 +166,13 @@ class BoundContext:
     def budget(self, delta: float, truncation=None) -> float:
         """Log budget at failure probability delta: the reciprocal envelope's second demand.
 
-        Every certificate covers the unit sphere of the channel space with
-        ``COVER_BASE^(2 channels)`` points.  With a ``truncation`` width T the
-        certificate also holds uniformly over frequency, through a cover of
-        K = 5 T^2 frequencies, and the budget is log(K) plus the budget at
-        delta / 2.
+        A sum of log terms, each finite at any delta in (0, 1) and any channel
+        count below 10^300: the channel cover, log(COVER_BASE^(2 channels)) /
+        rate, of the unit sphere of the channel space; with a ``truncation``
+        width T, the frequency cover log(K) of K = 5 T^2 frequencies; and the
+        tail, ``log_budget`` at delta, or at delta / 2 with a truncation.
 
-        That frequency term is not yet proven.  A union bound over K points
+        The frequency cover is not yet proven.  A union bound over K points
         asks each one for failure delta / (2 K), a budget of
         log(K) / rate plus the budget at delta / 2: the log K term needs the
         factor 1 / rate.  Read as a union bound, the undivided log K proves a
@@ -183,15 +182,17 @@ class BoundContext:
         (``worst_case_error_bound``, ``data_driven_factor`` and the
         ``worst_case`` condition) are unproven.
         """
-        # checked before the uniform budget halves delta, which would admit delta in [1, 2)
         if not 0.0 < delta < 1.0:
             raise ValueError("failure probability must lie in (0, 1)")
-        cover = COVER_BASE ** (2 * self.channels)
-        if truncation is None:
-            return self.assumption.log_budget(delta, cover)
-        if not truncation >= 1:
-            raise ValueError("truncation width must be at least one")
-        return math.log(FREQUENCY_COVER_FACTOR * float(truncation) ** 2) + self.assumption.log_budget(delta / 2.0, cover)
+        log_delta = math.log(delta)
+        frequency_cover = 0.0
+        if truncation is not None:
+            if not truncation >= 1:
+                raise ValueError("truncation width must be at least one")
+            frequency_cover = math.log(FREQUENCY_COVER_FACTOR * float(truncation) ** 2)
+            log_delta -= math.log(2.0)  # half the smallest subnormal would round to zero
+        channel_cover = 2.0 * self.channels * math.log(COVER_BASE) / self.assumption.rate
+        return channel_cover + self.assumption.log_budget(log_delta) + frequency_cover
 
 
 def covariance_tail(ctx: BoundContext, lag: int) -> float:

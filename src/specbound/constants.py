@@ -11,11 +11,13 @@ and a much larger rate than general sub-Gaussian data, which is why Gaussian
 certificates are tighter at matched inputs.
 
 ``NoiseAssumption`` is the only place the shape is written.  ``tail`` is the
-forward bound; ``log_budget`` solves it for the exponent that a failure
-probability allows, ``demand`` is what an accuracy target asks of the norm
-envelope, and ``deviation`` turns an envelope and a budget into the deviation
-they prove.  Quadratic forms of independent coordinates (``hanson_wright``,
-``GAUSSIAN_QUADFORM``) are the same shape with p = 1 and no cover.
+forward bound; ``log_budget`` solves it without the cover, whose log
+``bounds.BoundContext.budget`` adds, for the exponent that the log of a
+failure probability allows, ``demand`` is what an accuracy target asks of the
+norm envelope, and ``deviation`` turns an envelope and a budget into the
+deviation they prove.  Quadratic forms of independent coordinates
+(``hanson_wright``, ``GAUSSIAN_QUADFORM``) are the same shape with p = 1 and
+no cover.
 """
 
 from __future__ import annotations
@@ -57,17 +59,9 @@ class NoiseAssumption:
         exponent = self.rate * min(eps * eps / (b2 * b2 * frobenius ** 2 * phi ** 2), eps / (b2 * spectral * phi))
         return min(1.0, cover * self.multiplier * math.exp(-exponent))
 
-    def log_budget(self, delta: float, cover: float) -> float:
-        """The exponent the tail must reach for failure probability delta under ``cover``."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError("failure probability must lie in (0, 1)")
-        ratio = cover * self.multiplier / delta
-        if not math.isfinite(ratio):
-            raise ValueError(
-                f"tail bound overflows: cover size {cover:g} * multiplier {self.multiplier:g} "
-                f"/ failure probability {delta!r} passes the largest double"
-            )
-        return math.log(ratio) / self.rate
+    def log_budget(self, log_delta: float) -> float:
+        """The exponent the tail must reach, without a cover, at failure probability exp(log_delta)."""
+        return (math.log(self.multiplier) - log_delta) / self.rate
 
     def demand(self, eps: float, phi: float) -> float:
         """Demand placed on the reciprocal norm envelope by the accuracy target eps."""

@@ -829,7 +829,8 @@ def run_reproduce(example: int, out_dir, options: ReproduceOptions = ReproduceOp
         model = make_model(options)
         # the sweep's own checks of the options, in the order it meets them before its first path
         frequency_grid(options.grid_points)
-        GAUSSIAN.log_budget(options.delta, 1.0)
+        if not 0.0 < options.delta < 1.0:
+            raise ValueError("failure probability must lie in (0, 1)")
         signals.check_counts(options.segment_length, options.trials)
         np.random.SeedSequence(options.seed)
     base_meta = {

@@ -61,13 +61,21 @@ def test_budget_value_and_domain():
         ctx_gauss().budget(0.05, 0)
 
 
-def test_budget_rejects_a_cover_whose_tail_ratio_overflows():
-    # 10^306 * 2 / 0.05 is finite; 10^308 * 2 / 0.05, past the largest double, is not
+def test_budget_sums_its_log_terms_at_any_channel_count_and_delta():
+    # 10^306 * 2 / 0.05 is a finite double, so the float cover gives the same budget
     assert ctx_gauss(channels=153).budget(0.05) == math.log(COVER_BASE ** 306 * 2.0 / 0.05) / GAUSSIAN.rate
-    overflow = r"^tail bound overflows: cover size 1e\+308 \* multiplier 2 / failure probability "
-    for truncation in (None, 8):
-        with pytest.raises(ValueError, match=overflow):
-            ctx_gauss(channels=154).budget(0.05, truncation)
+    channel_cover = 2.0 * math.log(COVER_BASE) / GAUSSIAN.rate
+    tail = (math.log(2.0) - math.log(0.05)) / GAUSSIAN.rate
+    for channels in (1, 154, 100000):
+        pointwise = ctx_gauss(channels=channels).budget(0.05)
+        assert pointwise == pytest.approx(channels * channel_cover + tail, rel=1e-15)
+        # the frequency cover log(5 T^2) and the tail at delta / 2
+        uniform = ctx_gauss(channels=channels).budget(0.05, 8)
+        assert uniform == pytest.approx(pointwise + math.log(5.0 * 64.0) + math.log(2.0) / GAUSSIAN.rate, rel=1e-15)
+    # the smallest subnormal delta, whose half rounds to zero
+    assert ctx_gauss().budget(5e-324, 8) == pytest.approx(
+        channel_cover + math.log(320.0) + (math.log(2.0) - math.log(5e-324) + math.log(2.0)) / GAUSSIAN.rate, rel=1e-15
+    )
 
 
 def test_factor_monotonicity(geometric_ctx):

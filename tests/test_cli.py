@@ -897,27 +897,15 @@ PRE_SAMPLING = {
         },
         "accuracy target 1e-300 is too small: its square underflows to zero",
     ),
-    # the cover size 10^(2 channels) passes the largest double
-    "context_channels_overflow": (
+    # the budget takes the channel count as a float
+    "context_channels_past_the_largest_double": (
         "certify",
         {
             "estimator": {"kind": "bartlett", "block_length": 4},
             "num_samples": 16,
-            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 10 ** 400},
         },
-        "context: channel count 100000 overflows the cover size 10^(2 channels)",
-    ),
-    # the cover size 10^308 is finite, but the tail bound's cover * multiplier / delta is not
-    "context_channels_154": (
-        "certify",
-        {
-            "estimator": {"kind": "bartlett", "block_length": 4},
-            "num_samples": 16,
-            "epsilon": 0.5,
-            "delta": 0.05,
-            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
-        },
-        "tail bound overflows: cover size 1e+308 * multiplier 2 / failure probability 0.05 passes the largest double",
+        "context: channel count passes the largest double",
     ),
     "accuracy_target_without_a_tail": (
         "certify",
@@ -964,6 +952,43 @@ def test_configs_the_library_rejects_are_config_errors_before_sampling(tmp_path,
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _certificate_values(path):
+    """The value cell of each available bound row of a certificates.csv, by statement."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return {cells[0]: float(cells[3]) for cells in rows if cells[1] == "true" and cells[3]}
+
+
+# the budget's channel cover is a log, so no channel count a float holds overflows it
+@pytest.mark.parametrize("channels", [154, 100000])
+def test_context_only_certify_is_finite_at_many_channels(tmp_path, channels):
+    context = {"phi_inf": 2.0, "r1": 2.5, "channels": channels, "gamma": 1.2, "rho": 0.4}
+    config = {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16, "epsilon": 0.5, "context": context}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    values = _certificate_values(tmp_path / "out" / "certificates.csv")
+    assert {"pointwise_bound", "worst_case_bound", "total_worst_bound"} <= set(values)
+    assert all(np.isfinite(list(values.values())))
+
+
+# the uniform budget halves delta as a log: half the smallest subnormal rounds to zero
+def test_the_smallest_subnormal_delta_certifies(tmp_path, welch_config):
+    config = dict(json.loads(welch_config.read_text()), epsilon=0.5, delta=5e-324)
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "certify")]) == 0
+    values = _certificate_values(tmp_path / "certify" / "certificates.csv")
+    assert {"pointwise_bound", "worst_case_bound", "total_worst_bound"} <= set(values)
+    assert all(np.isfinite(list(values.values())))
+    out = tmp_path / "reproduce"
+    argv = ["reproduce", "--example", "1", "--trials", "2", "--grid", "9", "--delta", "5e-324", "--out", str(out)]
+    assert cli.main(argv) == 0
+    for stem in ("example1_gaussian", "example1_subgaussian"):
+        lines = (out / f"{stem}.csv").read_text().splitlines()
+        certificates = [float(dict(zip(lines[1].split(","), line.split(",")))["certificate"]) for line in lines[2:]]
+        assert len(certificates) == 5 and all(np.isfinite(certificates))
 
 
 # gains whose products overflow: the state-space paths, or the oracle's coefficient matrix, are not finite

@@ -27,7 +27,11 @@ gate it stays within the same bounds as the low-rank route.  Over stable state-s
 models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
 seeds below 2^200 and trial indices on both sides of 2^32, the batch key
 pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
-generator draws what ``rng_stream`` draws.  Hypothesis also draws the
+generator draws what ``rng_stream`` draws.  Under every library tail, the
+log-space budget is finite at any channel count below 10^299 and any delta
+in (0, 1), lies within 1e-15 relative of the budget formed from the float
+cover 10^(2 channels) wherever that one is finite, and is nondecreasing in
+the channel count and in 1 / delta.  Hypothesis also draws the
 numeric literals of the source, so the examples change with them; edge cases
 are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
 rejected at construction, Blackman-Tukey hann 32 at 2017 and 2018
@@ -37,7 +41,9 @@ Blackman-Tukey window with a subnormal centre and a matrix whose first
 factor row squares past the largest double; for the first-block branch,
 N = 1 and 2, the zero matrix, the exchange matrix J, a reducible matrix,
 -0.0 entries, a subnormal entry and one negative entry, which takes both
-blocks.
+blocks; for the budget, delta 0.025 at 3 channels, where the last bit
+moves, 153 channels, the last count whose float cover is finite, and the
+smallest subnormal delta with a truncation, whose half rounds to zero.
 """
 
 import math
@@ -58,6 +64,14 @@ from specbound import estimators as est
 from specbound import quadform as qf
 from specbound import signals
 from specbound import experiments
+from specbound.constants import (
+    COVER_BASE,
+    FREQUENCY_COVER_FACTOR,
+    GAUSSIAN,
+    GAUSSIAN_QUADFORM,
+    hanson_wright,
+    sub_gaussian,
+)
 from specbound import streams
 from specbound.experiments import write_csv
 
@@ -609,3 +623,49 @@ def test_batch_keys_are_seed_sequence_keys(seed, first, trials):
         np.testing.assert_array_equal(rng.bit_generator.state["state"]["key"], expected[t])
         assert rng.standard_normal(5).tobytes() == reference.standard_normal(5).tobytes()
         assert rng.uniform(-1.0, 1.0, 3).tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()
+
+
+ASSUMPTIONS = {
+    "gaussian": GAUSSIAN,
+    "sub_gaussian": sub_gaussian(signals.UNIFORM_SIGMA),
+    "hanson_wright": hanson_wright(1.0),
+    "gaussian_quadform": GAUSSIAN_QUADFORM,
+}
+
+
+def _float_cover_budget(assumption, channels, delta, truncation):
+    """The budget formed from the float cover COVER_BASE^(2 channels), then one log: inf where a float overflows."""
+    try:
+        cover = COVER_BASE ** (2 * channels)
+    except OverflowError:
+        return math.inf
+    share = delta if truncation is None else delta / 2.0
+    budget = math.log(cover * assumption.multiplier / share) / assumption.rate if share > 0.0 else math.inf
+    return budget if truncation is None else math.log(FREQUENCY_COVER_FACTOR * truncation ** 2) + budget
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.sampled_from(list(ASSUMPTIONS)),
+    st.one_of(st.integers(1, 160), st.integers(1, 10**299)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.one_of(st.none(), st.integers(1, 4096)),
+)
+@example("gaussian", 3, 0.025, 0.05, None)
+@example("gaussian", 3, 0.025, 0.05, 32)
+@example("gaussian", 153, 0.05, 0.025, None)
+@example("sub_gaussian", 153, 0.05, 0.025, 8)
+@example("gaussian", 1, 5e-324, 0.05, 32)
+def test_log_space_budget_matches_the_float_cover_and_is_monotone(name, channels, delta, other, truncation):
+    assumption = ASSUMPTIONS[name]
+    budget = bd.BoundContext(assumption, 1.0, 1.0, channels).budget(delta, truncation)
+    assert math.isfinite(budget)
+    reference = _float_cover_budget(assumption, channels, delta, truncation)
+    if math.isfinite(reference):
+        assert budget == pytest.approx(reference, rel=1e-15, abs=0.0)
+    # nondecreasing in the channel count and in 1 / delta
+    assert bd.BoundContext(assumption, 1.0, 1.0, channels + 1).budget(delta, truncation) >= budget
+    smaller, larger = sorted((delta, other))
+    context = bd.BoundContext(assumption, 1.0, 1.0, channels)
+    assert context.budget(smaller, truncation) >= context.budget(larger, truncation)

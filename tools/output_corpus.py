@@ -34,15 +34,19 @@ three channels at N = 2017 and 2018, the last record that fits one lag
 product block and the first that takes two;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
 context-only ``certify`` per family; ``certify`` with ``context`` values
-overriding a model's; a ``certify`` of a lightly damped resonant model; a
-set of rejected configs, among them four ``certify`` configs: an
-``epsilon`` of 1e-300, whose square underflows, a context with 100000
-channels, whose cover size overflows, a context with 154 channels, whose
-cover size times the tail multiplier over ``delta`` overflows, and a
+overriding a model's; a ``certify`` of a lightly damped resonant model;
+context-only ``certify`` runs at 154 and 100000 channels, where the cover
+size 10^(2 channels), or that size times the tail multiplier over ``delta``,
+passes the largest double, though the log-space budget does not; a
+``certify`` at the smallest subnormal ``delta``, whose half rounds to zero; a
+set of rejected configs, among them three ``certify`` configs: an
+``epsilon`` of 1e-300, whose square underflows, a context with 10^400
+channels, a count past the largest double, and a
 state-space model with uniform noise; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
-``--example 2`` with their defaults and with every option set, and
+``--example 2`` with their defaults and with every option set,
+``--example 1`` at the smallest subnormal failure probability, and
 ``--example 1`` at a failure probability above one and with
 ``--rho-target``, which it never reads, both rejected; a config whose
 ``epsilon`` is JSON's ``Infinity`` literal, also rejected; and
@@ -160,6 +164,24 @@ OVERRIDES = {
     "state_space_all": (STATE_SPACE, {"phi_inf": 12.0, "r1": 15.0, "gamma": 25.0, "rho": 0.55}),
 }
 
+# name -> context-only certify config at a channel count whose cover size
+# 10^(2 channels), or that size times the tail multiplier over delta, passes
+# the largest double
+MANY_CHANNELS = {
+    "channels_100000": {
+        "estimator": {"kind": "bartlett", "block_length": 4},
+        "num_samples": 16,
+        "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
+    },
+    "channels_154": {
+        "estimator": {"kind": "bartlett", "block_length": 4},
+        "num_samples": 16,
+        "epsilon": 0.5,
+        "delta": 0.05,
+        "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
+    },
+}
+
 # name -> (command, config): every one of these is rejected with exit code 2.
 # Window and taper errors, the all-zero length-two hann taper and the
 # all-zero lag window included, are caught when the spec is constructed,
@@ -255,22 +277,12 @@ REJECTED = {
             "epsilon": 1e-300,
         },
     ),
-    "certify_channels_overflow": (
+    "certify_channels_past_the_largest_double": (
         "certify",
         {
             "estimator": {"kind": "bartlett", "block_length": 4},
             "num_samples": 16,
-            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 100000},
-        },
-    ),
-    "certify_channels_154": (
-        "certify",
-        {
-            "estimator": {"kind": "bartlett", "block_length": 4},
-            "num_samples": 16,
-            "epsilon": 0.5,
-            "delta": 0.05,
-            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
+            "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 10**400},
         },
     ),
     "certify_state_space_uniform": (
@@ -375,6 +387,8 @@ REPRODUCE = {
     "2_options": ["--example", "2", "--trials", "2", "--rho-target", "0.6"],
     "1_delta_1.5": ["--example", "1", "--delta", "1.5"],
     "1_rho_target": ["--example", "1", "--rho-target", "0.7"],
+    # the smallest subnormal failure probability, whose half rounds to zero
+    "1_delta_5e-324": ["--example", "1", "--trials", "3", "--grid", "9", "--delta", "5e-324"],
 }
 
 
@@ -493,6 +507,12 @@ def main(argv=None) -> int:
         run(out, f"certify/override_{name}", ["certify", "--config", write_config(out, f"override_{name}", body)])
     body = {"model": RESONANT, "estimator": ESTIMATORS["welch_hann"], "num_samples": 2064, "epsilon": 0.5}
     run(out, "certify/resonant_welch_hann_2064", ["certify", "--config", write_config(out, "resonant_welch_hann_2064", body)])
+    for name, body in MANY_CHANNELS.items():
+        run(out, f"certify/{name}", ["certify", "--config", write_config(out, name, body)])
+    # the smallest subnormal failure probability, whose half rounds to zero
+    body = {"model": {"kind": "geometric", "rho": 0.3}, "estimator": ESTIMATORS["welch_hann"], "num_samples": 528}
+    body.update(epsilon=0.5, delta=5e-324)
+    run(out, "certify/delta_5e-324", ["certify", "--config", write_config(out, "delta_5e-324", body)])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
     config = str(out / "configs" / "geometric_gaussian_welch_hann_528.json")
