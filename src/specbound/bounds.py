@@ -1,11 +1,11 @@
 """Finite-sample error certificates for quadratic-form spectral estimators.
 
-Two certificate styles are provided.  Condition checks answer "does the
-sufficient condition for error at most eps (probability at least 1 - delta)
-hold for this estimator?"; bound evaluators invert those conditions into
-numeric high-probability error bounds.  Concentration conditions compare the
-reciprocal of a norm envelope against the product of an accuracy demand and a
-confidence demand; the bias condition asks the diagonal sums b[k] to lie in
+Two certificate styles are provided.  Bound evaluators turn a norm envelope
+and a failure probability delta into a numeric high-probability error bound
+(``NoiseAssumption.deviation``, the one inverse of the tail); condition checks
+answer "does the sufficient condition for error at most eps (probability at
+least 1 - delta) hold for this estimator?".  Concentration conditions compare
+their bound with eps; the bias condition asks the diagonal sums b[k] to lie in
 [0, 1] and to stay near one out to a covariance-tail cutoff lag, a test made
 only in ``check_conditions``.  Estimator-specific checks run those conditions
 on a family's closed forms, and the bias part adds what the family's own
@@ -72,6 +72,9 @@ _TOTALS = {"pointwise_total": "pointwise", "worst_total": "worst_case"}
 
 # why a periodogram has no concentration certificate
 PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
+
+# why a bound whose log budget is infinite certifies nothing
+_BUDGET_NOTE = "log budget passes the largest double"
 
 # the furthest lag a covariance tail or decay envelope is searched to
 _LAG_BUDGET = 1_000_000
@@ -164,7 +167,7 @@ class BoundContext:
         )
 
     def budget(self, delta: float, truncation=None) -> float:
-        """Log budget at failure probability delta: the reciprocal envelope's second demand.
+        """Log budget at failure probability delta: the exponent the tail must reach.
 
         A sum of log terms, each finite at any delta in (0, 1) and any channel
         count below 10^300: the channel cover, log(COVER_BASE^(2 channels)) /
@@ -279,44 +282,28 @@ def check_conditions(
     """Verdict for one sufficient error condition of the general framework.
 
     Parts: ``pointwise`` and ``worst_case`` (concentration at a single
-    frequency and uniform over it, on ``params`` or the dense form's record;
-    unavailable without one), ``bias`` (diagonal sums close to one out to the
+    frequency and uniform over it: the row of ``pointwise_error_bound`` or
+    ``worst_case_error_bound`` on ``params`` or the dense form's record, with
+    a verdict that holds when the bound is at most eps; unavailable when the
+    bound is), ``bias`` (diagonal sums close to one out to the
     tail cutoff), and the conjunctions ``pointwise_total``/``worst_total``
     whose conclusions hold at accuracy 2 * eps with probability 1 - delta.
     """
     if part not in CONDITION_PARTS:
         raise ValueError(f"unknown condition part {part!r}")
+    if not eps > 0.0:
+        raise ValueError("accuracy target must be positive")
     if part in _TOTALS:
         first = check_conditions(_TOTALS[part], eps, delta, ctx, form=form, params=params)
         second = check_conditions("bias", eps, delta, ctx, form=form, bias=bias)
         return _conjunction(f"{part}_condition", first, second, eps, delta)
-    if part != "bias" and params is None:
-        if form is None:
-            return Certificate(f"{part}_condition", available=False, epsilon=eps, delta=delta, note=PERIODOGRAM_NOTE)
-        params = form.certificate_params
-    if part == "pointwise":
-        demand = ctx.assumption.demand(eps, ctx.phi_inf) * ctx.budget(delta)
-        return Certificate(
-            "pointwise_condition",
-            # a zero form (an all-zero custom lag window) estimates exactly zero
-            holds=bool(params.xi == 0.0 or 1.0 / params.xi >= demand),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(xi=params.xi, demand=demand),
-        )
-    if part == "worst_case":
-        # a zero form estimates exactly zero at every frequency, so it needs no
-        # frequency cover, and a dense one has no truncation width to cover
-        truncation = params.truncation if params.envelope > 0.0 else None
-        demand = ctx.assumption.demand(eps / 2.0, ctx.phi_inf) * ctx.budget(delta, truncation)
-        return Certificate(
-            "worst_case_condition",
-            holds=bool(params.envelope == 0.0 or 1.0 / params.envelope >= demand),
-            epsilon=eps,
-            delta=delta,
-            inputs=_inputs(envelope=params.envelope, truncation=params.truncation, demand=demand),
-        )
-    # bias
+    if part != "bias":
+        if params is None and form is not None:
+            params = form.certificate_params
+        evaluator = pointwise_error_bound if part == "pointwise" else worst_case_error_bound
+        bound = evaluator(params, delta, ctx)
+        holds = None if bound.value is None else bool(bound.value <= eps)
+        return replace(bound, statement=f"{part}_condition", holds=holds, epsilon=eps, delta=delta)
     if bias is None:
         if form is None:
             raise ValueError("bias check needs the diagonal sums or the dense form")
@@ -339,25 +326,30 @@ def check_conditions(
     )
 
 
+def _deviation_bound(statement: str, envelope: float, budget: float, delta, ctx, inputs, factor=1.0) -> Certificate:
+    """``factor`` times the deviation ``envelope`` proves at ``budget``; unavailable when the budget is infinite."""
+    if budget == math.inf:
+        return Certificate(statement, available=False, delta=delta, inputs=inputs, note=_BUDGET_NOTE)
+    value = factor * ctx.assumption.deviation(envelope, budget, ctx.phi_inf)
+    return Certificate(statement, value=value, delta=delta, inputs=inputs)
+
+
 def pointwise_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
-    """Deviation bound at a single frequency holding with probability 1 - delta; unavailable without a record."""
+    """Deviation bound at a single frequency holding with probability 1 - delta; unavailable without a record or a finite budget."""
     if params is None:
         return Certificate("pointwise_bound", available=False, note=PERIODOGRAM_NOTE)
-    value = ctx.assumption.deviation(params.xi, ctx.budget(delta), ctx.phi_inf)
-    return Certificate("pointwise_bound", value=value, delta=delta, inputs=_inputs(xi=params.xi))
+    return _deviation_bound("pointwise_bound", params.xi, ctx.budget(delta), delta, ctx, _inputs(xi=params.xi))
 
 
 def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
-    """Deviation bound uniform over frequency holding with probability 1 - delta; unavailable without a record."""
+    """Deviation bound uniform over frequency holding with probability 1 - delta; unavailable without a record or a finite budget."""
     if params is None:
         return Certificate("worst_case_bound", available=False, note=PERIODOGRAM_NOTE)
-    value = 2.0 * ctx.assumption.deviation(params.envelope, ctx.budget(delta, params.truncation), ctx.phi_inf)
-    return Certificate(
-        "worst_case_bound",
-        value=value,
-        delta=delta,
-        inputs=_inputs(envelope=params.envelope, truncation=params.truncation),
-    )
+    # a zero form estimates exactly zero at every frequency, so it needs no
+    # frequency cover, and a dense one has no truncation width to cover
+    truncation = params.truncation if params.envelope > 0.0 else None
+    inputs = _inputs(envelope=params.envelope, truncation=params.truncation)
+    return _deviation_bound("worst_case_bound", params.envelope, ctx.budget(delta, truncation), delta, ctx, inputs, 2.0)
 
 
 def _power_width(rho: float, truncation: int) -> int:
@@ -480,7 +472,10 @@ def certificate_suite(
     follows: unavailable, with a note, without both the record and the decay
     pair, or when its factor reaches one.  With ``epsilon``, the
     ``check_estimator_conditions`` rows of every part close the table.  Any
-    other row is omitted, not marked unavailable.
+    other row is omitted, not marked unavailable.  A log budget past the
+    largest double makes ``pointwise_bound``, ``worst_case_bound`` and
+    ``total_worst_bound`` unavailable, with a note, and the concentration
+    conditions and conjunctions with them.
     """
     params = certificate_params(spec, num_samples)
     rows = [pointwise_error_bound(params, delta, ctx), worst_case_error_bound(params, delta, ctx)]
@@ -491,8 +486,12 @@ def certificate_suite(
         bias = geometric_bias_bound(sums, truncation, *ctx.decay)
         rows.append(bias)
     if params is not None and bias is not None:
-        inputs = _inputs(concentration=rows[1].value, bias=bias.value)
-        rows.append(Certificate("total_worst_bound", value=rows[1].value + bias.value, delta=delta, inputs=inputs))
+        worst = rows[1]
+        if worst.available:
+            inputs = _inputs(concentration=worst.value, bias=bias.value)
+            rows.append(Certificate("total_worst_bound", value=worst.value + bias.value, delta=delta, inputs=inputs))
+        else:
+            rows.append(Certificate("total_worst_bound", available=False, delta=delta, note=worst.note))
         if estimate_sup is not None:
             rows.append(data_driven_error_bound(data_driven_factor(params, delta, ctx), bias.value, estimate_sup))
     elif estimate_sup is not None:

@@ -13,11 +13,11 @@ certificates are tighter at matched inputs.
 ``NoiseAssumption`` is the only place the shape is written.  ``tail`` is the
 forward bound; ``log_budget`` solves it without the cover, whose log
 ``bounds.BoundContext.budget`` adds, for the exponent that the log of a
-failure probability allows, ``demand`` is what an accuracy target asks of the
-norm envelope, and ``deviation`` turns an envelope and a budget into the
-deviation they prove.  Quadratic forms of independent coordinates
-(``hanson_wright``, ``GAUSSIAN_QUADFORM``) are the same shape with p = 1 and
-no cover.
+failure probability allows, and ``deviation``, the one inverse of the tail,
+turns an envelope and a budget into the deviation they prove: an accuracy
+target eps is met exactly when that deviation is at most eps.  Quadratic
+forms of independent coordinates (``hanson_wright``, ``GAUSSIAN_QUADFORM``)
+are the same shape with p = 1 and no cover.
 """
 
 from __future__ import annotations
@@ -63,19 +63,10 @@ class NoiseAssumption:
         """The exponent the tail must reach, without a cover, at failure probability exp(log_delta)."""
         return (math.log(self.multiplier) - log_delta) / self.rate
 
-    def demand(self, eps: float, phi: float) -> float:
-        """Demand placed on the reciprocal norm envelope by the accuracy target eps."""
-        if not eps > 0.0:
-            raise ValueError("accuracy target must be positive")
-        if not eps ** 2 > 0.0:
-            raise ValueError(f"accuracy target {eps!r} is too small: its square underflows to zero")
-        scale = self.scale
-        return max(scale ** 4 * phi ** 2 / eps ** 2, scale ** 2 * phi / eps)
-
     def deviation(self, envelope: float, budget: float, phi: float) -> float:
-        """Deviation that an envelope proves at a log budget: the tail solved for eps."""
-        if not envelope > 0.0:
-            raise ValueError("norm envelope must be positive")
+        """Deviation that an envelope proves at a log budget: the tail solved for eps, zero for a zero envelope."""
+        if not envelope >= 0.0:
+            raise ValueError("norm envelope must be nonnegative")
         level = envelope * budget
         return self.scale ** 2 * phi * max(level, math.sqrt(level))
 

@@ -34,12 +34,16 @@ def geometric_ctx():
 # ---------------------------------------------------------------- factors
 
 
-def test_demand_substitutions():
-    assert GAUSSIAN.demand(0.5, 1.0) == pytest.approx(4.0)
-    assert GAUSSIAN.demand(2.0, 1.0) == pytest.approx(0.5)
-    assert sub_gaussian(math.sqrt(3.0)).demand(1.0, 1.0) == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        GAUSSIAN.demand(0.0, 1.0)
+def test_deviation_substitutions():
+    # the square-root branch below a unit level, the linear one above it
+    assert GAUSSIAN.deviation(0.25, 1.0, 1.0) == pytest.approx(0.5)
+    assert GAUSSIAN.deviation(2.0, 1.0, 1.0) == pytest.approx(2.0)
+    assert GAUSSIAN.deviation(1.0, 0.25, 3.0) == pytest.approx(1.5)
+    assert sub_gaussian(math.sqrt(3.0)).deviation(1.0 / 9.0, 1.0, 1.0) == pytest.approx(1.0)
+    # a zero envelope proves a zero deviation
+    assert GAUSSIAN.deviation(0.0, 265.0, 2.0) == 0.0
+    with pytest.raises(ValueError, match="norm envelope must be nonnegative"):
+        GAUSSIAN.deviation(-1e-3, 1.0, 1.0)
 
 
 def test_budget_value_and_domain():
@@ -79,9 +83,12 @@ def test_budget_sums_its_log_terms_at_any_channel_count_and_delta():
 
 
 def test_factor_monotonicity(geometric_ctx):
+    # the bounds grow with the norm envelope, so a smaller eps asks for a smaller one
+    envelopes = np.geomspace(1e-6, 10.0, 20)
+    for evaluator in (bd.pointwise_error_bound, bd.worst_case_error_bound):
+        values = [evaluator(record(e, 8), 0.1, geometric_ctx).value for e in envelopes]
+        assert all(a < b for a, b in zip(values, values[1:]))
     eps_grid = np.linspace(0.05, 3.0, 20)
-    alphas = [geometric_ctx.assumption.demand(e, geometric_ctx.phi_inf) for e in eps_grid]
-    assert all(a >= b - 1e-12 for a, b in zip(alphas, alphas[1:]))
     deltas = np.linspace(0.01, 0.99, 20)
     betas = [geometric_ctx.budget(d) for d in deltas]
     assert all(a >= b - 1e-12 for a, b in zip(betas, betas[1:]))
@@ -148,6 +155,10 @@ def test_a_zero_dense_form_meets_the_concentration_conditions():
     verdicts = {part: bd.check_conditions(part, 1.0, 0.1, ctx, form=form) for part in bd.CONDITION_PARTS}
     assert all(verdict.available for verdict in verdicts.values())
     assert [part for part, verdict in verdicts.items() if verdict.holds] == ["pointwise", "worst_case"]
+    # the bounds on the same form prove a zero deviation
+    params = form.certificate_params
+    assert bd.pointwise_error_bound(params, 0.1, ctx).value == 0.0
+    assert bd.worst_case_error_bound(params, 0.1, ctx).value == 0.0
 
 
 def test_pointwise_condition_from_dense_form():
@@ -321,18 +332,19 @@ def test_data_driven_factor_matches_worst_bound():
 
 
 def test_bound_condition_round_trip():
-    # solving the pointwise bound for eps saturates the pointwise condition
+    # each concentration condition holds at its bound and fails just below it
     rng = np.random.default_rng(8)
     for _ in range(100):
         assumption = GAUSSIAN if rng.random() < 0.5 else sub_gaussian(1.0 + 3.0 * rng.random())
         ctx = bd.BoundContext(
             assumption, 10.0 ** rng.uniform(-1, 1), 1.0, int(rng.integers(1, 4))
         )
-        xi = 10.0 ** rng.uniform(-5, 1)
+        params = record(10.0 ** rng.uniform(-5, 1), int(rng.integers(1, 64)))
         delta = rng.uniform(0.01, 0.5)
-        eps_star = bd.pointwise_error_bound(record(xi), delta, ctx).value
-        product = ctx.assumption.demand(eps_star, ctx.phi_inf) * ctx.budget(delta)
-        assert product * xi == pytest.approx(1.0, rel=1e-9)
+        for part, evaluator in (("pointwise", bd.pointwise_error_bound), ("worst_case", bd.worst_case_error_bound)):
+            eps_star = evaluator(params, delta, ctx).value
+            assert bd.check_conditions(part, eps_star, delta, ctx, params=params).holds
+            assert not bd.check_conditions(part, eps_star * (1.0 - 1e-9), delta, ctx, params=params).holds
 
 
 def data_matrix_tail(eps, spectral_norm, frobenius_norm, phi_inf, channels, constants):
@@ -440,13 +452,16 @@ def test_concentration_conditions_match_envelope_rule(geometric_ctx):
     spec = est.Welch(16, 8, "hann")
     n = 136
     params = est.certificate_params(spec, n)
-    for eps, delta in [(0.5, 0.1), (2.0, 0.3), (8.0, 0.05)]:
-        cert = bd.check_estimator_conditions(spec, n, "pointwise", eps, delta, geometric_ctx)
-        expected = 1.0 / params.envelope >= geometric_ctx.assumption.demand(eps, geometric_ctx.phi_inf) * geometric_ctx.budget(delta)
-        assert cert.holds == expected
-        worst = bd.check_estimator_conditions(spec, n, "worst_case", eps, delta, geometric_ctx)
-        expected_worst = 1.0 / params.envelope >= geometric_ctx.assumption.demand(eps / 2.0, geometric_ctx.phi_inf) * geometric_ctx.budget(delta, params.truncation)
-        assert worst.holds == expected_worst
+    verdicts = set()
+    for eps, delta in [(0.5, 0.1), (2.0, 0.3), (8.0, 0.05), (1e3, 0.1)]:
+        for part, evaluator in (("pointwise", bd.pointwise_error_bound), ("worst_case", bd.worst_case_error_bound)):
+            cert = bd.check_estimator_conditions(spec, n, part, eps, delta, geometric_ctx)
+            bound = evaluator(params, delta, geometric_ctx)
+            # the row carries the bound it compares with eps, and the bound's inputs
+            assert (cert.value, cert.inputs) == (bound.value, bound.inputs)
+            assert cert.holds == (bound.value <= eps)
+            verdicts.add(cert.holds)
+    assert verdicts == {True, False}
 
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specbound import cli, estimators, experiments, signals
-from specbound.bounds import GAUSSIAN, BoundContext
+from specbound.bounds import CONDITION_PARTS, GAUSSIAN, BoundContext
 from specbound.experiments import (
     ConfigError,
     example_state_space,
@@ -886,17 +886,6 @@ PRE_SAMPLING = {
         {"model": SCALAR_STATE_SPACE, "noise": "uniform", "estimator": {"kind": "biased_periodogram"}, "num_samples": 8},
         "state-space sampling supports gaussian noise only",
     ),
-    # the square of the accuracy target underflows to zero in the concentration demand
-    "accuracy_target_too_small": (
-        "certify",
-        {
-            "model": {"kind": "geometric", "rho": 0.3},
-            "estimator": {"kind": "bartlett", "block_length": 4},
-            "num_samples": 16,
-            "epsilon": 1e-300,
-        },
-        "accuracy target 1e-300 is too small: its square underflows to zero",
-    ),
     # the budget takes the channel count as a float
     "context_channels_past_the_largest_double": (
         "certify",
@@ -971,6 +960,40 @@ def test_context_only_certify_is_finite_at_many_channels(tmp_path, channels):
     values = _certificate_values(tmp_path / "out" / "certificates.csv")
     assert {"pointwise_bound", "worst_case_bound", "total_worst_bound"} <= set(values)
     assert all(np.isfinite(list(values.values())))
+
+
+# nothing squares the accuracy target, so a tiny one certifies, and no condition holds
+def test_a_tiny_accuracy_target_certifies_and_no_condition_holds(tmp_path):
+    config = {
+        "model": {"kind": "geometric", "rho": 0.3},
+        "estimator": {"kind": "bartlett", "block_length": 4},
+        "num_samples": 16,
+        "epsilon": 1e-300,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "certificates.csv").read_text().splitlines()[2:]]
+    conditions = {cells[0]: cells[1:3] for cells in rows if cells[0].endswith("_condition")}
+    assert sorted(conditions) == sorted(f"bartlett.{part}_condition" for part in CONDITION_PARTS)
+    assert all(cells == ["true", "false"] for cells in conditions.values())
+
+
+# a channel cover past the largest double certifies nothing, so --require-feasible exits 3
+def test_a_budget_past_the_largest_double_is_infeasible(tmp_path, capsys):
+    context = {"phi_inf": 2.0, "r1": 2.5, "channels": 10 ** 307, "gamma": 1.2, "rho": 0.4}
+    config = {"estimator": {"kind": "bartlett", "block_length": 4}, "num_samples": 16, "epsilon": 0.5, "context": context}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(path), "--out", str(out), "--require-feasible"]) == 3
+    assert capsys.readouterr().err == "infeasible certificate in the requested table\n"
+    rows = {line.split(",")[0]: line.split(",") for line in (out / "certificates.csv").read_text().splitlines()[2:]}
+    unavailable = {name for name, cells in rows.items() if cells[1] == "false"}
+    assert {"pointwise_bound", "worst_case_bound", "total_worst_bound"} <= unavailable
+    assert {"bartlett.pointwise_condition", "bartlett.worst_case_condition"} <= unavailable
+    assert all(rows[name][-1] == "log budget passes the largest double" for name in unavailable)
+    assert rows["bias_bound_geometric"][1] == "true"
 
 
 # the uniform budget halves delta as a log: half the smallest subnormal rounds to zero

@@ -31,7 +31,11 @@ generator draws what ``rng_stream`` draws.  Under every library tail, the
 log-space budget is finite at any channel count below 10^299 and any delta
 in (0, 1), lies within 1e-15 relative of the budget formed from the float
 cover 10^(2 channels) wherever that one is finite, and is nondecreasing in
-the channel count and in 1 / delta.  Hypothesis also draws the
+the channel count and in 1 / delta.  Each concentration condition row is
+its bound's row with a verdict: it holds exactly when the bound is at most
+eps, and it agrees with the reciprocal envelope compared with the accuracy
+and confidence demands wherever the bound lies more than 4 ulps from eps.
+Hypothesis also draws the
 numeric literals of the source, so the examples change with them; edge cases
 are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
 rejected at construction, Blackman-Tukey hann 32 at 2017 and 2018
@@ -43,7 +47,9 @@ N = 1 and 2, the zero matrix, the exchange matrix J, a reducible matrix,
 -0.0 entries, a subnormal entry and one negative entry, which takes both
 blocks; for the budget, delta 0.025 at 3 channels, where the last bit
 moves, 153 channels, the last count whose float cover is finite, and the
-smallest subnormal delta with a truncation, whose half rounds to zero.
+smallest subnormal delta with a truncation, whose half rounds to zero;
+for the conditions, eps equal to a pointwise or worst-case bound, which
+holds.
 """
 
 import math
@@ -669,3 +675,51 @@ def test_log_space_budget_matches_the_float_cover_and_is_monotone(name, channels
     smaller, larger = sorted((delta, other))
     context = bd.BoundContext(assumption, 1.0, 1.0, channels)
     assert context.budget(smaller, truncation) >= context.budget(larger, truncation)
+
+
+def _reference_verdict(assumption, envelope, eps, phi, budget):
+    """The concentration condition as the reciprocal envelope against the accuracy and confidence demands."""
+    if envelope == 0.0:
+        return True
+    b2 = assumption.scale ** 2
+    return 1.0 / envelope >= max(b2 * b2 * phi * phi / (eps * eps), b2 * phi / eps) * budget
+
+
+BOUNDS = {"pointwise": bd.pointwise_error_bound, "worst_case": bd.worst_case_error_bound}
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.sampled_from(list(ASSUMPTIONS)),
+    st.integers(1, 3),
+    st.floats(0.1, 10.0),
+    st.tuples(*[st.floats(1e-9, 10.0)] * 3),
+    st.integers(1, 4096),
+    st.floats(1e-3, 0.5),
+    st.floats(1e-6, 1e4),
+    st.sampled_from([None, *BOUNDS]),
+)
+@example("gaussian", 1, 1.0, (1e-3, 1e-3, 1e-3), 4, 0.05, 1.0, "pointwise")
+@example("gaussian", 2, 2.5, (1e-4, 3e-4, 2e-3), 64, 0.1, 1.0, "worst_case")
+@example("sub_gaussian", 3, 0.7, (2e-6, 1e-6, 5e-6), 32, 0.01, 1.0, "worst_case")
+def test_concentration_condition_is_its_bound_compared_with_eps(name, channels, phi, norms, truncation, delta, eps, tie):
+    assumption = ASSUMPTIONS[name]
+    ctx = bd.BoundContext(assumption, phi, 1.0, channels)
+    params = qf.CertificateParams(*norms, truncation)
+    if tie is not None:
+        # eps at the bound's own value: the condition holds
+        eps = BOUNDS[tie](params, delta, ctx).value
+    for part, evaluator in BOUNDS.items():
+        bound = evaluator(params, delta, ctx)
+        cert = bd.check_conditions(part, eps, delta, ctx, params=params)
+        assert cert.value == bound.value and cert.inputs == bound.inputs
+        assert cert.holds is (bound.value <= eps)
+        if part == tie:
+            assert cert.holds
+        # the reference agrees wherever rounding cannot tip the comparison
+        if abs(bound.value / eps - 1.0) > 4.0 * sys.float_info.epsilon:
+            if part == "pointwise":
+                reference = _reference_verdict(assumption, params.xi, eps, phi, ctx.budget(delta))
+            else:
+                reference = _reference_verdict(assumption, params.envelope, eps / 2.0, phi, ctx.budget(delta, truncation))
+            assert cert.holds == reference

@@ -37,12 +37,13 @@ context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model;
 context-only ``certify`` runs at 154 and 100000 channels, where the cover
 size 10^(2 channels), or that size times the tail multiplier over ``delta``,
-passes the largest double, though the log-space budget does not; a
-``certify`` at the smallest subnormal ``delta``, whose half rounds to zero; a
-set of rejected configs, among them three ``certify`` configs: an
-``epsilon`` of 1e-300, whose square underflows, a context with 10^400
-channels, a count past the largest double, and a
-state-space model with uniform noise; ``certify --estimate`` of malformed estimate files,
+passes the largest double, though the log-space budget does not, and at
+10^307 channels, where the budget does too and the concentration rows read
+unavailable; a ``certify`` at the smallest subnormal ``delta``, whose half
+rounds to zero; a ``certify`` at an ``epsilon`` of 1e-300, whose condition
+rows read false; a set of rejected configs, among them two ``certify``
+configs: a context with 10^400 channels, a count past the largest double,
+and a state-space model with uniform noise; ``certify --estimate`` of malformed estimate files,
 made from a good one; configs that only strict parsing rejects; a
 periodogram ``certify --require-feasible``; ``reproduce --example 1`` and
 ``--example 2`` with their defaults and with every option set,
@@ -166,7 +167,7 @@ OVERRIDES = {
 
 # name -> context-only certify config at a channel count whose cover size
 # 10^(2 channels), or that size times the tail multiplier over delta, passes
-# the largest double
+# the largest double; at 10^307 channels the log budget passes it too
 MANY_CHANNELS = {
     "channels_100000": {
         "estimator": {"kind": "bartlett", "block_length": 4},
@@ -179,6 +180,13 @@ MANY_CHANNELS = {
         "epsilon": 0.5,
         "delta": 0.05,
         "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 154, "gamma": 1.2, "rho": 0.4},
+    },
+    "channels_1e307": {
+        "estimator": {"kind": "bartlett", "block_length": 4},
+        "num_samples": 16,
+        "epsilon": 0.5,
+        "delta": 0.05,
+        "context": {"phi_inf": 2.0, "r1": 2.5, "channels": 10**307, "gamma": 1.2, "rho": 0.4},
     },
 }
 
@@ -266,15 +274,6 @@ REJECTED = {
             "estimator": {"kind": "bartlett", "block_length": 4},
             "num_samples": 16,
             "context": {"gamma": 30.0, "rho": 0.3},
-        },
-    ),
-    "certify_tiny_epsilon": (
-        "certify",
-        {
-            "model": {"kind": "geometric", "rho": 0.3},
-            "estimator": {"kind": "bartlett", "block_length": 4},
-            "num_samples": 16,
-            "epsilon": 1e-300,
         },
     ),
     "certify_channels_past_the_largest_double": (
@@ -513,6 +512,9 @@ def main(argv=None) -> int:
     body = {"model": {"kind": "geometric", "rho": 0.3}, "estimator": ESTIMATORS["welch_hann"], "num_samples": 528}
     body.update(epsilon=0.5, delta=5e-324)
     run(out, "certify/delta_5e-324", ["certify", "--config", write_config(out, "delta_5e-324", body)])
+    # an accuracy target far below every bound, which no condition meets
+    body = {"model": {"kind": "geometric", "rho": 0.3}, "estimator": BARTLETT, "num_samples": 16, "epsilon": 1e-300}
+    run(out, "certify/tiny_epsilon", ["certify", "--config", write_config(out, "tiny_epsilon", body)])
     for name, (command, body) in REJECTED.items():
         run(out, f"rejected/{name}", [command, "--config", write_config(out, f"rejected_{name}", body)])
     config = str(out / "configs" / "geometric_gaussian_welch_hann_528.json")
