@@ -43,7 +43,7 @@ for name, spec in specs.items():
     if params is None:
         line += "  (no concentration certificate: envelope >= 1)"
     else:
-        line += f"  closed form: xi <= {params.xi:.4f}, envelope <= {params.envelope:.4f}, truncation {params.truncation}"
+        line += f"  closed form: envelope <= {params.envelope:.4f}, truncation {params.truncation}"
     print(line)
 
 print("\nbartlett coefficient matrix (scaled by N):")
@@ -51,9 +51,9 @@ print((build_matrix(Bartlett(4), N).matrix * N).astype(int))
 
 print("\ndiagonal profile of the bartlett matrix at lag 1:")
 form = build_matrix(Bartlett(4), N)
-stats = form.diagonal_stats
-print("  entries:", np.round(diagonal_profile(form, 1), 4))
-print(f"  sup norm {stats.sup_norms[1]:.4f} (= ||B[1]||_2), l2 norm {np.sqrt(stats.squared_l2_norms[1]):.4f} (= ||B[1]||_F)")
+profile = diagonal_profile(form, 1)
+print("  entries:", np.round(profile, 4))
+print(f"  sup norm {np.abs(profile).max():.4f} (= ||B[1]||_2 <= ||A||_2), l2 norm {np.linalg.norm(profile):.4f} (= ||B[1]||_F <= ||A||_F)")
 
 print("\ndiagonal sums b[k] determine the estimator mean; bartlett gives 1 - |k|/M:")
 lags = bias_coefficients(build_matrix(Bartlett(4), N)).on_lags(5)

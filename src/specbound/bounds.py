@@ -252,7 +252,7 @@ def _inputs(**kwargs) -> tuple:
 
 
 def envelope_from_form(form: QuadraticForm) -> float:
-    """Envelope over ||A||_2, ||A||_F^2 and every per-diagonal norm pair."""
+    """Envelope max(||A||_2, ||A||_F^2) of the dense form."""
     return form.certificate_params.envelope
 
 
@@ -338,7 +338,7 @@ def pointwise_error_bound(params: CertificateParams | None, delta: float, ctx: B
     """Deviation bound at a single frequency holding with probability 1 - delta; unavailable without a record or a finite budget."""
     if params is None:
         return Certificate("pointwise_bound", available=False, note=PERIODOGRAM_NOTE)
-    return _deviation_bound("pointwise_bound", params.xi, ctx.budget(delta), delta, ctx, _inputs(xi=params.xi))
+    return _deviation_bound("pointwise_bound", params.envelope, ctx.budget(delta), delta, ctx, _inputs(xi=params.envelope))
 
 
 def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
@@ -473,9 +473,9 @@ def certificate_suite(
     pair, or when its factor reaches one.  With ``epsilon``, the
     ``check_estimator_conditions`` rows of every part close the table.  Any
     other row is omitted, not marked unavailable.  A log budget past the
-    largest double makes ``pointwise_bound``, ``worst_case_bound`` and
-    ``total_worst_bound`` unavailable, with a note, and the concentration
-    conditions and conjunctions with them.
+    largest double makes ``pointwise_bound``, ``worst_case_bound``,
+    ``total_worst_bound`` and ``data_driven_bound`` unavailable, with a
+    note, and the concentration conditions and conjunctions with them.
     """
     params = certificate_params(spec, num_samples)
     rows = [pointwise_error_bound(params, delta, ctx), worst_case_error_bound(params, delta, ctx)]
@@ -492,7 +492,10 @@ def certificate_suite(
             rows.append(Certificate("total_worst_bound", value=worst.value + bias.value, delta=delta, inputs=inputs))
         else:
             rows.append(Certificate("total_worst_bound", available=False, delta=delta, note=worst.note))
-        if estimate_sup is not None:
+        if estimate_sup is not None and not worst.available:
+            # the factor takes the worst-case bound's budget, infinite here too
+            rows.append(Certificate("data_driven_bound", available=False, note=worst.note))
+        elif estimate_sup is not None:
             rows.append(data_driven_error_bound(data_driven_factor(params, delta, ctx), bias.value, estimate_sup))
     elif estimate_sup is not None:
         note = "needs a concentration envelope and a decay pair"
@@ -567,7 +570,7 @@ def optimize_bartlett_m(
         raise ValueError("sample count must be positive")
 
     def total(m: float) -> float:
-        concentration = worst_case_error_bound(CertificateParams(m / n, m / n, m / n, m), delta, ctx).value
+        concentration = worst_case_error_bound(CertificateParams(m / n, m / n, m), delta, ctx).value
         return concentration + bartlett_bias_closed_form(gamma, rho, m)
 
     if divisors_only:

@@ -380,12 +380,10 @@ class BlackmanTukey:
 
     def certificate_params(self, n: int) -> CertificateParams:
         # A[i, j] = w[i - j] / n: the row-sum bound gives ||A||_2 <= sum|w| / n,
-        # every max |d[k]| is at most that, and ||A||_F^2 and every ||d[k]||^2
-        # are at most sum w^2 / n
+        # and ||A||_F^2 is at most sum w^2 / n
         self.check_fits(n)
         weights = self.weights()
-        spectral, frobenius_sq = float(np.abs(weights).sum()) / n, float(weights @ weights) / n
-        return CertificateParams(spectral, frobenius_sq, max(spectral, frobenius_sq), self.half_width)
+        return CertificateParams(float(np.abs(weights).sum()) / n, float(weights @ weights) / n, self.half_width)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         m = self.half_width
@@ -457,10 +455,9 @@ class _SegmentAverage:
         return values
 
     def certificate_params(self, n: int) -> CertificateParams:
-        """Every norm bound (1 + 2 sum_{1 <= l < K, l hop < m} |c(l hop)|) / K, and truncation m.
+        """Both norm bounds (1 + 2 sum_{1 <= l < K, l hop < m} |c(l hop)|) / K, and truncation m.
 
-        A is PSD with trace 1, so ||A||_F^2 <= ||A||_2 tr A, every ||d[k]||^2
-        <= max_i A_ii tr A and every max|d[k]| <= max_i A_ii are at most
+        A is PSD with trace 1, so ||A||_F^2 <= ||A||_2 tr A is at most
         ||A||_2 = ||V^T V||_2 / K.  The Gram matrix V^T V has entries
         c(|i - j| hop), and Gershgorin bounds its norm by its largest absolute
         row sum.  Without overlap (Bartlett) the bound is ||A||_2 = 1/K.
@@ -470,7 +467,7 @@ class _SegmentAverage:
         lags = np.arange(self.hop, m, self.hop)[: segments - 1]
         overlap = float(np.abs(self._taper_correlation[lags]).sum())
         bound = (1.0 + 2.0 * overlap) / segments
-        return CertificateParams(bound, bound, bound, m)
+        return CertificateParams(bound, bound, m)
 
     def evaluate(self, data: DataMatrix, freqs: np.ndarray) -> np.ndarray:
         segments = self.segments(data.samples)

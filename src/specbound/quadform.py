@@ -7,28 +7,26 @@ on [-1/2, 1/2], the Hermitian matrix
 
 for a real symmetric N x N coefficient matrix ``A``.  This module holds the
 dense representation of ``A`` together with the derived quantities consumed by
-the error certificates: the sup and Euclidean norms of each diagonal d[k]
-(exactly the spectral and Frobenius norms of the single-diagonal matrix
-B[k]), the diagonal sums b[k] that determine the
-estimator mean (even in k, so stored for k >= 0 only), the generic
-evaluation path used as the correctness oracle for the fast structured
-paths, and exact bias evaluation against analytic process models, whose lag
-sums go through ``phases.lag_sum`` like the estimators'.
+the error certificates: the spectral and Frobenius norms of ``A`` and the
+width past which its diagonals d[k] vanish, the diagonal sums b[k] that
+determine the estimator mean (even in k, so stored for k >= 0 only), the
+generic evaluation path used as the correctness oracle for the fast
+structured paths, and exact bias evaluation against analytic process models,
+whose lag sums go through ``phases.lag_sum`` like the estimators'.
 
-Every per-diagonal statistic of a form (the sums, ``max|d[k]|``,
-``||d[k]||^2`` and the truncation width) comes from one vectorised pass over
-its diagonals, cached on the form.  The spectral norm of a form of low rank
-(the biased periodogram, Bartlett and Welch, all ``V V^T / K``) comes from a
-pivoted Cholesky factor and one small eigensolve (Higham, 1990); every other
+Every per-diagonal statistic of a form (the sums, ``max|d[k]|`` and the
+truncation width) comes from one vectorised pass over its diagonals, cached
+on the form.  The spectral norm of a form of low rank (the biased
+periodogram, Bartlett and Welch, all ``V V^T / K``) comes from a pivoted
+Cholesky factor and one small eigensolve (Higham, 1990); every other
 estimator family builds a centrosymmetric form (``A = J A J``, J reversing
-the index order), whose spectral norm comes from half-size eigensolves
-instead of one dense one (Cantoni & Butler, 1976): one when the form is
-entrywise nonnegative (Perron-Frobenius), as Blackman-Tukey's and the
-unbiased periodogram's are, two otherwise; any other form takes the dense
-eigensolve.  The generic path rotates the data for a
-slab of frequencies at once, multiplies the stacked real and imaginary parts
-by the real ``A`` in one real GEMM, and finishes each frequency with one small
-batched product.
+the index order), whose spectral norm comes from one half-size eigensolve
+instead of one dense one (Cantoni & Butler, 1976) when the form is entrywise
+nonnegative (Perron-Frobenius), as Blackman-Tukey's and the unbiased
+periodogram's are; any other form takes the dense eigensolve.  The generic
+path rotates the data for a slab of frequencies at once, multiplies the
+stacked real and imaginary parts by the real ``A`` in one real GEMM, and
+finishes each frequency with one small batched product.
 """
 
 from __future__ import annotations
@@ -156,24 +154,22 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CertificateParams:
-    """Bounds on ||A||_2, ||A||_F^2 and every max|d[k]| and ||d[k]||^2, and a width past which d[k] = 0.
+    """Bounds on ||A||_2 and ||A||_F^2, and a width past which every diagonal d[k] of A is zero.
 
-    The pointwise tail reads ``xi``; the tail uniform over frequency reads
-    ``envelope`` and ``truncation``.
+    Both tails read ``envelope``; the tail uniform over frequency reads
+    ``truncation`` too.  No per-diagonal norm is kept, since none can
+    exceed the envelope: for a symmetric A every entry has |A_ij| =
+    |e_i^T A e_j| <= ||A||_2, so max|d[k]| <= ||A||_2, and each ||d[k]||^2
+    is a sum of squares of distinct entries, at most ||A||_F^2.
     """
 
     spectral: float
     frobenius_sq: float
-    diagonal: float
     truncation: int
 
     @property
-    def xi(self) -> float:
-        return max(self.spectral, self.frobenius_sq)
-
-    @property
     def envelope(self) -> float:
-        return max(self.xi, self.diagonal)
+        return max(self.spectral, self.frobenius_sq)
 
 
 @dataclass(frozen=True)
@@ -190,20 +186,19 @@ class QuadraticForm:
     - a positive semi-definite matrix of rank at most N/8 (the biased
       periodogram, Bartlett, Welch): max eig(G G^T) of a pivoted Cholesky
       factor G plus ||A - G^T G||_F;
-    - a centrosymmetric matrix (Blackman-Tukey, the unbiased periodogram):
-      half-size eigensolves plus ||A - JAJ||_F / 2, one when C = (A + JAJ)/2
-      is entrywise nonnegative (every named Blackman-Tukey window and the
-      unbiased periodogram), since its Perron eigenvector is J-even, two
-      otherwise (a signed custom window);
-    - any other matrix: one dense symmetric eigensolve, exact.
+    - a nearly centrosymmetric matrix whose centrosymmetric part C =
+      (A + JAJ)/2 is entrywise nonnegative (every named Blackman-Tukey
+      window and the unbiased periodogram): one half-size eigensolve plus
+      ||A - JAJ||_F / 2, since the Perron eigenvector of C is J-even;
+    - any other matrix (a signed custom window among them): one dense
+      symmetric eigensolve, exact.
 
     The first two are upper bounds, above the exact norm by at most twice a
     residual of at most 1e-12 ||A||_F; on the estimator forms the residual is
     a few ulps.  The rank cap N/8 keeps the first route's O(N^2 r) flops
-    below the split's N^3 / 3.  A finite form whose squares pass the largest
-    double keeps a finite ``frobenius_norm``, computed scaled by a power of
-    two; ``certificate_params`` then reads ``frobenius_sq`` and ``diagonal``
-    as inf.
+    below two half-size eigensolves' N^3 / 3.  A finite form whose squares pass the
+    largest double keeps a finite ``frobenius_norm``, computed scaled by a
+    power of two; ``certificate_params`` then reads ``frobenius_sq`` as inf.
     """
 
     matrix: np.ndarray
@@ -239,11 +234,9 @@ class QuadraticForm:
     @cached_property
     def certificate_params(self) -> CertificateParams:
         """The exact norms, in the record that the closed forms bound."""
-        stats = self.diagonal_stats
-        diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
         # f * f reads inf past the largest double, where f ** 2 raises
         frobenius = self.frobenius_norm
-        return CertificateParams(self.spectral_norm, frobenius * frobenius, diagonal, self.truncation_width)
+        return CertificateParams(self.spectral_norm, frobenius * frobenius, self.truncation_width)
 
 
 def _frobenius_norm(matrix: np.ndarray) -> float:
@@ -320,12 +313,11 @@ def _spectral_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
       N/8 rows gives max eig(G G^T) + ||A - G^T G||_F; the biased
       periodogram (rank 1), Bartlett and Welch (rank K, the segment count)
       take it;
-    - split (``_centrosymmetric_norm``): half-size eigensolves of the
-      centrosymmetric part C plus ||A - JAJ||_F / 2; Blackman-Tukey and the
-      unbiased periodogram, indefinite and of full rank, take it.  When C is
-      entrywise nonnegative, as theirs is for every named window, the
-      Perron-Frobenius theorem puts ||C||_2 in the first block, and the
-      second eigensolve is skipped;
+    - split (``_centrosymmetric_norm``): one half-size eigensolve of the
+      centrosymmetric part C plus ||A - JAJ||_F / 2, when C is entrywise
+      nonnegative and the Perron-Frobenius theorem puts ||C||_2 in its first
+      block; Blackman-Tukey with any named window and the unbiased
+      periodogram, indefinite and of full rank, take it;
     - dense: one eigensolve, for any other matrix.
 
     By Weyl's inequality each residual, a Frobenius norm and so at least the
@@ -383,13 +375,15 @@ def _low_rank_norm(matrix: np.ndarray, frobenius_norm: float) -> float | None:
     residual, a Frobenius gap above the gate refuses the factor before the
     O(N^2 r) residual pass.  With r <= N/8 rows the factor (N r^2 flops),
     that pass (2 N^2 r <= N^3 / 4 flops of GEMM) and the r x r eigensolve
-    cost less than the split's two half-size eigensolves, about N^3 / 3
-    flops: the two meet near r = 0.15 N, and the cap stays below it.  A
-    nonnegative form, whose split takes one eigensolve, still gains at the
-    cap, since the pass runs at GEMM speed: Bartlett 8 at N = 1024, rank
-    N/8, takes 11.3 ms by the factor and 14.1 ms by the split (one BLAS
-    thread, 2-vCPU Xeon).  A zero or an overflowing ||A||_F leaves no gate
-    to test, and the route does not apply.
+    cost less than two half-size eigensolves, about N^3 / 3 flops (the two
+    meet near r = 0.15 N, and the cap stays below it), and less still than
+    the dense eigensolve that a form with a negative entry would take
+    instead.  A nonnegative form, whose split takes one half-size
+    eigensolve, still gains at the cap, since the pass runs at GEMM speed:
+    Bartlett 8 at N = 1024, rank N/8, takes 11.3 ms by the factor and
+    14.1 ms by the split (one BLAS thread, 2-vCPU Xeon).  A zero or an
+    overflowing ||A||_F leaves no gate to test, and the route does not
+    apply.
     """
     if not 0.0 < frobenius_norm < math.inf:
         return None
@@ -409,13 +403,13 @@ def _low_rank_norm(matrix: np.ndarray, frobenius_norm: float) -> float | None:
 
 
 def _factor_residual(matrix: np.ndarray, factor: np.ndarray) -> float:
-    """||A - G^T G||_F, in row slabs of at most half the matrix and at most ``_SLAB_BYTES``.
+    """||A - G^T G||_F, in row slabs of at most a quarter of the matrix and at most ``_SLAB_BYTES``.
 
-    One slab buffer serves every slab, so the scratch, with G, stays below
-    the split's half-size copy of the matrix.
+    One slab buffer serves every slab, so the scratch, with G's at most N/8
+    rows, stays below the half-size A - JAJ that the split forms first.
     """
     size = matrix.shape[0]
-    rows = max(1, min((size + 1) // 2, _SLAB_BYTES // (8 * size)))
+    rows = max(1, min((size + 3) // 4, _SLAB_BYTES // (8 * size)))
     slab = np.empty((rows, size))
     total = 0.0
     for start in range(0, size, rows):
@@ -427,7 +421,7 @@ def _factor_residual(matrix: np.ndarray, factor: np.ndarray) -> float:
 
 
 def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
-    """Spectral norm of a symmetric matrix by the centrosymmetric split, or by the dense eigensolve.
+    """Spectral norm of a symmetric matrix by one half-size block of its centrosymmetric part, or by the dense eigensolve.
 
     With J the index reversal, C = (A + JAJ)/2 is centrosymmetric, and an
     orthogonal similarity splits its spectrum into those of two half-size
@@ -437,7 +431,7 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     (Jv = v), the second the J-odd ones (Jv = -v).  D = A - JAJ has JDJ = -D,
     so rows i and N - 1 - i of D have one norm and the top half gives
     R = ||D||_F / 2.  Since ||A||_2 <= ||C||_2 + R, the split returns
-    max|eig| + R.  A matrix with R above the gate takes the dense eigensolve.
+    ||C||_2 + R.
 
     When C is entrywise nonnegative (every named Blackman-Tukey window, whose
     taper is clipped to [0, 1], and the unbiased periodogram, 1/(N - |k|)),
@@ -446,9 +440,9 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     v >= 0; JCJ = C makes Jv one for the same eigenvalue, and u = v + Jv is
     nonzero and J-even, so rho(C) is an eigenvalue of the first block.  Every
     eigenvalue of either block is one of C, at most rho(C) in magnitude, so
-    max|eig| of the first block is ||C||_2 and the second eigensolve is
-    skipped.  The test reads C, not the estimator family: a signed custom
-    window keeps both.
+    max|eig| of the first block is ||C||_2.  A matrix with R above the gate,
+    or whose C has a negative entry (a signed custom window), takes the
+    dense eigensolve.
     """
     half, odd = divmod(matrix.shape[0], 2)
     top = matrix[: half + odd]
@@ -456,27 +450,21 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     skew = top - mirrored
     residual = 0.5 * math.sqrt(2.0 * np.vdot(skew[:half], skew[:half]) + np.vdot(skew[half:], skew[half:]))
     del skew
-    if residual > _RESIDUAL_GATE * frobenius_norm:
-        return float(np.abs(np.linalg.eigvalsh(matrix)).max())
-    # top rows of C, a fresh array: the second block overwrites its corner,
-    # so the scratch stays at half the matrix, as much as one dense eigensolve
-    centro = top.copy() if residual == 0.0 else 0.5 * (top + mirrored)
-    corner, flipped = centro[:half, :half], centro[:half, ::-1][:, :half]
-    first = corner + flipped
-    if odd:
-        border = math.sqrt(2.0) * centro[:half, half : half + 1]
-        first = np.block([[first, border], [border.T, centro[half:, half : half + 1]]])
-    # the top rows hold every entry of C, whose bottom rows mirror them
-    if centro.min() >= 0.0:
-        return float(np.abs(np.linalg.eigvalsh(first)).max()) + residual
-    second = np.subtract(corner, flipped, out=corner)
-    eigenvalues = np.concatenate([np.linalg.eigvalsh(first), np.linalg.eigvalsh(second)])
-    return float(np.abs(eigenvalues).max()) + residual
+    if residual <= _RESIDUAL_GATE * frobenius_norm:
+        # top rows of C, which hold every entry of C, whose bottom rows mirror them
+        centro = top if residual == 0.0 else 0.5 * (top + mirrored)
+        if centro.min() >= 0.0:
+            first = centro[:half, :half] + centro[:half, ::-1][:, :half]
+            if odd:
+                border = math.sqrt(2.0) * centro[:half, half : half + 1]
+                first = np.block([[first, border], [border.T, centro[half:, half : half + 1]]])
+            return float(np.abs(np.linalg.eigvalsh(first)).max()) + residual
+    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
 
 
 @dataclass(frozen=True)
 class DiagonalStats:
-    """Sum, ``max|d[k]|`` and ``||d[k]||^2`` of each diagonal, at index k = 0..N-1.
+    """Sum and ``max|d[k]|`` of each diagonal, at index k = 0..N-1.
 
     The matrix is exactly symmetric, so diagonal -k holds the entries of
     diagonal k and shares its statistics.
@@ -484,15 +472,14 @@ class DiagonalStats:
 
     sums: np.ndarray
     sup_norms: np.ndarray
-    squared_l2_norms: np.ndarray
 
     def __post_init__(self):
-        for name in ("sums", "sup_norms", "squared_l2_norms"):
+        for name in ("sums", "sup_norms"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
-    """Statistics of every diagonal of a symmetric matrix, in row slabs of offsets.
+    """Sums and sup norms of every diagonal of a symmetric matrix, in row slabs of offsets.
 
     Row k - 1 of ``wrapped`` starts at entry (0, k) and steps N + 1 entries
     of the flat matrix.  Its first N - k entries are the diagonal k places
@@ -502,12 +489,9 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
     """
     size = matrix.shape[0]
     main = np.diagonal(matrix)
-    sums, sups, squares = np.empty(size), np.empty(size), np.empty(size)
+    sums, sups = np.empty(size), np.empty(size)
     sums[0], sups[0] = main.sum(), np.abs(main).max()
     width = size - 1
-    # a ||d[k]||^2 past the largest double reads inf, its true value too
-    with np.errstate(over="ignore"):
-        squares[0] = main @ main
     if width:
         # a symmetric matrix reads the same in either memory order, so this is a view
         flat = matrix.ravel(order="K")
@@ -521,10 +505,7 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
             sums[1 + start : 1 + stop] = heads.sum(axis=1)
             np.abs(heads, out=heads)
             sups[1 + start : 1 + stop] = heads.max(axis=1)
-            with np.errstate(over="ignore"):
-                np.square(heads, out=heads)
-                squares[1 + start : 1 + stop] = heads.sum(axis=1)
-    return DiagonalStats(sums, sups, squares)
+    return DiagonalStats(sums, sups)
 
 
 def diagonal_profile(form: QuadraticForm, offset: int) -> np.ndarray:

@@ -21,8 +21,8 @@ def ctx_gauss(phi=1.0, r1=1.0, channels=1, decay=None, model=None):
 
 
 def record(bound, truncation=1):
-    """A certificate record whose every norm bound is ``bound``: its xi and its envelope."""
-    return qf.CertificateParams(bound, bound, bound, truncation)
+    """A certificate record whose both norm bounds are ``bound``, and so its envelope."""
+    return qf.CertificateParams(bound, bound, truncation)
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +551,14 @@ def test_certificate_suite_rows_follow_the_record_and_the_decay_pair(kind, geome
         assert data_driven == bd.data_driven_error_bound(bd.data_driven_factor(params, delta, ctx), bias.value, sup)
     # no estimate and no accuracy target: no data-driven row and no condition rows
     assert [row.statement for row in bd.certificate_suite(spec, n, delta, without_pair)] == expected[:2]
+
+
+def test_a_budget_past_the_largest_double_leaves_the_data_driven_bound_unavailable():
+    # the factor takes the worst-case bound's budget, which passes the largest double too
+    ctx = bd.BoundContext(GAUSSIAN, 2.0, 2.5, 10 ** 307, (1.2, 0.4))
+    rows = {row.statement: row for row in bd.certificate_suite(est.Bartlett(4), 16, 0.05, ctx, estimate_sup=1.0)}
+    assert rows["worst_case_bound"].note == rows["total_worst_bound"].note == bd._BUDGET_NOTE
+    assert rows["data_driven_bound"] == bd.Certificate("data_driven_bound", available=False, note=bd._BUDGET_NOTE)
 
 
 def test_bounds_names_no_model_class():

@@ -828,9 +828,10 @@ def test_welch_norm_envelopes(rng):
         ceil_ratio = -(-m // k)
         assert form.spectral_norm <= ceil_ratio / segments + 1e-9
         assert form.frobenius_norm ** 2 <= params.envelope + 1e-9
-        stats = form.diagonal_stats
-        assert stats.sup_norms.max() <= params.envelope + 1e-9
-        assert stats.squared_l2_norms.max() <= params.envelope + 1e-9
+        for k in range(n):
+            entries = np.diagonal(form.matrix, k)
+            assert np.abs(entries).max() <= params.envelope + 1e-9
+            assert entries @ entries <= params.envelope + 1e-9
 
 
 class _TiltedWelch(est.Welch):

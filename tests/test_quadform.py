@@ -216,7 +216,6 @@ def test_diagonal_profile_constant_matrix():
     for k in range(-(n - 1), n):
         np.testing.assert_allclose(qf.diagonal_profile(form, k), np.full(n - abs(k), 1.0 / n))
         assert stats.sup_norms[abs(k)] == pytest.approx(1.0 / n)
-        assert stats.squared_l2_norms[abs(k)] == pytest.approx((n - abs(k)) / n ** 2)
 
 
 def test_diagonal_profile_block_diagonal_example():
@@ -226,17 +225,15 @@ def test_diagonal_profile_block_diagonal_example():
     form = qf.QuadraticForm(matrix)
     np.testing.assert_array_equal(qf.diagonal_profile(form, 1), [0.25, 0.0, 0.25])
     assert form.diagonal_stats.sup_norms[1] == 0.25
-    assert form.diagonal_stats.squared_l2_norms[1] == pytest.approx(2.0 / 16.0)
 
 
 def _assert_stats_are_the_embedding_norms(form):
-    """||B[k]||_2 = sup_norms[|k|] and ||B[k]||_F^2 = squared_l2_norms[|k|], B[k] holding d[k] alone."""
+    """||B[k]||_2 = sup_norms[|k|], B[k] holding d[k] alone."""
     n = form.size
     stats = form.diagonal_stats
     for k in range(-(n - 1), n):
         dense = np.diag(np.diagonal(form.matrix, -k), -k)
         assert stats.sup_norms[abs(k)] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-13, abs=0.0)
-        assert stats.squared_l2_norms[abs(k)] == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-13, abs=0.0)
 
 
 def test_profile_norms_match_dense_embedding(rng):
@@ -326,12 +323,12 @@ def _assert_diagonal_statistics_match(form):
     # any summation order lands within a few rounding units of the l1 norm
     assert np.all(np.abs(stats.sums - sums) <= 1e-13 * l1)
     np.testing.assert_array_equal(stats.sup_norms, sups)
-    np.testing.assert_allclose(stats.squared_l2_norms, squares, rtol=1e-13, atol=0.0)
     assert form.truncation_width == width
     n = form.size
     lags = np.arange(-(n - 1), n)
     expected = np.array([np.trace(form.matrix, offset=-k) for k in lags])
     assert np.all(np.abs(qf.bias_coefficients(form).on_lags(n) - expected) <= 1e-13 * l1[np.abs(lags)])
+    # no per-diagonal norm passes the envelope of the two matrix norms
     envelope = max(form.spectral_norm, form.frobenius_norm ** 2, sups.max(), squares.max())
     assert envelope_from_form(form) == pytest.approx(envelope, rel=1e-13, abs=0.0)
 
@@ -582,9 +579,7 @@ def test_family_spectral_norms_and_verdicts_match_the_dense_eigensolve(n):
         form = est.build_matrix(spec, n)
         dense = _dense_spectral_norm(form.matrix)
         assert form.spectral_norm == pytest.approx(dense, rel=1e-13, abs=0.0)
-        stats = form.diagonal_stats
-        diagonal = max(float(stats.sup_norms.max()), float(stats.squared_l2_norms.max()))
-        dense_inputs = qf.CertificateParams(dense, form.frobenius_norm ** 2, diagonal, form.truncation_width)
+        dense_inputs = qf.CertificateParams(dense, form.frobenius_norm ** 2, form.truncation_width)
         for eps in (0.05, 0.5, 5.0):
             for part in bd.CONDITION_PARTS:
                 split = bd.check_conditions(part, eps, 0.05, ctx, form=form)
@@ -594,7 +589,8 @@ def test_family_spectral_norms_and_verdicts_match_the_dense_eigensolve(n):
 
 @pytest.mark.parametrize("n, cross", [(16, False), (17, False), (17, True)])
 def test_split_adds_the_mirror_residual_to_the_centrosymmetric_norm(rng, n, cross):
-    raw = rng.standard_normal((n, n))
+    # nonnegative, so the centrosymmetric part takes the split
+    raw = np.abs(rng.standard_normal((n, n)))
     symmetric = raw + raw.T
     centro = symmetric + symmetric[::-1, ::-1]
     skew = symmetric - symmetric[::-1, ::-1]
@@ -631,9 +627,9 @@ def test_family_forms_take_their_spectral_norm_route(monkeypatch):
             else:
                 assert sizes == [n - n // 2], spec  # nonnegative centrosymmetric: the first half-size block
         sizes.clear()
-        # a signed window leaves the centrosymmetric part with negative entries: both blocks
+        # a signed window leaves the centrosymmetric part with negative entries: one dense eigensolve
         est.build_matrix(est.BlackmanTukey(3, [0.2, -0.5, 1.0, -0.5, 0.2]), n).spectral_norm
-        assert sorted(sizes) == [n // 2, n - n // 2]
+        assert sizes == [n]
     sizes.clear()
     qf.QuadraticForm(np.random.default_rng(5).standard_normal((9, 9))).spectral_norm
     assert sizes == [9]
@@ -660,7 +656,7 @@ def test_a_form_whose_squares_pass_the_largest_double_keeps_finite_norms():
         assert form.spectral_norm == pytest.approx(_dense_spectral_norm(form.matrix), rel=1e-13)
         params = form.certificate_params
         # the squares themselves pass the largest double
-        assert params.frobenius_sq == math.inf and params.diagonal == math.inf
+        assert params.frobenius_sq == math.inf
         verdicts = [bd.check_conditions(part, 0.5, 0.05, ctx, form=form).holds for part in bd.CONDITION_PARTS]
     assert len(verdicts) == 5 and all(type(holds) is bool for holds in verdicts), verdicts
 
