@@ -41,9 +41,10 @@ for name, spec in specs.items():
     params = certificate_params(spec, N)
     line = f"{name:28s}  ||A||_2 = {exact.spectral:.4f}  ||A||_F^2 = {exact.frobenius_sq:.4f}"
     if params is None:
-        line += "  (no concentration certificate: envelope >= 1)"
+        line += "  (no concentration certificate: ||A||_2 >= 1)"
     else:
-        line += f"  closed form: envelope <= {params.envelope:.4f}, truncation {params.truncation}"
+        line += f"  closed form: ||A||_2 <= {params.spectral:.4f}, ||A||_F^2 <= {params.frobenius_sq:.4f}"
+        line += f", truncation {params.truncation}"
     print(line)
 
 print("\nbartlett coefficient matrix (scaled by N):")

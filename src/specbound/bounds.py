@@ -1,8 +1,8 @@
 """Finite-sample error certificates for quadratic-form spectral estimators.
 
-Two certificate styles are provided.  Bound evaluators turn a norm envelope
+Two certificate styles are provided.  Bound evaluators turn a record's two norms
 and a failure probability delta into a numeric high-probability error bound
-(``NoiseAssumption.deviation``, the one inverse of the tail); condition checks
+(``NoiseAssumption.deviation``, the exact inverse of the tail); condition checks
 answer "does the sufficient condition for error at most eps (probability at
 least 1 - delta) hold for this estimator?".  Concentration conditions compare
 their bound with eps; the bias condition asks the diagonal sums b[k] to lie in
@@ -252,8 +252,8 @@ def _inputs(**kwargs) -> tuple:
 
 
 def envelope_from_form(form: QuadraticForm) -> float:
-    """Envelope max(||A||_2, ||A||_F^2) of the dense form."""
-    return form.certificate_params.envelope
+    """max(||A||_2, ||A||_F^2) of the dense form; no bound reads it, and it is kept only as a layer of the benchmark tracer."""
+    return max(form.certificate_params.spectral, form.certificate_params.frobenius_sq)
 
 
 def _conjunction(statement: str, first: Certificate, second: Certificate, eps: float, delta: float) -> Certificate:
@@ -326,11 +326,12 @@ def check_conditions(
     )
 
 
-def _deviation_bound(statement: str, envelope: float, budget: float, delta, ctx, inputs, factor=1.0) -> Certificate:
-    """``factor`` times the deviation ``envelope`` proves at ``budget``; unavailable when the budget is infinite."""
+def _deviation_bound(statement: str, params: CertificateParams, budget: float, delta, ctx, factor=1.0, **extra) -> Certificate:
+    """``factor`` times the deviation the record's norms prove at ``budget``, with the norms and ``extra`` as inputs; unavailable when the budget is infinite."""
+    inputs = _inputs(spectral=params.spectral, frobenius_sq=params.frobenius_sq, **extra)
     if budget == math.inf:
         return Certificate(statement, available=False, delta=delta, inputs=inputs, note=_BUDGET_NOTE)
-    value = factor * ctx.assumption.deviation(envelope, budget, ctx.phi_inf)
+    value = factor * ctx.assumption.deviation(params.spectral, params.frobenius_sq, budget, ctx.phi_inf)
     return Certificate(statement, value=value, delta=delta, inputs=inputs)
 
 
@@ -338,7 +339,7 @@ def pointwise_error_bound(params: CertificateParams | None, delta: float, ctx: B
     """Deviation bound at a single frequency holding with probability 1 - delta; unavailable without a record or a finite budget."""
     if params is None:
         return Certificate("pointwise_bound", available=False, note=PERIODOGRAM_NOTE)
-    return _deviation_bound("pointwise_bound", params.envelope, ctx.budget(delta), delta, ctx, _inputs(xi=params.envelope))
+    return _deviation_bound("pointwise_bound", params, ctx.budget(delta), delta, ctx)
 
 
 def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
@@ -347,9 +348,8 @@ def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: 
         return Certificate("worst_case_bound", available=False, note=PERIODOGRAM_NOTE)
     # a zero form estimates exactly zero at every frequency, so it needs no
     # frequency cover, and a dense one has no truncation width to cover
-    truncation = params.truncation if params.envelope > 0.0 else None
-    inputs = _inputs(envelope=params.envelope, truncation=params.truncation)
-    return _deviation_bound("worst_case_bound", params.envelope, ctx.budget(delta, truncation), delta, ctx, inputs, 2.0)
+    truncation = params.truncation if params.spectral > 0.0 or params.frobenius_sq > 0.0 else None
+    return _deviation_bound("worst_case_bound", params, ctx.budget(delta, truncation), delta, ctx, 2.0, truncation=params.truncation)
 
 
 def _power_width(rho: float, truncation: int) -> int:
@@ -395,7 +395,7 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
 
 def data_driven_factor(params: CertificateParams, delta: float, ctx: BoundContext) -> float:
     """The multiplier of the self-referential worst-case bound (worst bound / phi_inf)."""
-    return 2.0 * ctx.assumption.deviation(params.envelope, ctx.budget(delta, params.truncation), 1.0)
+    return 2.0 * ctx.assumption.deviation(params.spectral, params.frobenius_sq, ctx.budget(delta, params.truncation), 1.0)
 
 
 def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) -> Certificate:
@@ -561,6 +561,7 @@ def optimize_bartlett_m(
     length is a real number in [1, num_samples], the best point of a
     256-point geometric grid refined by golden section between its grid
     neighbours (used to study how the optimum scales with the sample count).
+    An unavailable worst-case bound raises ValueError with the bound's note.
     """
     if ctx.decay is None:
         raise ValueError("optimizer needs a decay envelope on the context")
@@ -570,8 +571,10 @@ def optimize_bartlett_m(
         raise ValueError("sample count must be positive")
 
     def total(m: float) -> float:
-        concentration = worst_case_error_bound(CertificateParams(m / n, m / n, m), delta, ctx).value
-        return concentration + bartlett_bias_closed_form(gamma, rho, m)
+        concentration = worst_case_error_bound(CertificateParams(m / n, m / n, m), delta, ctx)
+        if not concentration.available:
+            raise ValueError(concentration.note)
+        return concentration.value + bartlett_bias_closed_form(gamma, rho, m)
 
     if divisors_only:
         # the divisors up to sqrt(n), then their cofactors, ascending, so ties go to the smaller

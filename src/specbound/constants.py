@@ -14,7 +14,7 @@ certificates are tighter at matched inputs.
 forward bound; ``log_budget`` solves it without the cover, whose log
 ``bounds.BoundContext.budget`` adds, for the exponent that the log of a
 failure probability allows, and ``deviation``, the one inverse of the tail,
-turns an envelope and a budget into the deviation they prove: an accuracy
+turns S, F^2 and a budget into the deviation they prove: an accuracy
 target eps is met exactly when that deviation is at most eps.  Quadratic
 forms of independent coordinates (``hanson_wright``, ``GAUSSIAN_QUADFORM``)
 are the same shape with p = 1 and no cover.
@@ -63,12 +63,11 @@ class NoiseAssumption:
         """The exponent the tail must reach, without a cover, at failure probability exp(log_delta)."""
         return (math.log(self.multiplier) - log_delta) / self.rate
 
-    def deviation(self, envelope: float, budget: float, phi: float) -> float:
-        """Deviation that an envelope proves at a log budget: the tail solved for eps, zero for a zero envelope."""
-        if not envelope >= 0.0:
-            raise ValueError("norm envelope must be nonnegative")
-        level = envelope * budget
-        return self.scale ** 2 * phi * max(level, math.sqrt(level))
+    def deviation(self, spectral: float, frobenius_sq: float, budget: float, phi: float) -> float:
+        """Deviation that the two norms prove at a log budget B: the tail solved exactly for eps, scale^2 phi max(S B, sqrt(F^2 B))."""
+        if not (spectral >= 0.0 and frobenius_sq >= 0.0):
+            raise ValueError("norms must be nonnegative")
+        return self.scale ** 2 * phi * max(spectral * budget, math.sqrt(frobenius_sq * budget))
 
 
 GAUSSIAN = NoiseAssumption(GAUSSIAN_TAIL_MULTIPLIER, GAUSSIAN_TAIL_RATE, 1.0)

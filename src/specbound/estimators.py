@@ -552,8 +552,8 @@ def closed_form_bias(spec, num_samples: int) -> BiasCoefficients:
 def certificate_params(spec, num_samples: int) -> CertificateParams | None:
     """Closed-form norm bounds and truncation width feeding the concentration certificates.
 
-    Returns None for the periodogram variants: their norm envelope never drops
-    below one, so no concentration certificate exists.
+    Returns None for the periodogram variants: their spectral norm never
+    drops below one, so no concentration certificate exists.
     """
     return spec.certificate_params(int(num_samples))
 

@@ -156,9 +156,9 @@ class DataMatrix:
 class CertificateParams:
     """Bounds on ||A||_2 and ||A||_F^2, and a width past which every diagonal d[k] of A is zero.
 
-    Both tails read ``envelope``; the tail uniform over frequency reads
+    Both tails read the two norms apart; the tail uniform over frequency reads
     ``truncation`` too.  No per-diagonal norm is kept, since none can
-    exceed the envelope: for a symmetric A every entry has |A_ij| =
+    exceed them: for a symmetric A every entry has |A_ij| =
     |e_i^T A e_j| <= ||A||_2, so max|d[k]| <= ||A||_2, and each ||d[k]||^2
     is a sum of squares of distinct entries, at most ||A||_F^2.
     """
@@ -166,10 +166,6 @@ class CertificateParams:
     spectral: float
     frobenius_sq: float
     truncation: int
-
-    @property
-    def envelope(self) -> float:
-        return max(self.spectral, self.frobenius_sq)
 
 
 @dataclass(frozen=True)

@@ -90,15 +90,15 @@ def test_criterion_3_norm_envelopes():
         params = est.certificate_params(spec, samples)
         form = est.build_matrix(spec, samples)
         if isinstance(spec, est.Bartlett):
-            assert abs(form.spectral_norm - params.envelope) <= 1e-9
-            assert abs(form.frobenius_norm ** 2 - params.envelope) <= 1e-9
+            assert abs(form.spectral_norm - params.spectral) <= 1e-9
+            assert abs(form.frobenius_norm ** 2 - params.frobenius_sq) <= 1e-9
         else:
-            assert form.spectral_norm <= params.envelope + 1e-9
-            assert form.frobenius_norm ** 2 <= params.envelope + 1e-9
+            assert form.spectral_norm <= params.spectral + 1e-9
+            assert form.frobenius_norm ** 2 <= params.frobenius_sq + 1e-9
         for k in range(samples):
             entries = np.diagonal(form.matrix, k)
-            assert np.abs(entries).max() <= params.envelope + 1e-9
-            assert entries @ entries <= params.envelope + 1e-9
+            assert np.abs(entries).max() <= params.spectral + 1e-9
+            assert entries @ entries <= params.frobenius_sq + 1e-9
     _report(3, "norm envelopes", started, 30.0)
 
 

@@ -21,7 +21,7 @@ def ctx_gauss(phi=1.0, r1=1.0, channels=1, decay=None, model=None):
 
 
 def record(bound, truncation=1):
-    """A certificate record whose both norm bounds are ``bound``, and so its envelope."""
+    """A certificate record whose both norm bounds are ``bound``."""
     return qf.CertificateParams(bound, bound, truncation)
 
 
@@ -35,15 +35,21 @@ def geometric_ctx():
 
 
 def test_deviation_substitutions():
-    # the square-root branch below a unit level, the linear one above it
-    assert GAUSSIAN.deviation(0.25, 1.0, 1.0) == pytest.approx(0.5)
-    assert GAUSSIAN.deviation(2.0, 1.0, 1.0) == pytest.approx(2.0)
-    assert GAUSSIAN.deviation(1.0, 0.25, 3.0) == pytest.approx(1.5)
-    assert sub_gaussian(math.sqrt(3.0)).deviation(1.0 / 9.0, 1.0, 1.0) == pytest.approx(1.0)
-    # a zero envelope proves a zero deviation
-    assert GAUSSIAN.deviation(0.0, 265.0, 2.0) == 0.0
-    with pytest.raises(ValueError, match="norm envelope must be nonnegative"):
-        GAUSSIAN.deviation(-1e-3, 1.0, 1.0)
+    # equal norms: the square-root branch below a unit level, the linear one above it
+    assert GAUSSIAN.deviation(0.25, 0.25, 1.0, 1.0) == pytest.approx(0.5)
+    assert GAUSSIAN.deviation(2.0, 2.0, 1.0, 1.0) == pytest.approx(2.0)
+    assert GAUSSIAN.deviation(0.25, 0.25, 1.0, 3.0) == pytest.approx(1.5)
+    assert sub_gaussian(math.sqrt(3.0)).deviation(1.0 / 9.0, 1.0 / 9.0, 1.0, 1.0) == pytest.approx(1.0)
+    # each branch reads its own norm: sqrt(F^2 B) binds at S = 0.1, F^2 = 0.04,
+    # B = 1, and S B at S = 1, F^2 = 4, B = 9
+    assert GAUSSIAN.deviation(0.1, 0.04, 1.0, 1.0) == pytest.approx(0.2)
+    assert GAUSSIAN.deviation(1.0, 4.0, 9.0, 1.0) == pytest.approx(9.0)
+    # a zero form proves a zero deviation, and one zero norm leaves the other's branch
+    assert GAUSSIAN.deviation(0.0, 0.0, 265.0, 2.0) == 0.0
+    assert GAUSSIAN.deviation(0.0, 1.0, 4.0, 1.0) == pytest.approx(2.0)
+    for spectral, frobenius_sq in ((-1e-3, 1.0), (1.0, -1e-3), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="norms must be nonnegative"):
+            GAUSSIAN.deviation(spectral, frobenius_sq, 1.0, 1.0)
 
 
 def test_budget_value_and_domain():
@@ -83,10 +89,10 @@ def test_budget_sums_its_log_terms_at_any_channel_count_and_delta():
 
 
 def test_factor_monotonicity(geometric_ctx):
-    # the bounds grow with the norm envelope, so a smaller eps asks for a smaller one
-    envelopes = np.geomspace(1e-6, 10.0, 20)
+    # the bounds grow with the norms, so a smaller eps asks for smaller ones
+    norms = np.geomspace(1e-6, 10.0, 20)
     for evaluator in (bd.pointwise_error_bound, bd.worst_case_error_bound):
-        values = [evaluator(record(e, 8), 0.1, geometric_ctx).value for e in envelopes]
+        values = [evaluator(record(e, 8), 0.1, geometric_ctx).value for e in norms]
         assert all(a < b for a, b in zip(values, values[1:]))
     eps_grid = np.linspace(0.05, 3.0, 20)
     deltas = np.linspace(0.01, 0.99, 20)
@@ -146,7 +152,7 @@ def test_an_all_zero_lag_window_is_rejected_and_zero_norm_bounds_meet_the_condit
 
 
 def test_a_zero_dense_form_meets_the_concentration_conditions():
-    # a zero form has a zero envelope and truncation width 0, which no
+    # a zero form has zero norms and truncation width 0, which no
     # frequency cover takes; its diagonal sums are zero, far from one, so the
     # bias part and both conjunctions fail
     ctx = bd.BoundContext.from_model(GeometricScalar(0.3), GAUSSIAN)
@@ -744,6 +750,14 @@ def test_continuous_selection_beats_the_grid_and_its_bracket():
 def test_optimizer_needs_decay():
     with pytest.raises(ValueError):
         bd.optimize_bartlett_m(256, 0.05, ctx_gauss())
+
+
+@pytest.mark.parametrize("divisors_only", [True, False])
+def test_optimizer_rejects_a_budget_past_the_largest_double(divisors_only):
+    # every block length's worst-case bound is unavailable, so the objective has no value
+    ctx = bd.BoundContext(GAUSSIAN, 2.0, 2.5, 10**307, (1.2, 0.4))
+    with pytest.raises(ValueError, match=bd._BUDGET_NOTE):
+        bd.optimize_bartlett_m(16, 0.05, ctx, divisors_only=divisors_only)
 
 
 def test_optimizer_rate_law():

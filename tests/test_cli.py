@@ -298,9 +298,12 @@ def test_pointwise_bound_and_condition_name_one_xi(tmp_path, estimator):
     assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "certificates.csv").read_text().splitlines()[2:]
     inputs = {row.split(",")[0]: row.split(",")[6] for row in rows}
-    bound_xi = inputs["pointwise_bound"]
-    assert bound_xi.startswith("xi=")
-    assert inputs[f"{estimator['kind']}.pointwise_condition"].split(";")[0] == bound_xi
+    # each row records the two norms the bound reads, and the condition row the bound's whole cell
+    keys = {"pointwise": ["spectral", "frobenius_sq"], "worst_case": ["spectral", "frobenius_sq", "truncation"]}
+    for part, names in keys.items():
+        cell = inputs[f"{part}_bound"]
+        assert [item.partition("=")[0] for item in cell.split(";")] == names
+        assert inputs[f"{estimator['kind']}.{part}_condition"] == cell
 
 
 def test_certify_periodogram_unavailable_and_require_feasible(tmp_path):

@@ -15,7 +15,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from specbound import estimators as est
 from specbound import phases as ph
 from specbound import quadform as qf
-from specbound.bounds import envelope_from_form
 from specbound.signals import sample_geometric_paths
 
 from conftest import index_arithmetic_matrix, longdouble_lag_sum, random_estimator_spec
@@ -791,20 +790,27 @@ def test_unbiased_acs_is_unbiased_monte_carlo():
 
 
 def test_certificate_params_closed_forms():
+    # Blackman-Tukey: sum|w| / n and sum w^2 / n, equal for unit weights
     params = est.certificate_params(est.BlackmanTukey(8), 128)
-    assert params.envelope == pytest.approx(15.0 / 128.0) and params.truncation == 8
+    assert (params.spectral, params.frobenius_sq, params.truncation) == (15.0 / 128.0, 15.0 / 128.0, 8)
+    # Bartlett: both norms are m / n exactly
     params = est.certificate_params(est.Bartlett(8), 128)
-    assert params.envelope == pytest.approx(1.0 / 16.0) and params.truncation == 8
+    assert (params.spectral, params.frobenius_sq, params.truncation) == (1.0 / 16.0, 1.0 / 16.0, 8)
+    # Welch: both fields take the Gershgorin bound on ||V^T V||_2 / K
     params = est.certificate_params(est.Welch(8, 4), 128)
-    assert params.envelope == pytest.approx(0.0379145) and params.truncation == 8
+    assert params.spectral == pytest.approx(0.0379145) and params.frobenius_sq == pytest.approx(0.0379145)
+    assert params.truncation == 8
 
 
 def test_blackman_tukey_envelope_covers_a_custom_window_above_one():
-    # (2M - 1) / n = 3/64 is below the dense envelope 1.1597; sum w^2 / n binds
+    # sum|w| / n = 15/64 covers the dense ||A||_2 = 0.2342, and sum w^2 / n =
+    # 75/64 covers the dense ||A||_F^2 = 1.1597, each on its own
     spec = est.BlackmanTukey(2, [5.0, 5.0, 5.0])
     params = est.certificate_params(spec, 64)
-    assert params.envelope == 75.0 / 64.0
-    assert params.envelope >= envelope_from_form(est.build_matrix(spec, 64))
+    assert (params.spectral, params.frobenius_sq) == (15.0 / 64.0, 75.0 / 64.0)
+    form = est.build_matrix(spec, 64)
+    assert params.spectral >= form.spectral_norm
+    assert params.frobenius_sq >= form.frobenius_norm ** 2
 
 
 def test_certificate_params_unavailable_for_periodograms():
@@ -827,11 +833,13 @@ def test_welch_norm_envelopes(rng):
         params = est.certificate_params(spec, n)
         ceil_ratio = -(-m // k)
         assert form.spectral_norm <= ceil_ratio / segments + 1e-9
-        assert form.frobenius_norm ** 2 <= params.envelope + 1e-9
+        assert form.spectral_norm <= params.spectral + 1e-9
+        assert form.frobenius_norm ** 2 <= params.frobenius_sq + 1e-9
+        # each diagonal's sup is at most ||A||_2, and its sum of squares at most ||A||_F^2
         for k in range(n):
             entries = np.diagonal(form.matrix, k)
-            assert np.abs(entries).max() <= params.envelope + 1e-9
-            assert entries @ entries <= params.envelope + 1e-9
+            assert np.abs(entries).max() <= params.spectral + 1e-9
+            assert entries @ entries <= params.frobenius_sq + 1e-9
 
 
 class _TiltedWelch(est.Welch):

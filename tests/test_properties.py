@@ -8,7 +8,7 @@ fast-path oracle equivalence (1e-10), and, for any rho in [0, 1), equality of
 its geometric bias bound with the lag-by-lag sequential sum.  Two last
 strategies draw Blackman-Tukey windows and Welch tapers of any sign and size
 (Welch at any hop, Bartlett among them), whose closed-form records must
-cover the dense form's field by field, and so must their envelopes.  For every family, custom Welch tapers (positive or
+cover the dense form's field by field.  For every family, custom Welch tapers (positive or
 signed) and Blackman-Tukey windows near [0, 1] among them, a bias verdict
 that holds implies the general check on the closed-form diagonal sums, and
 a segment average's verdict equals it.  A float table written as an array
@@ -27,7 +27,7 @@ gate it stays within the same bounds as the low-rank route.  A
 centrosymmetric matrix with a negative entry, exact or so perturbed, gets
 the dense eigensolve's norm bit for bit.  In a random real symmetric
 matrix no max|d[k]| passes ||A||_2 and no ||d[k]||^2 passes ||A||_F^2 by
-more than 4 ulps, so the norm envelope covers every diagonal.  Over stable state-space
+more than 4 ulps, so the two norms cover every diagonal.  Over stable state-space
 models, ``grid_phi_inf`` equals its full-grid evaluation bit for bit.  For
 seeds below 2^200 and trial indices on both sides of 2^32, the batch key
 pass of ``streams`` gives SeedSequence's own Philox keys, and its reset
@@ -35,10 +35,15 @@ generator draws what ``rng_stream`` draws.  Under every library tail, the
 log-space budget is finite at any channel count below 10^299 and any delta
 in (0, 1), lies within 1e-15 relative of the budget formed from the float
 cover 10^(2 channels) wherever that one is finite, and is nondecreasing in
-the channel count and in 1 / delta.  Each concentration condition row is
-its bound's row with a verdict: it holds exactly when the bound is at most
-eps, and it agrees with the reciprocal envelope compared with the accuracy
-and confidence demands wherever the bound lies more than 4 ulps from eps.
+the channel count and in 1 / delta.  Under every library tail,
+``deviation`` is the exact inverse of ``tail``: at the deviation that
+positive norms S and F^2 prove at a budget B, the tail is
+min(1, multiplier exp(-rate B)) to 1e-12, and that deviation is at most the
+one the envelope max(S, F^2) proved, equal to it when F^2 = S.  Each
+concentration condition row is its bound's row with a verdict: it holds
+exactly when the bound is at most eps, and it agrees with the forward
+tail's exponent compared with the budget wherever the bound lies more than
+4 ulps from eps.
 Hypothesis also draws the
 numeric literals of the source, so the examples change with them; edge cases
 are pinned with ``@example``: an all-zero custom Blackman-Tukey window,
@@ -56,8 +61,10 @@ matrix and Bartlett 1 at 64 samples (I / N, whose main diagonal ties
 both norms); for the budget, delta 0.025 at 3 channels, where the last bit
 moves, 153 channels, the last count whose float cover is finite, and the
 smallest subnormal delta with a truncation, whose half rounds to zero;
-for the conditions, eps equal to a pointwise or worst-case bound, which
-holds.
+for the inverse, F^2 = S, F^2 < S on the square-root branch, F^2 > S on
+the linear branch (the dense unbiased periodogram at N = 256) and a zero
+form; for the conditions, eps equal to a pointwise or worst-case bound,
+which holds.
 """
 
 import math
@@ -225,8 +232,6 @@ def signed_windows(draw):
 @given(signed_windows())
 def test_blackman_tukey_envelope_covers_the_dense_envelope(case):
     spec, n = case
-    envelope = est.certificate_params(spec, n).envelope
-    assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
     _assert_record_covers_the_dense_record(spec, n)
 
 
@@ -247,8 +252,6 @@ def signed_tapers(draw):
 @given(signed_tapers())
 def test_welch_envelope_covers_the_dense_envelope(case):
     spec, n = case
-    envelope = est.certificate_params(spec, n).envelope
-    assert envelope * (1.0 + 1e-12) >= bd.envelope_from_form(est.build_matrix(spec, n))
     _assert_record_covers_the_dense_record(spec, n)
 
 
@@ -434,8 +437,8 @@ def symmetric_matrices(draw):
 def test_no_diagonal_norm_passes_the_matrix_norms(matrix):
     """Every max|d[k]| is at most ||A||_2 and every ||d[k]||^2 at most ||A||_F^2, within 4 ulps.
 
-    So the envelope max(||A||_2, ||A||_F^2) covers every per-diagonal norm
-    pair, and the certificate record keeps none.
+    So the two matrix norms cover every per-diagonal norm pair, and the
+    certificate record keeps none.
     """
     form = qf.QuadraticForm(matrix)
     slack = 1.0 + 4.0 * sys.float_info.epsilon
@@ -721,12 +724,44 @@ def test_log_space_budget_matches_the_float_cover_and_is_monotone(name, channels
     assert context.budget(smaller, truncation) >= context.budget(larger, truncation)
 
 
-def _reference_verdict(assumption, envelope, eps, phi, budget):
-    """The concentration condition as the reciprocal envelope against the accuracy and confidence demands."""
-    if envelope == 0.0:
-        return True
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.sampled_from(list(ASSUMPTIONS)),
+    st.floats(1e-9, 1e3),
+    st.floats(1e-9, 1e3),
+    st.floats(1e-6, 700.0),
+    st.floats(0.1, 10.0),
+)
+# F^2 = S, where the inverse is the envelope's
+@example("gaussian", 0.5, 0.5, 8.0, 1.0)
+# F^2 < S with sqrt(F^2 B) binding: S B = 0.265 against sqrt(F^2 B) = 0.364
+@example("gaussian", 1e-3, 5e-4, 265.0 / 32.0, 1.0)
+# F^2 > S with S B binding: the dense unbiased periodogram at N = 256
+@example("gaussian", 2.563, 12.24, 265.0 / 32.0, 1.0)
+@example("sub_gaussian", 0.0, 0.0, 8.0, 2.0)
+def test_deviation_is_the_exact_inverse_of_the_tail(name, spectral, frobenius_sq, exponent, phi):
+    assumption = ASSUMPTIONS[name]
+    budget = exponent / assumption.rate
+    deviation = assumption.deviation(spectral, frobenius_sq, budget, phi)
+    if spectral == frobenius_sq == 0.0:
+        # a zero form deviates by nothing, and the tail takes no zero norm
+        assert deviation == 0.0
+        return
+    tail = assumption.tail(deviation, math.sqrt(frobenius_sq), spectral, phi)
+    assert tail == pytest.approx(min(1.0, assumption.multiplier * math.exp(-assumption.rate * budget)), rel=1e-12)
+    # never above the envelope's deviation, and equal to it when the two norms are equal
+    envelope = max(spectral, frobenius_sq)
+    level = envelope * budget
+    old = assumption.scale ** 2 * phi * max(level, math.sqrt(level))
+    assert deviation <= old
+    if frobenius_sq == spectral:
+        assert deviation == old
+
+
+def _reference_verdict(assumption, spectral, frobenius_sq, eps, phi, budget):
+    """The concentration condition as the forward tail's exponent, over its rate, against the budget."""
     b2 = assumption.scale ** 2
-    return 1.0 / envelope >= max(b2 * b2 * phi * phi / (eps * eps), b2 * phi / eps) * budget
+    return min(eps * eps / (b2 * b2 * frobenius_sq * phi * phi), eps / (b2 * spectral * phi)) >= budget
 
 
 BOUNDS = {"pointwise": bd.pointwise_error_bound, "worst_case": bd.worst_case_error_bound}
@@ -763,7 +798,7 @@ def test_concentration_condition_is_its_bound_compared_with_eps(name, channels, 
         # the reference agrees wherever rounding cannot tip the comparison
         if abs(bound.value / eps - 1.0) > 4.0 * sys.float_info.epsilon:
             if part == "pointwise":
-                reference = _reference_verdict(assumption, params.envelope, eps, phi, ctx.budget(delta))
+                reference = _reference_verdict(assumption, *norms, eps, phi, ctx.budget(delta))
             else:
-                reference = _reference_verdict(assumption, params.envelope, eps / 2.0, phi, ctx.budget(delta, truncation))
+                reference = _reference_verdict(assumption, *norms, eps / 2.0, phi, ctx.budget(delta, truncation))
             assert cert.holds == reference

@@ -33,7 +33,10 @@ blocks; Blackman-Tukey (hann, half width 32) ``estimate`` runs on one and
 three channels at N = 2017 and 2018, the last record that fits one lag
 product block and the first that takes two;
 a biased-periodogram ``certify`` at N = 16384 on a slowly decaying model; a
-context-only ``certify`` per family; ``certify`` with ``context`` values
+Blackman-Tukey (hann, half width 32) ``certify`` with ``epsilon`` at
+N = 65536 on the geometric model, whose closed-form record, with
+``frobenius_sq`` below ``spectral``, is on the square-root branch of the
+tail; a context-only ``certify`` per family; ``certify`` with ``context`` values
 overriding a model's; a ``certify`` of a lightly damped resonant model;
 context-only ``certify`` runs at 154 and 100000 channels, where the cover
 size 10^(2 channels), or that size times the tail multiplier over ``delta``,
@@ -495,6 +498,10 @@ def main(argv=None) -> int:
     # a long, slowly decaying bias sum
     body = {"model": {"kind": "geometric", "rho": 0.95}, "estimator": ESTIMATORS["biased_periodogram"], "num_samples": 16384, "epsilon": 0.5}
     run(out, "certify/long_periodogram_16384", ["certify", "--config", write_config(out, "long_periodogram_16384", body)])
+    # a closed-form record on the square-root branch of the tail, where sqrt(frobenius_sq B) binds
+    name = "geometric_gaussian_blackman_tukey_hann_65536"
+    body = {"model": {"kind": "geometric", "rho": 0.3}, "estimator": hann_32, "num_samples": 65536, "epsilon": 1.0}
+    run(out, f"certify/{name}", ["certify", "--config", write_config(out, f"certify_{name}", body)])
     for est_name, estimator in ESTIMATORS.items():
         name = f"context_{est_name}"
         config = write_config(
