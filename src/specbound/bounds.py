@@ -71,7 +71,7 @@ CONDITION_PARTS = ("pointwise", "worst_case", "bias", "pointwise_total", "worst_
 _TOTALS = {"pointwise_total": "pointwise", "worst_total": "worst_case"}
 
 # why a periodogram has no concentration certificate
-PERIODOGRAM_NOTE = "periodogram norm envelope is at least one"
+PERIODOGRAM_NOTE = "periodogram spectral norm is at least one"
 
 # why a bound whose log budget is infinite certifies nothing
 _BUDGET_NOTE = "log budget passes the largest double"
@@ -342,14 +342,16 @@ def pointwise_error_bound(params: CertificateParams | None, delta: float, ctx: B
     return _deviation_bound("pointwise_bound", params, ctx.budget(delta), delta, ctx)
 
 
+def _cover_width(params: CertificateParams) -> int | None:
+    """The width that the frequency cover reads: None for a zero form, which estimates exactly zero at every frequency and has no width to cover."""
+    return params.truncation if params.spectral > 0.0 or params.frobenius_sq > 0.0 else None
+
+
 def worst_case_error_bound(params: CertificateParams | None, delta: float, ctx: BoundContext) -> Certificate:
     """Deviation bound uniform over frequency holding with probability 1 - delta; unavailable without a record or a finite budget."""
     if params is None:
         return Certificate("worst_case_bound", available=False, note=PERIODOGRAM_NOTE)
-    # a zero form estimates exactly zero at every frequency, so it needs no
-    # frequency cover, and a dense one has no truncation width to cover
-    truncation = params.truncation if params.spectral > 0.0 or params.frobenius_sq > 0.0 else None
-    return _deviation_bound("worst_case_bound", params, ctx.budget(delta, truncation), delta, ctx, 2.0, truncation=params.truncation)
+    return _deviation_bound("worst_case_bound", params, ctx.budget(delta, _cover_width(params)), delta, ctx, 2.0, truncation=params.truncation)
 
 
 def _power_width(rho: float, truncation: int) -> int:
@@ -395,7 +397,7 @@ def geometric_bias_bound(bias: BiasCoefficients, truncation: int, gamma: float, 
 
 def data_driven_factor(params: CertificateParams, delta: float, ctx: BoundContext) -> float:
     """The multiplier of the self-referential worst-case bound (worst bound / phi_inf)."""
-    return 2.0 * ctx.assumption.deviation(params.spectral, params.frobenius_sq, ctx.budget(delta, params.truncation), 1.0)
+    return 2.0 * ctx.assumption.deviation(params.spectral, params.frobenius_sq, ctx.budget(delta, _cover_width(params)), 1.0)
 
 
 def data_driven_error_bound(a: float, bias_bound: float, estimate_sup: float) -> Certificate:
@@ -498,7 +500,7 @@ def certificate_suite(
         elif estimate_sup is not None:
             rows.append(data_driven_error_bound(data_driven_factor(params, delta, ctx), bias.value, estimate_sup))
     elif estimate_sup is not None:
-        note = "needs a concentration envelope and a decay pair"
+        note = "needs a norm record and a decay pair"
         rows.append(Certificate("data_driven_bound", available=False, note=note))
     if epsilon is not None:
         sums = closed_form_bias(spec, num_samples) if sums is None else sums

@@ -14,9 +14,9 @@ generic evaluation path used as the correctness oracle for the fast
 structured paths, and exact bias evaluation against analytic process models,
 whose lag sums go through ``phases.lag_sum`` like the estimators'.
 
-Every per-diagonal statistic of a form (the sums, ``max|d[k]|`` and the
-truncation width) comes from one vectorised pass over its diagonals, cached
-on the form.  The spectral norm of a form of low rank (the biased
+The diagonal sums of a form come from one vectorised pass over its
+diagonals and its truncation width from its nonzero pattern, each cached on
+the form.  The spectral norm of a form of low rank (the biased
 periodogram, Bartlett and Welch, all ``V V^T / K``) comes from a pivoted
 Cholesky factor and one small eigensolve (Higham, 1990); every other
 estimator family builds a centrosymmetric form (``A = J A J``, J reversing
@@ -45,7 +45,6 @@ __all__ = [
     "BiasCoefficients",
     "CertificateParams",
     "DataMatrix",
-    "DiagonalStats",
     "QuadraticForm",
     "SpectralEstimate",
     "bias_coefficients",
@@ -218,14 +217,18 @@ class QuadraticForm:
         return _frobenius_norm(self.matrix)
 
     @cached_property
-    def diagonal_stats(self) -> DiagonalStats:
+    def diagonal_sums(self) -> np.ndarray:
         return _diagonal_pass(self.matrix)
 
     @cached_property
     def truncation_width(self) -> int:
-        """Smallest width beyond which every diagonal of the matrix vanishes."""
-        nonzero = np.flatnonzero(self.diagonal_stats.sup_norms)
-        return int(nonzero[-1]) + 1 if nonzero.size else 0
+        """Smallest width beyond which every diagonal of the matrix vanishes: one past its farthest nonzero entry from the main one."""
+        nonzero = self.matrix != 0.0
+        # how far each row's last nonzero entry lies right of the main diagonal, -1
+        # for a zero row; the matrix is symmetric, so the farthest entry has a mirror there
+        reach = self.size - 1 - nonzero[:, ::-1].argmax(axis=1) - np.arange(self.size)
+        reach[~nonzero.any(axis=1)] = -1
+        return int(reach.max()) + 1
 
     @cached_property
     def certificate_params(self) -> CertificateParams:
@@ -458,35 +461,19 @@ def _centrosymmetric_norm(matrix: np.ndarray, frobenius_norm: float) -> float:
     return float(np.abs(np.linalg.eigvalsh(matrix)).max())
 
 
-@dataclass(frozen=True)
-class DiagonalStats:
-    """Sum and ``max|d[k]|`` of each diagonal, at index k = 0..N-1.
+def _diagonal_pass(matrix: np.ndarray) -> np.ndarray:
+    """Read-only sum of every diagonal of a symmetric matrix, at index k = 0..N-1, in row slabs of offsets.
 
     The matrix is exactly symmetric, so diagonal -k holds the entries of
-    diagonal k and shares its statistics.
-    """
-
-    sums: np.ndarray
-    sup_norms: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sums", "sup_norms"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-
-def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
-    """Sums and sup norms of every diagonal of a symmetric matrix, in row slabs of offsets.
-
-    Row k - 1 of ``wrapped`` starts at entry (0, k) and steps N + 1 entries
-    of the flat matrix.  Its first N - k entries are the diagonal k places
-    above the main one, equal to d[k] because the matrix is symmetric; the
+    diagonal k and shares its sum.  Row k - 1 of ``wrapped`` starts at entry
+    (0, k) and steps N + 1 entries of the flat matrix.  Its first N - k
+    entries are the diagonal k places above the main one, equal to d[k]; the
     rest wrap into the diagonal N + 1 - k places below it, and a mask zeroes
     them.
     """
     size = matrix.shape[0]
-    main = np.diagonal(matrix)
-    sums, sups = np.empty(size), np.empty(size)
-    sums[0], sups[0] = main.sum(), np.abs(main).max()
+    sums = np.empty(size)
+    sums[0] = np.diagonal(matrix).sum()
     width = size - 1
     if width:
         # a symmetric matrix reads the same in either memory order, so this is a view
@@ -499,9 +486,8 @@ def _diagonal_pass(matrix: np.ndarray) -> DiagonalStats:
             lengths = width - np.arange(start, stop)
             heads = np.where(columns < lengths[:, None], wrapped[start:stop], 0.0)
             sums[1 + start : 1 + stop] = heads.sum(axis=1)
-            np.abs(heads, out=heads)
-            sups[1 + start : 1 + stop] = heads.max(axis=1)
-    return DiagonalStats(sums, sups)
+    sums.setflags(write=False)
+    return sums
 
 
 def diagonal_profile(form: QuadraticForm, offset: int) -> np.ndarray:
@@ -542,7 +528,7 @@ class BiasCoefficients:
 
 def bias_coefficients(form: QuadraticForm) -> BiasCoefficients:
     """Sum every diagonal of ``form``; equals 1^T d[k] at each lag."""
-    return BiasCoefficients(form.diagonal_stats.sums)
+    return BiasCoefficients(form.diagonal_sums)
 
 
 def evaluate_generic(data: DataMatrix, form: QuadraticForm, frequency: float) -> np.ndarray:

@@ -337,6 +337,19 @@ def test_data_driven_factor_matches_worst_bound():
     assert factor == pytest.approx(bound / 3.5, rel=1e-12)
 
 
+def test_data_driven_factor_takes_the_worst_case_cover_width():
+    # a zero form needs no frequency cover, in the factor as in the worst-case bound
+    ctx = bd.BoundContext(GAUSSIAN, 2.0, 2.5, 2, (1.2, 0.4))
+    zero = qf.QuadraticForm(np.zeros((8, 8))).certificate_params
+    assert bd.data_driven_factor(zero, 0.05, ctx) == 0.0
+    assert bd.worst_case_error_bound(zero, 0.05, ctx).value == 0.0
+    # a record with a nonzero norm covers its truncation width, bit for bit as before
+    for params in (record(1e-3, 16), est.build_matrix(est.Bartlett(4), 16).certificate_params):
+        budget = ctx.budget(0.05, params.truncation)
+        expected = 2.0 * ctx.assumption.deviation(params.spectral, params.frobenius_sq, budget, 1.0)
+        assert bd.data_driven_factor(params, 0.05, ctx) == expected
+
+
 def test_bound_condition_round_trip():
     # each concentration condition holds at its bound and fails just below it
     rng = np.random.default_rng(8)
@@ -541,7 +554,7 @@ def test_certificate_suite_rows_follow_the_record_and_the_decay_pair(kind, geome
         data_driven = by_name["data_driven_bound"]
         if ctx.decay is None or params is None:
             assert not data_driven.available
-            assert data_driven.note == "needs a concentration envelope and a decay pair"
+            assert data_driven.note == "needs a norm record and a decay pair"
         if ctx.decay is None:
             continue
         # without a record the bias sum runs to N

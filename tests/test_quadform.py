@@ -211,10 +211,8 @@ def test_quadratic_form_symmetrizes_and_bounds_norms(rng):
 def test_diagonal_profile_constant_matrix():
     n = 6
     form = qf.QuadraticForm(np.full((n, n), 1.0 / n))
-    stats = form.diagonal_stats
     for k in range(-(n - 1), n):
         np.testing.assert_allclose(qf.diagonal_profile(form, k), np.full(n - abs(k), 1.0 / n))
-        assert stats.sup_norms[abs(k)] == pytest.approx(1.0 / n)
 
 
 def test_diagonal_profile_block_diagonal_example():
@@ -223,20 +221,6 @@ def test_diagonal_profile_block_diagonal_example():
     matrix = 0.25 * np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
     form = qf.QuadraticForm(matrix)
     np.testing.assert_array_equal(qf.diagonal_profile(form, 1), [0.25, 0.0, 0.25])
-    assert form.diagonal_stats.sup_norms[1] == 0.25
-
-
-def _assert_stats_are_the_embedding_norms(form):
-    """||B[k]||_2 = sup_norms[|k|], B[k] holding d[k] alone."""
-    n = form.size
-    stats = form.diagonal_stats
-    for k in range(-(n - 1), n):
-        dense = np.diag(np.diagonal(form.matrix, -k), -k)
-        assert stats.sup_norms[abs(k)] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-13, abs=0.0)
-
-
-def test_profile_norms_match_dense_embedding(rng):
-    _assert_stats_are_the_embedding_norms(qf.QuadraticForm(rng.standard_normal((8, 8))))
 
 
 def test_profiles_reassemble_the_matrix(rng):
@@ -292,11 +276,17 @@ def _special_matrices():
     cancelling = _banded(rng, 9, 5)
     for k in (-5, 5):
         cancelling[np.eye(9, k=k, dtype=bool)] = [0.75, -0.5, 0.25, -0.5]
+    dense = _banded(rng, 12, 12)
+    # outermost diagonal holds only -0.0, which is zero, so the width is that of the next one in
+    negative_zero = _banded(rng, 9, 5)
+    for k in (-5, 5):
+        negative_zero[np.eye(9, k=k, dtype=bool)] = -0.0
     return {
-        "dense": _banded(rng, 12, 12),
+        "dense": dense,
         "one_by_one": np.array([[-2.5]]),
         "zero_interior_diagonal": zero_interior,
         "cancelling_outer_diagonal": cancelling,
+        "negative_zero_outer_diagonal": negative_zero,
         "zero": np.zeros((6, 6)),
     }
 
@@ -318,15 +308,14 @@ def _per_offset_reference(form):
 
 def _assert_diagonal_statistics_match(form):
     sums, sups, squares, l1, width = _per_offset_reference(form)
-    stats = form.diagonal_stats
+    bias = qf.bias_coefficients(form)
     # any summation order lands within a few rounding units of the l1 norm
-    assert np.all(np.abs(stats.sums - sums) <= 1e-13 * l1)
-    np.testing.assert_array_equal(stats.sup_norms, sups)
+    assert np.all(np.abs(bias.values - sums) <= 1e-13 * l1)
     assert form.truncation_width == width
     n = form.size
     lags = np.arange(-(n - 1), n)
     expected = np.array([np.trace(form.matrix, offset=-k) for k in lags])
-    assert np.all(np.abs(qf.bias_coefficients(form).on_lags(n) - expected) <= 1e-13 * l1[np.abs(lags)])
+    assert np.all(np.abs(bias.on_lags(n) - expected) <= 1e-13 * l1[np.abs(lags)])
     # no per-diagonal sup passes ||A||_2, and no per-diagonal sum of squares passes ||A||_F^2
     assert sups.max() <= form.spectral_norm * (1.0 + 1e-13)
     assert squares.max() <= form.frobenius_norm ** 2 * (1.0 + 1e-13)
@@ -337,20 +326,65 @@ def test_diagonal_statistics_of_every_family_match_per_offset_loops(spec, n):
     _assert_diagonal_statistics_match(est.build_matrix(spec, n))
 
 
-# a dense 2-norm per offset: the sizes up to 64 keep its cost small
-@pytest.mark.parametrize("spec,n", [form for form in FAMILY_FORMS if form.values[1] <= 64])
-def test_diagonal_stats_of_every_family_are_the_embedding_norms(spec, n):
-    _assert_stats_are_the_embedding_norms(est.build_matrix(spec, n))
-
-
 @pytest.mark.parametrize(
     "name,width",
-    [("dense", 12), ("one_by_one", 1), ("zero_interior_diagonal", 5), ("cancelling_outer_diagonal", 6), ("zero", 0)],
+    [
+        ("dense", 12),
+        ("one_by_one", 1),
+        ("zero_interior_diagonal", 5),
+        ("cancelling_outer_diagonal", 6),
+        ("negative_zero_outer_diagonal", 5),
+        ("zero", 0),
+    ],
 )
 def test_diagonal_statistics_of_random_matrices_match_per_offset_loops(name, width):
     form = qf.QuadraticForm(_special_matrices()[name])
     _assert_diagonal_statistics_match(form)
     assert form.truncation_width == width
+
+
+def test_truncation_width_of_random_banded_matrices_matches_a_per_offset_loop():
+    rng = np.random.default_rng(4123)
+    for _ in range(200):
+        size = int(rng.integers(1, 40))
+        matrix = _banded(rng, size, int(rng.integers(0, size + 1)))
+        # some diagonals inside the band emptied, the outermost among them at times
+        for k in rng.choice(size, size=int(rng.integers(0, 3))):
+            matrix[np.eye(size, k=k, dtype=bool) | np.eye(size, k=-k, dtype=bool)] = 0.0
+        form = qf.QuadraticForm(matrix)
+        assert form.truncation_width == _per_offset_reference(form)[-1]
+
+
+# offsets per slab: a few, so that every size takes several slabs with a partial last one
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("spec,n", [form for form in FAMILY_FORMS if form.values[1] >= 64])
+def test_diagonal_pass_in_several_slabs_keeps_every_bit(monkeypatch, rows, spec, n):
+    one_slab = est.build_matrix(spec, n)
+    assert qf._SLAB_BYTES // (8 * (n - 1)) >= n - 1
+    sums, width = one_slab.diagonal_sums, one_slab.truncation_width
+    monkeypatch.setattr(qf, "_SLAB_BYTES", 8 * (n - 1) * rows)
+    several = qf.QuadraticForm(one_slab.matrix)
+    assert several.diagonal_sums.tobytes() == sums.tobytes()
+    assert several.truncation_width == width == _per_offset_reference(one_slab)[-1]
+
+
+def test_certificate_params_of_a_dense_form_take_no_diagonal_pass(monkeypatch):
+    passes = []
+    original = qf._diagonal_pass
+
+    def counted(matrix):
+        passes.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(qf, "_diagonal_pass", counted)
+    form = est.build_matrix(est.Welch(16, 8, "hann"), 136)
+    assert form.certificate_params.truncation == form.truncation_width
+    assert passes == []
+    # the sums take one pass, cached on the form
+    qf.bias_coefficients(form)
+    qf.bias_coefficients(form)
+    assert passes == [(136, 136)]
+    assert not form.diagonal_sums.flags.writeable
 
 
 def test_generic_grid_stays_in_bounded_slabs_and_matches_a_per_frequency_loop():
